@@ -13,15 +13,24 @@ recursion
 
     <h (x) w, w'> = sum_j q^(j-1) <h, w'_j> <w, w' with slot j removed>
 
-and lets one polynomial in q per word pair be memoized globally; float mode
-just evaluates it.  Creation out of the top degree is dropped, so callers
-must keep a truncation budget (entries of degree <= N - creations applied)
-when asserting exact identities.
+memoized per word pair for the sparse routes (``word_inner_poly``).  Gram
+blocks apply the same recursion to whole blocks (Bozejko-Speicher):
+
+    G_0 = [1],  G_n = sum_j q^j (I_letters (x) G_(n-1))[:, P_j]
+
+with P_j[v] the index of word v with slot j moved to the front.  Float mode
+scales float arrays by q^j; exact mode adds integer coefficient arrays into
+the coefficient axis shifted by j, and builds polynomials only at the end.
+
+Creation out of the top degree is dropped, so callers must keep a
+truncation budget (entries of degree <= N - creations applied) when
+asserting exact identities.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -254,33 +263,104 @@ def q_norm_squared(v: FockVector):
     return q_inner(v, v)
 
 
-_GRAM_POLY_CACHE: dict = {}
+@lru_cache(maxsize=64)
+def _slot_moves(degree: int, letters: int) -> tuple:
+    """P_j for each slot j: P_j[v] indexes word v with its slot j moved to the front."""
+    grid = np.arange(letters ** degree).reshape((letters,) * degree)
+    moves = tuple(np.moveaxis(grid, 0, j).ravel() for j in range(degree))
+    for move in moves:
+        move.flags.writeable = False
+    return moves
 
 
-def gram_poly(degree: int, letters: int) -> tuple:
-    """Exact Gram grid of the degree block, rows of QPolynomial."""
-    key = (degree, letters)
-    if key not in _GRAM_POLY_CACHE:
-        basis = word_basis(degree, letters)
-        _GRAM_POLY_CACHE[key] = tuple(
-            tuple(word_inner_poly(a, b) for b in basis) for a in basis
-        )
-    return _GRAM_POLY_CACHE[key]
+def _coeff_dtype(degree: int):
+    # every coefficient of a degree-n entry counts permutations, so is <= n!
+    bound = math.factorial(degree)
+    if bound < 2 ** 31:
+        return np.int32
+    if bound < 2 ** 63:
+        return np.int64
+    return object
+
+
+def _next_gram(prev: np.ndarray, degree: int, letters: int, out: np.ndarray, add_q_power) -> None:
+    """out += sum_j q^j (I_letters (x) prev)[:, P_j].
+
+    add_q_power(out, term, j) adds q^j * term; it is the only step that
+    differs between float and exact scalars.
+    """
+    m = prev.shape[0]
+    lifted = np.zeros((m * letters, m * letters) + prev.shape[2:], dtype=out.dtype)
+    for a in range(letters):
+        lifted[a * m : (a + 1) * m, a * m : (a + 1) * m] = prev
+    term = np.empty_like(lifted)
+    for j, move in enumerate(_slot_moves(degree, letters)):
+        np.take(lifted, move, axis=1, out=term, mode="clip")
+        add_q_power(out, term, j)
+
+
+@lru_cache(maxsize=16)
+def _gram_coeffs(degree: int, letters: int) -> np.ndarray:
+    """Exact Gram block as integer coefficients, shape (dim, dim, C(degree, 2) + 1).
+
+    Entry [u, v, k] is the coefficient of q^k in <u, v>.
+
+    >>> _gram_coeffs(2, 1).tolist()
+    [[[1, 1]]]
+    """
+    if degree == 0:
+        out = np.ones((1, 1, 1), dtype=_coeff_dtype(0))
+    else:
+        prev = _gram_coeffs(degree - 1, letters)
+        width = prev.shape[2]
+
+        def add_q_power(out, term, j):
+            out[:, :, j : j + width] += term
+
+        dim = letters ** degree
+        out = np.zeros((dim, dim, degree * (degree - 1) // 2 + 1), dtype=_coeff_dtype(degree))
+        _next_gram(prev, degree, letters, out, add_q_power)
+    out.flags.writeable = False
+    return out
+
+
+def _float_gram(degree: int, letters: int, q0: float) -> np.ndarray:
+    def add_q_power(out, term, j):
+        term *= q0 ** j
+        out += term
+
+    g = np.ones((1, 1))
+    for n in range(1, degree + 1):
+        prev, g = g, np.zeros((letters ** n, letters ** n))
+        _next_gram(prev, n, letters, g, add_q_power)
+    return g
 
 
 def gram_matrix(degree: int, cfg: SpaceConfig) -> np.ndarray:
-    """Gram matrix of the degree block in the word basis."""
+    """Gram matrix of the degree block in the word basis.
+
+    Float mode gives a float array at the configured q; exact mode an
+    object array of QPolynomial, zero entries sharing one zero polynomial.
+
+    >>> g = gram_matrix(2, SpaceConfig(2, 1, 2, ScalarMode.exact()))
+    >>> print(g[0, 0], "|", g[1, 2], "|", g[0, 1])
+    1 + q | q | 0
+    """
     if not 0 <= degree <= cfg.max_degree:
         raise ValueError(f"degree {degree} outside 0..{cfg.max_degree}")
-    rows = gram_poly(degree, cfg.letters)
-    if cfg.scalar.is_exact:
-        out = np.empty((len(rows), len(rows)), dtype=object)
-        for i, row in enumerate(rows):
-            for j, p in enumerate(row):
-                out[i, j] = p
-        return out
-    q0 = cfg.scalar.q
-    return np.array([[p.eval(q0) for p in row] for row in rows], dtype=float)
+    if not cfg.scalar.is_exact:
+        return _float_gram(degree, cfg.letters, cfg.scalar.q)
+    coeffs = _gram_coeffs(degree, cfg.letters)
+    dim = coeffs.shape[0]
+    out = np.full((dim, dim), QPolynomial.zero(), dtype=object)
+    nonzero = (coeffs != 0).any(axis=2)
+    # few distinct polynomials fill many entries; build each one once
+    keys = [tuple(row) for row in coeffs[nonzero].tolist()]
+    distinct = {key: QPolynomial(key) for key in set(keys)}
+    polys = np.empty(len(keys), dtype=object)
+    polys[:] = [distinct[key] for key in keys]
+    out[nonzero] = polys
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ class QPolynomial:
     Trailing zeros are stripped; the zero polynomial has an empty tuple.
 
     >>> (QPolynomial.one() + QPolynomial.q()) * (QPolynomial.one() - QPolynomial.q())
-    QPolynomial((1, 0, -1))
+    QPolynomial(coeffs=(1, 0, -1))
     >>> print(QPolynomial((2, 1)))
     2 + q
     """

@@ -218,6 +218,15 @@ def test_render_svg_to_file(capsys, tmp_path):
     ET.fromstring(target.read_text())
 
 
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path):
+    for target in (tmp_path / "missing" / "out.txt", tmp_path):
+        code = main(["moment", "--d", "1", "--letters", "1,1", "--out", str(target)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+
 def test_render_json_statistics(capsys):
     code, doc = run_json(capsys, "render", "--n", "8", "--k", "4", "--pairs", "1:6,2:5")
     assert code == 0

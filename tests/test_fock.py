@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from qfock import fock
 from qfock.combinatorics import inversions
 from qfock.fock import (
     BlockOperator,
@@ -125,6 +126,63 @@ def test_gram_small():
     assert g.shape == (1, 1) and g[0, 0] == QPolynomial((1, 1))
     g1 = gram_matrix(1, exact_cfg())
     assert g1[0, 0] == QPolynomial.one() and g1[0, 1] == QPolynomial.zero()
+
+
+def gram_by_word_pairs(degree, letters):
+    """Oracle: the Gram block one word pair at a time through word_inner_poly."""
+    basis = word_basis(degree, letters)
+    return [[word_inner_poly(a, b) for b in basis] for a in basis]
+
+
+def eval_rational(p, q):
+    """p at the binary value q, exact in rationals and rounded once."""
+    num, den = q.as_integer_ratio()
+    top = p.degree()
+    return sum(c * num**k * den ** (top - k) for k, c in enumerate(p.coeffs)) / den**top
+
+
+# (d, copies, top degree) of the exact and float oracle comparisons
+GRAM_ORACLE_SPACES = [(1, 1, 8), (2, 1, 7), (3, 1, 5), (2, 2, 4)]
+
+
+@pytest.mark.parametrize("d,copies,top", GRAM_ORACLE_SPACES)
+def test_gram_exact_matches_word_pairs(d, copies, top):
+    cfg = SpaceConfig(d, copies, top, EXACT)
+    for degree in range(top + 1):
+        assert gram_matrix(degree, cfg).tolist() == gram_by_word_pairs(degree, cfg.letters)
+
+
+@pytest.mark.parametrize("d,copies,top", GRAM_ORACLE_SPACES)
+def test_gram_float_matches_word_pairs(d, copies, top):
+    for degree in range(top + 1):
+        oracle = gram_by_word_pairs(degree, d * copies)
+        for q in (-0.9, -0.4, 0.0, 0.5, 0.9):
+            g = gram_matrix(degree, SpaceConfig(d, copies, top, ScalarMode.at(q)))
+            values = {p: eval_rational(p, q) for row in oracle for p in set(row)}
+            expect = np.array([[values[p] for p in row] for row in oracle])
+            assert np.array_equal(g == 0, expect == 0)
+            np.testing.assert_allclose(g, expect, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize(
+    "degree,dtype",
+    [(12, np.int32), (13, np.int64), (14, np.int64), (20, np.int64), (21, object), (22, object)],
+)
+def test_gram_coefficients_widen_before_overflow(degree, dtype):
+    """A degree-n coefficient is at most n!: int32 to 12, int64 to 20, Python ints beyond.
+
+    The largest coefficient of [n]_q! first leaves int32 at n = 14 and
+    int64 at n = 22, so a narrower dtype there would wrap visibly.
+    """
+    assert fock._gram_coeffs(degree, 1).dtype == dtype
+    g = gram_matrix(degree, SpaceConfig(1, 1, degree, EXACT))
+    assert g.tolist() == gram_by_word_pairs(degree, 1)
+
+
+def test_gram_zero_entries_share_one_polynomial():
+    g = gram_matrix(3, exact_cfg(d=2, n=3))
+    zeros = [p for p in g.ravel() if p.is_zero()]
+    assert zeros and all(p is zeros[0] for p in zeros)
 
 
 def test_gram_float_q0_is_identity():
