@@ -267,6 +267,8 @@ def iota_prime_closed_form(rho: PartialPartition) -> int:
 
 
 def _matchings(points: tuple) -> Iterator[tuple]:
+    # pairing the first point with each later one in turn, then recursing,
+    # yields the pair tuples in lexicographic order
     if not points:
         yield ()
         return
@@ -280,17 +282,20 @@ def _matchings(points: tuple) -> Iterator[tuple]:
 def enumerate_pair_partitions(m: int) -> Iterator[PairPartition]:
     """All perfect matchings of {1..m}, lexicographic by pair tuple, none if m odd.
 
+    Generated lazily, one matching at a time.
+
     >>> sum(1 for _ in enumerate_pair_partitions(4))
     3
     >>> list(enumerate_pair_partitions(3))
     []
+    >>> next(enumerate_pair_partitions(40)).pairs[:2]
+    ((1, 2), (3, 4))
     """
     if m < 0:
         raise ValueError("negative ground set")
     if m % 2:
         return
-    found = sorted(_matchings(tuple(range(1, m + 1))))
-    for pairs in found:
+    for pairs in _matchings(tuple(range(1, m + 1))):
         yield PairPartition(m, pairs)
 
 
@@ -298,8 +303,8 @@ def enumerate_partial_partitions(n: int, k: int, j: int) -> Iterator[PartialPart
     """All block-respecting partitions of {1..n} with exactly j pairs.
 
     Every pair has its left endpoint in {1..n-k} and right endpoint in
-    {n-k+1..n}; count is C(n-k,j) * C(k,j) * j!.  Lexicographic by pair
-    tuple.
+    {n-k+1..n}; count is C(n-k,j) * C(k,j) * j!.  Generated lazily,
+    lexicographic by pair tuple.
 
     >>> [p.pairs for p in enumerate_partial_partitions(2, 1, 1)]
     [((1, 2),)]
@@ -311,14 +316,26 @@ def enumerate_partial_partitions(n: int, k: int, j: int) -> Iterator[PartialPart
     if not 0 <= j <= min(k, n - k):
         raise ValueError(f"pair count {j} outside 0..min({k}, {n - k})")
     split = n - k
-    combos = []
-    for lefts in itertools.combinations(range(1, split + 1), j):
-        for rights in itertools.combinations(range(split + 1, n + 1), j):
-            for perm in itertools.permutations(rights):
-                combos.append(tuple(sorted(zip(lefts, perm))))
-    combos.sort()
-    for pairs in combos:
+    for pairs in _straddling(split, 1, tuple(range(split + 1, n + 1)), j, ()):
         yield PartialPartition(n, k, pairs)
+
+
+def _straddling(split: int, low: int, rights: tuple, j: int, pairs: tuple) -> Iterator[tuple]:
+    # next pair: the smallest left endpoint first, each free right in turn,
+    # so the pair tuples come out in lexicographic order
+    if j <= 1:
+        if not j:
+            yield pairs
+            return
+        for left in range(low, split + 1):
+            for right in rights:
+                yield pairs + ((left, right),)
+        return
+    for left in range(low, split - j + 2):
+        for i, right in enumerate(rights):
+            yield from _straddling(
+                split, left + 1, rights[:i] + rights[i + 1 :], j - 1, pairs + ((left, right),)
+            )
 
 
 def max_pairs(n: int, k: int) -> int:

@@ -40,6 +40,12 @@ import numpy as np
 from .scalars import QPolynomial, ScalarMode
 
 DEFAULT_MAX_DIM = 5000
+EXACT_GRAM_BUDGET = 2 ** 28
+"""Bytes the dense exact Gram coefficient array of one degree may take.
+
+Assembly also holds two work buffers of the previous degree's width, so
+the peak is about 2.6 times this at the largest admitted degree.
+"""
 
 
 @dataclass(frozen=True)
@@ -299,6 +305,12 @@ def _next_gram(prev: np.ndarray, degree: int, letters: int, out: np.ndarray, add
         add_q_power(out, term, j)
 
 
+def _gram_bytes(degree: int, letters: int) -> int:
+    """Size of the exact coefficient array of one Gram block, from its shape alone."""
+    dim = letters ** degree
+    return dim * dim * (degree * (degree - 1) // 2 + 1) * np.dtype(_coeff_dtype(degree)).itemsize
+
+
 @lru_cache(maxsize=16)
 def _gram_coeffs(degree: int, letters: int) -> np.ndarray:
     """Exact Gram block as integer coefficients, shape (dim, dim, C(degree, 2) + 1).
@@ -341,6 +353,8 @@ def gram_matrix(degree: int, cfg: SpaceConfig) -> np.ndarray:
 
     Float mode gives a float array at the configured q; exact mode an
     object array of QPolynomial, zero entries sharing one zero polynomial.
+    Exact mode raises ValueError, before allocating anything, when the
+    coefficient array would exceed ``EXACT_GRAM_BUDGET`` bytes.
 
     >>> g = gram_matrix(2, SpaceConfig(2, 1, 2, ScalarMode.exact()))
     >>> print(g[0, 0], "|", g[1, 2], "|", g[0, 1])
@@ -350,6 +364,12 @@ def gram_matrix(degree: int, cfg: SpaceConfig) -> np.ndarray:
         raise ValueError(f"degree {degree} outside 0..{cfg.max_degree}")
     if not cfg.scalar.is_exact:
         return _float_gram(degree, cfg.letters, cfg.scalar.q)
+    need = _gram_bytes(degree, cfg.letters)
+    if need > EXACT_GRAM_BUDGET:
+        raise ValueError(
+            f"exact Gram block of degree {degree} over {cfg.letters} letters needs "
+            f"{need} bytes, over the exact Gram budget of {EXACT_GRAM_BUDGET}"
+        )
     coeffs = _gram_coeffs(degree, cfg.letters)
     dim = coeffs.shape[0]
     out = np.full((dim, dim), QPolynomial.zero(), dtype=object)

@@ -17,7 +17,7 @@ Coefficient = Union[int, Fraction]
 
 def _simplify(c: Coefficient) -> Coefficient:
     # ints are much faster than Fractions; drop the denominator when it is 1
-    if isinstance(c, Fraction) and c.denominator == 1:
+    if type(c) is not int and isinstance(c, Fraction) and c.denominator == 1:
         return int(c)
     return c
 
@@ -27,6 +27,10 @@ class QPolynomial:
     """Univariate polynomial in q over the rationals, coefficients by power.
 
     Trailing zeros are stripped; the zero polynomial has an empty tuple.
+    The public constructor also turns Fractions with denominator 1 into
+    ints.  Ring operations skip that step: sums and products of ints stay
+    ints, so integer polynomials never meet a Fraction, and a Fraction
+    that happens to reduce to an integer still prints and compares as one.
 
     >>> (QPolynomial.one() + QPolynomial.q()) * (QPolynomial.one() - QPolynomial.q())
     QPolynomial(coeffs=(1, 0, -1))
@@ -44,15 +48,15 @@ class QPolynomial:
 
     @staticmethod
     def zero() -> "QPolynomial":
-        return QPolynomial(())
+        return _poly(())
 
     @staticmethod
     def one() -> "QPolynomial":
-        return QPolynomial((1,))
+        return _poly((1,))
 
     @staticmethod
     def q() -> "QPolynomial":
-        return QPolynomial((0, 1))
+        return _poly((0, 1))
 
     @staticmethod
     def constant(c) -> "QPolynomial":
@@ -67,6 +71,8 @@ class QPolynomial:
         """
         if k < 0:
             raise ValueError("negative power")
+        if type(c) is int:
+            return _poly((0,) * k + (c,))
         return QPolynomial((0,) * k + (c,))
 
     def is_zero(self) -> bool:
@@ -83,21 +89,26 @@ class QPolynomial:
         return bool(self.coeffs)
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not QPolynomial:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         a, b = self.coeffs, other.coeffs
+        if not b:
+            return self
+        if not a:
+            return other
         if len(a) < len(b):
             a, b = b, a
         cs = list(a)
         for i, c in enumerate(b):
-            cs[i] = cs[i] + c
-        return QPolynomial(tuple(cs))
+            cs[i] += c
+        return _poly(cs)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QPolynomial(tuple(-c for c in self.coeffs))
+        return _poly(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
         other = _coerce(other)
@@ -112,19 +123,26 @@ class QPolynomial:
         return other + (-self)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not QPolynomial:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return QPolynomial(())
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) == 1:
+            c = b[0]
+            if c == 1:
+                return self if a is self.coeffs else other
+            return _poly([x * c for x in a])
+        if not b:
+            return _poly(())
         cs = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                cs[i + j] = cs[i + j] + ai * bj
-        return QPolynomial(tuple(cs))
+            if ai:
+                for j, bj in enumerate(b, i):
+                    cs[j] += ai * bj
+        return _poly(cs)
 
     __rmul__ = __mul__
 
@@ -138,29 +156,34 @@ class QPolynomial:
 
     def shift(self, k: int) -> "QPolynomial":
         """Multiply by q**k (cheaper than a full product)."""
-        if not self.coeffs:
+        if not k or not self.coeffs:
             return self
-        return QPolynomial((0,) * k + self.coeffs)
+        return _poly((0,) * k + self.coeffs)
 
     def __call__(self, q0):
         return self.eval(q0)
 
     def eval(self, q0: float) -> float:
-        """Horner evaluation at a float point.
+        """Value at a float point, correctly rounded.
+
+        A float is a dyadic rational m/D, so p(m/D) = sum_k c_k m^k D^(n-k) / D^n
+        is evaluated exactly in integers (rationals if a coefficient is a
+        Fraction) and rounded once.
 
         >>> QPolynomial((1, 1)).eval(0.5)
         1.5
+        >>> QPolynomial((Fraction(1, 3), 1)).eval(0.25)
+        0.5833333333333334
         """
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * q0 + c
-        return float(acc)
-
-    def eval_exact(self, q0: Coefficient) -> Coefficient:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * q0 + c
-        return _simplify(Fraction(acc))
+        cs = self.coeffs
+        if not cs:
+            return 0.0
+        m, den = float(q0).as_integer_ratio()
+        acc, scale = cs[-1], 1
+        for c in reversed(cs[:-1]):
+            scale *= den
+            acc = acc * m + c * scale
+        return float(acc / scale)
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -184,6 +207,22 @@ class QPolynomial:
         return " ".join(parts)
 
 
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _poly(cs) -> QPolynomial:
+    """Wrap ring-operation output: strips trailing zeros, nothing else."""
+    n = len(cs)
+    while n and not cs[n - 1]:
+        n -= 1
+    if n < len(cs):
+        cs = cs[:n]
+    p = _new(QPolynomial)
+    _set(p, "coeffs", tuple(cs))
+    return p
+
+
 def _coeff_str(c: Coefficient) -> str:
     if isinstance(c, Fraction) and c.denominator != 1:
         return f"({c})"
@@ -191,26 +230,13 @@ def _coeff_str(c: Coefficient) -> str:
 
 
 def _coerce(x) -> "QPolynomial":
+    if type(x) is int:
+        return _poly((x,))
     if isinstance(x, QPolynomial):
         return x
     if isinstance(x, (int, Fraction)):
         return QPolynomial((x,))
     return NotImplemented
-
-
-def qpoly_arith(a: QPolynomial, b: QPolynomial, op: str) -> QPolynomial:
-    """Ring arithmetic by name; ``op`` is one of add, sub, mul."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def qpoly_eval(p: QPolynomial, q0: float) -> float:
-    return p.eval(q0)
 
 
 @dataclass(frozen=True)

@@ -18,15 +18,16 @@ closed forms are checked against rather than assumed.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
 from .combinatorics import (
     SubsetCoset,
     coset_data,
     crossings,
-    enumerate_pair_partitions,
     enumerate_partial_partitions,
     max_pairs,
 )
@@ -43,24 +44,14 @@ from .fock import (
 from .scalars import EXACT, QPolynomial, ScalarMode
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def subset_iota(n: int, subset: tuple) -> int:
     return coset_data(SubsetCoset(n, subset))[1]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def subset_iota_chosen(n: int, subset: tuple) -> int:
     return coset_data(SubsetCoset(n, subset), chosen_first=True)[1]
-
-
-@lru_cache(maxsize=None)
-def _subset_table(n: int) -> tuple:
-    """(k, subset, iota) for every subset of positions {1..n}."""
-    rows = []
-    for k in range(n + 1):
-        for subset in itertools.combinations(range(1, n + 1), k):
-            rows.append((k, subset, subset_iota(n, subset)))
-    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -103,38 +94,59 @@ def r_star(xi: FockVector, k: int) -> CosetExpansion:
     return CosetExpansion(n, tuple(terms))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def wick_word_action(xi_word: tuple, source: tuple, max_degree: int) -> tuple:
     """W(word) applied to a basis word: ((target word, QPolynomial), ...).
 
-    Exact kernel shared by every scalar mode; annihilation within each
-    level happens largest split position first, then the complement
-    letters are created outermost-first.
+    Exact kernel shared by every scalar mode.  For each subset A of the
+    word's positions the letters at A are annihilated, largest position
+    first, with weight q^iota(A) q^(slot) per step, and then the letters at
+    the complement are created outermost-first.  The subsets are walked as
+    one decision tree from the last position down, so subsets that agree on
+    their high positions share the annihilations done there; iota(A), the
+    complement positions above each chosen one, grows by the number of
+    letters kept so far at each annihilation.  Intermediate words carry
+    {power of q: integer coefficient} dicts, and one QPolynomial is built
+    per output word.
     """
     n = len(xi_word)
+    # prefix plus what is left of the source must fit the truncation
+    min_k = max(0, (n + len(source) - max_degree + 1) // 2)
     total: dict = {}
-    for k, subset, iota in _subset_table(n):
-        cur = {source: QPolynomial.monomial(iota)}
-        for pos in reversed(subset):
-            code = xi_word[pos - 1]
-            nxt: dict = {}
-            for w, p in cur.items():
-                for j, letter in enumerate(w):
-                    if letter == code:
-                        t = w[:j] + w[j + 1 :]
-                        nxt[t] = nxt.get(t, QPolynomial.zero()) + p.shift(j)
-            cur = nxt
-            if not cur:
-                break
-        if not cur:
-            continue
-        inside = set(subset)
-        prefix = tuple(xi_word[p - 1] for p in range(1, n + 1) if p not in inside)
-        for w, p in cur.items():
-            if len(prefix) + len(w) <= max_degree:
-                t = prefix + w
-                total[t] = total.get(t, QPolynomial.zero()) + p
-    return tuple(sorted((w, p) for w, p in total.items() if not p.is_zero()))
+
+    def walk(pos: int, prefix: tuple, cur: dict, k: int) -> None:
+        if pos == 0:
+            for w, powers in cur.items():
+                acc = total.setdefault(prefix + w, {})
+                for p, c in powers.items():
+                    acc[p] = acc.get(p, 0) + c
+            return
+        code = xi_word[pos - 1]
+        if k + pos - 1 >= min_k:
+            walk(pos - 1, (code,) + prefix, cur, k)
+        above = len(prefix)
+        nxt: dict = {}
+        for w, powers in cur.items():
+            for j, letter in enumerate(w):
+                if letter == code:
+                    t = w[:j] + w[j + 1 :]
+                    acc = nxt.get(t)
+                    if acc is None:
+                        nxt[t] = acc = {}
+                    for p, c in powers.items():
+                        p += j + above
+                        acc[p] = acc.get(p, 0) + c
+        if nxt:
+            walk(pos - 1, prefix, nxt, k + 1)
+
+    walk(n, (), {source: {0: 1}}, 0)
+    out = []
+    for w, powers in sorted(total.items()):
+        cs = [0] * (max(powers) + 1)
+        for p, c in powers.items():
+            cs[p] = c
+        out.append((w, QPolynomial(tuple(cs))))
+    return tuple(out)
 
 
 def wick_apply(xi: FockVector, v: FockVector) -> FockVector:
@@ -149,7 +161,9 @@ def wick_apply(xi: FockVector, v: FockVector) -> FockVector:
             if scalar_is_zero(weight):
                 continue
             for tw, p in wick_word_action(xw, sw, v.cfg.max_degree):
-                out[tw] = out.get(tw, 0) + weight * mode.of(p)
+                term = weight * mode.of(p)
+                prev = out.get(tw)
+                out[tw] = term if prev is None else prev + term
     return FockVector(v.cfg, out)
 
 
@@ -187,38 +201,98 @@ def reversed_vector(xi: FockVector) -> FockVector:
 # moments
 
 
-def _delta_inner(a, b, mode: ScalarMode):
-    if isinstance(a, int) and isinstance(b, int):
-        return mode.one() if a == b else mode.zero()
-    total = mode.zero()
-    for x, y in zip(a, b):
-        total = total + x * y
-    return total
+MAX_MATCHINGS = 2_100_000
+"""Most matchings ``moment_pair_partitions`` walks; 16 equal letters need 2,027,025."""
+
+
+def _odd_double_factorial(m: int) -> int:
+    """(m - 1)!!, the number of perfect matchings of m points (m even)."""
+    out = 1
+    for k in range(m - 1, 1, -2):
+        out *= k
+    return out
+
+
+def _inner_rows(hs: list) -> list:
+    """rows[i][j] = <h_i, h_j> for i < j, as plain ints, Fractions or QPolynomials."""
+    m = len(hs)
+    if all(isinstance(h, int) for h in hs):
+        return [[int(hs[i] == hs[j]) if j > i else 0 for j in range(m)] for i in range(m)]
+    return [
+        [sum(x * y for x, y in zip(hs[i], hs[j])) if j > i else 0 for j in range(m)]
+        for i in range(m)
+    ]
+
+
+def _crossing_histogram(rows: list, m: int) -> list:
+    """hist[k] = sum over matchings with k crossings of the paired inner products.
+
+    Depth first over matchings in lexicographic order: the smallest free
+    point ``first`` pairs with the i-th later free point ``partner``.  The
+    points strictly between them that are already matched are right ends of
+    pairs opened left of ``first``, so this pair crosses exactly
+    partner - first - 1 - i earlier pairs.  Partners with inner product 0
+    are skipped, which prunes every matching through them.
+    """
+    hist = [0] * (m * (m - 2) // 8 + 1)  # at most C(m/2, 2) crossings
+
+    def walk(free: tuple, cross: int, weight) -> None:
+        first, rest = free[0], free[1:]
+        row = rows[first]
+        if len(rest) == 1:
+            w = row[rest[0]]
+            if w:
+                cross += rest[0] - first - 1
+                hist[cross] = hist[cross] + weight * w
+            return
+        for i, partner in enumerate(rest):
+            w = row[partner]
+            if w:
+                walk(rest[:i] + rest[i + 1 :], cross + partner - first - 1 - i, weight * w)
+
+    if m:
+        walk(tuple(range(m)), 0, 1)
+    else:
+        hist[0] = 1
+    return hist
 
 
 def moment_pair_partitions(hs, mode: ScalarMode = EXACT):
-    """Sum over pair partitions of q^crossings times the paired inner products.
+    """tau(s(h_1) ... s(h_m)) = sum over pair partitions of q^crossings times <h_i, h_j> per pair.
 
-    Letters may be integer codes (orthonormal) or coefficient tuples.
+    Letters may be integer codes (orthonormal) or coefficient tuples whose
+    entries are ints, Fractions or QPolynomials.  The sum is a crossing
+    histogram of products of the plain inner products (see
+    ``_crossing_histogram``), lifted to the scalar mode once at the end;
+    float mode evaluates that exact polynomial at q.  With integer codes a
+    letter of odd multiplicity gives 0 before any enumeration, and only
+    same-letter pairs are visited.
+
+    Raises ValueError, before any work, when more than ``MAX_MATCHINGS``
+    matchings would be walked: prod over letters of (c - 1)!! for integer
+    codes with multiplicities c, (m - 1)!! for vector letters.
     """
     hs = list(hs)
     m = len(hs)
     if m % 2:
         return mode.zero()
-    inner = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            inner[(i + 1, j + 1)] = _delta_inner(hs[i], hs[j], mode)
-    total = mode.zero()
-    for rho in enumerate_pair_partitions(m):
-        term = mode.q_power(crossings(rho))
-        for i, j in rho.pairs:
-            term = term * inner[(i, j)]
-            if scalar_is_zero(term):
-                break
-        else:
-            total = total + term
-    return total
+    if all(isinstance(h, int) for h in hs):
+        counts = Counter(hs).values()
+        if any(c % 2 for c in counts):
+            return mode.zero()
+        work = prod(_odd_double_factorial(c) for c in counts)
+    else:
+        work = _odd_double_factorial(m)
+    if work > MAX_MATCHINGS:
+        raise ValueError(
+            f"{work} pair partitions to enumerate, over the cap of {MAX_MATCHINGS}"
+        )
+    hist = _crossing_histogram(_inner_rows(hs), m)
+    exact = QPolynomial(tuple(0 if isinstance(w, QPolynomial) else w for w in hist))
+    for k, w in enumerate(hist):
+        if isinstance(w, QPolynomial):
+            exact = exact + w.shift(k)
+    return mode.of(exact)
 
 
 def three_wick_trace(xi: FockVector, eta: FockVector, theta: FockVector):
@@ -258,7 +332,7 @@ def _subword(word: tuple, positions: tuple) -> tuple:
     return tuple(word[p - 1] for p in positions)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _three_trace_words(wx: tuple, we: tuple, wt: tuple) -> QPolynomial:
     n, m, l = len(wx), len(we), len(wt)
     total = QPolynomial.zero()
@@ -324,12 +398,17 @@ def wick_split_product(xi: FockVector, k: int) -> FockVector:
 # finite-N central limit
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _colored_moment(colored: tuple) -> QPolynomial:
     return moment_pair_partitions(colored, EXACT)
 
 
 _COLOR_BASE = 64
+
+
+def _scaled(p: QPolynomial, factor: Fraction) -> QPolynomial:
+    """p times a rational, normalized once: denominators of 1 become ints."""
+    return QPolynomial(tuple(c * factor for c in p.coeffs))
 
 
 def _canonical_colors(codes, coloring) -> tuple:
@@ -359,8 +438,7 @@ def clt_finite(N: int, codes, mode: ScalarMode = EXACT):
     total = QPolynomial.zero()
     for coloring in itertools.product(range(N), repeat=m):
         total = total + _colored_moment(_canonical_colors(codes, coloring))
-    scaled = total * QPolynomial.constant(Fraction(1, N ** (m // 2)))
-    return mode.of(scaled)
+    return mode.of(_scaled(total, Fraction(1, N ** (m // 2))))
 
 
 def falling_factorial(N: int, m: int) -> int:
@@ -389,8 +467,7 @@ def offdiag_wick_coefficient(N: int, f_codes, h_codes, mode: ScalarMode = EXACT)
         for ks in itertools.product(range(N), repeat=mp):
             coloring = tuple(reversed(ks)) + distinct
             total = total + _colored_moment(_canonical_colors(sequence, coloring))
-    scaled = total * QPolynomial.constant(Fraction(1, N ** ((mp + m) // 2)))
-    return mode.of(scaled)
+    return mode.of(_scaled(total, Fraction(1, N ** ((mp + m) // 2))))
 
 
 def offdiag_reference(N: int, f_codes, h_codes, mode: ScalarMode = EXACT):
@@ -402,4 +479,4 @@ def offdiag_reference(N: int, f_codes, h_codes, mode: ScalarMode = EXACT):
     if N < m:
         return mode.zero()
     factor = Fraction(falling_factorial(N, m), N ** m)
-    return mode.of(word_inner_poly(f_codes, h_codes) * QPolynomial.constant(factor))
+    return mode.of(_scaled(word_inner_poly(f_codes, h_codes), factor))

@@ -54,6 +54,27 @@ def test_moment_odd_length_is_zero(capsys):
     assert out == "0\n"
 
 
+def test_moment_over_the_matching_cap_is_a_usage_error(capsys):
+    # 40 equal letters: 39!! ~ 3e23 matchings, refused before any enumeration
+    assert main(["moment", "--d", "1", "--letters", ",".join(["1"] * 40)]) == 2
+    assert "cap" in capsys.readouterr().err
+
+
+def test_moment_with_an_odd_letter_count_is_zero_at_once(capsys):
+    letters = ",".join(["1"] * 31 + ["2"])
+    for q in ("generic", "0.5"):
+        assert main(["moment", "--d", "2", "--letters", letters, "--q", q]) == 0
+        assert capsys.readouterr().out in ("0\n", "0.0\n")
+
+
+def test_exact_gram_over_budget_is_a_usage_error(capsys, monkeypatch):
+    from qfock import fock
+
+    monkeypatch.setattr(fock, "EXACT_GRAM_BUDGET", fock._gram_bytes(3, 2) - 1)
+    assert main(["gram", "--d", "2", "--degree", "3", "--max-degree", "3"]) == 2
+    assert "budget" in capsys.readouterr().err
+
+
 def test_gram_degree_above_truncation(capsys):
     assert main(["gram", "--d", "2", "--degree", "7", "--max-degree", "6"]) == 2
 

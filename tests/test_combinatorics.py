@@ -91,6 +91,24 @@ def test_pair_partition_counts():
     assert len(list(enumerate_pair_partitions(2))) == 1
 
 
+def test_pair_partitions_are_lexicographic_and_lazy():
+    for m in range(0, 11, 2):
+        seen = [rho.pairs for rho in enumerate_pair_partitions(m)]
+        assert seen == sorted(seen)
+    # 59!! matchings: only a generator that never materializes them returns
+    first = next(enumerate_pair_partitions(60))
+    assert first.pairs == tuple((2 * i + 1, 2 * i + 2) for i in range(30))
+    for n in range(9):
+        for k in range(n + 1):
+            for j in range(max_pairs(n, k) + 1):
+                seen = [rho.pairs for rho in enumerate_partial_partitions(n, k, j)]
+                assert seen == sorted(seen) and len(seen) == len(set(seen))
+                assert len(seen) == comb(n - k, j) * comb(k, j) * factorial(j)
+    # C(20,10)^2 * 10! straddling partitions: the same holds for partial ones
+    first = next(enumerate_partial_partitions(40, 20, 10))
+    assert first.pairs == tuple((i, 20 + i) for i in range(1, 11))
+
+
 def test_iota_prime_on_figures():
     assert iota_prime(FIG_B) == 6
     assert iota_prime(FIG_A) == 3

@@ -164,6 +164,29 @@ def test_gram_float_matches_word_pairs(d, copies, top):
             np.testing.assert_allclose(g, expect, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("d,degree", [(1, 8), (2, 6), (2, 7)])
+def test_gram_entry_eval_is_correctly_rounded(d, degree):
+    """Entries evaluated at q = -0.9 equal the exact rational value rounded once."""
+    polys = {p for row in gram_by_word_pairs(degree, d) for p in row}
+    for p in polys:
+        assert p.eval(-0.9) == eval_rational(p, -0.9)
+
+
+def test_exact_gram_budget_is_checked_before_allocating(monkeypatch):
+    # the d=2, n=11 block the dimension cap admits: arithmetic only
+    assert fock._gram_bytes(11, 2) == 2048 * 2048 * 56 * 4
+    assert fock._gram_bytes(11, 2) > fock.EXACT_GRAM_BUDGET
+    assert fock._gram_bytes(5, 3) == 243 * 243 * 11 * 4
+    assert fock._gram_bytes(5, 3) < fock.EXACT_GRAM_BUDGET // 100
+    # the refusal itself, on a small block under a lowered budget
+    monkeypatch.setattr(fock, "EXACT_GRAM_BUDGET", fock._gram_bytes(4, 2) - 1)
+    cfg = exact_cfg(d=2, n=4)
+    assert gram_matrix(3, cfg).shape == (8, 8)
+    with pytest.raises(ValueError, match="budget"):
+        gram_matrix(4, cfg)
+    assert gram_matrix(4, SpaceConfig(2, 1, 4, ScalarMode.at(0.5))).shape == (16, 16)
+
+
 @pytest.mark.parametrize(
     "degree,dtype",
     [(12, np.int32), (13, np.int64), (14, np.int64), (20, np.int64), (21, object), (22, object)],

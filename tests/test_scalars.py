@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from qfock.scalars import EXACT, QPolynomial, ScalarMode, qpoly_arith, qpoly_eval
+from qfock.scalars import EXACT, QPolynomial, ScalarMode
 
 coeffs = st.lists(st.integers(min_value=-9, max_value=9), max_size=6)
 polys = coeffs.map(lambda cs: QPolynomial(tuple(cs)))
@@ -40,11 +40,6 @@ def test_eval_is_ring_hom(p, q0):
     assert (p + 1).eval(q0) == pytest.approx(p.eval(q0) + 1.0)
 
 
-def test_eval_exact_keeps_fractions():
-    p = QPolynomial((1, 1))
-    assert p.eval_exact(Fraction(1, 2)) == Fraction(3, 2)
-
-
 def test_shift_matches_monomial_product():
     p = QPolynomial((2, -1))
     assert p.shift(2) == p * QPolynomial.monomial(2)
@@ -58,14 +53,60 @@ def test_str_rendering():
     assert str(QPolynomial((Fraction(1, 2),))) == "(1/2)"
 
 
-def test_qpoly_arith_dispatch():
-    a, b = QPolynomial((1, 1)), QPolynomial((0, 1))
-    assert qpoly_arith(a, b, "add") == QPolynomial((1, 2))
-    assert qpoly_arith(a, b, "sub") == QPolynomial((1,))
-    assert qpoly_arith(a, b, "mul") == QPolynomial((0, 1, 1))
-    with pytest.raises(ValueError):
-        qpoly_arith(a, b, "div")
-    assert qpoly_eval(a, 0.25) == 1.25
+@given(polys)
+def test_multiplicative_identities_and_zero_shift(p):
+    one, zero = QPolynomial.one(), QPolynomial.zero()
+    assert p * one == p and one * p == p
+    assert p * 1 == p and 1 * p == p
+    assert (p * zero).is_zero() and (zero * p).is_zero()
+    assert (p * 0).coeffs == () and (0 * p).coeffs == ()
+    assert p.shift(0) == p
+
+
+def test_ring_results_never_keep_trailing_zeros():
+    a, b = QPolynomial((1, 2, 3)), QPolynomial((0, 1, -3))
+    assert (a + b).coeffs == (1, 3)
+    assert (a - a).coeffs == ()
+    assert (QPolynomial((0, 2)) * QPolynomial((5,))).coeffs == (0, 10)
+
+
+def test_fraction_scaling_normalizes_integral_coefficients():
+    """Rationals that reduce to integers come back as ints, so str and == do not move."""
+    p = QPolynomial((2, 4, 6))
+    half = QPolynomial(tuple(c * Fraction(1, 2) for c in p.coeffs))
+    assert half.coeffs == (1, 2, 3)
+    assert all(type(c) is int for c in half.coeffs)
+    assert str(half) == "1 + 2q + 3q^2"
+    assert half == QPolynomial((1, 2, 3))
+    third = QPolynomial(tuple(c * Fraction(1, 3) for c in p.coeffs))
+    assert str(third) == "(2/3) + (4/3)q + 2q^2"
+    assert type(third.coeffs[2]) is int
+    # a Fraction sum that reduces to 1 inside the ring prints and compares as 1
+    whole = QPolynomial((Fraction(1, 2),)) + QPolynomial((Fraction(1, 2),))
+    assert whole == QPolynomial.one() and str(whole) == "1"
+    assert hash(whole) == hash(QPolynomial.one())
+
+
+def eval_rational(p, q):
+    """p at the binary value q in exact rationals, rounded once."""
+    num, den = q.as_integer_ratio()
+    return float(sum(Fraction(c) * Fraction(num, den) ** k for k, c in enumerate(p.coeffs)))
+
+
+@given(
+    st.lists(st.integers(min_value=-10**6, max_value=10**6), max_size=30),
+    st.floats(min_value=-0.999, max_value=0.999),
+)
+def test_eval_is_correctly_rounded(cs, q0):
+    p = QPolynomial(tuple(cs))
+    assert p.eval(q0) == eval_rational(p, q0)
+
+
+def test_eval_with_fraction_coefficients_is_correctly_rounded():
+    p = QPolynomial((Fraction(1, 3), Fraction(-2, 7), 5))
+    for q0 in (-0.9, -0.1, 0.0, 0.3, 0.9):
+        assert p.eval(q0) == eval_rational(p, q0)
+    assert QPolynomial.zero().eval(0.5) == 0.0
 
 
 def test_float_mode_rejects_degenerate_q():

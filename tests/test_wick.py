@@ -1,8 +1,12 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qfock import wick
+from qfock.combinatorics import crossings, enumerate_pair_partitions
 from qfock.fock import (
     FockVector,
     SpaceConfig,
@@ -154,6 +158,103 @@ def test_moment_matches_operator_route():
             assert moment_pair_partitions(codes) == operator_route_moment(codes, cfg)
 
 
+def rational_value(x, q):
+    """x at the binary value q in exact rationals (q unused for plain numbers)."""
+    if isinstance(x, QPolynomial):
+        return sum(Fraction(c) * Fraction(q) ** k for k, c in enumerate(x.coeffs))
+    return Fraction(x)
+
+
+def letter_inner(a, b):
+    if isinstance(a, int):
+        return 1 if a == b else 0
+    return sum((x * y for x, y in zip(a, b)), 0)
+
+
+def oracle_moment(hs, mode):
+    """Enumerate every pair partition, then multiply: q^crossings times the paired inner products.
+
+    Exact mode multiplies QPolynomials; float mode first turns every letter
+    entry into a float and then works in floats throughout.
+    """
+    hs = list(hs)
+    if mode.is_exact:
+        total = QPolynomial.zero()
+        for rho in enumerate_pair_partitions(len(hs)):
+            term = QPolynomial.monomial(crossings(rho))
+            for i, j in rho.pairs:
+                term = term * letter_inner(hs[i - 1], hs[j - 1])
+            total = total + term
+        return total
+    q = mode.q
+    if hs and not isinstance(hs[0], int):
+        hs = [tuple(float(rational_value(x, q)) for x in h) for h in hs]
+    total = 0.0
+    for rho in enumerate_pair_partitions(len(hs)):
+        term = q ** crossings(rho)
+        for i, j in rho.pairs:
+            term *= letter_inner(hs[i - 1], hs[j - 1])
+        total += term
+    return total
+
+
+MODES = st.sampled_from(
+    [EXACT] + [ScalarMode.at(q) for q in (-0.9, -0.3, 0.0, 0.5, 0.8)]
+)
+ENTRIES = st.one_of(
+    st.integers(min_value=-2, max_value=2),
+    st.fractions(min_value=-2, max_value=2, max_denominator=5),
+    st.lists(st.integers(min_value=-2, max_value=2), max_size=3).map(
+        lambda cs: QPolynomial(tuple(cs))
+    ),
+)
+CODE_WORDS = st.lists(st.integers(min_value=0, max_value=2), max_size=8)
+VECTOR_WORDS = st.lists(st.tuples(ENTRIES, ENTRIES), max_size=8)
+
+
+def check_against_oracle(hs, mode):
+    got = moment_pair_partitions(hs, mode)
+    expect = oracle_moment(hs, mode)
+    if mode.is_exact:
+        assert got == expect
+    else:
+        assert got == pytest.approx(expect, rel=1e-9, abs=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(CODE_WORDS, MODES)
+def test_moment_matches_enumeration_oracle_on_codes(codes, mode):
+    check_against_oracle(codes, mode)
+
+
+@settings(max_examples=150, deadline=None)
+@given(VECTOR_WORDS, MODES)
+def test_moment_matches_enumeration_oracle_on_vectors(hs, mode):
+    check_against_oracle(hs, mode)
+
+
+def test_moment_of_twelve_equal_letters_is_the_touchard_riordan_sum():
+    codes = [0] * 12
+    assert moment_pair_partitions(codes) == oracle_moment(codes, EXACT)
+    assert moment_pair_partitions(codes).coeffs[0] == 132  # Catalan(6): no crossings
+
+
+def test_moment_guard_refuses_before_enumerating(monkeypatch):
+    def no_enumeration(*args):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(wick, "_crossing_histogram", no_enumeration)
+    with pytest.raises(ValueError, match="cap"):
+        moment_pair_partitions([0] * 40)  # 39!! matchings
+    with pytest.raises(ValueError, match="cap"):
+        moment_pair_partitions([(1, 0)] * 20)  # vector letters: 19!! bound
+    # an odd letter count is zero whatever the rest of the word costs
+    assert moment_pair_partitions([0] * 31 + [1]) == QPolynomial.zero()
+    assert moment_pair_partitions([0] * 31 + [1], ScalarMode.at(0.5)) == 0.0
+    # the benchmark's largest words stay far below the cap
+    assert 10_395 * 100 < wick.MAX_MATCHINGS
+
+
 def test_moment_with_general_vectors():
     h = (ONE, Q)
     k = (Q, ONE)
@@ -247,6 +348,17 @@ def test_split_product_matches_operator_product():
                     oracle = wick_apply(left, wick_apply(right, vac))
                     got = wick_split_product(word_vec(cfg, word), k)
                     assert got.coeffs == oracle.coeffs
+
+
+def test_rational_scalings_keep_integral_coefficients_as_ints():
+    values = (
+        clt_finite(3, [0, 0, 0, 0]),
+        offdiag_wick_coefficient(2, [0], [0]),
+        offdiag_reference(2, [0], [0]),
+    )
+    for value in values:
+        assert value.coeffs and all(type(c) is int for c in value.coeffs)
+    assert str(clt_finite(3, [0, 0, 0, 0])) == "2 + q"
 
 
 def test_clt_matches_plain_moment():
