@@ -35,6 +35,7 @@ from .analysis import (
 from .combinatorics import PartialPartition
 from .fock import FockVector, SpaceConfig, gram_matrix, word_basis
 from .identities import (
+    check_budget,
     claim_scan,
     inclusion_exclusion_sweep,
     iota_prime_identity_scan,
@@ -255,6 +256,9 @@ def cmd_verify_iota(args) -> tuple:
 
 
 def cmd_verify_ie(args) -> tuple:
+    # both scans are sized before either starts
+    check_budget("two-mode", args.split_nmax, args.d)
+    check_budget("sweep", args.nmax, args.d)
     reports = [
         two_mode_scan(args.split_nmax, args.d),
         inclusion_exclusion_sweep(args.nmax, args.d, fault=fault_index(args)),

@@ -12,9 +12,23 @@ at most n-k, right endpoint beyond).  Two statistics appear:
   state strictly between its endpoints once and the pairs nested strictly
   inside twice.
 
+Both reduce to integer arithmetic on the pair tuple, O(j^2) for j pairs and
+independent of the ground set: every point strictly inside a pair that is
+not a singleton is an endpoint of another pair, so a pair's singletons
+follow from its length and its neighbours.  For block-respecting pairs
+sorted by left endpoint, every later left endpoint lies inside the earlier
+pair, so pair i of j adds (r - l - 1) - (j - 1 - i) plus the number of
+later pairs nested inside it.
+
 ``iota_prime`` decomposes through ``partition_triple`` as
 iota(A) + iota(B) + inversions(sigma) + C(j,2) where A collects left
-endpoints, B right endpoints, and sigma the matching pattern.
+endpoints, B right endpoints, and sigma the matching pattern;
+``iota_prime_closed_form`` counts those inversions on the coset
+representatives, an independent route to the same number.
+
+The enumerators yield their pair tuples already sorted and valid, so they
+build partitions through a trusted constructor that skips the public
+constructor's sorting and validation.
 """
 
 from __future__ import annotations
@@ -61,8 +75,12 @@ def inversions(p: Union[Permutation, Sequence[int]]) -> int:
     0
     """
     word = p.images if isinstance(p, Permutation) else tuple(p)
-    n = len(word)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if word[i] > word[j])
+    total = 0
+    for i, a in enumerate(word):
+        for b in word[i + 1 :]:
+            if a > b:
+                total += 1
+    return total
 
 
 @dataclass(frozen=True)
@@ -95,10 +113,14 @@ def coset_word(subset: SubsetCoset, chosen_first: bool = False) -> Permutation:
     >>> coset_word(SubsetCoset(4, (1, 3)), chosen_first=True).images
     (1, 3, 2, 4)
     """
-    a, b = subset.complement, subset.chosen
-    if chosen_first:
-        a, b = b, a
-    return Permutation(a + b)
+    return Permutation(_coset_rep(subset.n, subset.chosen, chosen_first))
+
+
+def _coset_rep(n: int, chosen: tuple, chosen_first: bool) -> tuple:
+    # chosen is ascending; the representative is two ascending runs
+    inside = set(chosen)
+    rest = tuple(a for a in range(1, n + 1) if a not in inside)
+    return chosen + rest if chosen_first else rest + chosen
 
 
 def coset_data(subset: SubsetCoset, chosen_first: bool = False) -> tuple:
@@ -153,10 +175,18 @@ class PartialPartition:
         paired = [x for p in ps for x in p]
         if len(set(paired)) != len(paired) or any(not 1 <= x <= self.n for x in paired):
             raise ValueError(f"overlapping or out-of-range pairs {ps}")
-        inside = set(paired)
-        object.__setattr__(
-            self, "singletons", tuple(x for x in range(1, self.n + 1) if x not in inside)
-        )
+        object.__setattr__(self, "singletons", _unpaired(self.n, ps))
+
+    @classmethod
+    def _trusted(cls, n: int, k: int, pairs: tuple) -> "PartialPartition":
+        """Build from pairs already sorted, low endpoint first, and disjoint
+        inside {1..n}; nothing is re-sorted or re-checked."""
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "n", n)
+        object.__setattr__(rho, "k", k)
+        object.__setattr__(rho, "pairs", pairs)
+        object.__setattr__(rho, "singletons", _unpaired(n, pairs))
+        return rho
 
     @property
     def num_pairs(self) -> int:
@@ -171,33 +201,55 @@ class PartialPartition:
         return self.pairs + tuple((s,) for s in self.singletons)
 
 
-def crossings(rho: Union[PartialPartition, PairPartition]) -> int:
+def _unpaired(n: int, pairs: tuple) -> tuple:
+    inside = {x for p in pairs for x in p}
+    return tuple(x for x in range(1, n + 1) if x not in inside)
+
+
+def crossings(rho: Union[PartialPartition, PairPartition, tuple]) -> int:
     """Pair-pair crossings plus pair-singleton crossings.
+
+    ``rho`` is a partition or its pair tuple (low endpoint first, sorted by
+    left endpoint).  A pair (l, r) holds r - l - 1 points: its singletons,
+    one endpoint of each pair crossing it and both endpoints of each pair
+    nested inside it.  So the total is the sum of r - l - 1, less one per
+    crossing and two per nesting; the ground set never enters.
 
     >>> crossings(PartialPartition(8, 4, ((2, 5), (4, 7))))
     3
     >>> crossings(PartialPartition(8, 4, ((1, 6), (2, 5))))
     4
+    >>> crossings(((1, 6), (2, 5)))
+    4
     """
-    pairs = rho.pairs
+    pairs = rho if isinstance(rho, tuple) else rho.pairs
     total = 0
-    for (i, j), (k, l) in itertools.combinations(pairs, 2):
-        # pairs are sorted, so i < k
-        if k < j < l:
-            total += 1
-    for i, j in pairs:
-        total += sum(1 for s in rho.singletons if i < s < j)
+    for idx, (l, r) in enumerate(pairs):
+        total += r - l - 1
+        for l2, r2 in pairs[idx + 1 :]:
+            if l2 > r:
+                break  # this pair and all later ones start beyond r
+            total -= 1 if r < r2 else 2
     return total
 
 
-def _require_block(rho: PartialPartition) -> None:
-    if not rho.respects_block():
-        raise ValueError(
-            f"pairs {rho.pairs} must straddle the block split at {rho.n - rho.k}"
+def _block_pairs(rho) -> tuple:
+    if isinstance(rho, tuple):
+        pairs = rho
+        ok = all(a[0] < b[0] for a, b in zip(pairs, pairs[1:])) and (
+            not pairs or pairs[-1][0] < min(r for _, r in pairs)
         )
+        where = "one split"
+    else:
+        pairs = rho.pairs
+        ok = rho.respects_block()
+        where = f"the block split at {rho.n - rho.k}"
+    if not ok:
+        raise ValueError(f"pairs {pairs} must straddle {where}")
+    return pairs
 
 
-def iota_prime(rho: PartialPartition) -> int:
+def iota_prime(rho: Union[PartialPartition, tuple]) -> int:
     """Insertion-weighted crossing statistic.
 
     Pairs enter in decreasing left-endpoint order.  Before a pair is
@@ -205,24 +257,41 @@ def iota_prime(rho: PartialPartition) -> int:
     Each insertion of (l, r) adds one per current singleton strictly
     between l and r and two per current pair nested strictly inside.
 
-    >>> iota_prime(PartialPartition(8, 4, ((1, 6), (2, 5))))
+    ``rho`` is a block-respecting partition or its pair tuple, sorted by
+    left endpoint with every left endpoint below every right one.  Then
+    every later pair starts inside (l, r), and the r - l - 1 points there
+    are the current singletons, the j - 1 - i later (inserted) left
+    endpoints and the right endpoints of the later pairs nested inside.
+    So pair i of j adds (r - l - 1) - (j - 1 - i) + #{later r2 < r}:
+
+    >>> pairs = ((1, 6), (2, 5))  # (6-1-1) - 1 + 1, then (5-2-1) - 0 + 0
+    >>> iota_prime(pairs)
+    6
+    >>> iota_prime(PartialPartition(8, 4, pairs))
     6
     >>> iota_prime(PartialPartition(8, 4, ((2, 5), (4, 7))))
     3
     >>> iota_prime(PartialPartition(5, 2, ()))
     0
     """
-    _require_block(rho)
-    pending = sorted(rho.pairs, reverse=True)
-    total = 0
-    inserted = []
-    for idx, (l, r) in enumerate(pending):
-        loose = set(rho.singletons)
-        loose.update(x for p in pending[idx + 1 :] for x in p)
-        total += sum(1 for m in loose if l < m < r)
-        total += 2 * sum(1 for l2, r2 in inserted if l < l2 and r2 < r)
-        inserted.append((l, r))
+    pairs = _block_pairs(rho)
+    total = -comb(len(pairs), 2)  # the sum of j - 1 - i over all pairs
+    for idx, (l, r) in enumerate(pairs):
+        total += r - l - 1
+        for _, r2 in pairs[idx + 1 :]:
+            if r2 < r:
+                total += 1
     return total
+
+
+def _triple(rho: PartialPartition) -> tuple:
+    # (A, B, sigma) as plain tuples; rho.pairs is sorted by left endpoint
+    _block_pairs(rho)
+    split = rho.n - rho.k
+    rights = sorted(r for _, r in rho.pairs)
+    lefts = tuple(l for l, _ in rho.pairs)
+    sigma = tuple(rights.index(r) + 1 for _, r in rho.pairs)
+    return lefts, tuple(r - split for r in rights), sigma
 
 
 def partition_triple(rho: PartialPartition) -> tuple:
@@ -241,28 +310,25 @@ def partition_triple(rho: PartialPartition) -> tuple:
     >>> t[0].chosen, t[1].chosen, t[2].images
     ((2, 4), (1, 3), (1, 2))
     """
-    _require_block(rho)
-    split = rho.n - rho.k
-    lefts = sorted(l for l, _ in rho.pairs)
-    rights = sorted(r for _, r in rho.pairs)
-    partner = dict(rho.pairs)
-    sigma = tuple(rights.index(partner[l]) + 1 for l in lefts)
-    return (
-        SubsetCoset(split, tuple(lefts)),
-        SubsetCoset(rho.k, tuple(r - split for r in rights)),
-        Permutation(sigma) if sigma else Permutation(()),
-    )
+    a, b, sigma = _triple(rho)
+    return SubsetCoset(rho.n - rho.k, a), SubsetCoset(rho.k, b), Permutation(sigma)
 
 
 def iota_prime_closed_form(rho: PartialPartition) -> int:
-    """iota(A) + iota(B) + inversions(sigma) + C(j,2), via partition_triple."""
-    a, b, sigma = partition_triple(rho)
-    j = len(rho.pairs)
+    """iota(A) + iota(B) + inversions(sigma) + C(j,2), the triple of
+    ``partition_triple`` counted on plain tuples: the inversions of the
+    complement-first representative of A, of the chosen-first one of B, and
+    of sigma.  It never evaluates the insertion statistic.
+
+    >>> iota_prime_closed_form(PartialPartition(8, 4, ((1, 6), (2, 5))))
+    6
+    """
+    a, b, sigma = _triple(rho)
     return (
-        coset_data(a)[1]
-        + coset_data(b, chosen_first=True)[1]
+        inversions(_coset_rep(rho.n - rho.k, a, False))
+        + inversions(_coset_rep(rho.k, b, True))
         + inversions(sigma)
-        + comb(j, 2)
+        + comb(len(sigma), 2)
     )
 
 
@@ -317,7 +383,7 @@ def enumerate_partial_partitions(n: int, k: int, j: int) -> Iterator[PartialPart
         raise ValueError(f"pair count {j} outside 0..min({k}, {n - k})")
     split = n - k
     for pairs in _straddling(split, 1, tuple(range(split + 1, n + 1)), j, ()):
-        yield PartialPartition(n, k, pairs)
+        yield PartialPartition._trusted(n, k, pairs)
 
 
 def _straddling(split: int, low: int, rights: tuple, j: int, pairs: tuple) -> Iterator[tuple]:

@@ -12,8 +12,9 @@ Scans run with polynomial scalars, so one pass certifies all q in (-1, 1).
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, factorial
 
 from .combinatorics import (
     PartialPartition,
@@ -29,6 +30,10 @@ from .wick import subset_iota, subset_iota_chosen, wick_apply
 
 ZERO = QPolynomial.zero()
 ONE = QPolynomial.one()
+
+# Largest case count the claim, two-mode and inclusion-exclusion scans
+# accept; see check_budget.
+SCAN_BUDGET = 50_000
 
 
 @dataclass
@@ -64,6 +69,42 @@ def _finalize(name: str, results: list, fault, notes=None) -> ScanReport:
     for ok, label in results:
         report.record(ok, label)
     return report
+
+
+# cases each scan checks at one ground-set size n
+_CASE_COUNTS = {
+    "claim": lambda n, m_max: sum(
+        comb(n - k, m) * comb(k, m) * factorial(m)
+        for k in range(n + 1)
+        for m in range(1, min(m_max, n // 2) + 1)
+    ) if n >= 2 else 0,
+    "two-mode": lambda n, d: d ** n * sum(min(k, n - k) + 1 for k in range(n + 1)),
+    "sweep": lambda n, d: (n + 1) * d ** n,
+}
+
+
+def check_budget(scan: str, n_max: int, size: int) -> int:
+    """Cases a scan would check, counted by arithmetic; over ``SCAN_BUDGET``
+    raises ValueError before any work.
+
+    ``scan`` is "claim" (size = m_max), "two-mode" or "sweep" (size = d).
+    The sum over n stops as soon as it passes the budget, so a huge n_max
+    costs nothing; a size below 1, which would leave the scan looping over
+    empty levels, is refused as well.
+
+    >>> check_budget("claim", 9, 3), check_budget("two-mode", 6, 2), check_budget("sweep", 5, 2)
+    (2244, 1621, 321)
+    """
+    if size < 1:
+        raise ValueError(f"{scan} scan needs a size of at least 1, got {size}")
+    cases = 0
+    for n in range(n_max + 1):
+        cases += _CASE_COUNTS[scan](n, size)
+        if cases > SCAN_BUDGET:
+            raise ValueError(
+                f"{scan} scan would check more than {SCAN_BUDGET} cases, over the budget"
+            )
+    return cases
 
 
 def merge_reports(name: str, reports) -> ScanReport:
@@ -194,20 +235,32 @@ def _w_rho_terms(lw: tuple, rw: tuple, j: int) -> list:
     return out
 
 
+def _gathered(terms: list, shift: int = 0) -> dict:
+    """Term list collected by (left rest, right rest), zeros dropped, times q^shift."""
+    out: dict = {}
+    for coeff, lrem, rrem in terms:
+        key = (lrem, rrem)
+        out[key] = out[key] + coeff if key in out else coeff
+    return {key: p.shift(shift) for key, p in out.items() if not p.is_zero()}
+
+
 def two_mode_scan(n_max: int = 6, d: int = 2, fault=None) -> ScanReport:
-    """q^C(j,2) * subset-sum form == rho-sum form, all splits of all words."""
+    """q^C(j,2) * subset-sum form == rho-sum form, all splits of all words.
+
+    The two term lists of ``w_jnk`` are compared collected by remainder
+    pair, without wrapping the remainders as vectors.
+    """
+    check_budget("two-mode", n_max, d)
     results = []
     for n in range(n_max + 1):
         cfg = SpaceConfig(d=d, copies=1, max_degree=max(n, 1), scalar=EXACT)
         for k in range(n + 1):
             for word in word_basis(n, cfg.letters):
-                left = FockVector.from_word(cfg, word[: n - k])
-                right = FockVector.from_word(cfg, word[n - k :])
+                lw, rw = word[: n - k], word[n - k :]
                 for j in range(max_pairs(n, k) + 1):
-                    subset = w_jnk(left, right, j, "subset-sum")
-                    rho = w_jnk(left, right, j, "rho-sum")
-                    ok = subset.scaled(QPolynomial.monomial(comb(j, 2))).same_combination(rho)
-                    results.append((ok, (n, k, j, word_to_str(word, cfg))))
+                    subset = _gathered(_w_subset_terms(lw, rw, j), comb(j, 2))
+                    rho = _gathered(_w_rho_terms(lw, rw, j))
+                    results.append((subset == rho, (n, k, j, word_to_str(word, cfg))))
     return _finalize(f"two-mode split equality (n <= {n_max}, d = {d})", results, fault)
 
 
@@ -275,8 +328,7 @@ def color_map(xi: FockVector, j: int, kind: str = "arbitrary") -> ColoredVector:
     return ColoredVector(d=cfg.d, color_bound=j, coeffs=out)
 
 
-def inclusion_exclusion_verify(n: int, k: int, d: int, fault=None) -> ScanReport:
-    """sum_j (-1)^j q^C(j,2) w^j applied to the vacuum returns each split word."""
+def _inclusion_exclusion_results(n: int, k: int, d: int) -> list:
     if not 0 <= k <= n:
         raise ValueError(f"split size {k} outside 0..{n}")
     cfg = SpaceConfig(d=d, copies=1, max_degree=max(n, 1), scalar=EXACT)
@@ -292,33 +344,25 @@ def inclusion_exclusion_verify(n: int, k: int, d: int, fault=None) -> ScanReport
             total = total + piece.scale(-1 if j % 2 else 1)
         ok = (total - FockVector.from_word(cfg, word)).is_zero()
         results.append((ok, word_to_str(word, cfg)))
+    return results
+
+
+def inclusion_exclusion_verify(n: int, k: int, d: int, fault=None) -> ScanReport:
+    """sum_j (-1)^j q^C(j,2) w^j applied to the vacuum returns each split word."""
+    results = _inclusion_exclusion_results(n, k, d)
     return _finalize(f"inclusion-exclusion n={n} k={k} d={d}", results, fault)
 
 
 def inclusion_exclusion_sweep(n_max: int = 5, d: int = 2, fault=None) -> ScanReport:
-    reports = [
-        inclusion_exclusion_verify(n, k, d)
+    """``inclusion_exclusion_verify`` for every n <= n_max and every split k."""
+    check_budget("sweep", n_max, d)
+    results = [
+        result
         for n in range(n_max + 1)
         for k in range(n + 1)
+        for result in _inclusion_exclusion_results(n, k, d)
     ]
-    merged = merge_reports(f"inclusion-exclusion sweep (n <= {n_max}, d = {d})", reports)
-    if fault is not None and merged.cases:
-        merged.violations.append("fault injected")
-    return merged
-
-
-def _relabeled_remainder(pi: PartialPartition, chosen: tuple) -> PartialPartition:
-    """Leftover pairs after deleting the chosen pairs' points, pushed onto
-    {1..n-2j} order-preservingly; the split moves left by j."""
-    removed = {x for p in chosen for x in p}
-    relabel = {}
-    for p in range(1, pi.n + 1):
-        if p not in removed:
-            relabel[p] = len(relabel) + 1
-    pairs = tuple(
-        (relabel[a], relabel[b]) for a, b in pi.pairs if a not in removed and b not in removed
-    )
-    return PartialPartition(pi.n - 2 * len(chosen), pi.k - len(chosen), pairs)
+    return _finalize(f"inclusion-exclusion sweep (n <= {n_max}, d = {d})", results, fault)
 
 
 def alternating_claim(pi: PartialPartition, reading: str = "prime-plain") -> QPolynomial:
@@ -326,31 +370,35 @@ def alternating_claim(pi: PartialPartition, reading: str = "prime-plain") -> QPo
 
     Each splitting contributes (-1)^j q^e where j pairs go to the inserted
     partition rho (statistic iota', original labels) and the leftover sigma
-    is relabeled onto the reduced ground set.  reading "prime-plain" takes
-    e = iota'(rho) + iota(sigma); "prime-prime" takes iota'(sigma) instead.
+    is relabeled onto the reduced ground set: each endpoint moves down by
+    the number of removed points below it, so the split moves left by j.
+    reading "prime-plain" takes e = iota'(rho) + iota(sigma); "prime-prime"
+    takes iota'(sigma) instead.  Both statistics run on the pair tuples, and
+    the signs are collected by exponent before one polynomial is built.
     Empty pi gives 1; one or more pairs should cancel to 0.
     """
     if reading not in ("prime-plain", "prime-prime"):
         raise ValueError(f"unknown reading {reading!r}")
     if not pi.respects_block():
         raise ValueError("pairs must straddle the split")
-    total = ZERO
-    for j in range(pi.num_pairs + 1):
-        for chosen in itertools.combinations(pi.pairs, j):
-            rho = PartialPartition(pi.n, pi.k, chosen)
-            sigma = _relabeled_remainder(pi, chosen)
-            if reading == "prime-plain":
-                expo = iota_prime(rho) + crossings(sigma)
-            else:
-                expo = iota_prime(rho) + iota_prime(sigma)
-            term = QPolynomial.monomial(expo)
-            total = total - term if j % 2 else total + term
-    return total
+    leftover_stat = crossings if reading == "prime-plain" else iota_prime
+    pairs = pi.pairs
+    hist: dict = {}
+    for mask in range(1 << len(pairs)):
+        chosen, rest = [], []
+        for bit, pair in enumerate(pairs):
+            (chosen if mask >> bit & 1 else rest).append(pair)
+        removed = sorted(x for pair in chosen for x in pair)
+        sigma = tuple((l - bisect_left(removed, l), r - bisect_left(removed, r)) for l, r in rest)
+        expo = iota_prime(tuple(chosen)) + leftover_stat(sigma)
+        hist[expo] = hist.get(expo, 0) + (-1 if len(chosen) % 2 else 1)
+    return QPolynomial.from_powers(hist)
 
 
 def claim_scan(n_max: int = 8, m_max: int = 3, reading: str = "prime-plain", fault=None) -> ScanReport:
     """The alternating sum vanishes for every straddling partition with
     1 <= m <= m_max pairs; a surviving value is recorded verbatim."""
+    check_budget("claim", n_max, m_max)
     results = []
     notes: dict = {}
     for n in range(2, n_max + 1):

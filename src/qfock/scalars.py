@@ -75,6 +75,18 @@ class QPolynomial:
             return _poly((0,) * k + (c,))
         return QPolynomial((0,) * k + (c,))
 
+    @staticmethod
+    def from_powers(powers: dict) -> "QPolynomial":
+        """Sum of c * q**p over an {exponent: integer coefficient} histogram.
+
+        >>> print(QPolynomial.from_powers({2: 1, 0: -1, 5: 0}))
+        -1 + q^2
+        """
+        cs = [0] * (max(powers, default=-1) + 1)
+        for p, c in powers.items():
+            cs[p] = c
+        return _poly(cs)
+
     def is_zero(self) -> bool:
         return not self.coeffs
 

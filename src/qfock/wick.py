@@ -140,13 +140,7 @@ def wick_word_action(xi_word: tuple, source: tuple, max_degree: int) -> tuple:
             walk(pos - 1, prefix, nxt, k + 1)
 
     walk(n, (), {source: {0: 1}}, 0)
-    out = []
-    for w, powers in sorted(total.items()):
-        cs = [0] * (max(powers) + 1)
-        for p, c in powers.items():
-            cs[p] = c
-        out.append((w, QPolynomial(tuple(cs))))
-    return tuple(out)
+    return tuple((w, QPolynomial.from_powers(powers)) for w, powers in sorted(total.items()))
 
 
 def wick_apply(xi: FockVector, v: FockVector) -> FockVector:
@@ -332,7 +326,6 @@ def _subword(word: tuple, positions: tuple) -> tuple:
     return tuple(word[p - 1] for p in positions)
 
 
-@lru_cache(maxsize=4096)
 def _three_trace_words(wx: tuple, we: tuple, wt: tuple) -> QPolynomial:
     n, m, l = len(wx), len(we), len(wt)
     total = QPolynomial.zero()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -73,6 +74,50 @@ def test_exact_gram_over_budget_is_a_usage_error(capsys, monkeypatch):
     monkeypatch.setattr(fock, "EXACT_GRAM_BUDGET", fock._gram_bytes(3, 2) - 1)
     assert main(["gram", "--d", "2", "--degree", "3", "--max-degree", "3"]) == 2
     assert "budget" in capsys.readouterr().err
+
+
+def _entered(*args, **kwargs):
+    raise AssertionError("the scan started before the budget check")
+
+
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["verify-claim", "--nmax", "30", "--mmax", "6"], "budget"),
+        (["verify-claim", "--nmax", "1000000000", "--mmax", "1000000000"], "budget"),
+        (["verify-claim", "--nmax", "1000000000", "--mmax", "0"], "at least 1"),
+        (["verify-ie", "--nmax", "3", "--split-nmax", "12"], "budget"),
+        (["verify-ie", "--nmax", "14", "--split-nmax", "3"], "budget"),
+        (["verify-ie", "--nmax", "6", "--split-nmax", "6", "--d", "9"], "budget"),
+        (["verify-ie", "--nmax", "1000000000", "--split-nmax", "3", "--d", "1"], "budget"),
+    ],
+)
+def test_oversized_verify_scans_are_usage_errors(capsys, monkeypatch, argv, reason):
+    from qfock import identities
+
+    for name in ("enumerate_partial_partitions", "word_basis", "alternating_claim"):
+        monkeypatch.setattr(identities, name, _entered)
+    assert main(argv) == 2
+    assert reason in capsys.readouterr().err
+
+
+def test_claim_other_reading_output_is_pinned(capsys):
+    # the signed-exponent histogram must print the same polynomials and
+    # violations as the term-by-term sum it replaced
+    code = main(["verify-claim", "--nmax", "8", "--mmax", "3", "--reading", "prime-prime",
+                 "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 1
+    doc = json.loads(out)
+    check_envelope(doc)
+    assert doc["results"][0]["cases"] == 900
+    assert doc["results"][0]["notes"]["first_nonzero"] == {
+        "n": 4, "k": 2, "pairs": [[1, 4], [2, 3]], "value": "-1 + q^2"
+    }
+    assert len(doc["violations"]) == 300
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "3f52f287e17f9db443b3fe73113ecdbe2bbbc5f33980986b2923e7595f558a29"
+    )
 
 
 def test_gram_degree_above_truncation(capsys):

@@ -2,6 +2,7 @@ import itertools
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, strategies as st
 
 from qfock.combinatorics import (
     PairPartition,
@@ -190,3 +191,107 @@ def test_singletons_derived():
         PairPartition(4, ((1, 2),))
     with pytest.raises(ValueError):
         PartialPartition(4, 2, ((1, 3), (3, 4)))
+
+
+# ---------------------------------------------------------------------------
+# oracles: the set-based routes the pair-tuple arithmetic replaced
+
+
+def oracle_iota_prime(rho):
+    """Insert pairs by decreasing left endpoint, recounting loose points."""
+    pending = sorted(rho.pairs, reverse=True)
+    total = 0
+    inserted = []
+    for idx, (l, r) in enumerate(pending):
+        loose = set(rho.singletons)
+        loose.update(x for p in pending[idx + 1 :] for x in p)
+        total += sum(1 for m in loose if l < m < r)
+        total += 2 * sum(1 for l2, r2 in inserted if l < l2 and r2 < r)
+        inserted.append((l, r))
+    return total
+
+
+def oracle_crossings(rho):
+    total = 0
+    for (i, j), (k, l) in itertools.combinations(rho.pairs, 2):
+        if k < j < l:
+            total += 1
+    for i, j in rho.pairs:
+        total += sum(1 for s in rho.singletons if i < s < j)
+    return total
+
+
+def all_block_partitions(n_max):
+    for n in range(n_max + 1):
+        for k in range(n + 1):
+            for j in range(max_pairs(n, k) + 1):
+                yield from enumerate_partial_partitions(n, k, j)
+
+
+def test_iota_prime_matches_insertion_oracle_exhaustively():
+    checked = 0
+    for rho in all_block_partitions(9):
+        expected = oracle_iota_prime(rho)
+        assert iota_prime(rho) == expected
+        assert iota_prime(rho.pairs) == expected
+        checked += 1
+    assert checked == 2563
+
+
+def test_crossings_match_singleton_oracle():
+    for rho in all_block_partitions(8):
+        assert crossings(rho) == crossings(rho.pairs) == oracle_crossings(rho)
+    for m in range(0, 11, 2):
+        for rho in enumerate_pair_partitions(m):
+            assert crossings(rho) == oracle_crossings(rho)
+    # pairings that ignore the block split, disjoint and nested ones included
+    for pairs in [((1, 2), (3, 4)), ((1, 6), (2, 3), (4, 5)), ((2, 7), (3, 9), (4, 5))]:
+        rho = PartialPartition(10, 0, pairs)
+        assert crossings(rho) == oracle_crossings(rho)
+
+
+@st.composite
+def block_pairings(draw):
+    split = draw(st.integers(0, 12))
+    k = draw(st.integers(0, 12))
+    j = draw(st.integers(0, min(split, k)))
+    lefts = draw(st.permutations(range(1, split + 1)))[:j]
+    rights = draw(st.permutations(range(split + 1, split + k + 1)))[:j]
+    return PartialPartition(split + k, k, tuple(zip(lefts, rights)))
+
+
+@given(block_pairings())
+def test_iota_prime_property(rho):
+    assert iota_prime(rho) == oracle_iota_prime(rho) == iota_prime_closed_form(rho)
+    assert iota_prime(rho.pairs) == iota_prime(rho)
+    assert crossings(rho.pairs) == oracle_crossings(rho)
+
+
+def test_iota_prime_rejects_tuples_off_one_split():
+    for pairs in [((1, 2), (3, 4)), ((2, 5), (1, 6)), ((1, 3), (3, 4))]:
+        with pytest.raises(ValueError):
+            iota_prime(pairs)
+    assert iota_prime(()) == 0
+
+
+def test_trusted_construction_equals_validated():
+    for rho in all_block_partitions(8):
+        checked = PartialPartition(rho.n, rho.k, rho.pairs)
+        assert rho == checked and hash(rho) == hash(checked)
+        assert rho.singletons == checked.singletons
+        assert rho.pairs == checked.pairs and rho.respects_block()
+
+
+def test_public_constructor_still_validates():
+    bad = [
+        (4, 5, ()),  # right block larger than the ground set
+        (4, 2, ((1, 3), (3, 4))),  # shared point
+        (4, 2, ((0, 3),)),  # out of range
+        (4, 2, ((2, 5),)),
+        (4, 2, ((1, 3), (1, 3))),
+    ]
+    for n, k, pairs in bad:
+        with pytest.raises(ValueError):
+            PartialPartition(n, k, pairs)
+    # unsorted input is normalized, not trusted
+    assert PartialPartition(6, 3, ((5, 2), (1, 6))).pairs == ((1, 6), (2, 5))

@@ -1,9 +1,12 @@
 import itertools
+from math import comb, factorial
 
 import pytest
+from test_combinatorics import oracle_crossings, oracle_iota_prime
 
-from qfock.combinatorics import PartialPartition, enumerate_partial_partitions
-from qfock.fock import FockVector, SpaceConfig
+from qfock import identities
+from qfock.combinatorics import PartialPartition, enumerate_partial_partitions, max_pairs
+from qfock.fock import FockVector, SpaceConfig, word_basis, word_to_str
 from qfock.identities import (
     ColoredVector,
     alternating_claim,
@@ -231,3 +234,116 @@ def test_apply_to_vacuum_materializes_products():
     # W(0,1) W(0) vacuum = W(0,1) e_1: creation plus one contraction
     assert out.coeffs[(0, 1, 0)] == ONE
     assert (0,) in out.coeffs or (1,) in out.coeffs
+
+
+# ---------------------------------------------------------------------------
+# the object-building claim the pair-tuple route replaced, as an oracle
+
+
+def oracle_relabeled_remainder(pi, chosen):
+    removed = {x for p in chosen for x in p}
+    relabel = {}
+    for p in range(1, pi.n + 1):
+        if p not in removed:
+            relabel[p] = len(relabel) + 1
+    pairs = tuple(
+        (relabel[a], relabel[b]) for a, b in pi.pairs if a not in removed and b not in removed
+    )
+    return PartialPartition(pi.n - 2 * len(chosen), pi.k - len(chosen), pairs)
+
+
+def oracle_alternating_claim(pi, reading):
+    total = QPolynomial.zero()
+    for j in range(pi.num_pairs + 1):
+        for chosen in itertools.combinations(pi.pairs, j):
+            rho = PartialPartition(pi.n, pi.k, chosen)
+            sigma = oracle_relabeled_remainder(pi, chosen)
+            if reading == "prime-plain":
+                expo = oracle_iota_prime(rho) + oracle_crossings(sigma)
+            else:
+                expo = oracle_iota_prime(rho) + oracle_iota_prime(sigma)
+            term = QPolynomial.monomial(expo)
+            total = total - term if j % 2 else total + term
+    return total
+
+
+def test_claim_matches_object_oracle_both_readings():
+    checked = nonzero = 0
+    for n in range(8):
+        for k in range(n + 1):
+            for m in range(max_pairs(n, k) + 1):
+                for pi in enumerate_partial_partitions(n, k, m):
+                    for reading in ("prime-plain", "prime-prime"):
+                        value = alternating_claim(pi, reading)
+                        expected = oracle_alternating_claim(pi, reading)
+                        assert value == expected and str(value) == str(expected)
+                        nonzero += not value.is_zero()
+                        checked += 1
+    assert checked == 2 * 384
+    assert nonzero > 100  # the prime-prime reading leaves survivors to compare
+
+
+def test_sweep_fault_flips_one_real_comparison():
+    clean = inclusion_exclusion_sweep(n_max=3, d=2)
+    labels = {word_to_str(w, cfg_for(n)) for n in range(4) for w in word_basis(n, 2)}
+    for fault in (0, 7, 12345):
+        report = inclusion_exclusion_sweep(n_max=3, d=2, fault=fault)
+        assert report.cases == clean.cases
+        assert len(report.violations) == 1
+        assert report.violations[0] in labels
+
+
+# ---------------------------------------------------------------------------
+# work budget: the case counts are arithmetic, checked before any work
+
+
+def claim_cases(n_max, m_max):
+    return sum(
+        comb(n - k, m) * comb(k, m) * factorial(m)
+        for n in range(2, n_max + 1)
+        for k in range(n + 1)
+        for m in range(1, m_max + 1)
+    )
+
+
+def test_budget_counts_are_the_case_counts(monkeypatch):
+    scans = [
+        (lambda: claim_scan(6, 2), claim_cases(6, 2)),
+        (lambda: two_mode_scan(4, 2), 1 + 2 * 2 + 4 * 4 + 8 * 6 + 16 * 9),
+        (lambda: inclusion_exclusion_sweep(3, 2), 1 + 2 * 2 + 3 * 4 + 4 * 8),
+    ]
+    for run, cases in scans:
+        monkeypatch.setattr(identities, "SCAN_BUDGET", cases)
+        assert run().cases == cases
+        monkeypatch.setattr(identities, "SCAN_BUDGET", cases - 1)
+        with pytest.raises(ValueError, match="budget"):
+            run()
+
+
+def test_budget_admits_the_documented_inputs():
+    # benchmark, README and acceptance sizes
+    for scan, n_max, size in [
+        ("claim", 9, 3), ("claim", 12, 4), ("two-mode", 6, 2), ("two-mode", 4, 3),
+        ("sweep", 5, 2), ("sweep", 6, 3),
+    ]:
+        assert identities.check_budget(scan, n_max, size) <= identities.SCAN_BUDGET
+
+
+def _entered(*args, **kwargs):
+    raise AssertionError("the scan started before the budget check")
+
+
+def test_oversized_scans_are_refused_before_work(monkeypatch):
+    monkeypatch.setattr(identities, "enumerate_partial_partitions", _entered)
+    monkeypatch.setattr(identities, "word_basis", _entered)
+    monkeypatch.setattr(identities, "_finalize", _entered)
+    for run in (
+        lambda: claim_scan(40, 10),
+        lambda: claim_scan(13, 4),
+        lambda: two_mode_scan(30, 2),
+        lambda: two_mode_scan(10, 2),
+        lambda: inclusion_exclusion_sweep(40, 3),
+        lambda: inclusion_exclusion_sweep(12, 2),
+    ):
+        with pytest.raises(ValueError, match="budget"):
+            run()
