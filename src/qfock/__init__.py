@@ -4,21 +4,24 @@ The package is organised bottom-up:
 
 * :mod:`qfock.scalars` -- exact polynomials in the deformation parameter,
   and the exact/float scalar mode switch.
-* :mod:`qfock.combinatorics` -- pair/singleton partitions, crossing counts,
-  and the insertion statistic with its coset decomposition.
-* :mod:`qfock.fock` -- truncated Fock spaces, the deformed inner product,
-  ladder and field operators, second quantization.
-* :mod:`qfock.wick` -- Wick products, mixed moments, splitting products,
-  and finite-size central limit data.
+* :mod:`qfock.combinatorics` -- partitions into pairs and singletons (one
+  type, perfect matchings included), crossing counts, and the insertion
+  statistic with its coset decomposition.
+* :mod:`qfock.fock` -- truncated Fock spaces, the word codec, the deformed
+  inner product and Gram blocks, the sparse ladder kernel, block operators
+  and second quantization.
+* :mod:`qfock.wick` -- Wick products acting on vectors, mixed moments,
+  splitting products, and finite-size central limit data.
 * :mod:`qfock.identities` -- exhaustive generic-q verification of the
   splitting and inclusion-exclusion identities.
 * :mod:`qfock.analysis` -- float-mode estimates: semigroup dilation,
   rank-one compressions, Schatten norms, block decay, deformation bounds.
 * :mod:`qfock.render` -- arc diagrams in ASCII and SVG.
+
+``__all__`` below is the public surface; ``tests/test_api.py`` pins it.
 """
 
 from .combinatorics import (
-    PairPartition,
     PartialPartition,
     crossings,
     enumerate_pair_partitions,
@@ -31,12 +34,10 @@ from .fock import (
     BlockOperator,
     FockVector,
     SpaceConfig,
-    field_operator,
     gram_matrix,
     q_inner,
     q_norm_squared,
     second_quantize,
-    vacuum_expectation,
 )
 from .scalars import EXACT, QPolynomial, ScalarMode
 from .wick import (
@@ -44,7 +45,6 @@ from .wick import (
     moment_pair_partitions,
     three_wick_trace,
     wick_apply,
-    wick_operator,
     wick_split_product,
 )
 
@@ -54,7 +54,6 @@ __all__ = [
     "BlockOperator",
     "EXACT",
     "FockVector",
-    "PairPartition",
     "PartialPartition",
     "QPolynomial",
     "ScalarMode",
@@ -63,7 +62,6 @@ __all__ = [
     "crossings",
     "enumerate_pair_partitions",
     "enumerate_partial_partitions",
-    "field_operator",
     "gram_matrix",
     "iota_prime",
     "iota_prime_closed_form",
@@ -73,8 +71,6 @@ __all__ = [
     "q_norm_squared",
     "second_quantize",
     "three_wick_trace",
-    "vacuum_expectation",
     "wick_apply",
-    "wick_operator",
     "wick_split_product",
 ]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
@@ -290,9 +290,6 @@ class DecayReport:
     fit_degrees: tuple  # truncation-safe diagonal degrees used in the fit
     max_offband: float
 
-    def diagonal(self) -> list:
-        return [(j, self.block_norms.get((j, j), 0.0)) for j in self.fit_degrees]
-
 
 def block_decay(xi: FockVector, eta: FockVector, cfg: SpaceConfig) -> DecayReport:
     """Blockwise size of x -> E(W(xi)* x W(eta)) on the single-copy algebra.
@@ -365,9 +362,6 @@ class DeformationReport:
     rows: list  # (n, t, left, right, ratio)
     max_ratio: float
     crosscheck_dev: float
-
-    def csv_rows(self) -> list:
-        return [(n, t, left, right, ratio) for n, t, left, right, ratio in self.rows]
 
 
 def deformation_right_side(n: int, kcut: int, t: float, inner_xy: float) -> float:

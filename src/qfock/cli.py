@@ -30,10 +30,9 @@ from .analysis import (
     phi_schatten_closed_form,
     schatten_norm,
     schatten_term_ratio,
-    schatten_threshold,
 )
 from .combinatorics import PartialPartition
-from .fock import FockVector, SpaceConfig, gram_matrix, word_basis
+from .fock import FockVector, SpaceConfig, gram_matrix, parse_word, word_basis, word_to_str
 from .identities import (
     check_budget,
     claim_scan,
@@ -53,6 +52,9 @@ from .wick import (
     wick_split_product,
 )
 
+MAX_DEFORM_STEPS = 10_000
+"""Most ``deform --steps`` grid points; the scan keeps (nmax - kcut + 1) rows per point."""
+
 # ---------------------------------------------------------------------------
 # parsing helpers
 
@@ -63,35 +65,12 @@ def parse_q(text: str) -> ScalarMode:
     return ScalarMode.at(float(text))
 
 
-def parse_letters(text: str, d: int) -> tuple:
-    """Comma-separated letter indices, "t" suffix for the second copy.
-
-    Returns (codes, copies): "1,2t" with d=2 -> ((0, 3), 2).
-    """
-    codes, copies = [], 1
-    for tok in text.split(","):
-        tok = tok.strip()
-        copy = 1
-        if tok.endswith("t"):
-            copy, tok = 2, tok[:-1]
-            copies = 2
-        idx = int(tok)
-        if not 1 <= idx <= d:
-            raise ValueError(f"letter index {idx} outside 1..{d}")
-        codes.append((copy - 1) * d + (idx - 1))
-    return tuple(codes), copies
-
-
 def parse_pairs(text: str) -> tuple:
     if not text:
         return ()
     return tuple(
         tuple(int(x) for x in tok.split(":")) for tok in text.split(",") if tok.strip()
     )
-
-
-def word_str(word: tuple, d: int) -> str:
-    return ",".join(f"{c % d + 1}t" if c >= d else f"{c % d + 1}" for c in word)
 
 
 def scalar_out(c, mode: ScalarMode):
@@ -101,7 +80,7 @@ def scalar_out(c, mode: ScalarMode):
 def vector_results(v: FockVector, d: int) -> list:
     mode = v.cfg.scalar
     items = sorted(v.coeffs.items(), key=lambda kv: (len(kv[0]), kv[0]))
-    return [{"word": word_str(w, d), "coeff": scalar_out(c, mode)} for w, c in items]
+    return [{"word": word_to_str(w, d), "coeff": scalar_out(c, mode)} for w, c in items]
 
 
 def envelope(args, results: list, violations: list) -> dict:
@@ -158,23 +137,37 @@ def cmd_gram(args) -> tuple:
     cfg = SpaceConfig(args.d, args.copies, args.max_degree, mode)
     if args.degree > args.max_degree:
         raise ValueError(f"degree {args.degree} above truncation {args.max_degree}")
-    matrix = gram_matrix(args.degree, cfg)
+    rows = _gram_rows(gram_matrix(args.degree, cfg), mode)
     words = word_basis(args.degree, cfg.letters)
-    rows = [[scalar_out(entry, mode) for entry in row] for row in matrix]
     results = [
         {
             "degree": args.degree,
-            "words": [word_str(w, args.d) for w in words],
+            "words": [word_to_str(w, args.d) for w in words],
             "matrix": rows,
         }
     ]
-    text = "\n".join("\t".join(str(entry) for entry in row) for row in rows)
+    text = None
+    if args.format == "text":
+        text = "\n".join("\t".join(str(entry) for entry in row) for row in rows)
     return emit(args, envelope(args, results, []), text), 0
+
+
+def _gram_rows(matrix, mode: ScalarMode) -> list:
+    """Gram entries as output scalars, row by row.
+
+    An exact block shares each distinct polynomial among many entries, so
+    each is printed once, keyed by identity while ``cells`` holds them all.
+    """
+    cells = matrix.tolist()  # Python floats in float mode
+    if not mode.is_exact:
+        return cells
+    printed = {key: str(p) for key, p in {id(p): p for row in cells for p in row}.items()}
+    return [[printed[key] for key in map(id, row)] for row in cells]
 
 
 def cmd_moment(args) -> tuple:
     mode = parse_q(args.q)
-    codes, _ = parse_letters(args.letters, args.d)
+    codes, _ = parse_word(args.letters, args.d)
     value = moment_pair_partitions(codes, mode)
     results = [{"letters": args.letters, "moment": scalar_out(value, mode)}]
     return emit(args, envelope(args, results, []), str(value)), 0
@@ -182,8 +175,8 @@ def cmd_moment(args) -> tuple:
 
 def cmd_wick(args) -> tuple:
     mode = parse_q(args.q)
-    codes, copies = parse_letters(args.letters, args.d)
-    on_codes, on_copies = parse_letters(args.on, args.d) if args.on else ((), 1)
+    codes, copies = parse_word(args.letters, args.d)
+    on_codes, on_copies = parse_word(args.on, args.d) if args.on else ((), 1)
     max_degree = args.max_degree or len(codes) + len(on_codes)
     cfg = SpaceConfig(args.d, max(copies, on_copies), max_degree, mode)
     xi = FockVector.from_word(cfg, codes)
@@ -193,7 +186,7 @@ def cmd_wick(args) -> tuple:
 
 def cmd_split(args) -> tuple:
     mode = parse_q(args.q)
-    codes, copies = parse_letters(args.letters, args.d)
+    codes, copies = parse_word(args.letters, args.d)
     n = len(codes)
     cfg = SpaceConfig(args.d, copies, args.max_degree or n, mode)
     xi = FockVector.from_word(cfg, codes)
@@ -202,7 +195,9 @@ def cmd_split(args) -> tuple:
     left = FockVector.from_word(cfg, codes[: n - args.k])
     right = FockVector.from_word(cfg, codes[n - args.k :])
     direct = wick_apply(left, wick_apply(right, FockVector.vacuum(cfg)))
-    violations = _vector_mismatch(combined, direct, mode)
+    a, b, zero = combined.coeffs, direct.coeffs, mode.zero()
+    differ = sorted(w for w in a.keys() | b.keys() if not _agree(a.get(w, zero), b.get(w, zero), mode))
+    violations = [f"routes differ on {differ}"] if differ else []
     results = vector_results(combined, args.d)
     code = 0 if not violations else 1
     return emit(args, envelope(args, results, violations), _vector_text(combined, args.d)), code
@@ -213,12 +208,12 @@ def cmd_clt(args) -> tuple:
     if args.left or args.right:
         if not (args.left and args.right):
             raise ValueError("off-diagonal comparison needs both --left and --right")
-        f_codes, _ = parse_letters(args.left, args.d)
-        h_codes, _ = parse_letters(args.right, args.d)
+        f_codes, _ = parse_word(args.left, args.d)
+        h_codes, _ = parse_word(args.right, args.d)
         _guard_colorings(args.N, len(f_codes) + len(h_codes))
         value = offdiag_wick_coefficient(args.N, f_codes, h_codes, mode)
         ref = offdiag_reference(args.N, f_codes, h_codes, mode)
-        violations = _scalar_mismatch(value, ref, mode, f"N={args.N}")
+        violations = [] if _agree(value, ref, mode) else [f"N={args.N}: {value} != {ref}"]
         results = [
             {
                 "N": args.N,
@@ -230,7 +225,7 @@ def cmd_clt(args) -> tuple:
         return emit(args, envelope(args, results, violations), text), 0 if not violations else 1
     if not args.letters:
         raise ValueError("need --letters for the diagonal moment")
-    codes, _ = parse_letters(args.letters, args.d)
+    codes, _ = parse_word(args.letters, args.d)
     _guard_colorings(args.N, len(codes))
     limit = moment_pair_partitions(codes, mode)
     results = []
@@ -313,11 +308,11 @@ def cmd_phi_check(args) -> tuple:
 def cmd_decay(args) -> tuple:
     mode = parse_q(args.q)
     cfg = SpaceConfig(args.d, 2, args.max_degree, mode)
-    codes, _ = parse_letters(args.letters, args.d)
+    codes, _ = parse_word(args.letters, args.d)
     xi = FockVector.from_word(cfg, codes)
     eta = xi
     if args.right:
-        right_codes, _ = parse_letters(args.right, args.d)
+        right_codes, _ = parse_word(args.right, args.d)
         eta = FockVector.from_word(cfg, right_codes)
     report = block_decay(xi, eta, cfg)
     violations = [] if report.max_offband == 0.0 else [f"mass outside the band: {report.max_offband!r}"]
@@ -345,6 +340,8 @@ def cmd_deform(args) -> tuple:
     tmax = args.tmax if args.tmax is not None else t_cap * 0.9
     if args.steps < 1:
         raise ValueError("need at least one grid point")
+    if args.steps > MAX_DEFORM_STEPS:
+        raise ValueError(f"{args.steps} grid points, over the cap of {MAX_DEFORM_STEPS}")
     step = (tmax - tmin) / max(args.steps - 1, 1)
     grid = [tmin + i * step for i in range(args.steps)]
     report = deformation_scan(args.kcut, args.nmax, grid, cfg)
@@ -371,7 +368,7 @@ def cmd_deform(args) -> tuple:
 
 def cmd_tail(args) -> tuple:
     mode = parse_q(args.q)
-    codes, copies = parse_letters(args.letters, args.d)
+    codes, copies = parse_word(args.letters, args.d)
     cfg = SpaceConfig(args.d, copies, args.max_degree or len(codes), mode)
     x = FockVector.from_word(cfg, codes)
     value = ou_tail(x, args.t, args.top)
@@ -408,18 +405,12 @@ def _vector_text(v: FockVector, d: int) -> str:
     return "\n".join(f"{r['word'] or '()'}: {r['coeff']}" for r in vector_results(v, d))
 
 
-def _vector_mismatch(a: FockVector, b: FockVector, mode: ScalarMode) -> list:
-    diff = a - b
+def _agree(a, b, mode: ScalarMode) -> bool:
+    """Two routes' values of one coefficient agree: exactly in exact mode;
+    in float mode up to 1e-12 relative to the larger one, floored at 1."""
     if mode.is_exact:
-        return [] if diff.is_zero() else [f"routes differ on {sorted(diff.coeffs)}"]
-    worst = max((abs(c) for c in diff.coeffs.values()), default=0.0)
-    return [] if worst < 1e-12 else [f"routes differ by {worst!r}"]
-
-
-def _scalar_mismatch(a, b, mode: ScalarMode, label: str) -> list:
-    if mode.is_exact:
-        return [] if (a - b).is_zero() else [f"{label}: {a} != {b}"]
-    return [] if abs(a - b) < 1e-12 else [f"{label}: {a!r} != {b!r}"]
+        return (a - b).is_zero()
+    return abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b))
 
 
 def _parse_floats(text: str, d: int) -> tuple:

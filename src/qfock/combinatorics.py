@@ -1,9 +1,11 @@
 """Partitions into pairs and singletons, and their crossing statistics.
 
 Ground sets are {1..n}.  A partial partition splits the ground set into j
-pairs and n-2j singletons; the variants used here carry a distinguished
-right block {n-k+1..n} and require every pair to straddle it (left endpoint
-at most n-k, right endpoint beyond).  Two statistics appear:
+pairs and n-2j singletons; it is the one partition type here, and a
+perfect matching is the case k = 0 without singletons.  Block partitions
+carry a distinguished right block {n-k+1..n} and require every pair to
+straddle it (left endpoint at most n-k, right endpoint beyond).  Two
+statistics appear:
 
 * ``crossings``: pair-pair interleavings i < k < j < l plus pair-singleton
   interleavings i < k < j.
@@ -33,7 +35,6 @@ constructor's sorting and validation.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from math import comb
 from typing import Iterator, Sequence, Union
@@ -96,11 +97,6 @@ class SubsetCoset:
         if len(set(ch)) != len(ch) or any(not 1 <= a <= self.n for a in ch):
             raise ValueError(f"invalid subset {self.chosen} of 1..{self.n}")
 
-    @property
-    def complement(self) -> tuple:
-        inside = set(self.chosen)
-        return tuple(a for a in range(1, self.n + 1) if a not in inside)
-
 
 def coset_word(subset: SubsetCoset, chosen_first: bool = False) -> Permutation:
     """Minimal-inversion representative of the coset named by the subset.
@@ -134,32 +130,14 @@ def coset_data(subset: SubsetCoset, chosen_first: bool = False) -> tuple:
 
 
 @dataclass(frozen=True)
-class PairPartition:
-    """Perfect matching of {1..n}; pairs stored sorted, low endpoint first."""
-
-    n: int
-    pairs: tuple
-
-    def __post_init__(self):
-        ps = tuple(sorted(tuple(sorted(p)) for p in self.pairs))
-        object.__setattr__(self, "pairs", ps)
-        points = [x for p in ps for x in p]
-        if sorted(points) != list(range(1, self.n + 1)):
-            raise ValueError(f"pairs {ps} do not match {{1..{self.n}}}")
-
-    @property
-    def singletons(self) -> tuple:
-        return ()
-
-
-@dataclass(frozen=True)
 class PartialPartition:
     """Partition of {1..n} into pairs and singletons with a marked right block.
 
-    ``k`` is the size of the right block {n-k+1..n}.  The block constraint
-    (every pair straddles position n-k) is NOT enforced at construction so
-    that plain crossing counts work on arbitrary pairings; statistics that
-    need the block structure check it explicitly.
+    ``k`` is the size of the right block {n-k+1..n}; k = 0 marks no block,
+    and a perfect matching is the case without singletons.  The block
+    constraint (every pair straddles position n-k) is NOT enforced at
+    construction so that plain crossing counts work on arbitrary pairings;
+    statistics that need the block structure check it explicitly.
     """
 
     n: int
@@ -188,17 +166,9 @@ class PartialPartition:
         object.__setattr__(rho, "singletons", _unpaired(n, pairs))
         return rho
 
-    @property
-    def num_pairs(self) -> int:
-        return len(self.pairs)
-
     def respects_block(self) -> bool:
         split = self.n - self.k
         return all(l <= split < r for l, r in self.pairs)
-
-    def blocks(self) -> tuple:
-        """All blocks, pairs then singletons, for display."""
-        return self.pairs + tuple((s,) for s in self.singletons)
 
 
 def _unpaired(n: int, pairs: tuple) -> tuple:
@@ -206,7 +176,7 @@ def _unpaired(n: int, pairs: tuple) -> tuple:
     return tuple(x for x in range(1, n + 1) if x not in inside)
 
 
-def crossings(rho: Union[PartialPartition, PairPartition, tuple]) -> int:
+def crossings(rho: Union[PartialPartition, tuple]) -> int:
     """Pair-pair crossings plus pair-singleton crossings.
 
     ``rho`` is a partition or its pair tuple (low endpoint first, sorted by
@@ -345,10 +315,11 @@ def _matchings(points: tuple) -> Iterator[tuple]:
             yield ((first, partner),) + sub
 
 
-def enumerate_pair_partitions(m: int) -> Iterator[PairPartition]:
+def enumerate_pair_partitions(m: int) -> Iterator[PartialPartition]:
     """All perfect matchings of {1..m}, lexicographic by pair tuple, none if m odd.
 
-    Generated lazily, one matching at a time.
+    Generated lazily, one matching at a time, as partitions with no right
+    block (k = 0) and no singletons.
 
     >>> sum(1 for _ in enumerate_pair_partitions(4))
     3
@@ -362,7 +333,7 @@ def enumerate_pair_partitions(m: int) -> Iterator[PairPartition]:
     if m % 2:
         return
     for pairs in _matchings(tuple(range(1, m + 1))):
-        yield PairPartition(m, pairs)
+        yield PartialPartition._trusted(m, 0, pairs)
 
 
 def enumerate_partial_partitions(n: int, k: int, j: int) -> Iterator[PartialPartition]:

@@ -3,7 +3,11 @@
 The one-particle space is R^d, optionally doubled (two marked copies) for
 dilation constructions.  Letters are encoded as integers 0..d*copies-1 with
 copy-1 letters first; a basis word is a tuple of letter codes, the empty
-tuple is the vacuum.  The inner product of words of equal degree n is
+tuple is the vacuum.  ``parse_word``/``word_to_str`` are the one text form
+of words (comma-separated indices 1..d, "t" marking copy 2), so this
+module alone knows the layout.
+
+The inner product of words of equal degree n is
 
     sum over permutations p of S_n of q^inversions(p) * prod <h_j, k_p(j)>,
 
@@ -22,9 +26,11 @@ with P_j[v] the index of word v with slot j moved to the front.  Float mode
 scales float arrays by q^j; exact mode adds integer coefficient arrays into
 the coefficient axis shifted by j, and builds polynomials only at the end.
 
-Creation out of the top degree is dropped, so callers must keep a
-truncation budget (entries of degree <= N - creations applied) when
-asserting exact identities.
+Creation and annihilation act through one sparse kernel on word
+dictionaries (``apply_create``/``apply_annihilate`` and their per-letter
+forms); there are no dense ladder matrices.  Creation out of the top
+degree is dropped, so callers must keep a truncation budget (entries of
+degree <= N - creations applied) when asserting exact identities.
 """
 
 from __future__ import annotations
@@ -86,65 +92,40 @@ class SpaceConfig:
         return (self.d, self.copies, self.max_degree) == (other.d, other.copies, other.max_degree)
 
 
-@dataclass(frozen=True)
-class Letter:
-    """One-particle basis letter; copy 2 is the doubled summand."""
+def parse_word(text: str, d: int) -> tuple:
+    """Codes of a word written as comma-separated indices 1..d, and its copies.
 
-    index: int
-    copy: int = 1
+    A "t" suffix marks a second-copy letter, which needs the doubled space:
+    ``copies`` is 2 when any letter carries it, else 1.  Copy-1 letters come
+    first in the code layout, so index i of copy c has code (c-1)*d + i-1.
+    The vacuum has no spelling: empty text or an empty token is refused.
 
-    def __post_init__(self):
-        if self.index < 1:
-            raise ValueError("letter index is 1-based")
-        if self.copy not in (1, 2):
-            raise ValueError("copy must be 1 or 2")
-
-    def code(self, cfg: SpaceConfig) -> int:
-        if self.index > cfg.d:
-            raise ValueError(f"letter index {self.index} exceeds d={cfg.d}")
-        if self.copy > cfg.copies:
-            raise ValueError("second-copy letter in a single-copy space")
-        return (self.copy - 1) * cfg.d + (self.index - 1)
-
-    @staticmethod
-    def from_code(code: int, cfg: SpaceConfig) -> "Letter":
-        if not 0 <= code < cfg.letters:
-            raise ValueError(f"letter code {code} out of range")
-        return Letter(code % cfg.d + 1, code // cfg.d + 1)
-
-
-def word_to_str(word: tuple, cfg: SpaceConfig) -> str:
-    """vac for the empty word, else comma-joined tokens, t marking copy 2."""
-    if not word:
-        return "vac"
-    tokens = []
-    for code in word:
-        let = Letter.from_code(code, cfg)
-        tokens.append(f"{let.index}t" if let.copy == 2 else str(let.index))
-    return ",".join(tokens)
-
-
-def parse_word(text: str, cfg: SpaceConfig) -> tuple:
-    """Inverse of word_to_str.
-
-    >>> cfg = SpaceConfig(2, 2, 3, ScalarMode.exact())
-    >>> parse_word("1,2t", cfg)
-    (0, 3)
+    >>> parse_word("1,2t", 2)
+    ((0, 3), 2)
+    >>> parse_word("2, 1", 2)
+    ((1, 0), 1)
     """
-    text = text.strip()
-    if text == "vac":
-        return ()
-    codes = []
+    codes, copies = [], 1
     for token in text.split(","):
         token = token.strip()
-        if not token:
-            raise ValueError("empty letter token")
-        copy = 2 if token.endswith("t") else 1
-        body = token[:-1] if copy == 2 else token
-        if not body.isdigit():
-            raise ValueError(f"bad letter token {token!r}")
-        codes.append(Letter(int(body), copy).code(cfg))
-    return tuple(codes)
+        copy = 1
+        if token.endswith("t"):
+            copy, token = 2, token[:-1]
+            copies = 2
+        index = int(token)
+        if not 1 <= index <= d:
+            raise ValueError(f"letter index {index} outside 1..{d}")
+        codes.append((copy - 1) * d + index - 1)
+    return tuple(codes), copies
+
+
+def word_to_str(word: tuple, d: int) -> str:
+    """Inverse of ``parse_word``; the vacuum is the empty string.
+
+    >>> word_to_str((0, 3), 2), word_to_str((), 2)
+    ('1,2t', '')
+    """
+    return ",".join(f"{code % d + 1}t" if code >= d else f"{code + 1}" for code in word)
 
 
 @lru_cache(maxsize=None)
@@ -156,12 +137,6 @@ def word_basis(degree: int, letters: int) -> tuple:
 @lru_cache(maxsize=None)
 def word_index(degree: int, letters: int) -> dict:
     return {w: i for i, w in enumerate(word_basis(degree, letters))}
-
-
-def enumerate_words(degree: int, cfg: SpaceConfig) -> tuple:
-    if not 0 <= degree <= cfg.max_degree:
-        raise ValueError(f"degree {degree} outside 0..{cfg.max_degree}")
-    return word_basis(degree, cfg.letters)
 
 
 # ---------------------------------------------------------------------------
@@ -242,9 +217,6 @@ class FockVector:
         if scalar_is_zero(s):
             return FockVector(self.cfg, {})
         return FockVector(self.cfg, {w: s * c for w, c in self.coeffs.items()})
-
-    def map_coeffs(self, fn) -> "FockVector":
-        return FockVector(self.cfg, {w: fn(c) for w, c in self.coeffs.items()})
 
 
 def q_inner(v: FockVector, w: FockVector):
@@ -384,7 +356,7 @@ def gram_matrix(degree: int, cfg: SpaceConfig) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# structural ladder operators (sparse, used by the combinatorial pipelines)
+# ladder operators: the one kernel, sparse over basis words
 
 
 def apply_create_letter(code: int, v: FockVector) -> FockVector:
@@ -459,19 +431,6 @@ class BlockOperator:
             if mat.shape != expect:
                 raise ValueError(f"block {(ti, si)} has shape {mat.shape}, expected {expect}")
 
-    @staticmethod
-    def identity(cfg: SpaceConfig) -> "BlockOperator":
-        blocks = {}
-        for n in range(cfg.max_degree + 1):
-            if cfg.scalar.is_exact:
-                mat = np.zeros((cfg.dim(n), cfg.dim(n)), dtype=object)
-                for i in range(cfg.dim(n)):
-                    mat[i, i] = 1
-            else:
-                mat = np.eye(cfg.dim(n))
-            blocks[(n, n)] = mat
-        return BlockOperator(cfg, blocks)
-
     def block(self, target: int, source: int):
         return self.blocks.get((target, source))
 
@@ -519,79 +478,6 @@ class BlockOperator:
             return self.compose(other)
         return NotImplemented
 
-    def __add__(self, other: "BlockOperator") -> "BlockOperator":
-        if not self.cfg.compatible(other.cfg):
-            raise ValueError("space mismatch")
-        blocks = {k: m.copy() for k, m in self.blocks.items()}
-        for k, m in other.blocks.items():
-            blocks[k] = blocks[k] + m if k in blocks else m.copy()
-        return BlockOperator(self.cfg, blocks)
-
-    def __sub__(self, other: "BlockOperator") -> "BlockOperator":
-        return self + other.scale(-1)
-
-    def scale(self, s) -> "BlockOperator":
-        return BlockOperator(self.cfg, {k: m * s for k, m in self.blocks.items()})
-
-    def vacuum_entry(self):
-        mat = self.blocks.get((0, 0))
-        zero = self.cfg.scalar.zero()
-        if mat is None:
-            return zero
-        return zero + mat[0, 0]
-
-
-def vacuum_expectation(op: BlockOperator):
-    """The (vacuum, vacuum) matrix element."""
-    return op.vacuum_entry()
-
-
-def _empty_block(cfg: SpaceConfig, target: int, source: int) -> np.ndarray:
-    shape = (cfg.dim(target), cfg.dim(source))
-    if cfg.scalar.is_exact:
-        return np.zeros(shape, dtype=object)
-    return np.zeros(shape)
-
-
-def ladder(h, kind: str, cfg: SpaceConfig) -> BlockOperator:
-    """Creation or annihilation by a one-particle vector, as block matrices."""
-    _check_vector(h, cfg)
-    if kind not in ("create", "annihilate"):
-        raise ValueError(f"unknown ladder kind {kind!r}")
-    blocks = {}
-    for n in range(cfg.max_degree + 1):
-        basis = word_basis(n, cfg.letters)
-        if kind == "create" and n < cfg.max_degree:
-            mat = _empty_block(cfg, n + 1, n)
-            target_index = word_index(n + 1, cfg.letters)
-            for j, w in enumerate(basis):
-                for code, weight in enumerate(h):
-                    if scalar_is_zero(weight):
-                        continue
-                    mat[target_index[(code,) + w], j] += weight
-            blocks[(n + 1, n)] = mat
-        if kind == "annihilate" and n >= 1:
-            mat = _empty_block(cfg, n - 1, n)
-            target_index = word_index(n - 1, cfg.letters)
-            for j, w in enumerate(basis):
-                for slot, code in enumerate(w):
-                    weight = h[code]
-                    if scalar_is_zero(weight):
-                        continue
-                    row = target_index[w[:slot] + w[slot + 1 :]]
-                    mat[row, j] += cfg.scalar.q_power(slot) * weight
-            blocks[(n - 1, n)] = mat
-    return BlockOperator(cfg, blocks)
-
-
-def field_operator(h, cfg: SpaceConfig) -> BlockOperator:
-    return ladder(h, "create", cfg) + ladder(h, "annihilate", cfg)
-
-
-def basis_one_particle(code: int, cfg: SpaceConfig) -> tuple:
-    one, zero = cfg.scalar.one(), cfg.scalar.zero()
-    return tuple(one if i == code else zero for i in range(cfg.letters))
-
 
 # ---------------------------------------------------------------------------
 # second quantization and projections
@@ -636,10 +522,6 @@ def coordinate_projection(cfg: SpaceConfig, keep_copy: int = 1) -> np.ndarray:
     if cfg.scalar.is_exact:
         return np.diag(np.array(diag, dtype=object))
     return np.diag(np.array(diag, dtype=float))
-
-
-def degree_projection(v: FockVector, n: int) -> FockVector:
-    return v.component(n)
 
 
 def second_copy_count(word: tuple, cfg: SpaceConfig) -> int:

@@ -4,9 +4,9 @@ A degree-n word split at position n-k can be rebuilt from products
 W(left part) W(right part) by inclusion-exclusion over the contractions
 between the two parts.  This module materializes both presentations of
 the correction maps (subset pairs with coset weights vs straddling pair
-partitions with the insertion statistic), the color embeddings used to
-compare them, and exhaustive scanners for every identity in the chain.
-Scans run with polynomial scalars, so one pass certifies all q in (-1, 1).
+partitions with the insertion statistic), compares them term by term, and
+scans every identity in the chain exhaustively.  Scans run with polynomial
+scalars, so one pass certifies all q in (-1, 1).
 """
 
 from __future__ import annotations
@@ -27,9 +27,6 @@ from .combinatorics import (
 from .fock import FockVector, SpaceConfig, word_basis, word_inner_poly, word_to_str
 from .scalars import EXACT, QPolynomial
 from .wick import subset_iota, subset_iota_chosen, wick_apply
-
-ZERO = QPolynomial.zero()
-ONE = QPolynomial.one()
 
 # Largest case count the claim, two-mode and inclusion-exclusion scans
 # accept; see check_budget.
@@ -116,6 +113,11 @@ def merge_reports(name: str, reports) -> ScanReport:
     return merged
 
 
+def _label(word: tuple, d: int) -> str:
+    """A word as scan reports name it: its text form, "vac" for the vacuum."""
+    return word_to_str(word, d) or "vac"
+
+
 def _homogeneous_degree(v: FockVector) -> int:
     degrees = v.degrees()
     if len(degrees) > 1:
@@ -128,19 +130,6 @@ class WickPairCombination:
     """Formal sum  sum_i  c_i * W(left_i) W(right_i)  with polynomial weights."""
 
     terms: list  # (QPolynomial, FockVector, FockVector)
-
-    def canonical(self) -> dict:
-        """Collect coefficients by (left word, right word); zeros dropped."""
-        out: dict = {}
-        for coeff, left, right in self.terms:
-            for lw, lc in left.coeffs.items():
-                for rw, rc in right.coeffs.items():
-                    key = (lw, rw)
-                    out[key] = out.get(key, ZERO) + coeff * lc * rc
-        return {key: p for key, p in out.items() if not p.is_zero()}
-
-    def same_combination(self, other: "WickPairCombination") -> bool:
-        return self.canonical() == other.canonical()
 
     def scaled(self, p) -> "WickPairCombination":
         return WickPairCombination([(p * c, left, right) for c, left, right in self.terms])
@@ -191,11 +180,6 @@ def w_jnk(xi_left: FockVector, xi_right: FockVector, j: int, mode: str = "subset
                     )
                 )
     return WickPairCombination(terms)
-
-
-def v_nk(xi_left: FockVector, xi_right: FockVector) -> WickPairCombination:
-    """Bare product map: the single term W(left) W(right)."""
-    return w_jnk(xi_left, xi_right, 0)
 
 
 def _w_subset_terms(lw: tuple, rw: tuple, j: int) -> list:
@@ -260,72 +244,8 @@ def two_mode_scan(n_max: int = 6, d: int = 2, fault=None) -> ScanReport:
                 for j in range(max_pairs(n, k) + 1):
                     subset = _gathered(_w_subset_terms(lw, rw, j), comb(j, 2))
                     rho = _gathered(_w_rho_terms(lw, rw, j))
-                    results.append((subset == rho, (n, k, j, word_to_str(word, cfg))))
+                    results.append((subset == rho, (n, k, j, _label(word, d))))
     return _finalize(f"two-mode split equality (n <= {n_max}, d = {d})", results, fault)
-
-
-@dataclass
-class ColoredVector:
-    """Tensor over letters carrying colors 0..color_bound.
-
-    A colored letter is encoded as color * d + base code, matching the
-    copy layout of the Fock module; the space is kept as a bare sparse
-    dict because its dense dimension d * (bound + 1) per slot is never
-    materialized.
-    """
-
-    d: int
-    color_bound: int
-    coeffs: dict  # colored word -> coefficient
-
-    def __post_init__(self):
-        for word in self.coeffs:
-            for code in word:
-                if not 0 <= code < self.d * (self.color_bound + 1):
-                    raise ValueError(f"colored letter {code} out of range")
-
-    def term_count(self) -> int:
-        return len(self.coeffs)
-
-    def color_of(self, code: int) -> int:
-        return code // self.d
-
-    def base_code(self, code: int) -> int:
-        return code % self.d
-
-    def uncolor(self, word: tuple) -> tuple:
-        return tuple(self.base_code(c) for c in word)
-
-
-def color_map(xi: FockVector, j: int, kind: str = "arbitrary") -> ColoredVector:
-    """Sum over ways to color j letters with colors 1..j, the rest color 0.
-
-    kind "arbitrary" takes every bijection onto each j-subset of positions
-    (C(n,j) * j! terms); kind "decreasing" keeps one term per subset, the
-    p-th largest chosen position receiving color j-p+1.
-    """
-    cfg = xi.cfg
-    if cfg.copies != 1:
-        raise ValueError("color embeddings start from the single-copy space")
-    if kind not in ("arbitrary", "decreasing"):
-        raise ValueError(f"unknown kind {kind!r}")
-    n = _homogeneous_degree(xi)
-    if j > n:
-        raise ValueError(f"cannot color {j} of {n} letters")
-    out: dict = {}
-    for word, c in xi.coeffs.items():
-        for positions in itertools.combinations(range(len(word)), j):
-            if kind == "decreasing":
-                assignments = [tuple(range(1, j + 1))]
-            else:
-                assignments = itertools.permutations(range(1, j + 1))
-            for colors in assignments:
-                color_at = dict(zip(positions, colors))
-                colored = tuple(
-                    color_at.get(idx, 0) * cfg.d + code for idx, code in enumerate(word)
-                )
-                out[colored] = out.get(colored, 0) + c
-    return ColoredVector(d=cfg.d, color_bound=j, coeffs=out)
 
 
 def _inclusion_exclusion_results(n: int, k: int, d: int) -> list:
@@ -343,7 +263,7 @@ def _inclusion_exclusion_results(n: int, k: int, d: int) -> list:
             piece = combo.apply_to_vacuum(cfg)
             total = total + piece.scale(-1 if j % 2 else 1)
         ok = (total - FockVector.from_word(cfg, word)).is_zero()
-        results.append((ok, word_to_str(word, cfg)))
+        results.append((ok, _label(word, d)))
     return results
 
 

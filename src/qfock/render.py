@@ -137,12 +137,3 @@ def svg_diagram(rho: PartialPartition) -> str:
     )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
-
-
-def render_partition(rho: PartialPartition, format: str = "ascii") -> str:
-    """Diagram of ``rho`` as text.  ``format`` is "ascii" or "svg"."""
-    if format == "ascii":
-        return ascii_diagram(rho)
-    if format == "svg":
-        return svg_diagram(rho)
-    raise ValueError(f"unknown diagram format {format!r}")

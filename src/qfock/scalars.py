@@ -94,9 +94,6 @@ class QPolynomial:
         """Degree, with the convention degree(0) = -1."""
         return len(self.coeffs) - 1
 
-    def constant_term(self) -> Coefficient:
-        return self.coeffs[0] if self.coeffs else 0
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -308,16 +305,6 @@ class ScalarMode:
         if isinstance(value, QPolynomial):
             return value.eval(self.q)
         return float(value)
-
-    def to_float(self, scalar, q0: float | None = None) -> float:
-        if isinstance(scalar, QPolynomial):
-            if q0 is None:
-                if not self.is_exact:
-                    q0 = self.q
-                else:
-                    raise ValueError("need a q value to evaluate an exact scalar")
-            return scalar.eval(q0)
-        return float(scalar)
 
 
 EXACT = ScalarMode.exact()

@@ -6,7 +6,9 @@ the letters at A (largest position acting first), then create the letters
 at the complement (first position ending outermost), weighted by
 q^iota(A) with iota(A) the inversions of the two-ascending-runs coset word
 (complement first).  Applied to the vacuum this reproduces the word, which
-pins the normalization.
+pins the normalization.  ``wick_word_action`` is the one kernel: the
+operator exists only as its action on sparse vectors (``wick_apply``),
+never as block matrices.
 
 Mixed vacuum moments of field operators are sums over pair partitions
 weighted by q^crossings; the finite-N central-limit averages and the
@@ -19,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import prod
@@ -31,16 +32,7 @@ from .combinatorics import (
     enumerate_partial_partitions,
     max_pairs,
 )
-from .fock import (
-    BlockOperator,
-    FockVector,
-    SpaceConfig,
-    _empty_block,
-    scalar_is_zero,
-    word_basis,
-    word_index,
-    word_inner_poly,
-)
+from .fock import FockVector, scalar_is_zero, word_inner_poly
 from .scalars import EXACT, QPolynomial, ScalarMode
 
 
@@ -52,46 +44,6 @@ def subset_iota(n: int, subset: tuple) -> int:
 @lru_cache(maxsize=4096)
 def subset_iota_chosen(n: int, subset: tuple) -> int:
     return coset_data(SubsetCoset(n, subset), chosen_first=True)[1]
-
-
-@dataclass(frozen=True)
-class CosetTerm:
-    k: int
-    subset: tuple  # positions split off into the right factor
-    coefficient: object
-    left: tuple
-    right: tuple
-
-
-@dataclass(frozen=True)
-class CosetExpansion:
-    degree: int
-    terms: tuple
-
-
-def r_star(xi: FockVector, k: int) -> CosetExpansion:
-    """Level-k coset expansion: split each word into (complement, subset) letters.
-
-    One term per k-subset A of positions, weighted q^iota(A) times the
-    word's coefficient; the subset letters (ascending positions) form the
-    right factor.
-    """
-    degrees = xi.degrees()
-    if len(degrees) != 1:
-        raise ValueError("coset expansion needs a homogeneous vector")
-    n = degrees[0]
-    if not 0 <= k <= n:
-        raise ValueError(f"level {k} outside 0..{n}")
-    mode = xi.cfg.scalar
-    terms = []
-    for word, c in sorted(xi.coeffs.items()):
-        for subset in itertools.combinations(range(1, n + 1), k):
-            inside = set(subset)
-            left = tuple(word[p - 1] for p in range(1, n + 1) if p not in inside)
-            right = tuple(word[p - 1] for p in subset)
-            coeff = c * mode.q_power(subset_iota(n, subset))
-            terms.append(CosetTerm(k, subset, coeff, left, right))
-    return CosetExpansion(n, tuple(terms))
 
 
 @lru_cache(maxsize=4096)
@@ -159,31 +111,6 @@ def wick_apply(xi: FockVector, v: FockVector) -> FockVector:
                 prev = out.get(tw)
                 out[tw] = term if prev is None else prev + term
     return FockVector(v.cfg, out)
-
-
-def wick_operator(xi: FockVector, cfg: SpaceConfig) -> BlockOperator:
-    """Materialize W(xi) as degree-block matrices (homogeneous xi only)."""
-    if cfg.max_degree > 6:
-        raise ValueError("full Wick materialization is gated to max degree 6")
-    degrees = xi.degrees()
-    if len(degrees) > 1:
-        raise ValueError("wick_operator needs a homogeneous vector; sum per degree instead")
-    mode = cfg.scalar
-    blocks: dict = {}
-    for s in range(cfg.max_degree + 1):
-        columns: dict = {}
-        for j, source in enumerate(word_basis(s, cfg.letters)):
-            for xw, xc in xi.coeffs.items():
-                for tw, p in wick_word_action(xw, source, cfg.max_degree):
-                    columns.setdefault(len(tw), []).append((tw, j, xc * mode.of(p)))
-        for t, entries in columns.items():
-            mat = blocks.setdefault((t, s), _empty_block(cfg, t, s))
-            index = word_index(t, cfg.letters)
-            for tw, j, val in entries:
-                mat[index[tw], j] += val
-    if not blocks:
-        blocks[(0, 0)] = _empty_block(cfg, 0, 0)
-    return BlockOperator(cfg, blocks)
 
 
 def reversed_vector(xi: FockVector) -> FockVector:

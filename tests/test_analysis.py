@@ -132,7 +132,7 @@ def test_schatten_rejects_bad_input():
     with pytest.raises(ValueError):
         schatten_norm(op, 2.0, cfg)
     with pytest.raises(ValueError):
-        schatten_norm(BlockOperator.identity(cfg), 0.5, cfg)
+        schatten_norm(BlockOperator(cfg, {(0, 0): np.ones((1, 1))}), 0.5, cfg)
 
 
 def test_gram_factor_floor_fails_loudly():
@@ -164,8 +164,8 @@ def test_block_decay_single_tilde_letter():
     report = block_decay(h_tilde, h_tilde, cfg)
     assert report.band_width == 2
     assert report.max_offband == 0.0
-    for j, norm in report.diagonal():
-        assert norm == pytest.approx(0.5 ** j)
+    for j in report.fit_degrees:
+        assert report.block_norms[(j, j)] == pytest.approx(0.5 ** j)
     assert report.rate == pytest.approx(math.log(0.5), rel=1e-6)
 
 

@@ -1,12 +1,17 @@
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qfock.cli import main, parse_letters, parse_pairs, parse_q, word_str
+from qfock import cli
+from qfock.cli import main, parse_pairs, parse_q
+from qfock.fock import FockVector, parse_word, word_to_str
 from qfock.scalars import EXACT
 
 
@@ -33,14 +38,34 @@ def check_envelope(doc):
 
 
 def test_letter_parsing():
-    assert parse_letters("1,2t", 2) == ((0, 3), 2)
-    assert parse_letters("1,1,1,1", 1) == ((0, 0, 0, 0), 1)
+    assert parse_word("1,2t", 2) == ((0, 3), 2)
+    assert parse_word("1,1,1,1", 1) == ((0, 0, 0, 0), 1)
     with pytest.raises(ValueError):
-        parse_letters("3", 2)
+        parse_word("3", 2)
     assert parse_pairs("1:6,2:5") == ((1, 6), (2, 5))
     assert parse_q("generic") is EXACT
     assert parse_q("0.5").q == 0.5
-    assert word_str((0, 3), 2) == "1,2t"
+    assert word_to_str((0, 3), 2) == "1,2t"
+
+
+def quiet_main(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+LETTER_TEXT = st.text(st.one_of(st.sampled_from("0123t, "), st.characters()), max_size=24)
+
+
+@settings(max_examples=200, deadline=None)
+@given(LETTER_TEXT)
+def test_moment_letter_fuzz_is_ok_or_usage_error(text):
+    assert quiet_main(["moment", "--d", "2", "--letters", text]) in (0, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(LETTER_TEXT)
+def test_wick_target_fuzz_is_ok_or_usage_error(text):
+    assert quiet_main(["wick", "--d", "2", "--letters", "1,2t", "--on", text]) in (0, 2)
 
 
 def test_moment_prints_exact_polynomial(capsys):
@@ -148,6 +173,48 @@ def test_split_routes_agree(capsys):
     assert words["2,2"] == "q^2"
 
 
+# coefficients up to about 300 and 3000, where an absolute 1e-12 is below one ulp
+LARGE_FLOAT_SPLITS = [
+    ["split", "--d", "1", "--letters", ",".join("1" * 10), "--k", "5", "--q", "0.9"],
+    ["split", "--d", "1", "--letters", ",".join("1" * 12), "--k", "6", "--q", "0.95"],
+]
+
+
+@pytest.mark.parametrize("argv", LARGE_FLOAT_SPLITS)
+def test_float_split_routes_agree_relative_to_magnitude(capsys, argv):
+    code, doc = run_json(capsys, *argv)
+    assert code == 0 and doc["verified"] is True
+    assert max(abs(r["coeff"]) for r in doc["results"]) > 250
+
+
+def _nudged(fn, factor):
+    def nudged(*args):
+        value = fn(*args)
+        return value.scale(factor) if isinstance(value, FockVector) else value * factor
+
+    return nudged
+
+
+@pytest.mark.parametrize(
+    "route, argv",
+    [
+        ("wick_split_product", LARGE_FLOAT_SPLITS[0]),
+        ("wick_split_product", ["split", "--d", "2", "--letters", "1,2,2,1", "--k", "2"]),
+        ("offdiag_reference", ["clt", "--d", "2", "--N", "3", "--left", "1,2", "--right", "1,2"]),
+        ("offdiag_reference", ["clt", "--d", "2", "--N", "3", "--left", "1,2", "--right", "1,2",
+                               "--q", "0.5"]),
+    ],
+)
+def test_perturbed_route_still_fails(capsys, monkeypatch, route, argv):
+    # 1e-9 relative is far above the float tolerance; exact mode sees any change
+    factor = 1 + 1e-9 if "--q" in argv else 2
+    monkeypatch.setattr(cli, route, _nudged(getattr(cli, route), factor))
+    code, doc = run_json(capsys, *argv)
+    assert code == 1
+    check_envelope(doc)
+    assert doc["verified"] is False and len(doc["violations"]) == 1
+
+
 def test_clt_moments_stabilize(capsys):
     code, doc = run_json(capsys, "clt", "--d", "1", "--letters", "1,1,1,1", "--N", "3")
     assert code == 0
@@ -248,6 +315,14 @@ def test_deform_csv_header(capsys):
     lines = out.splitlines()
     assert lines[0] == "n,t,left,right,ratio"
     assert len(lines) == 1 + 2 * 3
+
+
+def test_deform_steps_over_the_cap_are_a_usage_error(capsys, monkeypatch):
+    assert cli.MAX_DEFORM_STEPS >= 9  # the default, used by README and the benchmark
+    monkeypatch.setattr(cli, "deformation_scan", _entered)
+    for steps in (cli.MAX_DEFORM_STEPS + 1, 1_000_000_000):
+        assert main(["deform", "--kcut", "1", "--steps", str(steps)]) == 2
+        assert "cap" in capsys.readouterr().err
 
 
 def test_deform_json(capsys):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qfock.combinatorics import (
-    PairPartition,
     PartialPartition,
     Permutation,
     SubsetCoset,
@@ -59,7 +58,8 @@ def test_coset_representative_is_minimal():
                 sub = SubsetCoset(n, chosen)
                 for chosen_first in (False, True):
                     rep, count = coset_data(sub, chosen_first)
-                    first = set(sub.chosen if chosen_first else sub.complement)
+                    complement = set(range(1, n + 1)) - set(chosen)
+                    first = set(sub.chosen) if chosen_first else complement
                     best = min(
                         inversions(w)
                         for w in itertools.permutations(range(1, n + 1))
@@ -186,9 +186,9 @@ def test_single_pair_iota_prime_is_crossings():
 
 def test_singletons_derived():
     assert FIG_A.singletons == (1, 3, 6, 8)
-    assert PairPartition(4, ((3, 4), (1, 2))).pairs == ((1, 2), (3, 4))
-    with pytest.raises(ValueError):
-        PairPartition(4, ((1, 2),))
+    matching = PartialPartition(4, 0, ((4, 3), (1, 2)))
+    assert matching.pairs == ((1, 2), (3, 4)) and matching.singletons == ()
+    assert PartialPartition(4, 0, ((1, 2),)).singletons == (3, 4)
     with pytest.raises(ValueError):
         PartialPartition(4, 2, ((1, 3), (3, 4)))
 
@@ -280,6 +280,11 @@ def test_trusted_construction_equals_validated():
         assert rho == checked and hash(rho) == hash(checked)
         assert rho.singletons == checked.singletons
         assert rho.pairs == checked.pairs and rho.respects_block()
+    for m in range(0, 9, 2):
+        for rho in enumerate_pair_partitions(m):
+            checked = PartialPartition(m, 0, rho.pairs)
+            assert rho == checked and hash(rho) == hash(checked)
+            assert rho.k == 0 and rho.singletons == checked.singletons == ()
 
 
 def test_public_constructor_still_validates():

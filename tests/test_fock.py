@@ -3,30 +3,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qfock import fock
 from qfock.combinatorics import inversions
 from qfock.fock import (
     BlockOperator,
     FockVector,
-    Letter,
     SpaceConfig,
+    apply_annihilate,
     apply_annihilate_letter,
+    apply_create,
     apply_create_letter,
-    apply_field_letter,
-    basis_one_particle,
+    apply_field,
     coordinate_projection,
     copy_count_projection,
-    degree_projection,
-    enumerate_words,
-    field_operator,
     gram_matrix,
-    ladder,
     parse_word,
     q_inner,
     second_quantize,
-    vacuum_expectation,
     word_basis,
+    word_index,
     word_inner_poly,
     word_to_str,
 )
@@ -35,6 +32,62 @@ from qfock.scalars import EXACT, QPolynomial, ScalarMode
 
 def exact_cfg(d=2, copies=1, n=4):
     return SpaceConfig(d, copies, n, EXACT)
+
+
+# ---------------------------------------------------------------------------
+# oracle: ladder operators as dense degree-block matrices, filled entry by
+# entry from the definitions; the sparse kernel in qfock.fock is checked
+# against them
+
+
+def basis_one_particle(code, cfg):
+    one, zero = cfg.scalar.one(), cfg.scalar.zero()
+    return tuple(one if i == code else zero for i in range(cfg.letters))
+
+
+def _empty_block(cfg, target, source):
+    shape = (cfg.dim(target), cfg.dim(source))
+    if cfg.scalar.is_exact:
+        return np.zeros(shape, dtype=object)
+    return np.zeros(shape)
+
+
+def ladder(h, kind, cfg):
+    """Creation or annihilation by a one-particle vector, as block matrices."""
+    assert len(h) == cfg.letters and kind in ("create", "annihilate")
+    blocks = {}
+    for n in range(cfg.max_degree + 1):
+        basis = word_basis(n, cfg.letters)
+        if kind == "create" and n < cfg.max_degree:
+            mat = _empty_block(cfg, n + 1, n)
+            target_index = word_index(n + 1, cfg.letters)
+            for j, w in enumerate(basis):
+                for code, weight in enumerate(h):
+                    mat[target_index[(code,) + w], j] += weight
+            blocks[(n + 1, n)] = mat
+        if kind == "annihilate" and n >= 1:
+            mat = _empty_block(cfg, n - 1, n)
+            target_index = word_index(n - 1, cfg.letters)
+            for j, w in enumerate(basis):
+                for slot, code in enumerate(w):
+                    row = target_index[w[:slot] + w[slot + 1 :]]
+                    mat[row, j] += cfg.scalar.q_power(slot) * h[code]
+            blocks[(n - 1, n)] = mat
+    return BlockOperator(cfg, blocks)
+
+
+def field_operator(h, cfg):
+    # creation and annihilation blocks sit at distinct (target, source) keys
+    create, annihilate = ladder(h, "create", cfg), ladder(h, "annihilate", cfg)
+    return BlockOperator(cfg, {**create.blocks, **annihilate.blocks})
+
+
+def one_particle_vectors(cfg):
+    """Every basis letter plus two mixed vectors, one with q-dependent weights."""
+    q, one = cfg.scalar.q_power(1), cfg.scalar.one()
+    mixed = tuple(one * (-1) ** i * (i + 1) for i in range(cfg.letters))
+    tilted = tuple(q * one if i % 2 else one - q for i in range(cfg.letters))
+    return [basis_one_particle(c, cfg) for c in range(cfg.letters)] + [mixed, tilted]
 
 
 def inner_by_definition(left, right):
@@ -91,14 +144,12 @@ def test_space_mismatch_rejected():
 
 
 def test_enumerate_words():
-    cfg = exact_cfg(d=2, copies=1, n=3)
-    assert enumerate_words(0, cfg) == ((),)
-    assert len(enumerate_words(2, cfg)) == 4
-    assert len(enumerate_words(1, SpaceConfig(2, 2, 2, EXACT))) == 4
-    words = enumerate_words(2, cfg)
+    assert word_basis(0, 2) == ((),)
+    assert len(word_basis(2, 2)) == 4
+    assert len(word_basis(1, SpaceConfig(2, 2, 2, EXACT).letters)) == 4
+    words = word_basis(3, 2)
     assert list(words) == sorted(words)
-    with pytest.raises(ValueError):
-        enumerate_words(4, cfg)
+    assert all(word_index(3, 2)[w] == i for i, w in enumerate(words))
 
 
 def test_dimension_cap(monkeypatch):
@@ -109,15 +160,34 @@ def test_dimension_cap(monkeypatch):
 
 
 def test_word_round_trip():
-    cfg = SpaceConfig(2, 2, 3, EXACT)
-    for word in [(), (0,), (0, 3), (2, 1, 0)]:
-        assert parse_word(word_to_str(word, cfg), cfg) == word
-    assert word_to_str((), cfg) == "vac"
-    assert word_to_str((0, 3), cfg) == "1,2t"
-    with pytest.raises(ValueError):
-        parse_word("3", cfg)
-    with pytest.raises(ValueError):
-        Letter(1, 2).code(exact_cfg())
+    for word, copies in [((0,), 1), ((0, 3), 2), ((2, 1, 0), 2), ((1, 1), 1)]:
+        assert parse_word(word_to_str(word, 2), 2) == (word, copies)
+    assert word_to_str((), 2) == ""
+    assert word_to_str((0, 3), 2) == "1,2t"
+    assert parse_word(" 2t , 1 ", 2) == ((3, 0), 2)
+    # the vacuum has no spelling; every token must be an index in 1..d
+    for bad in ("3", "0", "", "vac", "1,", "1,,2", "t", "1tt", "x"):
+        with pytest.raises(ValueError):
+            parse_word(bad, 2)
+
+
+@given(
+    st.integers(min_value=1, max_value=12).flatmap(
+        lambda d: st.tuples(
+            st.just(d),
+            st.integers(min_value=1, max_value=2).flatmap(
+                lambda copies: st.lists(
+                    st.integers(min_value=0, max_value=d * copies - 1), min_size=1, max_size=8
+                )
+            ),
+        )
+    )
+)
+def test_codec_round_trip_property(d_word):
+    d, word = d_word
+    word = tuple(word)
+    copies = 2 if any(code >= d for code in word) else 1
+    assert parse_word(word_to_str(word, d), d) == (word, copies)
 
 
 def test_gram_small():
@@ -227,68 +297,82 @@ def test_ladder_examples():
     cfg = exact_cfg()
     e1 = basis_one_particle(0, cfg)
     vac = FockVector.vacuum(cfg)
-    assert ladder(e1, "create", cfg).apply(vac).coeffs == {(0,): QPolynomial.one()}
-    got = ladder(e1, "annihilate", cfg).apply(FockVector.from_word(cfg, (1, 0)))
+    assert apply_create(e1, vac).coeffs == {(0,): QPolynomial.one()}
+    got = apply_annihilate(e1, FockVector.from_word(cfg, (1, 0)))
     assert got.coeffs == {(1,): QPolynomial.q()}
-    assert ladder(e1, "annihilate", cfg).apply(vac).is_zero()
-    with pytest.raises(ValueError):
-        ladder((1, 0, 0), "create", cfg)
-    with pytest.raises(ValueError):
-        ladder(e1, "lower", cfg)
+    assert apply_annihilate(e1, vac).is_zero()
+    top = FockVector.from_word(cfg, (0,) * cfg.max_degree)
+    assert apply_create(e1, top).is_zero()  # creation out of the top degree is dropped
+    for apply in (apply_create, apply_annihilate, apply_field):
+        with pytest.raises(ValueError):
+            apply((1, 0, 0), vac)
 
 
 def test_structural_applies_match_matrices():
-    cfg = exact_cfg(d=2, copies=1, n=3)
-    for code in range(2):
-        h = basis_one_particle(code, cfg)
-        create = ladder(h, "create", cfg)
-        annihilate = ladder(h, "annihilate", cfg)
+    """The sparse kernel against the dense oracle, on every basis word."""
+    for mode, d, copies in itertools.product([EXACT, ScalarMode.at(-0.6)], (1, 2), (1, 2)):
+        check_kernel_against_oracle(SpaceConfig(d, copies, 3, mode))
+
+
+def check_kernel_against_oracle(cfg):
+    def same(a, b):
+        if cfg.scalar.is_exact:
+            assert a.coeffs == b.coeffs
+        else:  # the two routes add the same products in different orders
+            zero = cfg.scalar.zero()
+            for w in a.coeffs.keys() | b.coeffs.keys():
+                assert a.coeffs.get(w, zero) == pytest.approx(b.coeffs.get(w, zero), abs=1e-12)
+
+    for i, h in enumerate(one_particle_vectors(cfg)):
+        create, annihilate = ladder(h, "create", cfg), ladder(h, "annihilate", cfg)
         for degree in range(4):
             for word in word_basis(degree, cfg.letters):
                 v = FockVector.from_word(cfg, word)
-                assert create.apply(v).coeffs == apply_create_letter(code, v).coeffs
-                assert annihilate.apply(v).coeffs == apply_annihilate_letter(code, v).coeffs
+                same(apply_create(h, v), create.apply(v))
+                same(apply_annihilate(h, v), annihilate.apply(v))
+                if i < cfg.letters:  # h is basis letter i
+                    same(apply_create_letter(i, v), create.apply(v))
+                    same(apply_annihilate_letter(i, v), annihilate.apply(v))
 
 
 def test_adjointness_exact():
     """<l(h) x, y> = <x, l*(h) y> within the truncation budget."""
     cfg = exact_cfg(d=2, copies=1, n=3)
-    for h in [basis_one_particle(0, cfg), (QPolynomial.constant(1), QPolynomial.constant(-2))]:
-        create = ladder(h, "create", cfg)
-        annihilate = ladder(h, "annihilate", cfg)
+    for h in one_particle_vectors(cfg):
         for dx in range(3):
             for wx in word_basis(dx, cfg.letters):
                 x = FockVector.from_word(cfg, wx)
                 for wy in word_basis(dx + 1, cfg.letters):
                     y = FockVector.from_word(cfg, wy)
-                    assert q_inner(create.apply(x), y) == q_inner(x, annihilate.apply(y))
+                    assert q_inner(apply_create(h, x), y) == q_inner(x, apply_annihilate(h, y))
 
 
 def test_commutation_relation():
     """l*(h) l(g) = <h,g> + q l(g) l*(h) below the top degree."""
     cfg = exact_cfg(d=2, copies=1, n=3)
     q = QPolynomial.q()
-    for hc in range(2):
-        for gc in range(2):
+    vectors = one_particle_vectors(cfg)
+    for h in vectors:
+        for g in vectors:
+            hg = sum((a * b for a, b in zip(h, g)), QPolynomial.zero())
             for degree in range(3):
                 for word in word_basis(degree, cfg.letters):
                     v = FockVector.from_word(cfg, word)
-                    lhs = apply_annihilate_letter(hc, apply_create_letter(gc, v))
-                    rhs = apply_create_letter(gc, apply_annihilate_letter(hc, v)).scale(q)
-                    if hc == gc:
-                        rhs = rhs + v
+                    lhs = apply_annihilate(h, apply_create(g, v))
+                    rhs = apply_create(g, apply_annihilate(h, v)).scale(q) + v.scale(hg)
                     assert lhs.coeffs == rhs.coeffs
 
 
 def test_field_vacuum_moments():
     cfg = exact_cfg(d=1, copies=1, n=4)
-    s = field_operator(basis_one_particle(0, cfg), cfg)
-    assert s.apply(FockVector.vacuum(cfg)).coeffs == {(0,): QPolynomial.one()}
-    s2 = s @ s
-    assert vacuum_expectation(s2) == QPolynomial.one()
-    assert vacuum_expectation(s2 @ s2) == QPolynomial((2, 1))
-    assert vacuum_expectation(s) == QPolynomial.zero()
-    assert vacuum_expectation(s @ s2) == QPolynomial.zero()
+    e1 = basis_one_particle(0, cfg)
+    v = FockVector.vacuum(cfg)
+    moments = []
+    for _ in range(4):
+        v = apply_field(e1, v)
+        moments.append(v.coeffs.get((), QPolynomial.zero()))
+    assert apply_field(e1, FockVector.vacuum(cfg)).coeffs == {(0,): QPolynomial.one()}
+    assert moments == [QPolynomial.zero(), QPolynomial.one(), QPolynomial.zero(), QPolynomial((2, 1))]
 
 
 def test_compose_matches_sequential_apply():
@@ -348,11 +432,11 @@ def test_semigroup_scaling_per_degree():
 def test_degree_projection():
     cfg = exact_cfg()
     v = FockVector(cfg, {(): QPolynomial.one(), (0, 1): QPolynomial.q()})
-    assert degree_projection(v, 2).coeffs == {(0, 1): QPolynomial.q()}
-    assert degree_projection(v, 1).is_zero()
+    assert v.component(2).coeffs == {(0, 1): QPolynomial.q()}
+    assert v.component(1).is_zero()
     total = FockVector(cfg, {})
     for n in range(cfg.max_degree + 1):
-        total = total + degree_projection(v, n)
+        total = total + v.component(n)
     assert total.coeffs == v.coeffs
 
 
@@ -403,8 +487,9 @@ def test_coordinate_projection_shape():
 
 
 def test_identity_operator():
+    """Second quantization of the identity, in exact mode, is the identity."""
     cfg = exact_cfg(d=2, copies=1, n=2)
-    ident = BlockOperator.identity(cfg)
-    assert vacuum_expectation(ident) == QPolynomial.one()
-    v = FockVector(cfg, {(0, 1): QPolynomial((1, 2))})
+    ident = second_quantize(np.eye(2, dtype=int), cfg)
+    assert ident.block(0, 0)[0, 0] == 1
+    v = FockVector(cfg, {(): QPolynomial.q(), (0, 1): QPolynomial((1, 2)), (1,): QPolynomial.one()})
     assert ident.apply(v).coeffs == v.coeffs

@@ -5,8 +5,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
+from qfock.cli import main
 from qfock.combinatorics import PartialPartition, crossings, enumerate_partial_partitions
-from qfock.render import ascii_diagram, caption, render_partition, svg_diagram
+from qfock.render import ascii_diagram, caption, svg_diagram
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -45,12 +46,15 @@ def test_block_split_marker_only_with_block():
     assert ":" not in ascii_diagram(CASES["two_crossing_pairs"])
 
 
-def test_render_dispatch():
+def test_render_dispatch(capsys):
+    """The command line picks the diagram by --format; nothing else dispatches."""
     rho = CASES["two_crossing_pairs"]
-    assert render_partition(rho) == ascii_diagram(rho)
-    assert render_partition(rho, "svg") == svg_diagram(rho)
-    with pytest.raises(ValueError):
-        render_partition(rho, "png")
+    argv = ["render", "--n", "8", "--pairs", "2:5,4:7"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == ascii_diagram(rho)
+    assert main(argv + ["--format", "svg"]) == 0
+    assert capsys.readouterr().out == svg_diagram(rho)
+    assert main(argv + ["--format", "png"]) == 2
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -90,7 +94,7 @@ def test_ascii_is_seven_bit_and_marks_crossings(rho):
     assert all(ord(c) < 128 for c in doc)
     body = "\n".join(doc.splitlines()[:-1])  # caption spells "iota"
     assert body.count("+") == pair_crossings(rho.pairs)
-    assert body.count("o") == 2 * rho.num_pairs
+    assert body.count("o") == 2 * len(rho.pairs)
     assert body.count("'") == len(rho.singletons)
 
 

@@ -123,6 +123,3 @@ def test_mode_lifting():
     assert m.of(QPolynomial((2, 1))) == 2.5
     assert EXACT.q_power(2) == QPolynomial.monomial(2)
     assert EXACT.of(3) == QPolynomial.constant(3)
-    assert EXACT.to_float(QPolynomial((2, 1)), q0=0.5) == 2.5
-    with pytest.raises(ValueError):
-        EXACT.to_float(QPolynomial.one())

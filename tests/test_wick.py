@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_fock import basis_one_particle, field_operator
 
 from qfock import wick
 from qfock.combinatorics import crossings, enumerate_pair_partitions
@@ -11,8 +12,6 @@ from qfock.fock import (
     FockVector,
     SpaceConfig,
     apply_field_letter,
-    basis_one_particle,
-    field_operator,
     word_basis,
     word_inner_poly,
 )
@@ -23,11 +22,9 @@ from qfock.wick import (
     moment_pair_partitions,
     offdiag_reference,
     offdiag_wick_coefficient,
-    r_star,
     reversed_vector,
     three_wick_trace,
     wick_apply,
-    wick_operator,
     wick_split_product,
 )
 
@@ -51,27 +48,6 @@ def operator_route_moment(codes, cfg):
     return v.coeffs.get((), QPolynomial.zero())
 
 
-def test_r_star_examples():
-    cfg = cfg_for(2)
-    xi = word_vec(cfg, (0, 1))
-    level0 = r_star(xi, 0)
-    assert len(level0.terms) == 1
-    assert level0.terms[0].left == (0, 1) and level0.terms[0].right == ()
-    assert level0.terms[0].coefficient == ONE
-
-    level1 = {(t.left, t.right): t.coefficient for t in r_star(xi, 1).terms}
-    assert level1[((0,), (1,))] == ONE
-    assert level1[((1,), (0,))] == Q
-
-    single = r_star(word_vec(cfg, (0,)), 1).terms
-    assert single[0].left == () and single[0].coefficient == ONE
-
-    with pytest.raises(ValueError):
-        r_star(xi, 3)
-    with pytest.raises(ValueError):
-        r_star(FockVector(cfg, {(0,): ONE, (0, 1): ONE}), 0)
-
-
 def test_wick_on_vacuum_reproduces_word():
     for d in (1, 2):
         cfg = cfg_for(4, d=d)
@@ -90,13 +66,14 @@ def test_wick_linearity():
 
 
 def test_degree_one_wick_is_field_operator():
-    cfg = cfg_for(3)
-    for code in range(2):
-        w = wick_operator(word_vec(cfg, (code,)), cfg)
-        s = field_operator(basis_one_particle(code, cfg), cfg)
-        assert set(w.blocks) == set(s.blocks)
-        for key, mat in s.blocks.items():
-            assert np.array_equal(w.blocks[key], mat)
+    """W(e_i) is the field operator s(e_i): the Wick kernel against the dense oracle."""
+    for cfg in (cfg_for(3), SpaceConfig(1, 2, 3, EXACT)):
+        for code in range(cfg.letters):
+            s = field_operator(basis_one_particle(code, cfg), cfg)
+            for degree in range(cfg.max_degree + 1):
+                for word in word_basis(degree, cfg.letters):
+                    v = word_vec(cfg, word)
+                    assert wick_apply(word_vec(cfg, (code,)), v).coeffs == s.apply(v).coeffs
 
 
 def test_degree_zero_wick_is_scalar():
@@ -115,14 +92,6 @@ def test_wick_square_word_is_field_square_minus_one():
             via_wick = wick_apply(xi, v)
             via_field = apply_field_letter(0, apply_field_letter(0, v)) - v
             assert via_wick.coeffs == via_field.coeffs
-
-
-def test_wick_operator_gate_and_homogeneity():
-    with pytest.raises(ValueError):
-        wick_operator(word_vec(cfg_for(2), (0,)), SpaceConfig(1, 1, 7, EXACT))
-    cfg = cfg_for(3)
-    with pytest.raises(ValueError):
-        wick_operator(FockVector(cfg, {(0,): ONE, (0, 1): ONE}), cfg)
 
 
 def test_reversed_vector_is_adjoint():
