@@ -16,9 +16,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
+import math
 import random
+import re
 import sys
 
 from .analysis import (
@@ -65,12 +68,28 @@ def parse_q(text: str) -> ScalarMode:
     return ScalarMode.at(float(text))
 
 
+_PAIR = re.compile(r"([0-9]+):([0-9]+)")
+
+
 def parse_pairs(text: str) -> tuple:
-    if not text:
-        return ()
-    return tuple(
-        tuple(int(x) for x in tok.split(":")) for tok in text.split(",") if tok.strip()
-    )
+    """Pairs written as comma-separated ``i:j`` tokens in ASCII digits.
+
+    Surrounding whitespace and empty tokens are skipped; any other token
+    is refused.
+
+    >>> parse_pairs("1:6, 2:5,")
+    ((1, 6), (2, 5))
+    """
+    pairs = []
+    for tok in text.split(","):
+        tok = tok.strip()
+        if not tok:
+            continue
+        match = _PAIR.fullmatch(tok)
+        if match is None:
+            raise ValueError(f"pair {tok!r} is not of the form i:j")
+        pairs.append((int(match[1]), int(match[2])))
+    return tuple(pairs)
 
 
 def scalar_out(c, mode: ScalarMode):
@@ -100,10 +119,68 @@ def envelope(args, results: list, violations: list) -> dict:
 
 def emit(args, payload: dict, text: str = None) -> str:
     if args.format == "json":
-        return json.dumps(payload, indent=2) + "\n"
+        parts = []
+        _write_json(payload, 0, parts.append)
+        parts.append("\n")
+        return "".join(parts)
     if text is None:
         raise ValueError(f"format {args.format!r} not available for {args.command}")
     return text if text.endswith("\n") else text + "\n"
+
+
+_PLAIN = frozenset((str, int, float, bool, type(None)))
+
+
+@functools.lru_cache(maxsize=None)
+def _flat_encoder(depth: int):
+    """C-encoder ``encode`` whose item separator starts a line at ``depth``."""
+    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": ")).encode
+
+
+def _write_json(obj, depth: int, write) -> None:
+    """Pass the text of ``json.dumps(obj, indent=2)`` to ``write``, in pieces.
+
+    With ``indent`` set, ``json`` runs its pure-Python encoder.  Here a
+    container whose members are all plain scalars goes to the C encoder in
+    one call, its separator carrying the newline and indent; everything
+    else recurses.  Tuples are lists, and non-``str`` keys, NaN, infinities
+    and non-ASCII text are written as ``json`` writes them.  The caller
+    joins the pieces once, so no large string is copied level by level.
+    """
+    if isinstance(obj, dict):
+        brackets, members = "{}", obj.values()
+    elif isinstance(obj, (list, tuple)):
+        brackets, members = "[]", obj
+    else:
+        write(_flat_encoder(0)(obj))
+        return
+    if not obj:
+        write(brackets)
+        return
+    pad = "\n" + "  " * (depth + 1)
+    separator = brackets[0] + pad
+    if _PLAIN.issuperset(map(type, members)):
+        write(separator)
+        write(_flat_encoder(depth + 1)(obj)[1:-1])
+    elif brackets == "{}":
+        for key, value in obj.items():
+            write(separator + _json_key(key) + ": ")
+            _write_json(value, depth + 1, write)
+            separator = "," + pad
+    else:
+        for value in obj:
+            write(separator)
+            _write_json(value, depth + 1, write)
+            separator = "," + pad
+    write(pad[:-2] + brackets[1])
+
+
+def _json_key(key) -> str:
+    # json writes a number, bool or None key as its own JSON text, quoted;
+    # any other non-str key is refused by the string encoder
+    if isinstance(key, (int, float)) or key is None:
+        key = _flat_encoder(0)(key)
+    return json.encoder.encode_basestring_ascii(key)
 
 
 def fault_index(args):
@@ -417,6 +494,8 @@ def _parse_floats(text: str, d: int) -> tuple:
     values = tuple(float(x) for x in text.split(","))
     if len(values) != d:
         raise ValueError(f"expected {d} coefficients, got {len(values)}")
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"coefficients must be finite, got {text!r}")
     return values
 
 
@@ -435,7 +514,9 @@ def _add_verify(sub):
     sub.add_argument("--inject-fault", action="store_true", dest="inject_fault")
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qfock", description="Deformed Fock space computations and identity verifiers"
     )

@@ -95,6 +95,8 @@ class SpaceConfig:
 def parse_word(text: str, d: int) -> tuple:
     """Codes of a word written as comma-separated indices 1..d, and its copies.
 
+    Each index is written in ASCII decimal digits, with surrounding
+    whitespace allowed; no sign, underscore or other script's digits.
     A "t" suffix marks a second-copy letter, which needs the doubled space:
     ``copies`` is 2 when any letter carries it, else 1.  Copy-1 letters come
     first in the code layout, so index i of copy c has code (c-1)*d + i-1.
@@ -112,6 +114,8 @@ def parse_word(text: str, d: int) -> tuple:
         if token.endswith("t"):
             copy, token = 2, token[:-1]
             copies = 2
+        if not (token.isascii() and token.isdigit()):
+            raise ValueError(f"letter {token!r} is not an index written in digits 0-9")
         index = int(token)
         if not 1 <= index <= d:
             raise ValueError(f"letter index {index} outside 1..{d}")

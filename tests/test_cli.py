@@ -1,7 +1,9 @@
+import argparse
 import contextlib
 import hashlib
 import io
 import json
+import math
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -66,6 +68,69 @@ def test_moment_letter_fuzz_is_ok_or_usage_error(text):
 @given(LETTER_TEXT)
 def test_wick_target_fuzz_is_ok_or_usage_error(text):
     assert quiet_main(["wick", "--d", "2", "--letters", "1,2t", "--on", text]) in (0, 2)
+
+
+@pytest.mark.parametrize("letters", ["١,١", "+1", "1_0"])
+def test_letters_outside_ascii_digits_are_usage_errors(capsys, letters):
+    assert main(["moment", "--d", "10", "--letters", letters]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("pairs", ["2", "1:2:3", ":"])
+def test_malformed_render_pairs_are_usage_errors(capsys, pairs):
+    with pytest.raises(ValueError):
+        parse_pairs(pairs)
+    assert main(["render", "--n", "4", "--k", "2", "--pairs", pairs]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("flag", ["--h", "--k"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_phi_check_refuses_non_finite_coefficients(capsys, flag, value):
+    assert main(["phi-check", "--d", "2", "--max-degree", "2", f"{flag}={value},1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "finite" in captured.err
+
+
+PAIR_TEXT = st.text(st.one_of(st.sampled_from("01234:, "), st.characters()), max_size=24)
+
+
+@settings(max_examples=200, deadline=None)
+@given(PAIR_TEXT, st.sampled_from(["text", "svg", "json"]))
+def test_render_pairs_fuzz_is_ok_or_usage_error(text, fmt):
+    argv = ["render", "--n", "4", "--k", "2", "--pairs", text, "--format", fmt]
+    assert quiet_main(argv) in (0, 2)
+
+
+COEFFICIENT = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["nan", "-NaN", "inf", "-Infinity", "1e308", "1e-320", "0"]),
+    st.text(st.one_of(st.sampled_from("0123456789.e-+_ "), st.characters()), max_size=6),
+)
+COEFFICIENTS = st.lists(COEFFICIENT, min_size=1, max_size=3).map(",".join)
+
+
+def _finite_floats(text: str) -> bool:
+    try:
+        return all(math.isfinite(float(x)) for x in text.split(","))
+    except ValueError:
+        return True  # refused as unparsable, not as non-finite
+
+
+@settings(max_examples=100, deadline=None)
+@given(COEFFICIENTS, COEFFICIENTS)
+def test_phi_check_coefficient_fuzz_never_verifies_non_finite_input(h, k):
+    out = io.StringIO()
+    argv = ["phi-check", "--d", "2", "--max-degree", "2", f"--h={h}", f"--k={k}", "--format", "json"]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if not (_finite_floats(h) and _finite_floats(k)):
+        assert code == 2 and out.getvalue() == ""
+    elif code != 2:
+        assert json.loads(out.getvalue())["verified"] is (code == 0)
 
 
 def test_moment_prints_exact_polynomial(capsys):
@@ -391,3 +456,107 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "1\n"
+
+
+# ---------------------------------------------------------------------------
+# the JSON envelope is exactly json.dumps(payload, indent=2), the oracle here
+
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.text(), st.characters()
+)
+JSON_KEYS = st.one_of(st.text(max_size=4), st.integers(), st.floats(), st.booleans(), st.none())
+JSON_TREES = st.recursive(
+    JSON_SCALARS,
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=4),
+        st.lists(kids, max_size=4).map(tuple),
+        st.dictionaries(JSON_KEYS, kids, max_size=4),
+    ),
+    max_leaves=16,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(JSON_TREES)
+def test_emit_is_json_dumps_with_indent_two(tree):
+    args = argparse.Namespace(command="any", format="json")
+    assert cli.emit(args, tree) == json.dumps(tree, indent=2) + "\n"
+
+
+def test_emit_writes_specials_and_empties_as_json_does():
+    tree = {
+        1: [float("nan"), float("inf"), -float("inf"), -0.0],
+        2.5: ("é", "☃\n", ()),
+        None: {True: {}, False: []},
+        "x": [[], {}, [[1, 2], {"k": (3,)}]],
+    }
+    args = argparse.Namespace(command="any", format="json")
+    assert cli.emit(args, tree) == json.dumps(tree, indent=2) + "\n"
+
+
+ENVELOPE_ARGV = [
+    ["gram", "--d", "3", "--degree", "5", "--max-degree", "5", "--q", "0.5"],
+    ["gram", "--d", "3", "--degree", "5", "--max-degree", "5", "--q", "generic"],
+    ["moment", "--d", "2", "--letters", "1,2,2,1"],
+    ["wick", "--d", "2", "--letters", "1,2t", "--on", "2,1"],
+    ["split", "--d", "2", "--letters", "1,2,2,1", "--k", "2", "--q", "0.5"],
+    ["clt", "--d", "1", "--letters", "1,1,1,1", "--N", "2"],
+    ["clt", "--d", "2", "--N", "2", "--left", "1,2", "--right", "1,2"],
+    ["verify-iota", "--nmax", "4"],
+    ["verify-ie", "--nmax", "3", "--split-nmax", "3"],
+    ["verify-claim", "--nmax", "4", "--mmax", "2", "--reading", "prime-prime"],
+    ["schatten", "--d", "2", "--p", "2"],
+    ["phi-check", "--d", "2", "--max-degree", "3", "--h", "0.6,0.8"],
+    ["decay", "--d", "1", "--letters", "1t", "--max-degree", "4"],
+    ["deform", "--kcut", "1", "--nmax", "2", "--steps", "2"],
+    ["tail", "--d", "1", "--letters", "1,1", "--t", "0.5", "--top", "1"],
+    ["render", "--n", "8", "--k", "4", "--pairs", "1:6,2:5"],
+]
+
+
+@pytest.mark.parametrize("argv", ENVELOPE_ARGV, ids=lambda argv: " ".join(argv[:1] + argv[-1:]))
+def test_json_stdout_is_the_oracle_text_of_its_payload(capsys, monkeypatch, argv):
+    payloads = []
+
+    def recording_emit(args, payload, text=None):
+        payloads.append(payload)
+        return emit(args, payload, text)
+
+    emit = cli.emit
+    monkeypatch.setattr(cli, "emit", recording_emit)
+    main(argv + ["--format", "json"])
+    assert len(payloads) == 1
+    assert capsys.readouterr().out == json.dumps(payloads[0], indent=2) + "\n"
+
+
+SESSION_ARGV = [
+    ["moment", "--d", "1", "--letters", "1,1,1,1"],
+    ["gram", "--d", "2", "--degree", "2", "--max-degree", "3", "--format", "text"],
+    ["moment", "--d", "1", "--letters", "1,1", "--frob"],
+    ["render", "--n", "6", "--pairs", "1:4,2:6", "--format", "svg"],
+    ["gram", "--d", "2", "--degree", "2", "--max-degree", "3", "--q", "0.5"],
+    ["verify-iota", "--nmax", "4", "--inject-fault", "--seed", "3"],
+    ["moment", "--d", "1", "--letters", "1,1,1,1", "--format", "json", "--q", "0.5"],
+    ["render", "--n", "6", "--pairs", "1:4,2:6"],
+    ["verify-iota", "--nmax", "4", "--format", "text"],
+    ["deform", "--kcut", "1", "--nmax", "2", "--steps", "3"],
+    ["clt", "--d", "1", "--N", "2"],
+]
+
+
+def test_repeated_main_calls_match_fresh_parsers():
+    def session(fresh: bool) -> list:
+        seen = []
+        for argv in SESSION_ARGV:
+            if fresh:
+                cli.build_parser.cache_clear()
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(list(argv))
+            seen.append((code, out.getvalue(), err.getvalue()))
+        return seen
+
+    fresh = session(fresh=True)
+    assert [code for code, _, _ in fresh] == [0, 0, 2, 0, 0, 1, 0, 0, 0, 0, 2]
+    assert session(fresh=False) == fresh
+    assert cli.build_parser() is cli.build_parser()

@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 import pytest
@@ -206,6 +207,30 @@ def test_moment_of_twelve_equal_letters_is_the_touchard_riordan_sum():
     codes = [0] * 12
     assert moment_pair_partitions(codes) == oracle_moment(codes, EXACT)
     assert moment_pair_partitions(codes).coeffs[0] == 132  # Catalan(6): no crossings
+
+
+def _times_one_minus_q(coeffs: list) -> list:
+    return [a - b for a, b in zip(coeffs + [0], [0] + coeffs)]
+
+
+def _touchard_riordan_numerator(n: int) -> list:
+    """Σ_k (−1)^k q^(k(k+1)/2) [C(2n, n−k) − C(2n, n−k−1)], by power of q."""
+    out = [0] * (n * (n + 1) // 2 + 1)
+    for k in range(n + 1):
+        ballot = comb(2 * n, n - k) - (comb(2 * n, n - k - 1) if k < n else 0)
+        out[k * (k + 1) // 2] += (-1) ** k * ballot
+    return out
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_equal_letter_moment_is_the_touchard_riordan_closed_form(n):
+    # Σ over matchings of [2n] of q^cr = (1−q)^(−n) · numerator (Touchard
+    # 1952, Riordan 1975); compared after clearing the denominator, on plain
+    # integer coefficient lists
+    lhs = list(moment_pair_partitions((0,) * (2 * n)).coeffs)
+    for _ in range(n):
+        lhs = _times_one_minus_q(lhs)
+    assert lhs == _touchard_riordan_numerator(n)
 
 
 def test_moment_guard_refuses_before_enumerating(monkeypatch):
