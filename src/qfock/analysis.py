@@ -31,7 +31,6 @@ from .fock import (
     coordinate_projection,
     copy_count_projection,
     gram_matrix,
-    q_inner,
     q_norm_squared,
     second_copy_count,
     second_quantize,
@@ -63,13 +62,6 @@ def rotation_matrix(t: float, d: int) -> np.ndarray:
     s = math.sqrt(max(0.0, 1.0 - c * c))
     eye = np.eye(d)
     return np.block([[c * eye, -s * eye], [s * eye, c * eye]])
-
-
-def ou_semigroup(t: float, cfg: SpaceConfig) -> BlockOperator:
-    """e^-nt on degree n: second quantization of e^-t times the identity."""
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    return second_quantize(math.exp(-t) * np.eye(cfg.letters), cfg)
 
 
 def dilation_operator(t: float, cfg: SpaceConfig) -> BlockOperator:
@@ -131,7 +123,9 @@ def phi_hk_check(h, k, cfg: SpaceConfig) -> float:
     """Deviation of the two-sided multiplier from q^n <h,k> per degree block.
 
     Scans every first-copy word of degree n <= max_degree - 2 and returns
-    the largest coefficient deviation.
+    the largest coefficient deviation.  A non-finite coefficient (h or k
+    large enough to overflow) is returned as the deviation at once, since
+    ``max`` would drop a NaN.
     """
     _require_doubled(cfg, "the multiplier check")
     q = _require_float(cfg, "the multiplier check")
@@ -142,8 +136,10 @@ def phi_hk_check(h, k, cfg: SpaceConfig) -> float:
             image = phi_hk_apply(h, k, FockVector.from_word(cfg, word))
             expected = FockVector.from_word(cfg, word, q ** n * hk)
             diff = image - expected
-            if diff.coeffs:
-                dev = max(dev, max(abs(c) for c in diff.coeffs.values()))
+            for c in diff.coeffs.values():
+                if not math.isfinite(c):
+                    return abs(c)
+                dev = max(dev, abs(c))
     return dev
 
 
@@ -369,33 +365,6 @@ def deformation_right_side(n: int, kcut: int, t: float, inner_xy: float) -> floa
     return sum(
         comb(n, m) * decay ** (n - m) * (1.0 - decay) ** m for m in range(kcut, n + 1)
     ) * inner_xy
-
-
-def deformation_identity(n: int, kcut: int, t: float, x: FockVector, y: FockVector) -> tuple:
-    """Both sides of <E-perp_(kcut-1) alpha_t x, E-perp_(kcut-1) alpha_t y>.
-
-    The left side goes through the dilation matrix and the copy-count
-    projection; the right side is the binomial closed form times the
-    q-inner product.  x and y must be degree-n first-copy vectors.
-    """
-    cfg = x.cfg
-    _require_doubled(cfg, "the deformation identity")
-    _require_float(cfg, "the deformation identity")
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    if kcut > n:
-        raise ValueError("cut above the degree: the right side is an empty sum")
-    for v in (x, y):
-        if v.degrees() not in ((), (n,)):
-            raise ValueError(f"need degree-{n} vectors")
-        if any(second_copy_count(w, cfg) for w in v.coeffs):
-            raise ValueError("inputs must lie in the first-copy space")
-    alpha = dilation_operator(t, cfg)
-    px = copy_count_projection(alpha.apply(x), kcut, "at-least")
-    py = copy_count_projection(alpha.apply(y), kcut, "at-least")
-    left = float(q_inner(px, py))
-    right = deformation_right_side(n, kcut, t, float(q_inner(x, y)))
-    return left, right
 
 
 def deformation_block_check(n: int, kcut: int, t: float, cfg: SpaceConfig) -> float:

@@ -2,11 +2,13 @@
 
 A degree-n word split at position n-k can be rebuilt from products
 W(left part) W(right part) by inclusion-exclusion over the contractions
-between the two parts.  This module materializes both presentations of
-the correction maps (subset pairs with coset weights vs straddling pair
-partitions with the insertion statistic), compares them term by term, and
-scans every identity in the chain exhaustively.  Scans run with polynomial
-scalars, so one pass certifies all q in (-1, 1).
+between the two parts.  This module lists both presentations of the
+level-j contraction maps as (coefficient, left rest, right rest) terms
+(subset pairs with coset weights vs straddling pair partitions with the
+insertion statistic), compares them term by term, and scans every identity
+in the chain exhaustively.  The inclusion-exclusion sweep works on word
+dictionaries through the Wick kernel ``wick_word_action``.  Scans run with
+polynomial scalars, so one pass certifies all q in (-1, 1).
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from .combinatorics import (
     iota_prime_closed_form,
     max_pairs,
 )
-from .fock import FockVector, SpaceConfig, word_basis, word_inner_poly, word_to_str
-from .scalars import EXACT, QPolynomial
-from .wick import subset_iota, subset_iota_chosen, wick_apply
+from .fock import word_basis, word_inner_poly, word_to_str
+from .scalars import QPolynomial
+from .wick import subset_iota, subset_iota_chosen, wick_word_action
 
 # Largest case count the claim, two-mode and inclusion-exclusion scans
 # accept; see check_budget.
@@ -86,12 +88,15 @@ def check_budget(scan: str, n_max: int, size: int) -> int:
 
     ``scan`` is "claim" (size = m_max), "two-mode" or "sweep" (size = d).
     The sum over n stops as soon as it passes the budget, so a huge n_max
-    costs nothing; a size below 1, which would leave the scan looping over
-    empty levels, is refused as well.
+    costs nothing.  A negative n_max, which would pass with 0 cases, and a
+    size below 1, which would leave the scan looping over empty levels, are
+    refused as well.
 
     >>> check_budget("claim", 9, 3), check_budget("two-mode", 6, 2), check_budget("sweep", 5, 2)
     (2244, 1621, 321)
     """
+    if n_max < 0:
+        raise ValueError(f"{scan} scan needs n_max >= 0, got {n_max}")
     if size < 1:
         raise ValueError(f"{scan} scan needs a size of at least 1, got {size}")
     cases = 0
@@ -118,71 +123,15 @@ def _label(word: tuple, d: int) -> str:
     return word_to_str(word, d) or "vac"
 
 
-def _homogeneous_degree(v: FockVector) -> int:
-    degrees = v.degrees()
-    if len(degrees) > 1:
-        raise ValueError("homogeneous tensor required")
-    return degrees[0] if degrees else 0
-
-
-@dataclass
-class WickPairCombination:
-    """Formal sum  sum_i  c_i * W(left_i) W(right_i)  with polynomial weights."""
-
-    terms: list  # (QPolynomial, FockVector, FockVector)
-
-    def scaled(self, p) -> "WickPairCombination":
-        return WickPairCombination([(p * c, left, right) for c, left, right in self.terms])
-
-    def apply_to_vacuum(self, cfg: SpaceConfig) -> FockVector:
-        """Materialize  sum c * W(left) W(right) Omega  through the Wick action."""
-        vacuum = FockVector.vacuum(cfg)
-        total = FockVector(cfg, {})
-        for coeff, left, right in self.terms:
-            v = wick_apply(left, wick_apply(right, vacuum))
-            total = total + v.scale(cfg.scalar.of(coeff))
-        return total
-
-
-def w_jnk(xi_left: FockVector, xi_right: FockVector, j: int, mode: str = "subset-sum") -> WickPairCombination:
-    """Level-j contraction map between the two halves of a split word.
-
-    mode "subset-sum" pairs every j-subset A of left positions with every
-    j-subset B of right positions, weighted q^(iota(A)+iota(B)) times the
-    q-inner product of the extracted subwords (complement-first coset order
-    on the left, chosen-first on the right).  mode "rho-sum" runs over
-    straddling partitions with j pairs, weighted q^iota'(rho) times the
-    letter contractions.  The two agree after scaling the subset form by
-    q^C(j,2); j=0 gives the bare product map in both modes.
-    """
-    if j < 0:
-        raise ValueError("contraction level must be nonnegative")
-    if mode not in ("subset-sum", "rho-sum"):
-        raise ValueError(f"unknown mode {mode!r}")
-    cfg = xi_left.cfg
-    if not cfg.compatible(xi_right.cfg):
-        raise ValueError("space mismatch")
-    if cfg.scalar.mode != "exact":
-        raise ValueError("split identities run with exact scalars")
-    _homogeneous_degree(xi_left)
-    _homogeneous_degree(xi_right)
-    expand = _w_subset_terms if mode == "subset-sum" else _w_rho_terms
-    terms = []
-    for lw, lc in sorted(xi_left.coeffs.items()):
-        for rw, rc in sorted(xi_right.coeffs.items()):
-            scale = lc * rc
-            for coeff, lrem, rrem in expand(lw, rw, j):
-                terms.append(
-                    (
-                        scale * coeff,
-                        FockVector.from_word(cfg, lrem),
-                        FockVector.from_word(cfg, rrem),
-                    )
-                )
-    return WickPairCombination(terms)
-
-
 def _w_subset_terms(lw: tuple, rw: tuple, j: int) -> list:
+    """Level-j contraction map of the split word lw|rw, subset form:
+    (coefficient, left rest, right rest) per pair of j-subsets.
+
+    Each j-subset A of left positions meets each j-subset B of right
+    positions with weight q^(iota(A)+iota(B)) times the q-inner product of
+    the extracted subwords (complement-first coset order on the left,
+    chosen-first on the right).  Level 0 is the bare product.
+    """
     nl, nr = len(lw), len(rw)
     out = []
     for a_set in itertools.combinations(range(1, nl + 1), j):
@@ -202,6 +151,8 @@ def _w_subset_terms(lw: tuple, rw: tuple, j: int) -> list:
 
 
 def _w_rho_terms(lw: tuple, rw: tuple, j: int) -> list:
+    """The same map over straddling partitions with j pairs, weighted
+    q^iota'(rho); it equals the subset form times q^C(j,2)."""
     n = len(lw) + len(rw)
     k = len(rw)
     if j > max_pairs(n, k):
@@ -231,15 +182,13 @@ def _gathered(terms: list, shift: int = 0) -> dict:
 def two_mode_scan(n_max: int = 6, d: int = 2, fault=None) -> ScanReport:
     """q^C(j,2) * subset-sum form == rho-sum form, all splits of all words.
 
-    The two term lists of ``w_jnk`` are compared collected by remainder
-    pair, without wrapping the remainders as vectors.
+    The two term lists are compared collected by remainder pair.
     """
     check_budget("two-mode", n_max, d)
     results = []
     for n in range(n_max + 1):
-        cfg = SpaceConfig(d=d, copies=1, max_degree=max(n, 1), scalar=EXACT)
         for k in range(n + 1):
-            for word in word_basis(n, cfg.letters):
+            for word in word_basis(n, d):
                 lw, rw = word[: n - k], word[n - k :]
                 for j in range(max_pairs(n, k) + 1):
                     subset = _gathered(_w_subset_terms(lw, rw, j), comb(j, 2))
@@ -248,33 +197,38 @@ def two_mode_scan(n_max: int = 6, d: int = 2, fault=None) -> ScanReport:
     return _finalize(f"two-mode split equality (n <= {n_max}, d = {d})", results, fault)
 
 
+def _inclusion_exclusion_image(lw: tuple, rw: tuple) -> dict:
+    """sum_j (-1)^j q^C(j,2) w^j(lw, rw) applied to the vacuum, as
+    {word: QPolynomial} with zeros dropped; the identity says this is
+    {lw + rw: 1}."""
+    n = len(lw) + len(rw)
+    total: dict = {}
+    for j in range(min(len(lw), len(rw)) + 1):
+        for coeff, lrem, rrem in _w_subset_terms(lw, rw, j):
+            weight = coeff.shift(comb(j, 2))
+            if j % 2:
+                weight = -weight
+            # W(rrem) on the vacuum is the word rrem itself
+            for target, p in wick_word_action(lrem, rrem, n):
+                term = weight * p
+                total[target] = total[target] + term if target in total else term
+    return {w: p for w, p in total.items() if not p.is_zero()}
+
+
 def _inclusion_exclusion_results(n: int, k: int, d: int) -> list:
+    """(ok, label) per degree-n word split k letters from the right."""
     if not 0 <= k <= n:
         raise ValueError(f"split size {k} outside 0..{n}")
-    cfg = SpaceConfig(d=d, copies=1, max_degree=max(n, 1), scalar=EXACT)
-    results = []
-    for word in word_basis(n, cfg.letters):
-        left = FockVector.from_word(cfg, word[: n - k])
-        right = FockVector.from_word(cfg, word[n - k :])
-        total = FockVector(cfg, {})
-        # empty levels above min(k, n-k) keep the sum honest up to max(k, n-k)
-        for j in range(max(k, n - k) + 1):
-            combo = w_jnk(left, right, j, "subset-sum").scaled(QPolynomial.monomial(comb(j, 2)))
-            piece = combo.apply_to_vacuum(cfg)
-            total = total + piece.scale(-1 if j % 2 else 1)
-        ok = (total - FockVector.from_word(cfg, word)).is_zero()
-        results.append((ok, _label(word, d)))
-    return results
-
-
-def inclusion_exclusion_verify(n: int, k: int, d: int, fault=None) -> ScanReport:
-    """sum_j (-1)^j q^C(j,2) w^j applied to the vacuum returns each split word."""
-    results = _inclusion_exclusion_results(n, k, d)
-    return _finalize(f"inclusion-exclusion n={n} k={k} d={d}", results, fault)
+    one = QPolynomial.one()
+    return [
+        (_inclusion_exclusion_image(word[: n - k], word[n - k :]) == {word: one}, _label(word, d))
+        for word in word_basis(n, d)
+    ]
 
 
 def inclusion_exclusion_sweep(n_max: int = 5, d: int = 2, fault=None) -> ScanReport:
-    """``inclusion_exclusion_verify`` for every n <= n_max and every split k."""
+    """The inclusion-exclusion identity for every word of degree n <= n_max
+    and every split k."""
     check_budget("sweep", n_max, d)
     results = [
         result
@@ -340,6 +294,8 @@ def claim_scan(n_max: int = 8, m_max: int = 3, reading: str = "prime-plain", fau
 
 def iota_prime_identity_scan(n_max: int = 8, fault=None) -> ScanReport:
     """Insertion statistic == coset/permutation closed form, exhaustively."""
+    if n_max < 0:
+        raise ValueError(f"iota-prime scan needs n_max >= 0, got {n_max}")
     if n_max > 10:
         raise ValueError("scan capped at n <= 10")
     results = []

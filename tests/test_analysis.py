@@ -7,13 +7,11 @@ from qfock.analysis import (
     DecayReport,
     block_decay,
     deformation_block_check,
-    deformation_identity,
     deformation_right_side,
     deformation_scan,
     dilation_check,
     dilation_operator,
     gram_factors,
-    ou_semigroup,
     ou_tail,
     phi_hk_apply,
     phi_hk_check,
@@ -24,7 +22,15 @@ from qfock.analysis import (
     schatten_term_ratio,
     schatten_threshold,
 )
-from qfock.fock import BlockOperator, FockVector, SpaceConfig
+from qfock.fock import (
+    BlockOperator,
+    FockVector,
+    SpaceConfig,
+    copy_count_projection,
+    q_inner,
+    second_quantize,
+    word_basis,
+)
 from qfock.scalars import EXACT, ScalarMode
 
 
@@ -53,12 +59,11 @@ def test_dilation_compresses_to_semigroup():
 
 
 def test_semigroup_eigenvalues():
+    # the Ornstein-Uhlenbeck semigroup is the second quantization of e^-t I
     cfg = single(2, 3)
-    op = ou_semigroup(0.4, cfg)
+    op = second_quantize(math.exp(-0.4) * np.eye(cfg.letters), cfg)
     for n in range(4):
         assert np.allclose(op.block(n, n), math.exp(-0.4 * n) * np.eye(cfg.dim(n)))
-    with pytest.raises(ValueError):
-        ou_semigroup(-0.1, cfg)
 
 
 def test_phi_check_small_deviation():
@@ -196,6 +201,20 @@ def test_block_decay_validation():
         block_decay(mixed, FockVector.from_word(cfg, (1,)), cfg)
 
 
+# ---------------------------------------------------------------------------
+# the per-vector route deformation_block_check replaced, as an oracle
+
+
+def deformation_identity(n, kcut, t, x, y):
+    """Both sides of <E-perp_(kcut-1) alpha_t x, E-perp_(kcut-1) alpha_t y> for
+    degree-n first-copy vectors: through the dilation matrix and the copy-count
+    projection, and as the binomial closed form times the q-inner product."""
+    alpha = dilation_operator(t, x.cfg)
+    px = copy_count_projection(alpha.apply(x), kcut, "at-least")
+    py = copy_count_projection(alpha.apply(y), kcut, "at-least")
+    return float(q_inner(px, py)), deformation_right_side(n, kcut, t, float(q_inner(x, y)))
+
+
 def test_deformation_identity_rotation_column():
     cfg = doubled(1, 2)
     h = FockVector.from_word(cfg, (0,))
@@ -225,22 +244,33 @@ def test_deformation_identity_at_zero_time():
 
 
 def test_deformation_identity_validation():
-    cfg = doubled(1, 2)
-    x = FockVector.from_word(cfg, (0,))
-    with pytest.raises(ValueError):
-        deformation_identity(1, 2, 0.1, x, x)
-    with pytest.raises(ValueError):
-        deformation_identity(2, 1, 0.1, x, x)
-    with pytest.raises(ValueError):
-        deformation_identity(1, 1, 0.1, FockVector.from_word(cfg, (1,)), x)
+    # the block check refuses what the identity has no meaning for
+    with pytest.raises(ValueError, match="cut above the degree"):
+        deformation_block_check(1, 2, 0.1, doubled(1, 2))
+    with pytest.raises(ValueError, match="doubled space"):
+        deformation_block_check(1, 1, 0.1, single(1, 2))
+    with pytest.raises(ValueError, match="numeric q"):
+        deformation_block_check(1, 1, 0.1, SpaceConfig(1, 2, 2, EXACT))
 
 
 def test_deformation_block_check_all_pairs():
+    # the per-vector oracle agrees on every word pair and, by bilinearity,
+    # on combinations of words
     cfg = doubled(2, 3)
+    rng = np.random.default_rng(5)
     for n in (1, 2, 3):
+        words = [FockVector.from_word(cfg, w) for w in word_basis(n, cfg.d)]
+        vectors = words + [
+            sum((v.scale(float(c)) for v, c in zip(words, rng.normal(size=len(words)))), FockVector(cfg, {}))
+            for _ in range(2)
+        ]
         for kcut in range(1, n + 1):
             for t in (0.05, 0.2):
                 assert deformation_block_check(n, kcut, t, cfg) < 1e-12
+                for x in vectors:
+                    for y in vectors:
+                        left, right = deformation_identity(n, kcut, t, x, y)
+                        assert abs(left - right) < 1e-12
 
 
 def test_deformation_scan_first_degree_ratio():

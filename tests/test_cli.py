@@ -191,6 +191,26 @@ def test_oversized_verify_scans_are_usage_errors(capsys, monkeypatch, argv, reas
     assert reason in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-iota", "--nmax", "-3"],
+        ["verify-claim", "--nmax", "-3"],
+        ["verify-ie", "--nmax", "-1", "--split-nmax", "-1"],
+        ["verify-ie", "--nmax", "3", "--split-nmax", "-1"],
+        ["verify-ie", "--nmax", "-1", "--split-nmax", "3"],
+    ],
+)
+def test_negative_scan_bounds_are_usage_errors(capsys, monkeypatch, argv):
+    from qfock import identities
+
+    for name in ("enumerate_partial_partitions", "word_basis", "alternating_claim"):
+        monkeypatch.setattr(identities, name, _entered)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "n_max >= 0" in captured.err
+
+
 def test_claim_other_reading_output_is_pinned(capsys):
     # the signed-exponent histogram must print the same polynomials and
     # violations as the term-by-term sum it replaced
@@ -365,6 +385,16 @@ def test_phi_check(capsys):
     assert code == 0
     check_envelope(doc)
     assert doc["results"][0]["deviation"] < 1e-10
+
+
+def test_phi_check_overflow_is_not_verified(capsys):
+    # <h, k> overflows to inf and the deviation to NaN, which must not read as 0
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code, doc = run_json(capsys, "phi-check", "--d", "2", "--max-degree", "3", "--h", "1e308,1e308")
+    assert code == 1
+    check_envelope(doc)
+    assert not doc["verified"]
+    assert not math.isfinite(doc["results"][0]["deviation"])
 
 
 def test_decay(capsys):

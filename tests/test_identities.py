@@ -11,82 +11,112 @@ from qfock.identities import (
     alternating_claim,
     claim_scan,
     inclusion_exclusion_sweep,
-    inclusion_exclusion_verify,
     iota_prime_identity_scan,
     two_mode_scan,
-    w_jnk,
 )
-from qfock.scalars import EXACT, QPolynomial, ScalarMode
+from qfock.scalars import EXACT, QPolynomial
+from qfock.wick import wick_apply
 
 ONE = QPolynomial.one()
 Q = QPolynomial.q()
+subset_terms = identities._w_subset_terms
+rho_terms = identities._w_rho_terms
 
 
 def cfg_for(n, d=2):
-    return SpaceConfig(d, 1, n, EXACT)
+    return SpaceConfig(d, 1, max(n, 1), EXACT)
 
 
 def word_vec(cfg, word):
     return FockVector.from_word(cfg, word)
 
 
-def canonical(combo):
-    """A combination's coefficients collected by (left word, right word), zeros dropped."""
+def gathered(terms):
+    """A term list's coefficients collected by (left rest, right rest), zeros dropped."""
     out: dict = {}
-    for coeff, left, right in combo.terms:
-        for lw, lc in left.coeffs.items():
-            for rw, rc in right.coeffs.items():
-                out[(lw, rw)] = out.get((lw, rw), QPolynomial.zero()) + coeff * lc * rc
+    for coeff, lrem, rrem in terms:
+        out[(lrem, rrem)] = out.get((lrem, rrem), QPolynomial.zero()) + coeff
     return {key: p for key, p in out.items() if not p.is_zero()}
 
 
 def test_level_zero_is_bare_product():
-    cfg = cfg_for(3)
-    left = word_vec(cfg, (0, 1))
-    right = word_vec(cfg, (1,))
-    combo = w_jnk(left, right, 0)
-    assert canonical(combo) == {((0, 1), (1,)): ONE}
-    assert canonical(w_jnk(left, right, 0, "rho-sum")) == canonical(combo)
+    assert subset_terms((0, 1), (1,), 0) == [(ONE, (0, 1), (1,))]
+    assert rho_terms((0, 1), (1,), 0) == [(ONE, (0, 1), (1,))]
 
 
 def test_single_contraction_scalar_example():
-    cfg = cfg_for(2, d=1)
-    e1 = word_vec(cfg, (0,))
-    combo = w_jnk(e1, e1, 1)
-    assert canonical(combo) == {((), ()): ONE}
+    assert gathered(subset_terms((0,), (0,), 1)) == {((), ()): ONE}
 
 
 def test_level_above_either_side_is_empty():
-    cfg = cfg_for(3)
-    left = word_vec(cfg, (0, 1))
-    right = word_vec(cfg, (0,))
-    assert canonical(w_jnk(left, right, 2)) == {}
-    assert canonical(w_jnk(left, right, 2, "rho-sum")) == {}
+    assert subset_terms((0, 1), (0,), 2) == []
+    assert rho_terms((0, 1), (0,), 2) == []
 
 
 def test_subset_terms_by_hand():
     # left (0,1), right (0,1), one contraction: only matching letters pair up
+    subset = gathered(subset_terms((0, 1), (0, 1), 1))
+    assert subset == {((1,), (1,)): Q, ((0,), (0,)): Q}
+    assert gathered(rho_terms((0, 1), (0, 1), 1)) == subset
+
+
+# ---------------------------------------------------------------------------
+# the vector route the word sweep replaced, as an oracle: every remainder
+# pair is wrapped as two FockVectors and both Wick operators act in turn
+
+
+def oracle_w_jnk(xi_left, xi_right, j):
+    """(coefficient, FockVector, FockVector) terms of the level-j map, linear in both sides."""
+    cfg = xi_left.cfg
+    terms = []
+    for lw, lc in sorted(xi_left.coeffs.items()):
+        for rw, rc in sorted(xi_right.coeffs.items()):
+            for coeff, lrem, rrem in subset_terms(lw, rw, j):
+                terms.append((lc * rc * coeff, word_vec(cfg, lrem), word_vec(cfg, rrem)))
+    return terms
+
+
+def oracle_apply_to_vacuum(terms, cfg):
+    """sum c * W(left) W(right) Omega through the Wick action."""
+    vacuum = FockVector.vacuum(cfg)
+    total = FockVector(cfg, {})
+    for coeff, left, right in terms:
+        total = total + wick_apply(left, wick_apply(right, vacuum)).scale(cfg.scalar.of(coeff))
+    return total
+
+
+def oracle_inclusion_exclusion(word, k, d):
+    n = len(word)
+    cfg = cfg_for(n, d)
+    left, right = word_vec(cfg, word[: n - k]), word_vec(cfg, word[n - k :])
+    total = FockVector(cfg, {})
+    # empty levels above min(k, n-k) keep the sum honest up to max(k, n-k)
+    for j in range(max(k, n - k) + 1):
+        terms = [(c.shift(comb(j, 2)), lv, rv) for c, lv, rv in oracle_w_jnk(left, right, j)]
+        total = total + oracle_apply_to_vacuum(terms, cfg).scale(-1 if j % 2 else 1)
+    return total, (total - word_vec(cfg, word)).is_zero()
+
+
+def test_apply_to_vacuum_materializes_products():
     cfg = cfg_for(4)
-    combo = w_jnk(word_vec(cfg, (0, 1)), word_vec(cfg, (0, 1)), 1)
-    assert canonical(combo) == {((1,), (1,)): Q, ((0,), (0,)): Q}
-    rho = w_jnk(word_vec(cfg, (0, 1)), word_vec(cfg, (0, 1)), 1, "rho-sum")
-    assert canonical(combo) == canonical(rho)
+    left = word_vec(cfg, (0, 1))
+    right = word_vec(cfg, (0,))
+    out = oracle_apply_to_vacuum(oracle_w_jnk(left, right, 0), cfg)
+    # W(0,1) W(0) vacuum = W(0,1) e_1: creation plus one contraction
+    assert out.coeffs[(0, 1, 0)] == ONE
+    assert (0,) in out.coeffs or (1,) in out.coeffs
 
 
-def test_w_jnk_input_validation():
-    cfg = cfg_for(2)
-    v = word_vec(cfg, (0,))
-    with pytest.raises(ValueError):
-        w_jnk(v, v, -1)
-    with pytest.raises(ValueError):
-        w_jnk(v, v, 0, "diagonal-sum")
-    mixed = v + FockVector.vacuum(cfg)
-    with pytest.raises(ValueError):
-        w_jnk(mixed, v, 0)
-    float_cfg = SpaceConfig(2, 1, 2, ScalarMode.at(0.5))
-    fv = FockVector.from_word(float_cfg, (0,))
-    with pytest.raises(ValueError):
-        w_jnk(fv, fv, 0)
+@pytest.mark.parametrize("d, n_max", [(1, 4), (2, 4), (3, 3)])
+def test_inclusion_exclusion_matches_vector_oracle(d, n_max):
+    for n in range(n_max + 1):
+        for k in range(n + 1):
+            expected = []
+            for word in word_basis(n, d):
+                image, ok = oracle_inclusion_exclusion(word, k, d)
+                assert identities._inclusion_exclusion_image(word[: n - k], word[n - k :]) == image.coeffs
+                expected.append((ok, word_to_str(word, d) or "vac"))
+            assert identities._inclusion_exclusion_results(n, k, d) == expected
 
 
 def test_two_mode_scan_small():
@@ -101,27 +131,24 @@ def test_two_mode_scan_fault_hook():
 
 
 def test_inclusion_exclusion_two_term_case():
-    report = inclusion_exclusion_verify(2, 1, 1)
-    assert report.passed and report.cases == 1
+    assert identities._inclusion_exclusion_results(2, 1, 1) == [(True, "1,1")]
 
 
 def test_inclusion_exclusion_trivial_split():
-    assert inclusion_exclusion_verify(1, 0, 2).passed
-    assert inclusion_exclusion_verify(3, 0, 2).passed
-    assert inclusion_exclusion_verify(3, 3, 2).passed
+    for n, k in [(1, 0), (3, 0), (3, 3)]:
+        assert all(ok for ok, _ in identities._inclusion_exclusion_results(n, k, 2))
 
 
 def test_inclusion_exclusion_sixteen_words():
-    report = inclusion_exclusion_verify(4, 2, 2)
-    assert report.passed and report.cases == 16
+    results = identities._inclusion_exclusion_results(4, 2, 2)
+    assert len(results) == 16 and all(ok for ok, _ in results)
 
 
 def test_inclusion_exclusion_sweep_and_fault():
     assert inclusion_exclusion_sweep(n_max=3, d=2).passed
     assert not inclusion_exclusion_sweep(n_max=3, d=2, fault=0).passed
-    assert not inclusion_exclusion_verify(3, 1, 2, fault=11).passed
     with pytest.raises(ValueError):
-        inclusion_exclusion_verify(2, 3, 1)
+        identities._inclusion_exclusion_results(2, 3, 1)
 
 
 def test_claim_empty_partition_is_one():
@@ -175,17 +202,6 @@ def test_iota_scan():
     assert not iota_prime_identity_scan(6, fault=5).passed
     with pytest.raises(ValueError):
         iota_prime_identity_scan(11)
-
-
-def test_apply_to_vacuum_materializes_products():
-    cfg = cfg_for(4)
-    left = word_vec(cfg, (0, 1))
-    right = word_vec(cfg, (0,))
-    combo = w_jnk(left, right, 0)
-    out = combo.apply_to_vacuum(cfg)
-    # W(0,1) W(0) vacuum = W(0,1) e_1: creation plus one contraction
-    assert out.coeffs[(0, 1, 0)] == ONE
-    assert (0,) in out.coeffs or (1,) in out.coeffs
 
 
 # ---------------------------------------------------------------------------
