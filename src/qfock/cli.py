@@ -118,9 +118,16 @@ def envelope(args, results: list, violations: list) -> dict:
 
 
 def emit(args, payload: dict, text: str = None) -> str:
+    """The output text: ``json.dumps(payload, indent=2)`` for JSON, with
+    every non-finite float written as null (RFC 8259 has no NaN or
+    Infinity), else ``text``."""
     if args.format == "json":
         parts = []
-        _write_json(payload, 0, parts.append)
+        try:
+            _write_json(payload, 0, parts.append)
+        except ValueError:  # the strict encoder met NaN or an infinity
+            parts = []
+            _write_json(_finite(payload), 0, parts.append)
         parts.append("\n")
         return "".join(parts)
     if text is None:
@@ -133,8 +140,21 @@ _PLAIN = frozenset((str, int, float, bool, type(None)))
 
 @functools.lru_cache(maxsize=None)
 def _flat_encoder(depth: int):
-    """C-encoder ``encode`` whose item separator starts a line at ``depth``."""
-    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": ")).encode
+    """C-encoder ``encode`` whose item separator starts a line at ``depth``;
+    it raises ValueError on NaN and infinities."""
+    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": "), allow_nan=False).encode
+
+
+def _finite(obj):
+    """A copy of a JSON payload with every non-finite float value as None;
+    containers become lists and dicts, keys stay as they are."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(value) for value in obj]
+    return obj
 
 
 def _write_json(obj, depth: int, write) -> None:
@@ -143,9 +163,10 @@ def _write_json(obj, depth: int, write) -> None:
     With ``indent`` set, ``json`` runs its pure-Python encoder.  Here a
     container whose members are all plain scalars goes to the C encoder in
     one call, its separator carrying the newline and indent; everything
-    else recurses.  Tuples are lists, and non-``str`` keys, NaN, infinities
-    and non-ASCII text are written as ``json`` writes them.  The caller
-    joins the pieces once, so no large string is copied level by level.
+    else recurses.  Tuples are lists, and non-``str`` keys and non-ASCII
+    text are written as ``json`` writes them; a non-finite float value
+    raises ValueError.  The caller joins the pieces once, so no large
+    string is copied level by level.
     """
     if isinstance(obj, dict):
         brackets, members = "{}", obj.values()
@@ -176,10 +197,11 @@ def _write_json(obj, depth: int, write) -> None:
 
 
 def _json_key(key) -> str:
-    # json writes a number, bool or None key as its own JSON text, quoted;
-    # any other non-str key is refused by the string encoder
+    # json writes a number, bool or None key as its own JSON text, quoted
+    # ("NaN" too, which is a valid key); any other non-str key is refused
+    # by the string encoder
     if isinstance(key, (int, float)) or key is None:
-        key = _flat_encoder(0)(key)
+        key = json.dumps(key)
     return json.encoder.encode_basestring_ascii(key)
 
 
@@ -345,6 +367,8 @@ def cmd_verify_claim(args) -> tuple:
 
 
 def cmd_schatten(args) -> tuple:
+    if not (math.isfinite(args.p) and math.isfinite(args.hk)):
+        raise ValueError(f"--p and --hk must be finite, got {args.p!r} and {args.hk!r}")
     mode = parse_q(args.q)
     cfg = SpaceConfig(args.d, 1, args.max_degree, mode)
     h = (1.0,) + (0.0,) * (args.d - 1)
@@ -353,7 +377,8 @@ def cmd_schatten(args) -> tuple:
     report = schatten_norm(op, args.p, cfg)
     closed = phi_schatten_closed_form(mode.q, args.d, args.p, args.hk, args.max_degree)
     violations = []
-    if abs(report.norm - closed) > 1e-10 * max(closed, 1.0):
+    # written so that a NaN or infinite norm is a violation
+    if not abs(report.norm - closed) <= 1e-10 * max(closed, 1.0):
         violations.append(f"norm {report.norm!r} differs from closed form {closed!r}")
     ratio = schatten_term_ratio(mode.q, args.d, args.p)
     if report.threshold > 0 and (args.p > report.threshold) != (ratio < 1.0):

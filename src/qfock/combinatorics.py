@@ -35,7 +35,8 @@ constructor's sorting and validation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from math import comb
 from typing import Iterator, Sequence, Union
 
@@ -129,6 +130,21 @@ def coset_data(subset: SubsetCoset, chosen_first: bool = False) -> tuple:
     return rep, inversions(rep)
 
 
+@lru_cache(maxsize=8192)
+def coset_inversions(n: int, chosen: tuple, chosen_first: bool) -> int:
+    """Inversion count of the coset representative of an ascending subset
+    of {1..n}, as ``coset_data`` gives it, memoized on plain tuples.
+
+    This is the subset statistic iota of the Wick expansion and of the
+    closed form of ``iota_prime``: complement-first for left blocks,
+    chosen-first for right ones.
+
+    >>> coset_inversions(4, (1, 2, 4), False), coset_inversions(4, (1, 3), True)
+    (2, 1)
+    """
+    return inversions(_coset_rep(n, chosen, chosen_first))
+
+
 @dataclass(frozen=True)
 class PartialPartition:
     """Partition of {1..n} into pairs and singletons with a marked right block.
@@ -138,12 +154,12 @@ class PartialPartition:
     constraint (every pair straddles position n-k) is NOT enforced at
     construction so that plain crossing counts work on arbitrary pairings;
     statistics that need the block structure check it explicitly.
+    ``singletons`` is worked out on first use; the scans never read it.
     """
 
     n: int
     k: int
     pairs: tuple
-    singletons: tuple = field(default=(), compare=False)
 
     def __post_init__(self):
         if not 0 <= self.k <= self.n:
@@ -153,7 +169,6 @@ class PartialPartition:
         paired = [x for p in ps for x in p]
         if len(set(paired)) != len(paired) or any(not 1 <= x <= self.n for x in paired):
             raise ValueError(f"overlapping or out-of-range pairs {ps}")
-        object.__setattr__(self, "singletons", _unpaired(self.n, ps))
 
     @classmethod
     def _trusted(cls, n: int, k: int, pairs: tuple) -> "PartialPartition":
@@ -163,17 +178,16 @@ class PartialPartition:
         object.__setattr__(rho, "n", n)
         object.__setattr__(rho, "k", k)
         object.__setattr__(rho, "pairs", pairs)
-        object.__setattr__(rho, "singletons", _unpaired(n, pairs))
         return rho
+
+    @cached_property
+    def singletons(self) -> tuple:
+        inside = {x for p in self.pairs for x in p}
+        return tuple(x for x in range(1, self.n + 1) if x not in inside)
 
     def respects_block(self) -> bool:
         split = self.n - self.k
         return all(l <= split < r for l, r in self.pairs)
-
-
-def _unpaired(n: int, pairs: tuple) -> tuple:
-    inside = {x for p in pairs for x in p}
-    return tuple(x for x in range(1, n + 1) if x not in inside)
 
 
 def crossings(rho: Union[PartialPartition, tuple]) -> int:
@@ -244,7 +258,11 @@ def iota_prime(rho: Union[PartialPartition, tuple]) -> int:
     >>> iota_prime(PartialPartition(5, 2, ()))
     0
     """
-    pairs = _block_pairs(rho)
+    return _iota_prime_pairs(_block_pairs(rho))
+
+
+def _iota_prime_pairs(pairs: tuple) -> int:
+    # iota_prime's sum on a pair tuple already known to respect one split
     total = -comb(len(pairs), 2)  # the sum of j - 1 - i over all pairs
     for idx, (l, r) in enumerate(pairs):
         total += r - l - 1
@@ -295,8 +313,8 @@ def iota_prime_closed_form(rho: PartialPartition) -> int:
     """
     a, b, sigma = _triple(rho)
     return (
-        inversions(_coset_rep(rho.n - rho.k, a, False))
-        + inversions(_coset_rep(rho.k, b, True))
+        coset_inversions(rho.n - rho.k, a, False)
+        + coset_inversions(rho.k, b, True)
         + inversions(sigma)
         + comb(len(sigma), 2)
     )

@@ -2,13 +2,16 @@
 
 A degree-n word split at position n-k can be rebuilt from products
 W(left part) W(right part) by inclusion-exclusion over the contractions
-between the two parts.  This module lists both presentations of the
-level-j contraction maps as (coefficient, left rest, right rest) terms
-(subset pairs with coset weights vs straddling pair partitions with the
-insertion statistic), compares them term by term, and scans every identity
-in the chain exhaustively.  The inclusion-exclusion sweep works on word
-dictionaries through the Wick kernel ``wick_word_action``.  Scans run with
-polynomial scalars, so one pass certifies all q in (-1, 1).
+between the two parts.  This module computes both presentations of the
+level-j contraction maps collected by (left rest, right rest) (subset
+pairs with coset weights vs straddling pair partitions with the insertion
+statistic), compares them, and scans every identity in the chain
+exhaustively.  Subsets, partitions and their statistics do not depend on
+the letters, so each is built once per size as a table of shapes and the
+per-word work only reads letters at the tabled positions.  The
+inclusion-exclusion sweep works on word dictionaries through the Wick
+kernel ``wick_word_action``.  Scans run with polynomial scalars, so one
+pass certifies all q in (-1, 1).
 """
 
 from __future__ import annotations
@@ -16,10 +19,14 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import comb, factorial
+from operator import itemgetter
 
 from .combinatorics import (
     PartialPartition,
+    _iota_prime_pairs,
+    coset_inversions,
     crossings,
     enumerate_partial_partitions,
     iota_prime,
@@ -28,7 +35,7 @@ from .combinatorics import (
 )
 from .fock import word_basis, word_inner_poly, word_to_str
 from .scalars import QPolynomial
-from .wick import subset_iota, subset_iota_chosen, wick_word_action
+from .wick import wick_word_action
 
 # Largest case count the claim, two-mode and inclusion-exclusion scans
 # accept; see check_budget.
@@ -123,66 +130,113 @@ def _label(word: tuple, d: int) -> str:
     return word_to_str(word, d) or "vac"
 
 
-def _w_subset_terms(lw: tuple, rw: tuple, j: int) -> list:
-    """Level-j contraction map of the split word lw|rw, subset form:
-    (coefficient, left rest, right rest) per pair of j-subsets.
+@lru_cache(maxsize=4096)
+def _picker(positions: tuple):
+    """word -> the tuple of its letters at the 0-based positions; shared by
+    every shape that reads the same positions."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        (p,) = positions
+        return lambda word: (word[p],)
+    return lambda word: ()
+
+
+# The scans use a shape table only while they walk the words of one (n, k),
+# so a few dozen tables cover every level in use.
+@lru_cache(maxsize=32)
+def _subset_shapes(nl: int, nr: int, j: int) -> tuple:
+    """Word-independent half of the level-j subset map of a split nl|nr.
+
+    One (A, left rest, B, right rest, iota(A) + iota(B)) per pair of
+    j-subsets A of the left positions and B of the right ones, in
+    lexicographic order of (A, B), each position set as a ``_picker``.
+    iota(A) counts the complement-first coset inversions, iota(B) the
+    chosen-first ones.
+    """
+    shapes = []
+    for a_set in itertools.combinations(range(1, nl + 1), j):
+        a = _picker(tuple(p - 1 for p in a_set))
+        a_rest = _picker(tuple(p - 1 for p in range(1, nl + 1) if p not in a_set))
+        ia = coset_inversions(nl, a_set, False)
+        for b_set in itertools.combinations(range(1, nr + 1), j):
+            b = _picker(tuple(p - 1 for p in b_set))
+            b_rest = _picker(tuple(p - 1 for p in range(1, nr + 1) if p not in b_set))
+            shapes.append((a, a_rest, b, b_rest, ia + coset_inversions(nr, b_set, True)))
+    return tuple(shapes)
+
+
+def _subset_level(lw: tuple, rw: tuple, j: int) -> dict:
+    """q^C(j,2) times the level-j contraction map of the split word lw|rw,
+    subset form, as {(left rest, right rest): QPolynomial}.
 
     Each j-subset A of left positions meets each j-subset B of right
     positions with weight q^(iota(A)+iota(B)) times the q-inner product of
-    the extracted subwords (complement-first coset order on the left,
-    chosen-first on the right).  Level 0 is the bare product.
+    the extracted subwords.  Inner products have nonnegative coefficients,
+    so no collected value cancels to 0.  Level 0 is the bare product.
     """
-    nl, nr = len(lw), len(rw)
-    out = []
-    for a_set in itertools.combinations(range(1, nl + 1), j):
-        inside_a = set(a_set)
-        sub_l = tuple(lw[p - 1] for p in a_set)
-        rem_l = tuple(lw[p - 1] for p in range(1, nl + 1) if p not in inside_a)
-        ia = subset_iota(nl, a_set)
-        for b_set in itertools.combinations(range(1, nr + 1), j):
-            inner = word_inner_poly(sub_l, tuple(rw[p - 1] for p in b_set))
-            if inner.is_zero():
-                continue
-            inside_b = set(b_set)
-            rem_r = tuple(rw[p - 1] for p in range(1, nr + 1) if p not in inside_b)
-            ib = subset_iota_chosen(nr, b_set)
-            out.append((inner.shift(ia + ib), rem_l, rem_r))
-    return out
-
-
-def _w_rho_terms(lw: tuple, rw: tuple, j: int) -> list:
-    """The same map over straddling partitions with j pairs, weighted
-    q^iota'(rho); it equals the subset form times q^C(j,2)."""
-    n = len(lw) + len(rw)
-    k = len(rw)
-    if j > max_pairs(n, k):
-        return []
-    word = lw + rw
-    out = []
-    for rho in enumerate_partial_partitions(n, k, j):
-        # orthonormal letters: every contracted pair must match exactly
-        if any(word[a - 1] != word[b - 1] for a, b in rho.pairs):
+    shift = comb(j, 2)
+    hists: dict = {}
+    for a, a_rest, b, b_rest, iota in _subset_shapes(len(lw), len(rw), j):
+        inner = word_inner_poly(a(lw), b(rw)).coeffs
+        if not inner:
             continue
-        paired = {x for p in rho.pairs for x in p}
-        rem_l = tuple(word[p - 1] for p in range(1, n - k + 1) if p not in paired)
-        rem_r = tuple(word[p - 1] for p in range(n - k + 1, n + 1) if p not in paired)
-        out.append((QPolynomial.monomial(iota_prime(rho)), rem_l, rem_r))
-    return out
+        key = (a_rest(lw), b_rest(rw))
+        hist = hists.get(key)
+        if hist is None:
+            hists[key] = hist = {}
+        for power, c in enumerate(inner, iota + shift):
+            hist[power] = hist.get(power, 0) + c
+    return {key: QPolynomial.from_powers(hist) for key, hist in hists.items()}
 
 
-def _gathered(terms: list, shift: int = 0) -> dict:
-    """Term list collected by (left rest, right rest), zeros dropped, times q^shift."""
-    out: dict = {}
-    for coeff, lrem, rrem in terms:
-        key = (lrem, rrem)
-        out[key] = out[key] + coeff if key in out else coeff
-    return {key: p.shift(shift) for key, p in out.items() if not p.is_zero()}
+@lru_cache(maxsize=32)
+def _rho_shapes(n: int, k: int, j: int) -> tuple:
+    """Word-independent half of the level-j map over straddling partitions.
+
+    One (left endpoints, right endpoints, left rest, right rest,
+    iota'(rho)) per partition of {1..n} with j pairs straddling n-k, each
+    position set as a ``_picker``, endpoints listed pair by pair.
+    """
+    if j > max_pairs(n, k):
+        return ()
+    split = n - k
+    shapes = []
+    for rho in enumerate_partial_partitions(n, k, j):
+        paired = {x - 1 for pair in rho.pairs for x in pair}
+        shapes.append((
+            _picker(tuple(l - 1 for l, _ in rho.pairs)),
+            _picker(tuple(r - 1 for _, r in rho.pairs)),
+            _picker(tuple(p for p in range(split) if p not in paired)),
+            _picker(tuple(p for p in range(split, n) if p not in paired)),
+            iota_prime(rho),
+        ))
+    return tuple(shapes)
+
+
+def _rho_level(lw: tuple, rw: tuple, j: int) -> dict:
+    """The same map over straddling partitions with j pairs, weighted
+    q^iota'(rho); it equals ``_subset_level``."""
+    word = lw + rw
+    hists: dict = {}
+    for lefts, rights, l_rest, r_rest, iota in _rho_shapes(len(word), len(rw), j):
+        # orthonormal letters: every contracted pair must match exactly
+        if lefts(word) != rights(word):
+            continue
+        key = (l_rest(word), r_rest(word))
+        hist = hists.get(key)
+        if hist is None:
+            hists[key] = hist = {}
+        hist[iota] = hist.get(iota, 0) + 1
+    return {key: QPolynomial.from_powers(hist) for key, hist in hists.items()}
 
 
 def two_mode_scan(n_max: int = 6, d: int = 2, fault=None) -> ScanReport:
     """q^C(j,2) * subset-sum form == rho-sum form, all splits of all words.
 
-    The two term lists are compared collected by remainder pair.
+    The two maps are compared collected by remainder pair.  Subsets,
+    partitions and their statistics are built once per (n, k, j) shape;
+    only the letter reads run per word.
     """
     check_budget("two-mode", n_max, d)
     results = []
@@ -191,9 +245,8 @@ def two_mode_scan(n_max: int = 6, d: int = 2, fault=None) -> ScanReport:
             for word in word_basis(n, d):
                 lw, rw = word[: n - k], word[n - k :]
                 for j in range(max_pairs(n, k) + 1):
-                    subset = _gathered(_w_subset_terms(lw, rw, j), comb(j, 2))
-                    rho = _gathered(_w_rho_terms(lw, rw, j))
-                    results.append((subset == rho, (n, k, j, _label(word, d))))
+                    ok = _subset_level(lw, rw, j) == _rho_level(lw, rw, j)
+                    results.append((ok, (n, k, j, _label(word, d))))
     return _finalize(f"two-mode split equality (n <= {n_max}, d = {d})", results, fault)
 
 
@@ -204,10 +257,8 @@ def _inclusion_exclusion_image(lw: tuple, rw: tuple) -> dict:
     n = len(lw) + len(rw)
     total: dict = {}
     for j in range(min(len(lw), len(rw)) + 1):
-        for coeff, lrem, rrem in _w_subset_terms(lw, rw, j):
-            weight = coeff.shift(comb(j, 2))
-            if j % 2:
-                weight = -weight
+        for (lrem, rrem), coeff in _subset_level(lw, rw, j).items():
+            weight = -coeff if j % 2 else coeff
             # W(rrem) on the vacuum is the word rrem itself
             for target, p in wick_word_action(lrem, rrem, n):
                 term = weight * p
@@ -255,7 +306,9 @@ def alternating_claim(pi: PartialPartition, reading: str = "prime-plain") -> QPo
         raise ValueError(f"unknown reading {reading!r}")
     if not pi.respects_block():
         raise ValueError("pairs must straddle the split")
-    leftover_stat = crossings if reading == "prime-plain" else iota_prime
+    # every sub-tuple of block-respecting pairs respects the block too, so
+    # both statistics run unchecked from here on
+    leftover_stat = crossings if reading == "prime-plain" else _iota_prime_pairs
     pairs = pi.pairs
     hist: dict = {}
     for mask in range(1 << len(pairs)):
@@ -264,7 +317,7 @@ def alternating_claim(pi: PartialPartition, reading: str = "prime-plain") -> QPo
             (chosen if mask >> bit & 1 else rest).append(pair)
         removed = sorted(x for pair in chosen for x in pair)
         sigma = tuple((l - bisect_left(removed, l), r - bisect_left(removed, r)) for l, r in rest)
-        expo = iota_prime(tuple(chosen)) + leftover_stat(sigma)
+        expo = _iota_prime_pairs(chosen) + leftover_stat(sigma)
         hist[expo] = hist.get(expo, 0) + (-1 if len(chosen) % 2 else 1)
     return QPolynomial.from_powers(hist)
 

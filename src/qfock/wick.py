@@ -26,24 +26,13 @@ from functools import lru_cache
 from math import prod
 
 from .combinatorics import (
-    SubsetCoset,
-    coset_data,
+    coset_inversions,
     crossings,
     enumerate_partial_partitions,
     max_pairs,
 )
 from .fock import FockVector, scalar_is_zero, word_inner_poly
 from .scalars import EXACT, QPolynomial, ScalarMode
-
-
-@lru_cache(maxsize=4096)
-def subset_iota(n: int, subset: tuple) -> int:
-    return coset_data(SubsetCoset(n, subset))[1]
-
-
-@lru_cache(maxsize=4096)
-def subset_iota_chosen(n: int, subset: tuple) -> int:
-    return coset_data(SubsetCoset(n, subset), chosen_first=True)[1]
 
 
 @lru_cache(maxsize=4096)
@@ -265,14 +254,14 @@ def _three_trace_words(wx: tuple, we: tuple, wt: tuple) -> QPolynomial:
         ac = tuple(p for p in range(1, n + 1) if p not in A)
         xa = _subword(wx, tuple(reversed(A)))
         xac = _subword(wx, tuple(reversed(ac)))
-        ia = subset_iota(n, A)
+        ia = coset_inversions(n, A, False)
         for B in itertools.combinations(range(1, m + 1), a):
             first = word_inner_poly(xa, _subword(we, B))
             if first.is_zero():
                 continue
             bc = tuple(p for p in range(1, m + 1) if p not in B)
             ebc = _subword(we, tuple(reversed(bc)))
-            ib = subset_iota_chosen(m, B)
+            ib = coset_inversions(m, B, True)
             for C in itertools.combinations(range(1, l + 1), n - a):
                 second = word_inner_poly(xac, _subword(wt, C))
                 if second.is_zero():
@@ -281,7 +270,7 @@ def _three_trace_words(wx: tuple, we: tuple, wt: tuple) -> QPolynomial:
                 third = word_inner_poly(ebc, _subword(wt, cc))
                 if third.is_zero():
                     continue
-                ic = subset_iota(l, C)
+                ic = coset_inversions(l, C, False)
                 total = total + (first * second * third).shift(ia + ib + ic)
     return total
 

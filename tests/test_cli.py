@@ -380,6 +380,24 @@ def test_schatten_needs_float_mode(capsys):
     assert main(["schatten", "--d", "2", "--p", "2", "--q", "generic"]) == 2
 
 
+@pytest.mark.parametrize("flag", ["--p", "--hk"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_schatten_refuses_non_finite_p_and_hk(capsys, flag, value):
+    # every number would print as NaN, and NaN compares as no violation
+    argv = ["schatten", "--d", "2", "--p", "2", f"{flag}={value}"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "finite" in captured.err
+
+
+def test_schatten_overflowing_norm_is_a_violation(capsys):
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        code, doc = run_json(capsys, "schatten", "--d", "2", "--p", "2", "--hk", "1e308")
+    assert code == 1
+    check_envelope(doc)
+    assert doc["results"][0]["norm"] is None
+
+
 def test_phi_check(capsys):
     code, doc = run_json(capsys, "phi-check", "--d", "2", "--q", "0.5")
     assert code == 0
@@ -394,7 +412,7 @@ def test_phi_check_overflow_is_not_verified(capsys):
     assert code == 1
     check_envelope(doc)
     assert not doc["verified"]
-    assert not math.isfinite(doc["results"][0]["deviation"])
+    assert doc["results"][0]["deviation"] is None
 
 
 def test_decay(capsys):
@@ -489,7 +507,23 @@ def test_module_entry_point():
 
 
 # ---------------------------------------------------------------------------
-# the JSON envelope is exactly json.dumps(payload, indent=2), the oracle here
+# the JSON envelope is exactly json.dumps(payload, indent=2) with non-finite
+# float values as null, the oracle here
+
+
+def nulled(obj):
+    """The payload json.dumps should see: NaN and infinite values as None."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    if isinstance(obj, dict):
+        return {key: nulled(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [nulled(value) for value in obj]
+    return obj
+
+
+def _no_constants(name):
+    raise AssertionError(f"{name} is not JSON")
 
 JSON_SCALARS = st.one_of(
     st.none(), st.booleans(), st.integers(), st.floats(), st.text(), st.characters()
@@ -510,7 +544,7 @@ JSON_TREES = st.recursive(
 @given(JSON_TREES)
 def test_emit_is_json_dumps_with_indent_two(tree):
     args = argparse.Namespace(command="any", format="json")
-    assert cli.emit(args, tree) == json.dumps(tree, indent=2) + "\n"
+    assert cli.emit(args, tree) == json.dumps(nulled(tree), indent=2) + "\n"
 
 
 def test_emit_writes_specials_and_empties_as_json_does():
@@ -521,7 +555,19 @@ def test_emit_writes_specials_and_empties_as_json_does():
         "x": [[], {}, [[1, 2], {"k": (3,)}]],
     }
     args = argparse.Namespace(command="any", format="json")
-    assert cli.emit(args, tree) == json.dumps(tree, indent=2) + "\n"
+    assert cli.emit(args, tree) == json.dumps(nulled(tree), indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["phi-check", "--d", "2", "--max-degree", "3", "--h", "1e308,1e308"],
+    ["schatten", "--d", "2", "--p", "2", "--hk", "1e308"],
+])
+def test_overflowing_envelopes_are_strict_json(capsys, argv):
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert main(argv + ["--format", "json"]) == 1
+    doc = json.loads(capsys.readouterr().out, parse_constant=_no_constants)
+    check_envelope(doc)
+    assert None in doc["results"][0].values()
 
 
 ENVELOPE_ARGV = [

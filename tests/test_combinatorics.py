@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from math import comb, factorial
 
 import pytest
@@ -9,6 +10,7 @@ from qfock.combinatorics import (
     Permutation,
     SubsetCoset,
     coset_data,
+    coset_inversions,
     coset_word,
     crossings,
     enumerate_pair_partitions,
@@ -69,6 +71,19 @@ def test_coset_representative_is_minimal():
                     assert set(rep.images[: len(first)]) == first
 
 
+def test_coset_inversions_count_the_representative_by_brute_force():
+    for n in range(9):
+        for size in range(n + 1):
+            for chosen in itertools.combinations(range(1, n + 1), size):
+                rest = [a for a in range(1, n + 1) if a not in chosen]
+                for chosen_first in (False, True):
+                    rep = list(chosen) + rest if chosen_first else rest + list(chosen)
+                    brute = sum(
+                        rep[i] > rep[j] for i in range(n) for j in range(i + 1, n)
+                    )
+                    assert coset_inversions(n, chosen, chosen_first) == brute
+
+
 def test_crossings_on_figures():
     assert crossings(FIG_A) == 3
     assert crossings(FIG_B) == 4
@@ -78,6 +93,25 @@ def test_crossings_on_figures():
 def test_crossings_multiset_m4():
     counts = sorted(crossings(p) for p in enumerate_pair_partitions(4))
     assert counts == [0, 0, 1]
+
+
+def oracle_nestings(pairs):
+    return sum(
+        a < c and d < b for (a, b), (c, d) in itertools.permutations(pairs, 2)
+    )
+
+
+@pytest.mark.parametrize("m", range(0, 11, 2))
+def test_crossings_and_nestings_are_equidistributed(m):
+    # Chen, Deng, Du, Stanley, Yan 2007: over the matchings of [m] the joint
+    # (crossings, nestings) histogram is symmetric
+    hist = Counter(
+        (crossings(rho), oracle_nestings(rho.pairs)) for rho in enumerate_pair_partitions(m)
+    )
+    assert sum(hist.values()) == factorial(m) // (2 ** (m // 2) * factorial(m // 2))
+    assert all(hist[(nest, cross)] == count for (cross, nest), count in hist.items())
+    if m >= 4:
+        assert any(cross != nest for cross, nest in hist)
 
 
 def test_pair_partition_counts():

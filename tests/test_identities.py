@@ -5,8 +5,15 @@ import pytest
 from test_combinatorics import oracle_crossings, oracle_iota_prime
 
 from qfock import identities
-from qfock.combinatorics import PartialPartition, enumerate_partial_partitions, max_pairs
-from qfock.fock import FockVector, SpaceConfig, word_basis, word_to_str
+from qfock.combinatorics import (
+    PartialPartition,
+    SubsetCoset,
+    coset_data,
+    enumerate_partial_partitions,
+    iota_prime,
+    max_pairs,
+)
+from qfock.fock import FockVector, SpaceConfig, word_basis, word_inner_poly, word_to_str
 from qfock.identities import (
     alternating_claim,
     claim_scan,
@@ -19,8 +26,8 @@ from qfock.wick import wick_apply
 
 ONE = QPolynomial.one()
 Q = QPolynomial.q()
-subset_terms = identities._w_subset_terms
-rho_terms = identities._w_rho_terms
+subset_level = identities._subset_level
+rho_level = identities._rho_level
 
 
 def cfg_for(n, d=2):
@@ -31,33 +38,96 @@ def word_vec(cfg, word):
     return FockVector.from_word(cfg, word)
 
 
-def gathered(terms):
-    """A term list's coefficients collected by (left rest, right rest), zeros dropped."""
+def gathered(terms, shift=0):
+    """A term list's coefficients collected by (left rest, right rest), zeros
+    dropped, times q^shift."""
     out: dict = {}
     for coeff, lrem, rrem in terms:
         out[(lrem, rrem)] = out.get((lrem, rrem), QPolynomial.zero()) + coeff
-    return {key: p for key, p in out.items() if not p.is_zero()}
+    return {key: p.shift(shift) for key, p in out.items() if not p.is_zero()}
+
+
+# ---------------------------------------------------------------------------
+# the per-word route the shape tables replaced, as an oracle: subsets and
+# partitions are enumerated afresh for every word
+
+
+def oracle_subset_terms(lw, rw, j):
+    """Level-j contraction map of the split word lw|rw, subset form:
+    (coefficient, left rest, right rest) per pair of j-subsets."""
+    nl, nr = len(lw), len(rw)
+    out = []
+    for a_set in itertools.combinations(range(1, nl + 1), j):
+        inside_a = set(a_set)
+        sub_l = tuple(lw[p - 1] for p in a_set)
+        rem_l = tuple(lw[p - 1] for p in range(1, nl + 1) if p not in inside_a)
+        ia = coset_data(SubsetCoset(nl, a_set))[1]
+        for b_set in itertools.combinations(range(1, nr + 1), j):
+            inner = word_inner_poly(sub_l, tuple(rw[p - 1] for p in b_set))
+            if inner.is_zero():
+                continue
+            inside_b = set(b_set)
+            rem_r = tuple(rw[p - 1] for p in range(1, nr + 1) if p not in inside_b)
+            ib = coset_data(SubsetCoset(nr, b_set), chosen_first=True)[1]
+            out.append((inner.shift(ia + ib), rem_l, rem_r))
+    return out
+
+
+def oracle_rho_terms(lw, rw, j):
+    """The same map over straddling partitions with j pairs, weighted
+    q^iota'(rho); it equals the subset form times q^C(j,2)."""
+    n = len(lw) + len(rw)
+    k = len(rw)
+    if j > max_pairs(n, k):
+        return []
+    word = lw + rw
+    out = []
+    for rho in enumerate_partial_partitions(n, k, j):
+        if any(word[a - 1] != word[b - 1] for a, b in rho.pairs):
+            continue
+        paired = {x for p in rho.pairs for x in p}
+        rem_l = tuple(word[p - 1] for p in range(1, n - k + 1) if p not in paired)
+        rem_r = tuple(word[p - 1] for p in range(n - k + 1, n + 1) if p not in paired)
+        out.append((QPolynomial.monomial(iota_prime(rho)), rem_l, rem_r))
+    return out
+
+
+@pytest.mark.parametrize("d, n_max", [(1, 5), (2, 5), (3, 4)])
+def test_shape_tables_match_per_word_oracle(d, n_max):
+    for n in range(n_max + 1):
+        for k in range(n + 1):
+            for word in word_basis(n, d):
+                lw, rw = word[: n - k], word[n - k :]
+                # levels above min(k, n-k) are empty on both routes
+                for j in range(max(k, n - k) + 1):
+                    expected = gathered(oracle_subset_terms(lw, rw, j), comb(j, 2))
+                    assert subset_level(lw, rw, j) == expected
+                    assert rho_level(lw, rw, j) == gathered(oracle_rho_terms(lw, rw, j)) == expected
 
 
 def test_level_zero_is_bare_product():
-    assert subset_terms((0, 1), (1,), 0) == [(ONE, (0, 1), (1,))]
-    assert rho_terms((0, 1), (1,), 0) == [(ONE, (0, 1), (1,))]
+    assert oracle_subset_terms((0, 1), (1,), 0) == [(ONE, (0, 1), (1,))]
+    assert oracle_rho_terms((0, 1), (1,), 0) == [(ONE, (0, 1), (1,))]
+    assert subset_level((0, 1), (1,), 0) == rho_level((0, 1), (1,), 0) == {((0, 1), (1,)): ONE}
 
 
 def test_single_contraction_scalar_example():
-    assert gathered(subset_terms((0,), (0,), 1)) == {((), ()): ONE}
+    assert gathered(oracle_subset_terms((0,), (0,), 1)) == {((), ()): ONE}
+    assert subset_level((0,), (0,), 1) == rho_level((0,), (0,), 1) == {((), ()): ONE}
 
 
 def test_level_above_either_side_is_empty():
-    assert subset_terms((0, 1), (0,), 2) == []
-    assert rho_terms((0, 1), (0,), 2) == []
+    assert oracle_subset_terms((0, 1), (0,), 2) == []
+    assert oracle_rho_terms((0, 1), (0,), 2) == []
+    assert subset_level((0, 1), (0,), 2) == rho_level((0, 1), (0,), 2) == {}
 
 
 def test_subset_terms_by_hand():
     # left (0,1), right (0,1), one contraction: only matching letters pair up
-    subset = gathered(subset_terms((0, 1), (0, 1), 1))
+    subset = gathered(oracle_subset_terms((0, 1), (0, 1), 1))
     assert subset == {((1,), (1,)): Q, ((0,), (0,)): Q}
-    assert gathered(rho_terms((0, 1), (0, 1), 1)) == subset
+    assert gathered(oracle_rho_terms((0, 1), (0, 1), 1)) == subset
+    assert subset_level((0, 1), (0, 1), 1) == rho_level((0, 1), (0, 1), 1) == subset
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +141,7 @@ def oracle_w_jnk(xi_left, xi_right, j):
     terms = []
     for lw, lc in sorted(xi_left.coeffs.items()):
         for rw, rc in sorted(xi_right.coeffs.items()):
-            for coeff, lrem, rrem in subset_terms(lw, rw, j):
+            for coeff, lrem, rrem in oracle_subset_terms(lw, rw, j):
                 terms.append((lc * rc * coeff, word_vec(cfg, lrem), word_vec(cfg, rrem)))
     return terms
 
