@@ -126,8 +126,10 @@ def emit(args, payload: dict, text: str = None) -> str:
         try:
             _write_json(payload, 0, parts.append)
         except ValueError:  # the strict encoder met NaN or an infinity
+            # values are nulled; a non-finite float key is written as
+            # json writes it ("Infinity"), which is a valid key
             parts = []
-            _write_json(_finite(payload), 0, parts.append)
+            _write_json(_finite(payload), 0, parts.append, allow_nan=True)
         parts.append("\n")
         return "".join(parts)
     if text is None:
@@ -139,10 +141,10 @@ _PLAIN = frozenset((str, int, float, bool, type(None)))
 
 
 @functools.lru_cache(maxsize=None)
-def _flat_encoder(depth: int):
+def _flat_encoder(depth: int, allow_nan: bool = False):
     """C-encoder ``encode`` whose item separator starts a line at ``depth``;
-    it raises ValueError on NaN and infinities."""
-    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": "), allow_nan=False).encode
+    unless ``allow_nan``, it raises ValueError on NaN and infinities."""
+    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": "), allow_nan=allow_nan).encode
 
 
 def _finite(obj):
@@ -157,15 +159,15 @@ def _finite(obj):
     return obj
 
 
-def _write_json(obj, depth: int, write) -> None:
+def _write_json(obj, depth: int, write, allow_nan: bool = False) -> None:
     """Pass the text of ``json.dumps(obj, indent=2)`` to ``write``, in pieces.
 
     With ``indent`` set, ``json`` runs its pure-Python encoder.  Here a
     container whose members are all plain scalars goes to the C encoder in
     one call, its separator carrying the newline and indent; everything
     else recurses.  Tuples are lists, and non-``str`` keys and non-ASCII
-    text are written as ``json`` writes them; a non-finite float value
-    raises ValueError.  The caller joins the pieces once, so no large
+    text are written as ``json`` writes them; unless ``allow_nan``, a
+    non-finite float, value or key, raises ValueError.  The caller joins the pieces once, so no large
     string is copied level by level.
     """
     if isinstance(obj, dict):
@@ -173,7 +175,7 @@ def _write_json(obj, depth: int, write) -> None:
     elif isinstance(obj, (list, tuple)):
         brackets, members = "[]", obj
     else:
-        write(_flat_encoder(0)(obj))
+        write(_flat_encoder(0, allow_nan)(obj))
         return
     if not obj:
         write(brackets)
@@ -182,16 +184,16 @@ def _write_json(obj, depth: int, write) -> None:
     separator = brackets[0] + pad
     if _PLAIN.issuperset(map(type, members)):
         write(separator)
-        write(_flat_encoder(depth + 1)(obj)[1:-1])
+        write(_flat_encoder(depth + 1, allow_nan)(obj)[1:-1])
     elif brackets == "{}":
         for key, value in obj.items():
             write(separator + _json_key(key) + ": ")
-            _write_json(value, depth + 1, write)
+            _write_json(value, depth + 1, write, allow_nan)
             separator = "," + pad
     else:
         for value in obj:
             write(separator)
-            _write_json(value, depth + 1, write)
+            _write_json(value, depth + 1, write, allow_nan)
             separator = "," + pad
     write(pad[:-2] + brackets[1])
 

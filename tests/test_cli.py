@@ -558,6 +558,14 @@ def test_emit_writes_specials_and_empties_as_json_does():
     assert cli.emit(args, tree) == json.dumps(nulled(tree), indent=2) + "\n"
 
 
+def test_emit_writes_non_finite_keys_as_json_does():
+    # a flat dict goes to the C encoder in one call, a nested one key by key
+    for tree in ({float("inf"): None}, {float("nan"): 1, -float("inf"): float("inf")},
+                 {float("inf"): [float("nan")], 1: {-float("inf"): 2.5}}):
+        args = argparse.Namespace(command="any", format="json")
+        assert cli.emit(args, tree) == json.dumps(nulled(tree), indent=2) + "\n"
+
+
 @pytest.mark.parametrize("argv", [
     ["phi-check", "--d", "2", "--max-degree", "3", "--h", "1e308,1e308"],
     ["schatten", "--d", "2", "--p", "2", "--hk", "1e308"],
