@@ -7,11 +7,13 @@ The package is organised bottom-up:
 * :mod:`qfock.combinatorics` -- partitions into pairs and singletons (one
   type, perfect matchings included), crossing counts, and the insertion
   statistic with its coset decomposition.
-* :mod:`qfock.fock` -- truncated Fock spaces, the word codec, the deformed
-  inner product and Gram blocks, the sparse ladder kernel, block operators
-  and second quantization.
-* :mod:`qfock.wick` -- Wick products acting on vectors, mixed moments,
-  splitting products, and finite-size central limit data.
+* :mod:`qfock.fock` -- truncated Fock spaces, the word codec and the
+  doubled-space layout, the deformed inner product and Gram blocks, block
+  operators and second quantization.
+* :mod:`qfock.wick` -- Wick products acting on vectors (fields are the
+  degree-1 ones, and the Wick kernel drops creation out of the top
+  degree), mixed moments, splitting products, and finite-size central
+  limit data.
 * :mod:`qfock.identities` -- exhaustive generic-q verification of the
   splitting and inclusion-exclusion identities.
 * :mod:`qfock.analysis` -- float-mode estimates: semigroup dilation,

@@ -15,7 +15,6 @@ truncation budget; every entry point states the degrees it certifies.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -27,14 +26,17 @@ from .fock import (
     BlockOperator,
     FockVector,
     SpaceConfig,
-    apply_field,
     coordinate_projection,
     copy_count_projection,
+    copy_mixing,
+    first_copy_words,
     gram_matrix,
     q_norm_squared,
     second_copy_count,
+    second_copy_vector,
     second_quantize,
     word_basis,
+    word_index,
 )
 from .wick import reversed_vector, wick_apply
 
@@ -60,8 +62,7 @@ def rotation_matrix(t: float, d: int) -> np.ndarray:
     """Rotation mixing the two copies: first-copy column e^-t h + sqrt(1-e^-2t) h~."""
     c = math.exp(-t)
     s = math.sqrt(max(0.0, 1.0 - c * c))
-    eye = np.eye(d)
-    return np.block([[c * eye, -s * eye], [s * eye, c * eye]])
+    return copy_mixing([[c, -s], [s, c]], d)
 
 
 def dilation_operator(t: float, cfg: SpaceConfig) -> BlockOperator:
@@ -83,13 +84,9 @@ def dilation_check(t: float, cfg: SpaceConfig) -> float:
     compressed = second_quantize(coordinate_projection(cfg), cfg) @ dilation_operator(t, cfg)
     dev = 0.0
     for n in range(cfg.max_degree + 1):
-        basis = word_basis(n, cfg.letters)
-        first_copy = [i for i, w in enumerate(basis) if second_copy_count(w, cfg) == 0]
-        block = compressed.block(n, n)
-        expected = np.zeros((len(basis), len(first_copy)))
-        for col, i in enumerate(first_copy):
-            expected[i, col] = math.exp(-n * t)
-        dev = max(dev, float(np.abs(block[:, first_copy] - expected).max()))
+        first_copy = [word_index(n, cfg.letters)[w] for w in first_copy_words(n, cfg)]
+        expected = math.exp(-n * t) * np.eye(cfg.dim(n))[:, first_copy]
+        dev = max(dev, float(np.abs(compressed.block(n, n)[:, first_copy] - expected).max()))
     return dev
 
 
@@ -97,26 +94,19 @@ def dilation_check(t: float, cfg: SpaceConfig) -> float:
 # the diagonal two-sided multiplier
 
 
-def _second_copy_vector(h, cfg: SpaceConfig):
-    if len(h) != cfg.d:
-        raise ValueError(f"one-particle vector has {len(h)} entries, expected {cfg.d}")
-    return tuple(0.0 for _ in range(cfg.d)) + tuple(float(x) for x in h)
-
-
 def phi_hk_apply(h, k, v: FockVector) -> FockVector:
     """E(s(h~) x s(k~)) on the vector xOmega, x in the first-copy algebra.
 
-    Exact on components of degree at most max_degree - 2 (one creation on
-    each side of x).
+    Each field is the Wick product of its degree-1 vector, so s(k~)Omega is
+    k~ itself and s(h~) acts as W(h~).  Exact on components of degree at
+    most max_degree - 2 (one creation on each side of x).
     """
     cfg = v.cfg
     _require_doubled(cfg, "the two-sided multiplier")
     if any(second_copy_count(w, cfg) for w in v.coeffs):
         raise ValueError("input must lie in the first-copy algebra")
-    h_t = _second_copy_vector(h, cfg)
-    k_t = _second_copy_vector(k, cfg)
-    right = wick_apply(v, apply_field(k_t, FockVector.vacuum(cfg)))
-    return copy_count_projection(apply_field(h_t, right), 0, "exact")
+    right = wick_apply(v, second_copy_vector(k, cfg))
+    return copy_count_projection(wick_apply(second_copy_vector(h, cfg), right), 0, "exact")
 
 
 def phi_hk_check(h, k, cfg: SpaceConfig) -> float:
@@ -132,7 +122,7 @@ def phi_hk_check(h, k, cfg: SpaceConfig) -> float:
     hk = float(np.dot(np.asarray(h, dtype=float), np.asarray(k, dtype=float)))
     dev = 0.0
     for n in range(cfg.max_degree - 1):
-        for word in itertools.product(range(cfg.d), repeat=n):
+        for word in first_copy_words(n, cfg):
             image = phi_hk_apply(h, k, FockVector.from_word(cfg, word))
             expected = FockVector.from_word(cfg, word, q ** n * hk)
             diff = image - expected
@@ -164,10 +154,10 @@ def phi_hk_operator(h, k, cfg: SpaceConfig, route: str = "vector") -> BlockOpera
         return BlockOperator(cfg, blocks)
     doubled = SpaceConfig(cfg.d, 2, cfg.max_degree + 2, cfg.scalar)
     for n in range(cfg.max_degree + 1):
-        basis = word_basis(n, cfg.letters)
-        index = {w: i for i, w in enumerate(basis)}
-        mat = np.zeros((len(basis), len(basis)))
-        for j, word in enumerate(basis):
+        words = first_copy_words(n, doubled)
+        index = {w: i for i, w in enumerate(words)}
+        mat = np.zeros((len(words), len(words)))
+        for j, word in enumerate(words):
             image = phi_hk_apply(h, k, FockVector.from_word(doubled, word))
             for w, c in image.coeffs.items():
                 if len(w) != n:
@@ -308,7 +298,7 @@ def block_decay(xi: FockVector, eta: FockVector, cfg: SpaceConfig) -> DecayRepor
     rev_xi = reversed_vector(xi)
     columns: dict = {}
     for j in range(cfg.max_degree + 1):
-        for col, word in enumerate(word_basis(j, inner.letters)):
+        for col, word in enumerate(first_copy_words(j, cfg)):
             image = wick_apply(rev_xi, wick_apply(FockVector.from_word(cfg, word), eta))
             image = copy_count_projection(image, 0, "exact")
             for w, c in image.coeffs.items():
@@ -316,7 +306,7 @@ def block_decay(xi: FockVector, eta: FockVector, cfg: SpaceConfig) -> DecayRepor
     block_norms = {}
     max_offband = 0.0
     for (i, j), entries in columns.items():
-        rows = {w: r for r, w in enumerate(word_basis(i, inner.letters))}
+        rows = {w: r for r, w in enumerate(first_copy_words(i, cfg))}
         mat = np.zeros((inner.dim(i), inner.dim(j)))
         for w, col, c in entries:
             mat[rows[w], col] += c
@@ -381,7 +371,7 @@ def deformation_block_check(n: int, kcut: int, t: float, cfg: SpaceConfig) -> fl
     if kcut > n:
         raise ValueError("cut above the degree: the right side is an empty sum")
     basis = word_basis(n, cfg.letters)
-    first = [i for i, w in enumerate(basis) if second_copy_count(w, cfg) == 0]
+    first = [word_index(n, cfg.letters)[w] for w in first_copy_words(n, cfg)]
     mask = np.array([second_copy_count(w, cfg) >= kcut for w in basis], dtype=float)
     g = float_gram(n, cfg)
     m = dilation_operator(t, cfg).block(n, n)[:, first] * mask[:, None]

@@ -34,7 +34,7 @@ from .analysis import (
     schatten_norm,
     schatten_term_ratio,
 )
-from .combinatorics import PartialPartition
+from .combinatorics import PartialPartition, crossings, iota_prime
 from .fock import FockVector, SpaceConfig, gram_matrix, parse_word, word_basis, word_to_str
 from .identities import (
     check_budget,
@@ -216,17 +216,13 @@ def fault_index(args):
 
 def scan_payload(args, reports) -> tuple:
     results = [
-        {"name": r.name, "cases": r.cases, "passed": r.passed, "notes": _notes(r)}
+        {"name": r.name, "cases": r.cases, "passed": r.passed, "notes": dict(r.notes)}
         for r in reports
     ]
     violations = [str(v) for r in reports for v in r.violations]
     payload = envelope(args, results, violations)
     text = "\n".join(r.summary() for r in reports)
     return emit(args, payload, text), (0 if not violations else 1)
-
-
-def _notes(report) -> dict:
-    return {k: v for k, v in report.notes.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +482,6 @@ def cmd_render(args) -> tuple:
         return svg_diagram(rho), 0
     doc = ascii_diagram(rho)
     if args.format == "json":
-        from .combinatorics import crossings, iota_prime
-
         results = [
             {
                 "n": args.n,

@@ -272,13 +272,12 @@ def _iota_prime_pairs(pairs: tuple) -> int:
     return total
 
 
-def _triple(rho: PartialPartition) -> tuple:
-    # (A, B, sigma) as plain tuples; rho.pairs is sorted by left endpoint
-    _block_pairs(rho)
-    split = rho.n - rho.k
-    rights = sorted(r for _, r in rho.pairs)
-    lefts = tuple(l for l, _ in rho.pairs)
-    sigma = tuple(rights.index(r) + 1 for _, r in rho.pairs)
+def _triple(split: int, pairs: tuple) -> tuple:
+    # (A, B, sigma) as plain tuples of pairs sorted by left endpoint and
+    # already known to straddle the split
+    rights = sorted(r for _, r in pairs)
+    lefts = tuple(l for l, _ in pairs)
+    sigma = tuple(rights.index(r) + 1 for _, r in pairs)
     return lefts, tuple(r - split for r in rights), sigma
 
 
@@ -298,7 +297,7 @@ def partition_triple(rho: PartialPartition) -> tuple:
     >>> t[0].chosen, t[1].chosen, t[2].images
     ((2, 4), (1, 3), (1, 2))
     """
-    a, b, sigma = _triple(rho)
+    a, b, sigma = _triple(rho.n - rho.k, _block_pairs(rho))
     return SubsetCoset(rho.n - rho.k, a), SubsetCoset(rho.k, b), Permutation(sigma)
 
 
@@ -311,10 +310,15 @@ def iota_prime_closed_form(rho: PartialPartition) -> int:
     >>> iota_prime_closed_form(PartialPartition(8, 4, ((1, 6), (2, 5))))
     6
     """
-    a, b, sigma = _triple(rho)
+    return _closed_form_pairs(rho.n, rho.k, _block_pairs(rho))
+
+
+def _closed_form_pairs(n: int, k: int, pairs: tuple) -> int:
+    # iota_prime_closed_form on a pair tuple already known to straddle n - k
+    a, b, sigma = _triple(n - k, pairs)
     return (
-        coset_inversions(rho.n - rho.k, a, False)
-        + coset_inversions(rho.k, b, True)
+        coset_inversions(n - k, a, False)
+        + coset_inversions(k, b, True)
         + inversions(sigma)
         + comb(len(sigma), 2)
     )

@@ -4,8 +4,10 @@ The one-particle space is R^d, optionally doubled (two marked copies) for
 dilation constructions.  Letters are encoded as integers 0..d*copies-1 with
 copy-1 letters first; a basis word is a tuple of letter codes, the empty
 tuple is the vacuum.  ``parse_word``/``word_to_str`` are the one text form
-of words (comma-separated indices 1..d, "t" marking copy 2), so this
-module alone knows the layout.
+of words (comma-separated indices 1..d, "t" marking copy 2), and
+``first_copy_words``, ``copy_mixing`` and ``second_copy_vector`` build the
+doubled-space objects other modules need, so this module alone knows the
+layout.
 
 The inner product of words of equal degree n is
 
@@ -26,11 +28,11 @@ with P_j[v] the index of word v with slot j moved to the front.  Float mode
 scales float arrays by q^j; exact mode adds integer coefficient arrays into
 the coefficient axis shifted by j, and builds polynomials only at the end.
 
-Creation and annihilation act through one sparse kernel on word
-dictionaries (``apply_create``/``apply_annihilate`` and their per-letter
-forms); there are no dense ladder matrices.  Creation out of the top
-degree is dropped, so callers must keep a truncation budget (entries of
-degree <= N - creations applied) when asserting exact identities.
+There is no ladder kernel here: a field s(h) is the degree-1 Wick product
+W(h), applied by ``qfock.wick.wick_apply``.  Its kernel
+``wick_word_action`` is where creation out of the top degree is dropped,
+so callers must keep a truncation budget (entries of degree <= N -
+creations applied) when asserting exact identities.
 """
 
 from __future__ import annotations
@@ -141,6 +143,26 @@ def word_basis(degree: int, letters: int) -> tuple:
 @lru_cache(maxsize=None)
 def word_index(degree: int, letters: int) -> dict:
     return {w: i for i, w in enumerate(word_basis(degree, letters))}
+
+
+def first_copy_words(degree: int, cfg: SpaceConfig) -> tuple:
+    """Words of cfg without second-copy letters; copy-1 letters keep their
+    single-copy codes, so entry r is the r-th single-copy basis word."""
+    return word_basis(degree, cfg.d)
+
+
+def copy_mixing(m, d: int) -> np.ndarray:
+    """Doubled one-particle matrix acting as the 2x2 matrix m on the copy index."""
+    return np.kron(np.asarray(m, dtype=float), np.eye(d))
+
+
+def second_copy_vector(h, cfg: SpaceConfig) -> "FockVector":
+    """The degree-1 vector h~: the entries of h on the second-copy letters."""
+    if cfg.copies != 2:
+        raise ValueError("a second-copy vector needs the doubled space")
+    if len(h) != cfg.d:
+        raise ValueError(f"one-particle vector has {len(h)} entries, expected {cfg.d}")
+    return FockVector(cfg, {(cfg.d + i,): c for i, c in enumerate(h)})
 
 
 # ---------------------------------------------------------------------------
@@ -360,64 +382,6 @@ def gram_matrix(degree: int, cfg: SpaceConfig) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# ladder operators: the one kernel, sparse over basis words
-
-
-def apply_create_letter(code: int, v: FockVector) -> FockVector:
-    """Prepend a basis letter; the block out of the top degree is dropped."""
-    out = {}
-    for w, c in v.coeffs.items():
-        if len(w) + 1 <= v.cfg.max_degree:
-            out[(code,) + w] = c
-    return FockVector(v.cfg, out)
-
-
-def apply_annihilate_letter(code: int, v: FockVector) -> FockVector:
-    """Remove a matching letter from each slot j with weight q^(j-1)."""
-    mode = v.cfg.scalar
-    out = {}
-    for w, c in v.coeffs.items():
-        for j, letter in enumerate(w):
-            if letter != code:
-                continue
-            target = w[:j] + w[j + 1 :]
-            out[target] = out.get(target, 0) + mode.q_power(j) * c
-    return FockVector(v.cfg, out)
-
-
-def apply_field_letter(code: int, v: FockVector) -> FockVector:
-    return apply_create_letter(code, v) + apply_annihilate_letter(code, v)
-
-
-def apply_create(h, v: FockVector) -> FockVector:
-    """Creation by a general one-particle vector (coefficients over letters)."""
-    _check_vector(h, v.cfg)
-    out = FockVector(v.cfg, {})
-    for code, weight in enumerate(h):
-        if not scalar_is_zero(weight):
-            out = out + apply_create_letter(code, v).scale(weight)
-    return out
-
-
-def apply_annihilate(h, v: FockVector) -> FockVector:
-    _check_vector(h, v.cfg)
-    out = FockVector(v.cfg, {})
-    for code, weight in enumerate(h):
-        if not scalar_is_zero(weight):
-            out = out + apply_annihilate_letter(code, v).scale(weight)
-    return out
-
-
-def apply_field(h, v: FockVector) -> FockVector:
-    return apply_create(h, v) + apply_annihilate(h, v)
-
-
-def _check_vector(h, cfg: SpaceConfig) -> None:
-    if len(h) != cfg.letters:
-        raise ValueError(f"one-particle vector has {len(h)} entries, space has {cfg.letters}")
-
-
-# ---------------------------------------------------------------------------
 # block matrices
 
 
@@ -503,13 +467,9 @@ def second_quantize(u, cfg: SpaceConfig) -> BlockOperator:
         raise ValueError(f"one-particle matrix must be {cfg.letters}x{cfg.letters}")
     if operator_norm(u) > 1.0 + 1e-9:
         raise ValueError("second quantization needs a contraction")
-    if cfg.scalar.is_exact:
-        u = u.astype(object)
-        start = np.zeros((1, 1), dtype=object)
-        start[0, 0] = 1
-    else:
-        u = u.astype(float)
-        start = np.ones((1, 1))
+    dtype = object if cfg.scalar.is_exact else float
+    u = u.astype(dtype)
+    start = np.ones((1, 1), dtype=dtype)  # an int 1 in exact mode
     blocks = {(0, 0): start}
     power = start
     for n in range(1, cfg.max_degree + 1):
@@ -518,14 +478,12 @@ def second_quantize(u, cfg: SpaceConfig) -> BlockOperator:
     return BlockOperator(cfg, blocks)
 
 
-def coordinate_projection(cfg: SpaceConfig, keep_copy: int = 1) -> np.ndarray:
-    """One-particle projection keeping the letters of a single copy."""
+def coordinate_projection(cfg: SpaceConfig) -> np.ndarray:
+    """One-particle projection keeping the first-copy letters."""
     if cfg.copies != 2:
         raise ValueError("coordinate projection needs the doubled space")
-    diag = [1 if (code // cfg.d) + 1 == keep_copy else 0 for code in range(cfg.letters)]
-    if cfg.scalar.is_exact:
-        return np.diag(np.array(diag, dtype=object))
-    return np.diag(np.array(diag, dtype=float))
+    diag = [1 if code < cfg.d else 0 for code in range(cfg.letters)]
+    return np.diag(np.array(diag, dtype=object if cfg.scalar.is_exact else float))
 
 
 def second_copy_count(word: tuple, cfg: SpaceConfig) -> int:

@@ -25,12 +25,11 @@ from operator import itemgetter
 
 from .combinatorics import (
     PartialPartition,
+    _closed_form_pairs,
     _iota_prime_pairs,
     coset_inversions,
     crossings,
     enumerate_partial_partitions,
-    iota_prime,
-    iota_prime_closed_form,
     max_pairs,
 )
 from .fock import word_basis, word_inner_poly, word_to_str
@@ -77,13 +76,15 @@ def _finalize(name: str, results: list, fault, notes=None) -> ScanReport:
     return report
 
 
+def _straddling_count(n: int, js: range) -> int:
+    # block-respecting partitions of {1..n} over every split k with a pair
+    # count j in js: the sum of C(n-k,j) C(k,j) j!
+    return sum(comb(n - k, j) * comb(k, j) * factorial(j) for k in range(n + 1) for j in js)
+
+
 # cases each scan checks at one ground-set size n
 _CASE_COUNTS = {
-    "claim": lambda n, m_max: sum(
-        comb(n - k, m) * comb(k, m) * factorial(m)
-        for k in range(n + 1)
-        for m in range(1, min(m_max, n // 2) + 1)
-    ) if n >= 2 else 0,
+    "claim": lambda n, m_max: _straddling_count(n, range(1, min(m_max, n // 2) + 1)),
     "two-mode": lambda n, d: d ** n * sum(min(k, n - k) + 1 for k in range(n + 1)),
     "sweep": lambda n, d: (n + 1) * d ** n,
 }
@@ -94,7 +95,9 @@ def check_budget(scan: str, n_max: int, size: int) -> int:
     raises ValueError before any work.
 
     ``scan`` is "claim" (size = m_max), "two-mode" or "sweep" (size = d).
-    The sum over n stops as soon as it passes the budget, so a huge n_max
+    The two-mode scan is also refused when its partition tables would hold
+    more than ``SCAN_BUDGET`` straddling partitions, whatever d is.  The
+    sums over n stop as soon as one passes the budget, so a huge n_max
     costs nothing.  A negative n_max, which would pass with 0 cases, and a
     size below 1, which would leave the scan looping over empty levels, are
     refused as well.
@@ -106,13 +109,15 @@ def check_budget(scan: str, n_max: int, size: int) -> int:
         raise ValueError(f"{scan} scan needs n_max >= 0, got {n_max}")
     if size < 1:
         raise ValueError(f"{scan} scan needs a size of at least 1, got {size}")
-    cases = 0
+    cases = partitions = 0
     for n in range(n_max + 1):
         cases += _CASE_COUNTS[scan](n, size)
+        if scan == "two-mode":
+            partitions += _straddling_count(n, range(n // 2 + 1))
         if cases > SCAN_BUDGET:
-            raise ValueError(
-                f"{scan} scan would check more than {SCAN_BUDGET} cases, over the budget"
-            )
+            raise ValueError(f"{scan} scan would check more than {SCAN_BUDGET} cases, over the budget")
+        if partitions > SCAN_BUDGET:
+            raise ValueError(f"{scan} scan would tabulate more than {SCAN_BUDGET} partitions, over the budget")
     return cases
 
 
@@ -209,7 +214,7 @@ def _rho_shapes(n: int, k: int, j: int) -> tuple:
             _picker(tuple(r - 1 for _, r in rho.pairs)),
             _picker(tuple(p for p in range(split) if p not in paired)),
             _picker(tuple(p for p in range(split, n) if p not in paired)),
-            iota_prime(rho),
+            _iota_prime_pairs(rho.pairs),
         ))
     return tuple(shapes)
 
@@ -346,7 +351,9 @@ def claim_scan(n_max: int = 8, m_max: int = 3, reading: str = "prime-plain", fau
 
 
 def iota_prime_identity_scan(n_max: int = 8, fault=None) -> ScanReport:
-    """Insertion statistic == coset/permutation closed form, exhaustively."""
+    """Insertion statistic == coset/permutation closed form, exhaustively;
+    the enumerator yields block-respecting partitions only, so both sides
+    read the pair tuples unchecked."""
     if n_max < 0:
         raise ValueError(f"iota-prime scan needs n_max >= 0, got {n_max}")
     if n_max > 10:
@@ -356,6 +363,6 @@ def iota_prime_identity_scan(n_max: int = 8, fault=None) -> ScanReport:
         for k in range(n + 1):
             for j in range(max_pairs(n, k) + 1):
                 for rho in enumerate_partial_partitions(n, k, j):
-                    ok = iota_prime(rho) == iota_prime_closed_form(rho)
+                    ok = _iota_prime_pairs(rho.pairs) == _closed_form_pairs(n, k, rho.pairs)
                     results.append((ok, (n, k, rho.pairs)))
     return _finalize(f"iota-prime closed form (n <= {n_max})", results, fault)

@@ -8,7 +8,9 @@ q^iota(A) with iota(A) the inversions of the two-ascending-runs coset word
 (complement first).  Applied to the vacuum this reproduces the word, which
 pins the normalization.  ``wick_word_action`` is the one kernel: the
 operator exists only as its action on sparse vectors (``wick_apply``),
-never as block matrices.
+never as block matrices.  It is the package's only annihilation walk: a
+field s(h) is W(h) of the degree-1 vector h.  It also truncates the space,
+dropping each term whose creations would leave the top degree.
 
 Mixed vacuum moments of field operators are sums over pair partitions
 weighted by q^crossings; the finite-N central-limit averages and the
@@ -23,7 +25,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import perm, prod
 
 from .combinatorics import (
     coset_inversions,
@@ -117,10 +119,7 @@ MAX_MATCHINGS = 2_100_000
 
 def _odd_double_factorial(m: int) -> int:
     """(m - 1)!!, the number of perfect matchings of m points (m even)."""
-    out = 1
-    for k in range(m - 1, 1, -2):
-        out *= k
-    return out
+    return prod(range(m - 1, 1, -2))
 
 
 def _inner_rows(hs: list) -> list:
@@ -350,13 +349,6 @@ def clt_finite(N: int, codes, mode: ScalarMode = EXACT):
     return mode.of(_scaled(total, Fraction(1, N ** (m // 2))))
 
 
-def falling_factorial(N: int, m: int) -> int:
-    out = 1
-    for j in range(m):
-        out *= N - j  # hits zero once j reaches N
-    return out
-
-
 def offdiag_wick_coefficient(N: int, f_codes, h_codes, mode: ScalarMode = EXACT):
     """tau of (averaged letters f_m..f_1) times the distinct-color word on h_1..h_m.
 
@@ -387,5 +379,5 @@ def offdiag_reference(N: int, f_codes, h_codes, mode: ScalarMode = EXACT):
         return mode.zero()
     if N < m:
         return mode.zero()
-    factor = Fraction(falling_factorial(N, m), N ** m)
+    factor = Fraction(perm(N, m), N ** m)
     return mode.of(_scaled(word_inner_poly(f_codes, h_codes), factor))

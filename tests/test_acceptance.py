@@ -11,6 +11,7 @@ import sys
 import time
 
 import numpy as np
+from test_fock import basis_one_particle, field_operator
 
 from qfock.analysis import (
     deformation_block_check,
@@ -32,7 +33,7 @@ from qfock.combinatorics import (
     iota_prime,
     partition_triple,
 )
-from qfock.fock import FockVector, SpaceConfig, apply_field_letter
+from qfock.fock import FockVector, SpaceConfig
 from qfock.identities import (
     claim_scan,
     inclusion_exclusion_sweep,
@@ -116,6 +117,7 @@ def test_c04_moment_formula():
     cases = 0
     d = 2
     cfg = SpaceConfig(d, 1, 8, EXACT)
+    fields = [field_operator(basis_one_particle(a, cfg), cfg) for a in range(d)]
 
     def dfs(suffix, state, depth):
         nonlocal cases
@@ -127,7 +129,7 @@ def test_c04_moment_formula():
         if depth == 8:
             return
         for a in range(d):
-            dfs((a,) + suffix, apply_field_letter(a, state), depth + 1)
+            dfs((a,) + suffix, fields[a].apply(state), depth + 1)
 
     dfs((), FockVector.vacuum(cfg), 0)
     fourth = moment_pair_partitions((0, 0, 0, 0), EXACT)

@@ -177,6 +177,8 @@ def _entered(*args, **kwargs):
         (["verify-claim", "--nmax", "1000000000", "--mmax", "1000000000"], "budget"),
         (["verify-claim", "--nmax", "1000000000", "--mmax", "0"], "at least 1"),
         (["verify-ie", "--nmax", "3", "--split-nmax", "12"], "budget"),
+        (["verify-ie", "--d", "1", "--nmax", "1", "--split-nmax", "13"], "budget"),
+        (["verify-ie", "--d", "1", "--nmax", "1", "--split-nmax", "12"], "budget"),
         (["verify-ie", "--nmax", "14", "--split-nmax", "3"], "budget"),
         (["verify-ie", "--nmax", "6", "--split-nmax", "6", "--d", "9"], "budget"),
         (["verify-ie", "--nmax", "1000000000", "--split-nmax", "3", "--d", "1"], "budget"),

@@ -11,16 +11,14 @@ from qfock.fock import (
     BlockOperator,
     FockVector,
     SpaceConfig,
-    apply_annihilate,
-    apply_annihilate_letter,
-    apply_create,
-    apply_create_letter,
-    apply_field,
     coordinate_projection,
     copy_count_projection,
+    copy_mixing,
+    first_copy_words,
     gram_matrix,
     parse_word,
     q_inner,
+    second_copy_vector,
     second_quantize,
     word_basis,
     word_index,
@@ -28,6 +26,7 @@ from qfock.fock import (
     word_to_str,
 )
 from qfock.scalars import EXACT, QPolynomial, ScalarMode
+from qfock.wick import wick_apply
 
 
 def exact_cfg(d=2, copies=1, n=4):
@@ -36,8 +35,8 @@ def exact_cfg(d=2, copies=1, n=4):
 
 # ---------------------------------------------------------------------------
 # oracle: ladder operators as dense degree-block matrices, filled entry by
-# entry from the definitions; the sparse kernel in qfock.fock is checked
-# against them
+# entry from the definitions; fields applied as degree-1 Wick products are
+# checked against them
 
 
 def basis_one_particle(code, cfg):
@@ -294,57 +293,30 @@ def test_gram_positive_definite_small():
 
 
 def test_ladder_examples():
+    """The oracle on hand-computed cases."""
     cfg = exact_cfg()
     e1 = basis_one_particle(0, cfg)
+    create, annihilate = ladder(e1, "create", cfg), ladder(e1, "annihilate", cfg)
     vac = FockVector.vacuum(cfg)
-    assert apply_create(e1, vac).coeffs == {(0,): QPolynomial.one()}
-    got = apply_annihilate(e1, FockVector.from_word(cfg, (1, 0)))
+    assert create.apply(vac).coeffs == {(0,): QPolynomial.one()}
+    got = annihilate.apply(FockVector.from_word(cfg, (1, 0)))
     assert got.coeffs == {(1,): QPolynomial.q()}
-    assert apply_annihilate(e1, vac).is_zero()
+    assert annihilate.apply(vac).is_zero()
     top = FockVector.from_word(cfg, (0,) * cfg.max_degree)
-    assert apply_create(e1, top).is_zero()  # creation out of the top degree is dropped
-    for apply in (apply_create, apply_annihilate, apply_field):
-        with pytest.raises(ValueError):
-            apply((1, 0, 0), vac)
-
-
-def test_structural_applies_match_matrices():
-    """The sparse kernel against the dense oracle, on every basis word."""
-    for mode, d, copies in itertools.product([EXACT, ScalarMode.at(-0.6)], (1, 2), (1, 2)):
-        check_kernel_against_oracle(SpaceConfig(d, copies, 3, mode))
-
-
-def check_kernel_against_oracle(cfg):
-    def same(a, b):
-        if cfg.scalar.is_exact:
-            assert a.coeffs == b.coeffs
-        else:  # the two routes add the same products in different orders
-            zero = cfg.scalar.zero()
-            for w in a.coeffs.keys() | b.coeffs.keys():
-                assert a.coeffs.get(w, zero) == pytest.approx(b.coeffs.get(w, zero), abs=1e-12)
-
-    for i, h in enumerate(one_particle_vectors(cfg)):
-        create, annihilate = ladder(h, "create", cfg), ladder(h, "annihilate", cfg)
-        for degree in range(4):
-            for word in word_basis(degree, cfg.letters):
-                v = FockVector.from_word(cfg, word)
-                same(apply_create(h, v), create.apply(v))
-                same(apply_annihilate(h, v), annihilate.apply(v))
-                if i < cfg.letters:  # h is basis letter i
-                    same(apply_create_letter(i, v), create.apply(v))
-                    same(apply_annihilate_letter(i, v), annihilate.apply(v))
+    assert create.apply(top).is_zero()  # creation out of the top degree is dropped
 
 
 def test_adjointness_exact():
     """<l(h) x, y> = <x, l*(h) y> within the truncation budget."""
     cfg = exact_cfg(d=2, copies=1, n=3)
     for h in one_particle_vectors(cfg):
+        create, annihilate = ladder(h, "create", cfg), ladder(h, "annihilate", cfg)
         for dx in range(3):
             for wx in word_basis(dx, cfg.letters):
                 x = FockVector.from_word(cfg, wx)
                 for wy in word_basis(dx + 1, cfg.letters):
                     y = FockVector.from_word(cfg, wy)
-                    assert q_inner(apply_create(h, x), y) == q_inner(x, apply_annihilate(h, y))
+                    assert q_inner(create.apply(x), y) == q_inner(x, annihilate.apply(y))
 
 
 def test_commutation_relation():
@@ -353,25 +325,28 @@ def test_commutation_relation():
     q = QPolynomial.q()
     vectors = one_particle_vectors(cfg)
     for h in vectors:
+        annihilate = ladder(h, "annihilate", cfg)
         for g in vectors:
+            create = ladder(g, "create", cfg)
             hg = sum((a * b for a, b in zip(h, g)), QPolynomial.zero())
             for degree in range(3):
                 for word in word_basis(degree, cfg.letters):
                     v = FockVector.from_word(cfg, word)
-                    lhs = apply_annihilate(h, apply_create(g, v))
-                    rhs = apply_create(g, apply_annihilate(h, v)).scale(q) + v.scale(hg)
+                    lhs = annihilate.apply(create.apply(v))
+                    rhs = create.apply(annihilate.apply(v)).scale(q) + v.scale(hg)
                     assert lhs.coeffs == rhs.coeffs
 
 
 def test_field_vacuum_moments():
+    """s(e1) applied as the Wick product of the degree-1 word, from the vacuum."""
     cfg = exact_cfg(d=1, copies=1, n=4)
-    e1 = basis_one_particle(0, cfg)
+    e1 = FockVector.from_word(cfg, (0,))
     v = FockVector.vacuum(cfg)
     moments = []
     for _ in range(4):
-        v = apply_field(e1, v)
+        v = wick_apply(e1, v)
         moments.append(v.coeffs.get((), QPolynomial.zero()))
-    assert apply_field(e1, FockVector.vacuum(cfg)).coeffs == {(0,): QPolynomial.one()}
+    assert wick_apply(e1, FockVector.vacuum(cfg)).coeffs == {(0,): QPolynomial.one()}
     assert moments == [QPolynomial.zero(), QPolynomial.one(), QPolynomial.zero(), QPolynomial((2, 1))]
 
 
@@ -484,6 +459,35 @@ def test_coordinate_projection_shape():
     assert [p[i, i] for i in range(4)] == [1, 1, 0, 0]
     with pytest.raises(ValueError):
         coordinate_projection(exact_cfg())
+
+
+def test_doubled_layout_helpers():
+    """The constructors that place objects by the copy layout, read back through the codec."""
+    cfg = SpaceConfig(2, 2, 3, ScalarMode.at(0.5))
+
+    def code(text):
+        return parse_word(text, 2)[0][0]
+
+    assert second_copy_vector((0.5, -1.0), cfg).coeffs == {(code("1t"),): 0.5, (code("2t"),): -1.0}
+    assert second_copy_vector((0.0, 2.0), cfg).coeffs == {(code("2t"),): 2.0}
+    for bad in ((1.0,), (1.0, 0.0, 0.0, 0.0)):
+        with pytest.raises(ValueError, match="entries"):
+            second_copy_vector(bad, cfg)
+    with pytest.raises(ValueError, match="doubled"):
+        second_copy_vector((1.0, 0.0), SpaceConfig(2, 1, 3, ScalarMode.at(0.5)))
+    for degree in range(4):
+        words = first_copy_words(degree, cfg)
+        assert list(words) == [
+            w for w in word_basis(degree, cfg.letters) if "t" not in word_to_str(w, 2)
+        ]
+        assert words == word_basis(degree, 2)  # in single-copy basis order
+    m = [[1, 2], [3, 4]]
+    mixing = copy_mixing(m, 2)
+    letters = ("1", "2", "1t", "2t")
+    for src in letters:
+        for dst in letters:
+            expect = m[dst.endswith("t")][src.endswith("t")] if src[0] == dst[0] else 0
+            assert mixing[code(dst), code(src)] == expect
 
 
 def test_identity_operator():

@@ -4,7 +4,7 @@ from math import comb, factorial
 import pytest
 from test_combinatorics import oracle_crossings, oracle_iota_prime
 
-from qfock import identities
+from qfock import combinatorics, identities
 from qfock.combinatorics import (
     PartialPartition,
     SubsetCoset,
@@ -274,6 +274,18 @@ def test_iota_scan():
         iota_prime_identity_scan(11)
 
 
+def test_iota_scan_never_revalidates_a_partition(monkeypatch):
+    """The enumerator yields block-respecting partitions only, and the scan
+    trusts that; the closed form it compares against never reads iota'."""
+    monkeypatch.setattr(PartialPartition, "respects_block", _entered)
+    monkeypatch.setattr(combinatorics, "iota_prime", _entered)
+    monkeypatch.setattr(combinatorics, "_iota_prime_pairs", _entered)
+    report = iota_prime_identity_scan(6)
+    assert report.passed and report.cases == 160
+    with pytest.raises(AssertionError):  # the public forms still validate
+        combinatorics.iota_prime_closed_form(PartialPartition(4, 2, ((1, 3),)))
+
+
 # ---------------------------------------------------------------------------
 # the object-building claim the pair-tuple route replaced, as an oracle
 
@@ -362,6 +374,7 @@ def test_budget_admits_the_documented_inputs():
     # benchmark, README and acceptance sizes
     for scan, n_max, size in [
         ("claim", 9, 3), ("claim", 12, 4), ("two-mode", 6, 2), ("two-mode", 4, 3),
+        ("two-mode", 11, 1),
         ("sweep", 5, 2), ("sweep", 6, 3),
     ]:
         assert identities.check_budget(scan, n_max, size) <= identities.SCAN_BUDGET
@@ -380,6 +393,7 @@ def test_oversized_scans_are_refused_before_work(monkeypatch):
         lambda: claim_scan(13, 4),
         lambda: two_mode_scan(30, 2),
         lambda: two_mode_scan(10, 2),
+        lambda: two_mode_scan(13, 1),
         lambda: inclusion_exclusion_sweep(40, 3),
         lambda: inclusion_exclusion_sweep(12, 2),
     ):

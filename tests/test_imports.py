@@ -1,4 +1,5 @@
-"""Every name a module imports is used in that module.
+"""Every name a module imports is used in that module, and every public
+definition has a caller.
 
 No linter ships with the project, so deletions could leave stray imports
 behind unnoticed; this parses each source module with ``ast`` instead.
@@ -37,3 +38,57 @@ def test_every_module_is_checked():
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     assert sorted(imported_names(tree) - used_names(tree)) == []
+
+
+# Public names with no caller in the package or the benchmark that stay on
+# purpose: acceptance criteria 01, 09 and 11 call these entry points directly.
+UNCALLED_ENTRY_POINTS = {"coset_data", "dilation_check", "deformation_block_check"}
+BENCH = Path(qfock.__file__).parents[2] / "bench"
+
+
+def public_definitions(tree: ast.Module) -> set:
+    return {
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+
+
+def references(tree: ast.Module, strings: bool) -> set:
+    """Names a module reads, outside the body of the definition they name.
+
+    With ``strings``, identifier-like string constants count too: the
+    benchmark's tracer looks names up by string.
+    """
+    names = set()
+    for stmt in tree.body:
+        own = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                name = node.value
+            else:
+                continue
+            if name != own:
+                names.add(name)
+    return names
+
+
+def test_every_public_definition_has_a_caller():
+    """No test-only API in the package: each public top-level function and
+    class is read by the package, by the benchmark, or exported."""
+    sources = [(p, False) for p in Path(qfock.__file__).parent.glob("*.py")]
+    sources += [(p, True) for p in sorted(BENCH.glob("*.py")) if not p.name.startswith("test_")]
+    referenced = set(qfock.__all__) | UNCALLED_ENTRY_POINTS
+    for path, strings in sources:
+        referenced |= references(ast.parse(path.read_text(), filename=str(path)), strings)
+    uncalled = {
+        f"{path.stem}.{name}"
+        for path in MODULES
+        for name in public_definitions(ast.parse(path.read_text(), filename=str(path)))
+        if name not in referenced
+    }
+    assert sorted(uncalled) == []
