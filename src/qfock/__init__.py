@@ -6,7 +6,8 @@ The package is organised bottom-up:
   and the exact/float scalar mode switch.
 * :mod:`qfock.combinatorics` -- partitions into pairs and singletons (one
   type, perfect matchings included), crossing counts, and the insertion
-  statistic with its coset decomposition.
+  statistic with its coset decomposition; subsets and permutations are
+  plain tuples.
 * :mod:`qfock.fock` -- truncated Fock spaces, the word codec and the
   doubled-space layout, the deformed inner product and Gram blocks, block
   operators and second quantization.
@@ -26,7 +27,6 @@ The package is organised bottom-up:
 from .combinatorics import (
     PartialPartition,
     crossings,
-    enumerate_pair_partitions,
     enumerate_partial_partitions,
     iota_prime,
     iota_prime_closed_form,
@@ -62,7 +62,6 @@ __all__ = [
     "SpaceConfig",
     "clt_finite",
     "crossings",
-    "enumerate_pair_partitions",
     "enumerate_partial_partitions",
     "gram_matrix",
     "iota_prime",

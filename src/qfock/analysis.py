@@ -67,7 +67,7 @@ def rotation_matrix(t: float, d: int) -> np.ndarray:
 
 def dilation_operator(t: float, cfg: SpaceConfig) -> BlockOperator:
     _require_doubled(cfg, "the dilation")
-    if t < 0:
+    if not t >= 0:
         raise ValueError("time must be nonnegative")
     return second_quantize(rotation_matrix(t, cfg.d), cfg)
 
@@ -429,7 +429,7 @@ def deformation_scan(kcut: int, n_max: int, t_grid, cfg: SpaceConfig) -> Deforma
 
 def ou_tail(x: FockVector, t: float, top: int) -> float:
     """Norm of the semigroup image above the spectral cutoff."""
-    if t < 0:
+    if not t >= 0:
         raise ValueError("time must be nonnegative")
     _require_float(x.cfg, "tail norms")
     total = 0.0

@@ -68,6 +68,14 @@ def parse_q(text: str) -> ScalarMode:
     return ScalarMode.at(float(text))
 
 
+def finite_float(text: str) -> float:
+    """Argument type of the float options: NaN and infinities are usage errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
+
+
 _PAIR = re.compile(r"([0-9]+):([0-9]+)")
 
 
@@ -365,8 +373,6 @@ def cmd_verify_claim(args) -> tuple:
 
 
 def cmd_schatten(args) -> tuple:
-    if not (math.isfinite(args.p) and math.isfinite(args.hk)):
-        raise ValueError(f"--p and --hk must be finite, got {args.p!r} and {args.hk!r}")
     mode = parse_q(args.q)
     cfg = SpaceConfig(args.d, 1, args.max_degree, mode)
     h = (1.0,) + (0.0,) * (args.d - 1)
@@ -477,6 +483,8 @@ def cmd_tail(args) -> tuple:
 
 
 def cmd_render(args) -> tuple:
+    if args.n < 1:
+        raise ValueError(f"--n must be at least 1, got {args.n}")
     rho = PartialPartition(args.n, args.k, parse_pairs(args.pairs))
     if args.format == "svg":
         return svg_diagram(rho), 0
@@ -607,8 +615,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("schatten", help="Schatten norm of the rank-one compression")
     p.add_argument("--d", type=int, required=True)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--hk", type=float, default=1.0, help="inner product of the two vectors")
+    p.add_argument("--p", type=finite_float, required=True)
+    p.add_argument("--hk", type=finite_float, default=1.0, help="inner product of the two vectors")
     p.add_argument("--max-degree", type=int, default=6)
     p.add_argument("--route", choices=("diagonal", "vector"), default="diagonal")
     _add_common(p, q_default="0.5", formats=("json", "text"))
@@ -619,7 +627,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", default="", help="comma-separated coefficients")
     p.add_argument("--k", default="", help="comma-separated coefficients")
     p.add_argument("--max-degree", type=int, default=4)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=finite_float, default=1e-10)
     _add_common(p, q_default="0.5", formats=("json", "text"))
     p.set_defaults(func=cmd_phi_check)
 
@@ -635,8 +643,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--kcut", type=int, required=True)
     p.add_argument("--nmax", type=int, default=3)
-    p.add_argument("--tmin", type=float, default=None)
-    p.add_argument("--tmax", type=float, default=None)
+    p.add_argument("--tmin", type=finite_float, default=None)
+    p.add_argument("--tmax", type=finite_float, default=None)
     p.add_argument("--steps", type=int, default=9)
     _add_common(p, q_default="0.5", formats=("csv", "json", "text"))
     p.set_defaults(func=cmd_deform)
@@ -644,7 +652,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("tail", help="semigroup tail norm above a cutoff degree")
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--letters", required=True)
-    p.add_argument("--t", type=float, required=True)
+    p.add_argument("--t", type=finite_float, required=True)
     p.add_argument("--top", type=int, required=True)
     p.add_argument("--max-degree", type=int, default=None)
     _add_common(p, q_default="0.5", formats=("json", "text"))

@@ -26,11 +26,14 @@ later pairs nested inside it.
 iota(A) + iota(B) + inversions(sigma) + C(j,2) where A collects left
 endpoints, B right endpoints, and sigma the matching pattern;
 ``iota_prime_closed_form`` counts those inversions on the coset
-representatives, an independent route to the same number.
+representatives, an independent route to the same number.  Subsets and
+permutations are plain tuples: a subset of {1..n} is ``(n, chosen)`` with
+``chosen`` ascending, a permutation the tuple of its images.
 
-The enumerators yield their pair tuples already sorted and valid, so they
-build partitions through a trusted constructor that skips the public
-constructor's sorting and validation.
+The block enumerator yields its pair tuples already sorted and valid, so
+it builds partitions through a trusted constructor that skips the public
+constructor's sorting and validation.  Perfect matchings are not
+enumerated here: the moment in ``qfock.wick`` walks them depth first.
 """
 
 from __future__ import annotations
@@ -41,76 +44,20 @@ from math import comb
 from typing import Iterator, Sequence, Union
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """One-line notation: images[i] is the image of i+1.
+def inversions(word: Sequence[int]) -> int:
+    """Number of pairs i < j with word[i] > word[j]; a permutation is the
+    tuple of its images.
 
-    >>> Permutation((2, 1, 3)).size
-    3
+    >>> inversions((1, 3, 2, 4)), inversions(range(1, 6))
+    (1, 0)
     """
-
-    images: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "images", tuple(self.images))
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
-            raise ValueError(f"not a permutation of 1..{len(self.images)}: {self.images}")
-
-    @property
-    def size(self) -> int:
-        return len(self.images)
-
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
-
-    @staticmethod
-    def identity(n: int) -> "Permutation":
-        return Permutation(tuple(range(1, n + 1)))
-
-
-def inversions(p: Union[Permutation, Sequence[int]]) -> int:
-    """Number of pairs i < j with word[i] > word[j].
-
-    >>> inversions((1, 3, 2, 4))
-    1
-    >>> inversions(Permutation.identity(5))
-    0
-    """
-    word = p.images if isinstance(p, Permutation) else tuple(p)
+    word = tuple(word)
     total = 0
     for i, a in enumerate(word):
         for b in word[i + 1 :]:
             if a > b:
                 total += 1
     return total
-
-
-@dataclass(frozen=True)
-class SubsetCoset:
-    """A subset of {1..n} standing for a coset of a two-block Young subgroup."""
-
-    n: int
-    chosen: tuple
-
-    def __post_init__(self):
-        ch = tuple(sorted(self.chosen))
-        object.__setattr__(self, "chosen", ch)
-        if len(set(ch)) != len(ch) or any(not 1 <= a <= self.n for a in ch):
-            raise ValueError(f"invalid subset {self.chosen} of 1..{self.n}")
-
-
-def coset_word(subset: SubsetCoset, chosen_first: bool = False) -> Permutation:
-    """Minimal-inversion representative of the coset named by the subset.
-
-    Default lists the complement ascending, then the chosen elements
-    ascending; ``chosen_first`` flips the two blocks.
-
-    >>> coset_word(SubsetCoset(4, (2, 4))).images
-    (1, 3, 2, 4)
-    >>> coset_word(SubsetCoset(4, (1, 3)), chosen_first=True).images
-    (1, 3, 2, 4)
-    """
-    return Permutation(_coset_rep(subset.n, subset.chosen, chosen_first))
 
 
 def _coset_rep(n: int, chosen: tuple, chosen_first: bool) -> tuple:
@@ -120,13 +67,23 @@ def _coset_rep(n: int, chosen: tuple, chosen_first: bool) -> tuple:
     return chosen + rest if chosen_first else rest + chosen
 
 
-def coset_data(subset: SubsetCoset, chosen_first: bool = False) -> tuple:
-    """(representative, inversion count) for the subset's coset.
+def coset_data(subset: tuple, chosen_first: bool = False) -> tuple:
+    """(representative, inversion count) for the coset named by a subset.
 
-    >>> coset_data(SubsetCoset(4, (1, 2, 4)))[1]
+    ``subset`` is ``(n, chosen)`` with ``chosen`` an ascending subset of
+    {1..n}; it names a coset of a two-block Young subgroup.  The
+    representative is the minimal-inversion word: the complement ascending,
+    then the chosen elements ascending; ``chosen_first`` flips the two
+    blocks.
+
+    >>> coset_data((4, (2, 4)))
+    ((1, 3, 2, 4), 1)
+    >>> coset_data((4, (1, 3)), chosen_first=True)
+    ((1, 3, 2, 4), 1)
+    >>> coset_data((4, (1, 2, 4)))[1]
     2
     """
-    rep = coset_word(subset, chosen_first)
+    rep = _coset_rep(*subset, chosen_first)
     return rep, inversions(rep)
 
 
@@ -217,40 +174,28 @@ def crossings(rho: Union[PartialPartition, tuple]) -> int:
     return total
 
 
-def _block_pairs(rho) -> tuple:
-    if isinstance(rho, tuple):
-        pairs = rho
-        ok = all(a[0] < b[0] for a, b in zip(pairs, pairs[1:])) and (
-            not pairs or pairs[-1][0] < min(r for _, r in pairs)
-        )
-        where = "one split"
-    else:
-        pairs = rho.pairs
-        ok = rho.respects_block()
-        where = f"the block split at {rho.n - rho.k}"
-    if not ok:
-        raise ValueError(f"pairs {pairs} must straddle {where}")
-    return pairs
+def _block_pairs(rho: PartialPartition) -> tuple:
+    if not rho.respects_block():
+        raise ValueError(f"pairs {rho.pairs} must straddle the block split at {rho.n - rho.k}")
+    return rho.pairs
 
 
-def iota_prime(rho: Union[PartialPartition, tuple]) -> int:
-    """Insertion-weighted crossing statistic.
+def iota_prime(rho: PartialPartition) -> int:
+    """Insertion-weighted crossing statistic of a block-respecting partition.
 
     Pairs enter in decreasing left-endpoint order.  Before a pair is
     inserted its endpoints count as singletons of the intermediate state.
     Each insertion of (l, r) adds one per current singleton strictly
     between l and r and two per current pair nested strictly inside.
 
-    ``rho`` is a block-respecting partition or its pair tuple, sorted by
-    left endpoint with every left endpoint below every right one.  Then
-    every later pair starts inside (l, r), and the r - l - 1 points there
-    are the current singletons, the j - 1 - i later (inserted) left
-    endpoints and the right endpoints of the later pairs nested inside.
-    So pair i of j adds (r - l - 1) - (j - 1 - i) + #{later r2 < r}:
+    The pairs are sorted by left endpoint and every left endpoint lies
+    below every right one.  So every later pair starts inside (l, r), and
+    the r - l - 1 points there are the current singletons, the j - 1 - i
+    later (inserted) left endpoints and the right endpoints of the later
+    pairs nested inside.  So pair i of j adds
+    (r - l - 1) - (j - 1 - i) + #{later r2 < r}:
 
     >>> pairs = ((1, 6), (2, 5))  # (6-1-1) - 1 + 1, then (5-2-1) - 0 + 0
-    >>> iota_prime(pairs)
-    6
     >>> iota_prime(PartialPartition(8, 4, pairs))
     6
     >>> iota_prime(PartialPartition(8, 4, ((2, 5), (4, 7))))
@@ -293,12 +238,15 @@ def partition_triple(rho: PartialPartition) -> tuple:
     with iota(A) from the complement-first representative and iota(B) from
     the chosen-first representative.
 
-    >>> t = partition_triple(PartialPartition(8, 4, ((2, 5), (4, 7))))
-    >>> t[0].chosen, t[1].chosen, t[2].images
-    ((2, 4), (1, 3), (1, 2))
+    A and B come back as ``(n, chosen)`` subsets, ``(n - k, A)`` and
+    ``(k, B)``, and sigma as the tuple of its images.
+
+    >>> partition_triple(PartialPartition(8, 4, ((2, 5), (4, 7))))
+    ((4, (2, 4)), (4, (1, 3)), (1, 2))
     """
-    a, b, sigma = _triple(rho.n - rho.k, _block_pairs(rho))
-    return SubsetCoset(rho.n - rho.k, a), SubsetCoset(rho.k, b), Permutation(sigma)
+    split = rho.n - rho.k
+    a, b, sigma = _triple(split, _block_pairs(rho))
+    return (split, a), (rho.k, b), sigma
 
 
 def iota_prime_closed_form(rho: PartialPartition) -> int:
@@ -322,40 +270,6 @@ def _closed_form_pairs(n: int, k: int, pairs: tuple) -> int:
         + inversions(sigma)
         + comb(len(sigma), 2)
     )
-
-
-def _matchings(points: tuple) -> Iterator[tuple]:
-    # pairing the first point with each later one in turn, then recursing,
-    # yields the pair tuples in lexicographic order
-    if not points:
-        yield ()
-        return
-    first, rest = points[0], points[1:]
-    for i in range(len(rest)):
-        partner = rest[i]
-        for sub in _matchings(rest[:i] + rest[i + 1 :]):
-            yield ((first, partner),) + sub
-
-
-def enumerate_pair_partitions(m: int) -> Iterator[PartialPartition]:
-    """All perfect matchings of {1..m}, lexicographic by pair tuple, none if m odd.
-
-    Generated lazily, one matching at a time, as partitions with no right
-    block (k = 0) and no singletons.
-
-    >>> sum(1 for _ in enumerate_pair_partitions(4))
-    3
-    >>> list(enumerate_pair_partitions(3))
-    []
-    >>> next(enumerate_pair_partitions(40)).pairs[:2]
-    ((1, 2), (3, 4))
-    """
-    if m < 0:
-        raise ValueError("negative ground set")
-    if m % 2:
-        return
-    for pairs in _matchings(tuple(range(1, m + 1))):
-        yield PartialPartition._trusted(m, 0, pairs)
 
 
 def enumerate_partial_partitions(n: int, k: int, j: int) -> Iterator[PartialPartition]:

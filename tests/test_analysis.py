@@ -312,8 +312,11 @@ def test_ou_tail_values():
     assert ou_tail(x, t, 1) == pytest.approx(math.exp(-2 * t))
     assert ou_tail(x, t, 2) == 0.0
     assert ou_tail(x, 0.0, 3) == 0.0
-    with pytest.raises(ValueError):
-        ou_tail(x, -1.0, 1)
+    for bad in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="nonnegative"):
+            ou_tail(x, bad, 1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            dilation_operator(bad, cfg)
     exact_cfg = SpaceConfig(1, 2, 2, EXACT)
     with pytest.raises(ValueError):
         ou_tail(FockVector.from_word(exact_cfg, (0,)), 0.1, 0)

@@ -14,7 +14,6 @@ PUBLIC = [
     "SpaceConfig",
     "clt_finite",
     "crossings",
-    "enumerate_pair_partitions",
     "enumerate_partial_partitions",
     "gram_matrix",
     "iota_prime",

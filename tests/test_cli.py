@@ -392,6 +392,24 @@ def test_schatten_refuses_non_finite_p_and_hk(capsys, flag, value):
     assert captured.out == "" and "finite" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["phi-check", "--d", "1", "--tol"],
+        ["tail", "--letters", "1,1", "--top", "0", "--t"],
+        ["deform", "--kcut", "1", "--tmin"],
+        ["deform", "--kcut", "1", "--tmax"],
+    ],
+    ids=lambda argv: argv[-1],
+)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_float_options_refuse_non_finite_values(capsys, argv, value):
+    # a NaN tolerance failed every check and a NaN time printed nan with exit 0
+    assert main(argv[:-1] + [f"{argv[-1]}={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "finite" in captured.err
+
+
 def test_schatten_overflowing_norm_is_a_violation(capsys):
     with pytest.warns(RuntimeWarning, match="overflow"):
         code, doc = run_json(capsys, "schatten", "--d", "2", "--p", "2", "--hk", "1e308")
@@ -481,6 +499,13 @@ def test_unwritable_out_is_a_usage_error(capsys, tmp_path):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("fmt", ["text", "svg", "json"])
+def test_render_refuses_an_empty_ground_set(capsys, fmt):
+    assert main(["render", "--n", "0", "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
 
 
 def test_render_json_statistics(capsys):

@@ -4,16 +4,13 @@ from math import comb, factorial
 
 import pytest
 from hypothesis import given, strategies as st
+from matchings import enumerate_pair_partitions
 
 from qfock.combinatorics import (
     PartialPartition,
-    Permutation,
-    SubsetCoset,
     coset_data,
     coset_inversions,
-    coset_word,
     crossings,
-    enumerate_pair_partitions,
     enumerate_partial_partitions,
     inversions,
     iota_prime,
@@ -28,28 +25,19 @@ FIG_C = PartialPartition(8, 4, ((1, 6), (2, 5), (4, 7)))
 
 
 def test_inversions():
-    assert inversions(Permutation.identity(5)) == 0
+    assert inversions(range(1, 6)) == 0
     assert inversions((2, 1)) == 1
     assert inversions((1, 3, 2, 4)) == 1
-    assert inversions((3, 1, 2, 4)) == 2
-
-
-def test_permutation_validation():
-    with pytest.raises(ValueError):
-        Permutation((1, 3))
-    with pytest.raises(ValueError):
-        Permutation((1, 1, 2))
+    assert inversions([3, 1, 2, 4]) == 2
 
 
 def test_coset_word_orientations():
-    assert coset_word(SubsetCoset(4, (3, 4))).images == (1, 2, 3, 4)
-    assert coset_word(SubsetCoset(4, (2, 4))).images == (1, 3, 2, 4)
-    assert coset_word(SubsetCoset(4, (1, 2, 4))).images == (3, 1, 2, 4)
-    assert coset_word(SubsetCoset(4, (1, 3)), chosen_first=True).images == (1, 3, 2, 4)
-    assert coset_data(SubsetCoset(4, (2, 4)))[1] == 1
-    assert coset_data(SubsetCoset(4, (1, 2, 4)))[1] == 2
-    assert coset_data(SubsetCoset(4, (1, 3)), chosen_first=True)[1] == 1
-    assert coset_data(SubsetCoset(4, (1, 2, 3)), chosen_first=True)[1] == 0
+    assert coset_data((4, (3, 4))) == ((1, 2, 3, 4), 0)
+    assert coset_data((4, (2, 4))) == ((1, 3, 2, 4), 1)
+    assert coset_data((4, (1, 2, 4))) == ((3, 1, 2, 4), 2)
+    assert coset_data((4, (1, 3)), chosen_first=True) == ((1, 3, 2, 4), 1)
+    assert coset_data((4, (1, 2, 3)), chosen_first=True) == ((1, 2, 3, 4), 0)
+    assert coset_data((0, ())) == ((), 0)
 
 
 def test_coset_representative_is_minimal():
@@ -57,18 +45,17 @@ def test_coset_representative_is_minimal():
     for n in range(1, 7):
         for size in range(n + 1):
             for chosen in itertools.combinations(range(1, n + 1), size):
-                sub = SubsetCoset(n, chosen)
                 for chosen_first in (False, True):
-                    rep, count = coset_data(sub, chosen_first)
+                    rep, count = coset_data((n, chosen), chosen_first)
                     complement = set(range(1, n + 1)) - set(chosen)
-                    first = set(sub.chosen) if chosen_first else complement
+                    first = set(chosen) if chosen_first else complement
                     best = min(
                         inversions(w)
                         for w in itertools.permutations(range(1, n + 1))
                         if set(w[: len(first)]) == first
                     )
                     assert count == best
-                    assert set(rep.images[: len(first)]) == first
+                    assert set(rep[: len(first)]) == first
 
 
 def test_coset_inversions_count_the_representative_by_brute_force():
@@ -158,15 +145,15 @@ def test_iota_prime_rejects_block_violation():
 
 def test_partition_triple_on_figures():
     a, b, sigma = partition_triple(FIG_A)
-    assert a.chosen == (2, 4)
-    assert b.chosen == (1, 3)
-    assert sigma.images == (1, 2)
+    assert a == (4, (2, 4))
+    assert b == (4, (1, 3))
+    assert sigma == (1, 2)
     assert coset_data(a)[1] == 1
     assert coset_data(b, chosen_first=True)[1] == 1
     assert iota_prime_closed_form(FIG_A) == 3
 
     a, b, sigma = partition_triple(FIG_C)
-    assert a.chosen == (1, 2, 4)
+    assert a == (4, (1, 2, 4)) and sigma == (2, 1, 3)
     assert coset_data(a)[1] == 2
     assert coset_data(b, chosen_first=True)[1] == 0
     assert inversions(sigma) == 1
@@ -175,7 +162,7 @@ def test_partition_triple_on_figures():
 
 def test_partition_triple_empty():
     a, b, sigma = partition_triple(PartialPartition(6, 2, ()))
-    assert a.chosen == () and b.chosen == () and sigma.images == ()
+    assert a == (4, ()) and b == (2, ()) and sigma == ()
     assert iota_prime_closed_form(PartialPartition(6, 2, ())) == 0
 
 
@@ -267,7 +254,6 @@ def test_iota_prime_matches_insertion_oracle_exhaustively():
     for rho in all_block_partitions(9):
         expected = oracle_iota_prime(rho)
         assert iota_prime(rho) == expected
-        assert iota_prime(rho.pairs) == expected
         checked += 1
     assert checked == 2563
 
@@ -297,15 +283,16 @@ def block_pairings(draw):
 @given(block_pairings())
 def test_iota_prime_property(rho):
     assert iota_prime(rho) == oracle_iota_prime(rho) == iota_prime_closed_form(rho)
-    assert iota_prime(rho.pairs) == iota_prime(rho)
     assert crossings(rho.pairs) == oracle_crossings(rho)
 
 
-def test_iota_prime_rejects_tuples_off_one_split():
-    for pairs in [((1, 2), (3, 4)), ((2, 5), (1, 6)), ((1, 3), (3, 4))]:
-        with pytest.raises(ValueError):
-            iota_prime(pairs)
-    assert iota_prime(()) == 0
+def test_iota_prime_rejects_pairs_off_every_split():
+    # disjoint pairs straddle no single split, whatever the right block
+    for n, pairs in [(4, ((1, 2), (3, 4))), (7, ((1, 3), (4, 6)))]:
+        for k in range(n + 1):
+            with pytest.raises(ValueError):
+                iota_prime(PartialPartition(n, k, pairs))
+    assert iota_prime(PartialPartition(0, 0, ())) == 0
 
 
 def test_trusted_construction_equals_validated():
@@ -314,11 +301,6 @@ def test_trusted_construction_equals_validated():
         assert rho == checked and hash(rho) == hash(checked)
         assert rho.singletons == checked.singletons
         assert rho.pairs == checked.pairs and rho.respects_block()
-    for m in range(0, 9, 2):
-        for rho in enumerate_pair_partitions(m):
-            checked = PartialPartition(m, 0, rho.pairs)
-            assert rho == checked and hash(rho) == hash(checked)
-            assert rho.k == 0 and rho.singletons == checked.singletons == ()
 
 
 def test_public_constructor_still_validates():

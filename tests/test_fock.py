@@ -292,6 +292,54 @@ def test_gram_positive_definite_small():
             assert eigs.min() > 0
 
 
+def bareiss_determinant(rows):
+    """Determinant of an integer matrix by fraction-free (Bareiss) elimination."""
+    a = [list(row) for row in rows]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
+
+
+def distinct_letter_gram(n):
+    """Gram block of the n! words using each of n letters once, as polynomials."""
+    perms = list(itertools.permutations(range(n)))
+    cfg = SpaceConfig(n, 1, n, EXACT)
+    if fock._gram_bytes(n, n) > fock.EXACT_GRAM_BUDGET:
+        with pytest.raises(ValueError, match="budget"):
+            gram_matrix(n, cfg)
+        return [[word_inner_poly(u, v) for v in perms] for u in perms]
+    g, index = gram_matrix(n, cfg), word_index(n, n)
+    rows = [index[w] for w in perms]
+    return [[g[i, j] for j in rows] for i in rows]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_distinct_letter_gram_determinant_is_zagiers(n):
+    """Zagier (1992): det = prod_{k=1}^{n-1} (1 - q^(k^2+k))^((n-k) n!/(k^2+k)).
+
+    Both sides are polynomials in q, compared at integer q.  The exact
+    block at d = n is the principal block of gram_matrix up to n = 4; at
+    n = 5 it is over the budget and is built from word_inner_poly.
+    """
+    block = distinct_letter_gram(n)
+    for q in (2, -3):
+        values = [[sum(c * q**k for k, c in enumerate(p.coeffs)) for p in row] for row in block]
+        expected = 1
+        for k in range(1, n):
+            expected *= (1 - q ** (k * k + k)) ** ((n - k) * math.factorial(n) // (k * k + k))
+        assert bareiss_determinant(values) == expected
+
+
 def test_ladder_examples():
     """The oracle on hand-computed cases."""
     cfg = exact_cfg()

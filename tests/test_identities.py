@@ -7,7 +7,6 @@ from test_combinatorics import oracle_crossings, oracle_iota_prime
 from qfock import combinatorics, identities
 from qfock.combinatorics import (
     PartialPartition,
-    SubsetCoset,
     coset_data,
     enumerate_partial_partitions,
     iota_prime,
@@ -61,14 +60,14 @@ def oracle_subset_terms(lw, rw, j):
         inside_a = set(a_set)
         sub_l = tuple(lw[p - 1] for p in a_set)
         rem_l = tuple(lw[p - 1] for p in range(1, nl + 1) if p not in inside_a)
-        ia = coset_data(SubsetCoset(nl, a_set))[1]
+        ia = coset_data((nl, a_set))[1]
         for b_set in itertools.combinations(range(1, nr + 1), j):
             inner = word_inner_poly(sub_l, tuple(rw[p - 1] for p in b_set))
             if inner.is_zero():
                 continue
             inside_b = set(b_set)
             rem_r = tuple(rw[p - 1] for p in range(1, nr + 1) if p not in inside_b)
-            ib = coset_data(SubsetCoset(nr, b_set), chosen_first=True)[1]
+            ib = coset_data((nr, b_set), chosen_first=True)[1]
             out.append((inner.shift(ia + ib), rem_l, rem_r))
     return out
 

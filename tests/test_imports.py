@@ -46,12 +46,18 @@ UNCALLED_ENTRY_POINTS = {"coset_data", "dilation_check", "deformation_block_chec
 BENCH = Path(qfock.__file__).parents[2] / "bench"
 
 
-def public_definitions(tree: ast.Module) -> set:
-    return {
-        node.name
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
-    }
+def public_definitions(tree: ast.Module) -> dict:
+    """Public top-level functions and classes, and the public methods of
+    top-level classes as ``Class.method``, each mapped to its bare name."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            found[node.name] = node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    found[f"{node.name}.{item.name}"] = item.name
+    return found
 
 
 def references(tree: ast.Module, strings: bool) -> set:
@@ -79,16 +85,19 @@ def references(tree: ast.Module, strings: bool) -> set:
 
 def test_every_public_definition_has_a_caller():
     """No test-only API in the package: each public top-level function and
-    class is read by the package, by the benchmark, or exported."""
+    class, and each public method of a top-level class, is read by the
+    package, by the benchmark, or exported."""
     sources = [(p, False) for p in Path(qfock.__file__).parent.glob("*.py")]
     sources += [(p, True) for p in sorted(BENCH.glob("*.py")) if not p.name.startswith("test_")]
     referenced = set(qfock.__all__) | UNCALLED_ENTRY_POINTS
     for path, strings in sources:
         referenced |= references(ast.parse(path.read_text(), filename=str(path)), strings)
     uncalled = {
-        f"{path.stem}.{name}"
+        f"{path.stem}.{qualname}"
         for path in MODULES
-        for name in public_definitions(ast.parse(path.read_text(), filename=str(path)))
+        for qualname, name in public_definitions(
+            ast.parse(path.read_text(), filename=str(path))
+        ).items()
         if name not in referenced
     }
     assert sorted(uncalled) == []

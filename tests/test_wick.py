@@ -5,10 +5,11 @@ from math import comb
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from matchings import enumerate_pair_partitions
 from test_fock import basis_one_particle, field_operator, one_particle_vectors
 
 from qfock import wick
-from qfock.combinatorics import crossings, enumerate_pair_partitions
+from qfock.combinatorics import crossings
 from qfock.fock import (
     FockVector,
     SpaceConfig,
@@ -297,8 +298,6 @@ def test_three_trace_matches_matrix_oracle():
 
 def partition_route_trace(wx, we, wt):
     """Pair partitions of the concatenated word with no pair inside a block."""
-    from qfock.combinatorics import crossings, enumerate_pair_partitions
-
     letters = wx + we + wt
     n, m = len(wx), len(we)
     total = QPolynomial.zero()
