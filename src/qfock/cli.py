@@ -34,7 +34,7 @@ from .analysis import (
     schatten_norm,
     schatten_term_ratio,
 )
-from .combinatorics import PartialPartition, crossings, iota_prime
+from .combinatorics import PartialPartition, count_patterns, crossings, iota_prime
 from .fock import FockVector, SpaceConfig, gram_matrix, parse_word, word_basis, word_to_str
 from .identities import (
     check_budget,
@@ -47,7 +47,7 @@ from .identities import (
 from .render import ascii_diagram, svg_diagram
 from .scalars import EXACT, ScalarMode
 from .wick import (
-    clt_finite,
+    clt_moments,
     moment_pair_partitions,
     offdiag_reference,
     offdiag_wick_coefficient,
@@ -315,7 +315,7 @@ def cmd_clt(args) -> tuple:
             raise ValueError("off-diagonal comparison needs both --left and --right")
         f_codes, _ = parse_word(args.left, args.d)
         h_codes, _ = parse_word(args.right, args.d)
-        _guard_colorings(args.N, len(f_codes) + len(h_codes))
+        _guard_partitions(args.N, len(f_codes) + len(h_codes))
         value = offdiag_wick_coefficient(args.N, f_codes, h_codes, mode)
         ref = offdiag_reference(args.N, f_codes, h_codes, mode)
         violations = [] if _agree(value, ref, mode) else [f"N={args.N}: {value} != {ref}"]
@@ -331,12 +331,11 @@ def cmd_clt(args) -> tuple:
     if not args.letters:
         raise ValueError("need --letters for the diagonal moment")
     codes, _ = parse_word(args.letters, args.d)
-    _guard_colorings(args.N, len(codes))
+    _guard_partitions(args.N, len(codes), rows=args.N)
     limit = moment_pair_partitions(codes, mode)
     results = []
     lines = []
-    for N in range(1, args.N + 1):
-        value = clt_finite(N, codes, mode)
+    for N, value in enumerate(clt_moments(args.N, codes, mode), 1):
         results.append({"N": N, "moment": scalar_out(value, mode)})
         lines.append(f"N={N}: {value}")
     results.append({"N": "limit", "moment": scalar_out(limit, mode)})
@@ -344,11 +343,13 @@ def cmd_clt(args) -> tuple:
     return emit(args, envelope(args, results, []), "\n".join(lines)), 0
 
 
-def _guard_colorings(N: int, m: int) -> None:
+def _guard_partitions(N: int, m: int, rows: int = 0) -> None:
+    # the color sums walk at most the set partitions of m positions into
+    # N or fewer blocks, then the diagonal moment writes a row per N
     if N < 1:
         raise ValueError("need at least one color")
-    if N ** m > 2_000_000:
-        raise ValueError(f"{N}^{m} color assignments is too many to enumerate")
+    if (walked := count_patterns(m, N)) + rows > 2_000_000:
+        raise ValueError(f"{walked} set partitions of {m} letters and {rows} rows is too many")
 
 
 def cmd_verify_iota(args) -> tuple:

@@ -34,6 +34,7 @@ The block enumerator yields its pair tuples already sorted and valid, so
 it builds partitions through a trusted constructor that skips the public
 constructor's sorting and validation.  Perfect matchings are not
 enumerated here: the moment in ``qfock.wick`` walks them depth first.
+A set partition of positions is a restricted growth string (``patterns``).
 """
 
 from __future__ import annotations
@@ -313,3 +314,50 @@ def _straddling(split: int, low: int, rights: tuple, j: int, pairs: tuple) -> It
 
 def max_pairs(n: int, k: int) -> int:
     return min(k, n - k)
+
+
+def pattern(word: Sequence) -> tuple:
+    """Letters relabeled 0, 1, ... by first use, ``(0, 1, 0, 2)`` for
+    ``(2, 0, 2, 1)``: the restricted growth string naming the word's orbit
+    under letter relabeling."""
+    first: dict = {}
+    return tuple(first.setdefault(x, len(first)) for x in word)
+
+
+def patterns(n: int, blocks: int, min_size: int = 1) -> Iterator[tuple]:
+    """Restricted growth strings of length n, one per set partition of n
+    positions into at most ``blocks`` blocks of at least ``min_size`` each,
+    in lexicographic order.
+
+    >>> list(patterns(3, 2)), list(patterns(4, 3, min_size=2))[1:]
+    ([(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1)], [(0, 0, 1, 1), (0, 1, 0, 1), (0, 1, 1, 0)])
+    """
+    sizes = []  # of the blocks of the current prefix
+
+    def walk(word: tuple, short: int) -> Iterator[tuple]:
+        # short: positions the blocks below min_size still need
+        free = n - len(word)
+        if short > free:
+            return
+        if not free:
+            yield word
+            return
+        for b, size in enumerate(sizes):
+            sizes[b] += 1
+            yield from walk(word + (b,), short - (size < min_size))
+            sizes[b] -= 1
+        if len(sizes) < blocks:
+            sizes.append(1)
+            yield from walk(word + (len(sizes) - 1,), short + min_size - 1)
+            sizes.pop()
+
+    return walk((), 0)
+
+
+def count_patterns(n: int, blocks: int) -> int:
+    """How many strings ``patterns(n, blocks)`` yields: the Stirling numbers
+    S(n, i) of the second kind summed over i <= blocks."""
+    row = [1] + [0] * min(blocks, n)  # S(0, i)
+    for _ in range(n):
+        row = [0] + [i * row[i] + row[i - 1] for i in range(1, len(row))]
+    return sum(row)

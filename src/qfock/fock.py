@@ -269,12 +269,14 @@ def q_norm_squared(v: FockVector):
 
 @lru_cache(maxsize=64)
 def _slot_moves(degree: int, letters: int) -> tuple:
-    """P_j for each slot j: P_j[v] indexes word v with its slot j moved to the front."""
-    grid = np.arange(letters ** degree).reshape((letters,) * degree)
-    moves = tuple(np.moveaxis(grid, 0, j).ravel() for j in range(degree))
-    for move in moves:
-        move.flags.writeable = False
-    return moves
+    """P_j for each slot j: P_j[v] indexes word v with its slot j moved to the
+    front, by arithmetic on indices as base-``letters`` numbers."""
+    v, top, moves = np.arange(letters ** degree), letters ** (degree - 1), []
+    for j in range(degree):
+        after = letters ** (degree - 1 - j)  # the slots behind j
+        moves.append(v // after % letters * top + v // (after * letters) * after + v % after)
+        moves[-1].flags.writeable = False
+    return tuple(moves)
 
 
 def _coeff_dtype(degree: int):

@@ -8,7 +8,10 @@ pairs with coset weights vs straddling pair partitions with the insertion
 statistic), compares them, and scans every identity in the chain
 exhaustively.  Subsets, partitions and their statistics do not depend on
 the letters, so each is built once per size as a table of shapes and the
-per-word work only reads letters at the tabled positions.  The
+per-word work only reads letters at the tabled positions.  Nor does any
+verdict change when the letters are relabeled, so each identity is checked
+once per pattern (the set partition of positions by equal letter) and
+every word of that orbit reports its verdict.  The
 inclusion-exclusion sweep works on word dictionaries through the Wick
 kernel ``wick_word_action``.  Scans run with polynomial scalars, so one
 pass certifies all q in (-1, 1).
@@ -19,7 +22,7 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, factorial
 from operator import itemgetter
 
@@ -31,6 +34,8 @@ from .combinatorics import (
     crossings,
     enumerate_partial_partitions,
     max_pairs,
+    pattern,
+    patterns,
 )
 from .fock import word_basis, word_inner_poly, word_to_str
 from .scalars import QPolynomial
@@ -128,11 +133,6 @@ def merge_reports(name: str, reports) -> ScanReport:
         merged.violations.extend(rep.violations)
         merged.notes.update(rep.notes)
     return merged
-
-
-def _label(word: tuple, d: int) -> str:
-    """A word as scan reports name it: its text form, "vac" for the vacuum."""
-    return word_to_str(word, d) or "vac"
 
 
 @lru_cache(maxsize=4096)
@@ -236,22 +236,32 @@ def _rho_level(lw: tuple, rw: tuple, j: int) -> dict:
     return {key: QPolynomial.from_powers(hist) for key, hist in hists.items()}
 
 
+def _by_pattern(n: int, d: int, check) -> list:
+    """(check(word), label) per degree-n word over d letters, in word order;
+    relabeling letters keeps every verdict, so ``check`` runs once per
+    pattern.  A label is the word's text form, "vac" for the vacuum."""
+    verdicts = {p: check(p) for p in patterns(n, d)}
+    return [(verdicts[pattern(word)], word_to_str(word, d) or "vac") for word in word_basis(n, d)]
+
+
+def _two_mode_verdicts(n: int, k: int, word: tuple) -> tuple:
+    lw, rw = word[: n - k], word[n - k :]
+    return tuple(_subset_level(lw, rw, j) == _rho_level(lw, rw, j) for j in range(max_pairs(n, k) + 1))
+
+
 def two_mode_scan(n_max: int = 6, d: int = 2, fault=None) -> ScanReport:
     """q^C(j,2) * subset-sum form == rho-sum form, all splits of all words.
 
     The two maps are compared collected by remainder pair.  Subsets,
-    partitions and their statistics are built once per (n, k, j) shape;
-    only the letter reads run per word.
+    partitions and their statistics are built once per (n, k, j) shape,
+    and each split is checked once per pattern.
     """
     check_budget("two-mode", n_max, d)
     results = []
     for n in range(n_max + 1):
         for k in range(n + 1):
-            for word in word_basis(n, d):
-                lw, rw = word[: n - k], word[n - k :]
-                for j in range(max_pairs(n, k) + 1):
-                    ok = _subset_level(lw, rw, j) == _rho_level(lw, rw, j)
-                    results.append((ok, (n, k, j, _label(word, d))))
+            for oks, label in _by_pattern(n, d, partial(_two_mode_verdicts, n, k)):
+                results.extend((ok, (n, k, j, label)) for j, ok in enumerate(oks))
     return _finalize(f"two-mode split equality (n <= {n_max}, d = {d})", results, fault)
 
 
@@ -276,10 +286,7 @@ def _inclusion_exclusion_results(n: int, k: int, d: int) -> list:
     if not 0 <= k <= n:
         raise ValueError(f"split size {k} outside 0..{n}")
     one = QPolynomial.one()
-    return [
-        (_inclusion_exclusion_image(word[: n - k], word[n - k :]) == {word: one}, _label(word, d))
-        for word in word_basis(n, d)
-    ]
+    return _by_pattern(n, d, lambda w: _inclusion_exclusion_image(w[: n - k], w[n - k :]) == {w: one})
 
 
 def inclusion_exclusion_sweep(n_max: int = 5, d: int = 2, fault=None) -> ScanReport:

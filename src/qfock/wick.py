@@ -14,9 +14,9 @@ dropping each term whose creations would leave the top degree.
 
 Mixed vacuum moments of field operators are sums over pair partitions
 weighted by q^crossings; the finite-N central-limit averages and the
-off-diagonal coefficient are computed here by genuinely enumerating color
-assignments over the partition sums, so their N-independence and their
-closed forms are checked against rather than assumed.
+off-diagonal coefficient sum colored moments over the set partitions of
+positions by color, so their N-independence and their closed forms are
+checked against rather than assumed.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .combinatorics import (
     crossings,
     enumerate_partial_partitions,
     max_pairs,
+    patterns,
 )
 from .fock import FockVector, scalar_is_zero, word_inner_poly
 from .scalars import EXACT, QPolynomial, ScalarMode
@@ -319,34 +320,46 @@ def _scaled(p: QPolynomial, factor: Fraction) -> QPolynomial:
     return QPolynomial(tuple(c * factor for c in p.coeffs))
 
 
-def _canonical_colors(codes, coloring) -> tuple:
-    """Colored letters as fresh integer codes, colors relabeled by first use."""
-    relabel: dict = {}
-    out = []
-    for code, color in zip(codes, coloring):
-        if color not in relabel:
-            relabel[color] = len(relabel)
-        out.append(code * _COLOR_BASE + relabel[color])
-    return tuple(out)
+def _pattern_sums(codes: tuple, blocks: int, distinct: int = 0) -> list:
+    """sums[b]: colored moments summed over the set partitions of the
+    positions into b blocks, one color each, the last ``distinct`` in
+    distinct blocks; each stands for (N)_b colorings by N colors.  A color
+    used once cannot pair, so the walk prunes blocks of one position.
+    """
+    sums = [QPolynomial.zero()] * (blocks + 1)
+    for colors in patterns(len(codes), blocks, min_size=2):
+        if len(set(colors[len(codes) - distinct :])) == distinct:
+            b = max(colors, default=-1) + 1
+            colored = tuple(code * _COLOR_BASE + color for code, color in zip(codes, colors))
+            sums[b] = sums[b] + _colored_moment(colored)
+    return sums
 
 
-def clt_finite(N: int, codes, mode: ScalarMode = EXACT):
-    """Vacuum moment of averaged color-summed field operators, exact at finite N.
+def _color_average(sums: list, N: int, m: int, mode: ScalarMode):
+    total = sum((s * perm(N, b) for b, s in enumerate(sums)), QPolynomial.zero())
+    return mode.of(_scaled(total, Fraction(1, N ** (m // 2))))
+
+
+def clt_moments(N_max: int, codes, mode: ScalarMode = EXACT) -> list:
+    """Vacuum moments of averaged color-summed field operators, exact for
+    N = 1..N_max colors, from one walk over the set partitions.
 
     Each letter is averaged over N colors with weight N^(-1/2); the sum
-    over color assignments is enumerated explicitly (after relabeling by
-    first occurrence, which leaves each term unchanged).
+    over the N^m colorings is N^(-m/2) sum_b (N)_b sums[b].
     """
     codes = tuple(codes)
     m = len(codes)
-    if N < 1:
+    if N_max < 1:
         raise ValueError("need at least one color")
     if m % 2:
-        return mode.zero()
-    total = QPolynomial.zero()
-    for coloring in itertools.product(range(N), repeat=m):
-        total = total + _colored_moment(_canonical_colors(codes, coloring))
-    return mode.of(_scaled(total, Fraction(1, N ** (m // 2))))
+        return [mode.zero()] * N_max
+    sums = _pattern_sums(codes, min(N_max, m // 2))
+    return [_color_average(sums, N, m, mode) for N in range(1, N_max + 1)]
+
+
+def clt_finite(N: int, codes, mode: ScalarMode = EXACT):
+    """The N-color moment of ``clt_moments``."""
+    return clt_moments(N, codes, mode)[-1]
 
 
 def offdiag_wick_coefficient(N: int, f_codes, h_codes, mode: ScalarMode = EXACT):
@@ -354,7 +367,7 @@ def offdiag_wick_coefficient(N: int, f_codes, h_codes, mode: ScalarMode = EXACT)
 
     The f letters are color-averaged with weight N^(-1/2) each; the h
     letters carry pairwise distinct colors, summed with total weight
-    N^(-m/2).  Both color sums are enumerated explicitly.
+    N^(-m/2).  Both color sums run over ``_pattern_sums``.
     """
     f_codes, h_codes = tuple(f_codes), tuple(h_codes)
     mp, m = len(f_codes), len(h_codes)
@@ -363,12 +376,8 @@ def offdiag_wick_coefficient(N: int, f_codes, h_codes, mode: ScalarMode = EXACT)
     if (mp + m) % 2:
         return mode.zero()
     sequence = tuple(reversed(f_codes)) + h_codes
-    total = QPolynomial.zero()
-    for distinct in itertools.permutations(range(N), m):
-        for ks in itertools.product(range(N), repeat=mp):
-            coloring = tuple(reversed(ks)) + distinct
-            total = total + _colored_moment(_canonical_colors(sequence, coloring))
-    return mode.of(_scaled(total, Fraction(1, N ** ((mp + m) // 2))))
+    sums = _pattern_sums(sequence, min(N, (mp + m) // 2), distinct=m)
+    return _color_average(sums, N, mp + m, mode)
 
 
 def offdiag_reference(N: int, f_codes, h_codes, mode: ScalarMode = EXACT):

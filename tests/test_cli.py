@@ -1,17 +1,20 @@
 import argparse
 import contextlib
+import gzip
 import hashlib
+import importlib.util
 import io
 import json
 import math
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qfock import cli
+from qfock import cli, wick
 from qfock.cli import main, parse_pairs, parse_q
 from qfock.fock import FockVector, parse_word, word_to_str
 from qfock.scalars import EXACT
@@ -318,6 +321,39 @@ def test_clt_offdiagonal_identity(capsys):
 
 def test_clt_requires_letters(capsys):
     assert main(["clt", "--d", "1", "--N", "2"]) == 2
+
+
+@pytest.mark.parametrize("N", ["7", "1000"])
+def test_clt_walks_partitions_not_colorings(capsys, N):
+    # 7^8 and 1000^8 colorings, but 4140 set partitions of 8 letters
+    code, doc = run_json(capsys, "clt", "--letters", ",".join("1" * 8), "--N", N)
+    assert code == 0 and len(doc["results"]) == int(N) + 1
+    assert {r["moment"] for r in doc["results"]} == {"14 + 28q + 28q^2 + 20q^3 + 10q^4 + 4q^5 + q^6"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["clt", "--letters", ",".join("1" * 12), "--N", "5"],  # 2,079,475 partitions
+        ["clt", "--d", "2", "--left", "1,2,1,2,1,2", "--right", "2,1,2,1,2,1", "--N", "5"],
+        ["clt", "--letters", "1,1", "--N", "2000000"],  # 2 partitions, 2,000,000 rows
+    ],
+)
+def test_clt_guard_refuses_before_any_work(capsys, monkeypatch, argv):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the partition walk started")
+
+    monkeypatch.setattr(wick, "patterns", no_walk)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "too many" in err
+
+
+def test_clt_guard_admits_up_to_the_cap():
+    cli._guard_partitions(4, 12)  # 700,075 partitions
+    cli._guard_partitions(1_999_998, 2, rows=1_999_998)
+    with pytest.raises(ValueError, match="too many"):
+        cli._guard_partitions(1_999_999, 2, rows=1_999_999)
 
 
 @pytest.mark.parametrize(
@@ -671,3 +707,61 @@ def test_repeated_main_calls_match_fresh_parsers():
     assert [code for code, _, _ in fresh] == [0, 0, 2, 0, 0, 1, 0, 0, 0, 0, 2]
     assert session(fresh=False) == fresh
     assert cli.build_parser() is cli.build_parser()
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's byte contract: every exact command-line stage of
+# bench/workloads.py prints what bench/reference records for it
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _bench_workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve their module by name
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bench_references(workload):
+    with gzip.open(BENCH / "reference" / f"{workload}.json.gz", "rt") as fh:
+        rows = (line.rstrip("\n").split("\t") for line in fh)
+        return {(size, key): json.loads(record) for size, key, record in rows}
+
+
+BENCH_WORKLOADS = _bench_workloads()
+EXACT_CLI_STAGES = [
+    pytest.param(workload, size, stage, argv, id=f"{size}-{stage.name}-{i}")
+    for workload, stages in BENCH_WORKLOADS.WORKLOADS.items()
+    for stage in stages
+    if stage.exact
+    for size in BENCH_WORKLOADS.SIZES
+    for i, argv in enumerate(stage.variants(size))
+    if argv[0] != "three-trace"  # the one stage that is not a subcommand
+]
+
+
+@pytest.mark.parametrize("workload, size, stage, argv", EXACT_CLI_STAGES)
+def test_exact_benchmark_stages_print_their_reference_bytes(capsys, workload, size, stage, argv):
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    reference = _bench_references(workload)[(size, " ".join(argv))]
+    assert code == reference["exit"]
+    assert stage.cases(json.loads(out)) == reference["cases"]
+    assert hashlib.sha256(out.encode()).hexdigest() == reference["sha256"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gram", "--d", "1", "--degree", "65", "--max-degree", "65", "--q", "0.5"],
+        ["schatten", "--d", "1", "--max-degree", "70", "--p", "2", "--q", "0.5"],
+    ],
+)
+def test_degrees_past_numpy_dimension_limit_run(capsys, argv):
+    # numpy arrays have at most 64 axes; Gram assembly uses none per slot
+    code, doc = run_json(capsys, *argv)
+    assert code == 0
+    check_envelope(doc)

@@ -1,6 +1,6 @@
 import itertools
 from collections import Counter
-from math import comb, factorial
+from math import comb, factorial, perm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +10,7 @@ from qfock.combinatorics import (
     PartialPartition,
     coset_data,
     coset_inversions,
+    count_patterns,
     crossings,
     enumerate_partial_partitions,
     inversions,
@@ -17,6 +18,8 @@ from qfock.combinatorics import (
     iota_prime_closed_form,
     max_pairs,
     partition_triple,
+    pattern,
+    patterns,
 )
 
 FIG_A = PartialPartition(8, 4, ((2, 5), (4, 7)))
@@ -316,3 +319,59 @@ def test_public_constructor_still_validates():
             PartialPartition(n, k, pairs)
     # unsorted input is normalized, not trusted
     assert PartialPartition(6, 3, ((5, 2), (1, 6))).pairs == ((1, 6), (2, 5))
+
+
+# ---------------------------------------------------------------------------
+# letter patterns: restricted growth strings
+
+
+def stirling2(n, k):
+    """S(n, k) by inclusion-exclusion over the empty blocks of a surjection."""
+    return sum((-1) ** j * comb(k, j) * (k - j) ** n for j in range(k + 1)) // factorial(k)
+
+
+WORDS = st.lists(st.integers(0, 5), max_size=9)
+
+
+@given(WORDS, st.permutations(range(6)))
+def test_pattern_is_invariant_under_letter_bijections(word, relabel):
+    assert pattern([relabel[x] for x in word]) == pattern(word)
+    assert pattern(pattern(word)) == pattern(word)
+
+
+@given(WORDS)
+def test_words_with_one_pattern_are_one_relabeling_apart(word):
+    p = pattern(word)
+    # the letter of block b is the letter at the first position of block b
+    firsts = [word[p.index(b)] for b in range(len(set(p)))]
+    assert [firsts[b] for b in p] == list(word)
+    assert len(set(firsts)) == len(firsts)
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_patterns_count_set_partitions(n):
+    for b in range(n + 2):
+        got = list(patterns(n, b))
+        assert len(got) == len(set(got)) == sum(stirling2(n, i) for i in range(b + 1))
+        assert len(got) == count_patterns(n, b)
+        assert got == sorted(got) and all(pattern(p) == p for p in got)
+    for d in range(1, 5):
+        # each pattern with b blocks is the orbit of (d)_b words
+        assert sum(perm(d, len(set(p))) for p in patterns(n, d)) == d ** n
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_pruned_patterns_are_the_filtered_ones(n):
+    full = list(patterns(n, n))
+    for blocks in range(n + 1):
+        for min_size in (1, 2, 3):
+            expected = [
+                p for p in full
+                if len(set(p)) <= blocks and min(Counter(p).values(), default=min_size) >= min_size
+            ]
+            assert list(patterns(n, blocks, min_size)) == expected
+
+
+def test_count_patterns_caps_the_blocks_at_the_length():
+    assert count_patterns(8, 10 ** 12) == count_patterns(8, 8) == 4140
+    assert count_patterns(0, 0) == 1 and count_patterns(3, 0) == 0

@@ -1,9 +1,10 @@
+import functools
 import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qfock import fock
 from qfock.combinatorics import inversions
@@ -231,6 +232,42 @@ def test_gram_float_matches_word_pairs(d, copies, top):
             expect = np.array([[values[p] for p in row] for row in oracle])
             assert np.array_equal(g == 0, expect == 0)
             np.testing.assert_allclose(g, expect, rtol=1e-12, atol=0)
+
+
+@functools.lru_cache(maxsize=None)
+def exact_gram(degree, d):
+    return gram_matrix(degree, SpaceConfig(d, 1, degree, EXACT))
+
+
+@st.composite
+def gram_word_pairs(draw):
+    """(d, u, v): two words of one degree <= 5 over d <= 3 letters; v is
+    often a rearrangement of u, so the entry is not always 0."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 5))
+    word = st.lists(st.integers(0, d - 1), min_size=n, max_size=n).map(tuple)
+    u = draw(word)
+    return d, u, draw(st.one_of(word, st.permutations(u).map(tuple)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(gram_word_pairs(), st.floats(-0.9, 0.9))
+def test_gram_entries_are_word_inner_products(pair, q):
+    d, u, v = pair
+    n = len(u)
+    i, j = word_index(n, d)[u], word_index(n, d)[v]
+    expect = word_inner_poly(u, v)
+    assert exact_gram(n, d)[i, j] == expect
+    got = gram_matrix(n, SpaceConfig(d, 1, n, ScalarMode.at(q)))[i, j]
+    assert math.isclose(got, eval_rational(expect, q) if expect else 0.0, rel_tol=1e-12, abs_tol=0)
+
+
+def test_gram_assembles_past_numpy_dimension_limit():
+    # 65 slots, one more than the axes a numpy array may have: [65]_q!
+    expect = math.prod((QPolynomial((1,) * k) for k in range(1, 66)), start=QPolynomial.one())
+    assert gram_matrix(65, SpaceConfig(1, 1, 65, EXACT))[0, 0] == expect
+    got = gram_matrix(65, SpaceConfig(1, 1, 65, ScalarMode.at(0.5)))[0, 0]
+    assert math.isclose(got, eval_rational(expect, 0.5), rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("d,degree", [(1, 8), (2, 6), (2, 7)])

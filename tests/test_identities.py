@@ -11,6 +11,7 @@ from qfock.combinatorics import (
     enumerate_partial_partitions,
     iota_prime,
     max_pairs,
+    patterns,
 )
 from qfock.fock import FockVector, SpaceConfig, word_basis, word_inner_poly, word_to_str
 from qfock.identities import (
@@ -186,6 +187,60 @@ def test_inclusion_exclusion_matches_vector_oracle(d, n_max):
                 assert identities._inclusion_exclusion_image(word[: n - k], word[n - k :]) == image.coeffs
                 expected.append((ok, word_to_str(word, d) or "vac"))
             assert identities._inclusion_exclusion_results(n, k, d) == expected
+
+
+# ---------------------------------------------------------------------------
+# the word-by-word scans the pattern scans replaced, as oracles: every word
+# is checked, not one word per relabeling orbit
+
+
+def oracle_two_mode_scan(n_max, d, fault=None):
+    results = []
+    for n in range(n_max + 1):
+        for k in range(n + 1):
+            for word in word_basis(n, d):
+                lw, rw = word[: n - k], word[n - k :]
+                for j in range(max_pairs(n, k) + 1):
+                    ok = subset_level(lw, rw, j) == rho_level(lw, rw, j)
+                    results.append((ok, (n, k, j, word_to_str(word, d) or "vac")))
+    return identities._finalize(f"two-mode split equality (n <= {n_max}, d = {d})", results, fault)
+
+
+def oracle_inclusion_exclusion_sweep(n_max, d, fault=None):
+    one = QPolynomial.one()
+    results = [
+        (
+            identities._inclusion_exclusion_image(word[: n - k], word[n - k :]) == {word: one},
+            word_to_str(word, d) or "vac",
+        )
+        for n in range(n_max + 1)
+        for k in range(n + 1)
+        for word in word_basis(n, d)
+    ]
+    return identities._finalize(f"inclusion-exclusion sweep (n <= {n_max}, d = {d})", results, fault)
+
+
+@pytest.mark.parametrize("d, n_max", [(1, 5), (2, 5), (3, 5)])
+@pytest.mark.parametrize("fault", [None, 0, 7, 12345, 999_983])
+def test_pattern_scans_match_word_oracles(d, n_max, fault):
+    for scan, oracle in [
+        (two_mode_scan, oracle_two_mode_scan),
+        (inclusion_exclusion_sweep, oracle_inclusion_exclusion_sweep),
+    ]:
+        got, expected = scan(n_max, d, fault=fault), oracle(n_max, d, fault)
+        assert got == expected
+        assert len(got.violations) == (fault is not None)
+
+
+def test_pattern_scans_check_one_word_per_orbit(monkeypatch):
+    checked = []
+    image = identities._inclusion_exclusion_image
+    monkeypatch.setattr(
+        identities, "_inclusion_exclusion_image", lambda lw, rw: checked.append(lw + rw) or image(lw, rw)
+    )
+    assert inclusion_exclusion_sweep(4, 3).passed
+    # one split of each pattern with at most 3 blocks, for every split k
+    assert sorted(checked) == sorted(p for n in range(5) for p in patterns(n, 3) for _ in range(n + 1))
 
 
 def test_two_mode_scan_small():
@@ -386,6 +441,7 @@ def _entered(*args, **kwargs):
 def test_oversized_scans_are_refused_before_work(monkeypatch):
     monkeypatch.setattr(identities, "enumerate_partial_partitions", _entered)
     monkeypatch.setattr(identities, "word_basis", _entered)
+    monkeypatch.setattr(identities, "patterns", _entered)
     monkeypatch.setattr(identities, "_finalize", _entered)
     for run in (
         lambda: claim_scan(40, 10),

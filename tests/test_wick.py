@@ -1,3 +1,4 @@
+import collections
 import itertools
 from fractions import Fraction
 from math import comb
@@ -19,6 +20,7 @@ from qfock.fock import (
 from qfock.scalars import EXACT, QPolynomial, ScalarMode
 from qfock.wick import (
     clt_finite,
+    clt_moments,
     moment_pair_partitions,
     offdiag_reference,
     offdiag_wick_coefficient,
@@ -388,3 +390,71 @@ def test_offdiag_examples():
 def test_offdiag_degree_mismatch_vanishes():
     assert offdiag_wick_coefficient(3, [0], [0, 0, 0]) == QPolynomial.zero()
     assert offdiag_reference(3, [0], [0, 0, 0]) == QPolynomial.zero()
+
+
+# ---------------------------------------------------------------------------
+# the coloring sums the set-partition sums replaced, as oracles: every one of
+# the N^m color assignments is enumerated
+
+
+def colored(codes, coloring):
+    """Colored letters as fresh integer codes; any injective code works."""
+    return tuple(code * 1000 + color for code, color in zip(codes, coloring))
+
+
+def oracle_clt(N, codes):
+    m = len(codes)
+    total = sum(
+        (moment_pair_partitions(colored(codes, c)) for c in itertools.product(range(N), repeat=m)),
+        QPolynomial.zero(),
+    )
+    return total * QPolynomial.constant(Fraction(1, N ** (m // 2))) if m % 2 == 0 else QPolynomial.zero()
+
+
+def oracle_offdiag(N, f_codes, h_codes):
+    mp, m = len(f_codes), len(h_codes)
+    if (mp + m) % 2:
+        return QPolynomial.zero()
+    sequence = tuple(reversed(f_codes)) + tuple(h_codes)
+    total = QPolynomial.zero()
+    for distinct in itertools.permutations(range(N), m):
+        for ks in itertools.product(range(N), repeat=mp):
+            total = total + moment_pair_partitions(colored(sequence, tuple(reversed(ks)) + distinct))
+    return total * QPolynomial.constant(Fraction(1, N ** ((mp + m) // 2)))
+
+
+# the words of acceptance criterion 08
+C08_WORDS = [(0,) * m for m in (2, 4, 6, 8)] + [(0, 1, 0, 1), (0, 0, 1, 1), (0, 1, 0, 1, 0, 1), (0, 1, 0)]
+C08_PAIRS = [
+    (f, h) for m in range(1, 4) for f in itertools.product(range(2), repeat=m)
+    for h in itertools.product(range(2), repeat=m)
+] + [((0,), (0, 1, 1)), ((0, 1, 0), (0, 1, 0))]
+
+
+@pytest.mark.parametrize("codes", C08_WORDS, ids=str)
+def test_partition_sums_match_coloring_oracle(codes):
+    values = clt_moments(4, codes)
+    for N in range(1, 5):
+        expected = oracle_clt(N, codes)
+        assert values[N - 1] == clt_finite(N, codes) == expected
+        assert str(values[N - 1]) == str(expected)
+
+
+def test_offdiag_partition_sums_match_coloring_oracle():
+    for f, h in C08_PAIRS:
+        for N in range(1, 5):
+            got, expected = offdiag_wick_coefficient(N, f, h), oracle_offdiag(N, f, h)
+            assert got == expected and str(got) == str(expected)
+
+
+def test_clt_walks_only_partitions_without_singletons(monkeypatch):
+    seen = []
+    monkeypatch.setattr(wick, "_colored_moment", lambda letters: seen.append(letters) or QPolynomial.one())
+    clt_moments(3, (0,) * 6)
+    # colors of the 6 positions, as the walk visits them: every block pairs
+    assert len(seen) == len(set(seen)) == 1 + 25 + 15  # 1, 2 and 3 blocks of sizes >= 2
+    assert all(min(collections.Counter(s).values()) >= 2 for s in seen)
+    seen.clear()
+    offdiag_wick_coefficient(5, (0, 1), (0, 1))
+    # the two distinct-color letters each take one averaged partner
+    assert len(seen) == 2
