@@ -1,10 +1,12 @@
 """Numeric estimates on the truncated space at a fixed q in (-1, 1).
 
-Covers the two-sided multiplier x -> E(s(h~) x s(k~)) and its diagonal
-form, Schatten norms taken in the q-geometry (blocks conjugated by Gram
-square roots before the SVD), band structure and decay of Wick-pair
-multipliers, the rotation dilation of the Ornstein-Uhlenbeck semigroup,
-and the deformation inner-product identity with its ratio scan.
+Covers the two-sided multipliers x -> E(W(xi)* x W(eta)), whose degree
+blocks on first-copy words are assembled in one place: the rank-one
+x -> E(s(h~) x s(k~)) against its diagonal form q^n <h,k>, and the band
+structure and decay of Wick-pair multipliers.  Schatten and block norms
+are taken in the q-geometry, every block conjugated by the same Gram
+square roots.  Also the rotation dilation of the Ornstein-Uhlenbeck
+semigroup and the deformation inner-product identity with its ratio scan.
 
 Operators from the ambient doubled algebra act on vectors through the
 word calculus: x W(eta) applied to the vacuum is W(x-word) eta, and the
@@ -91,53 +93,55 @@ def dilation_check(t: float, cfg: SpaceConfig) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the diagonal two-sided multiplier
+# two-sided multipliers on the first-copy algebra
 
 
-def phi_hk_apply(h, k, v: FockVector) -> FockVector:
-    """E(s(h~) x s(k~)) on the vector xOmega, x in the first-copy algebra.
-
-    Each field is the Wick product of its degree-1 vector, so s(k~)Omega is
-    k~ itself and s(h~) acts as W(h~).  Exact on components of degree at
-    most max_degree - 2 (one creation on each side of x).
-    """
-    cfg = v.cfg
-    _require_doubled(cfg, "the two-sided multiplier")
-    if any(second_copy_count(w, cfg) for w in v.coeffs):
-        raise ValueError("input must lie in the first-copy algebra")
-    right = wick_apply(v, second_copy_vector(k, cfg))
-    return copy_count_projection(wick_apply(second_copy_vector(h, cfg), right), 0, "exact")
+def _first_copy_blocks(xi: FockVector, eta: FockVector, cfg: SpaceConfig, top: int) -> dict:
+    """Blocks {(i, j): matrix} of x -> E(W(xi)* x W(eta)) from first-copy
+    words of degree j <= top to first-copy degree i, in the order their
+    first entry is met.  W(xi)* is the Wick product of reversed xi, and E
+    keeps the words without second-copy letters."""
+    rev_xi = reversed_vector(xi)
+    blocks: dict = {}
+    for j in range(top + 1):
+        for col, word in enumerate(first_copy_words(j, cfg)):
+            image = wick_apply(rev_xi, wick_apply(FockVector.from_word(cfg, word), eta))
+            for w, c in copy_count_projection(image, 0, "exact").coeffs.items():
+                if (len(w), j) not in blocks:
+                    blocks[(len(w), j)] = np.zeros((cfg.d ** len(w), cfg.d ** j))
+                blocks[(len(w), j)][word_index(len(w), cfg.d)[w], col] = c
+    return blocks
 
 
 def phi_hk_check(h, k, cfg: SpaceConfig) -> float:
-    """Deviation of the two-sided multiplier from q^n <h,k> per degree block.
-
-    Scans every first-copy word of degree n <= max_degree - 2 and returns
-    the largest coefficient deviation.  A non-finite coefficient (h or k
-    large enough to overflow) is returned as the deviation at once, since
-    ``max`` would drop a NaN.
-    """
+    """Largest entry distance between the two routes of phi_hk_operator on
+    the single-copy space of degree max_degree - 2 (one creation on each
+    side of x); off-diagonal entries count in full.  A non-finite distance
+    (h or k large enough to overflow) is returned at once, since ``max``
+    would drop a NaN."""
     _require_doubled(cfg, "the multiplier check")
-    q = _require_float(cfg, "the multiplier check")
-    hk = float(np.dot(np.asarray(h, dtype=float), np.asarray(k, dtype=float)))
+    _require_float(cfg, "the multiplier check")
+    if cfg.max_degree < 2:
+        return 0.0
+    single = SpaceConfig(cfg.d, 1, cfg.max_degree - 2, cfg.scalar)
+    vector = phi_hk_operator(h, k, single, route="vector")
+    diagonal = phi_hk_operator(h, k, single, route="diagonal")
     dev = 0.0
-    for n in range(cfg.max_degree - 1):
-        for word in first_copy_words(n, cfg):
-            image = phi_hk_apply(h, k, FockVector.from_word(cfg, word))
-            expected = FockVector.from_word(cfg, word, q ** n * hk)
-            diff = image - expected
-            for c in diff.coeffs.values():
-                if not math.isfinite(c):
-                    return abs(c)
-                dev = max(dev, abs(c))
+    with np.errstate(all="ignore"):  # an overflowing <h,k> is reported as the deviation
+        for key, mat in vector.blocks.items():
+            diff = np.abs(mat - diagonal.blocks.get(key, 0.0)).T  # column by column
+            bad = diff[~np.isfinite(diff)]
+            if bad.size:
+                return float(bad[0])
+            dev = max(dev, float(diff.max()))
     return dev
 
 
 def phi_hk_operator(h, k, cfg: SpaceConfig, route: str = "vector") -> BlockOperator:
     """The multiplier as a degree-block operator on the single-copy space.
 
-    route "vector" materializes every column through the doubled space with
-    a +2 degree budget (needs the dimension cap to accommodate it); route
+    route "vector" assembles the blocks through the doubled space with a +2
+    degree budget (needs the dimension cap to accommodate it); route
     "diagonal" writes down q^n <h,k> directly, as certified by
     phi_hk_check.
     """
@@ -146,24 +150,14 @@ def phi_hk_operator(h, k, cfg: SpaceConfig, route: str = "vector") -> BlockOpera
     q = _require_float(cfg, "the multiplier")
     if route not in ("vector", "diagonal"):
         raise ValueError(f"unknown route {route!r}")
-    hk = float(np.dot(np.asarray(h, dtype=float), np.asarray(k, dtype=float)))
-    blocks = {}
-    if route == "diagonal":
-        for n in range(cfg.max_degree + 1):
-            blocks[(n, n)] = q ** n * hk * np.eye(cfg.dim(n))
-        return BlockOperator(cfg, blocks)
-    doubled = SpaceConfig(cfg.d, 2, cfg.max_degree + 2, cfg.scalar)
-    for n in range(cfg.max_degree + 1):
-        words = first_copy_words(n, doubled)
-        index = {w: i for i, w in enumerate(words)}
-        mat = np.zeros((len(words), len(words)))
-        for j, word in enumerate(words):
-            image = phi_hk_apply(h, k, FockVector.from_word(doubled, word))
-            for w, c in image.coeffs.items():
-                if len(w) != n:
-                    raise ValueError("multiplier produced a degree-mixing column")
-                mat[index[w], j] = c
-        blocks[(n, n)] = mat
+    if route == "vector":
+        doubled = SpaceConfig(cfg.d, 2, cfg.max_degree + 2, cfg.scalar)
+        h_t, k_t = second_copy_vector(h, doubled), second_copy_vector(k, doubled)
+        zero = {(n, n): np.zeros((cfg.dim(n),) * 2) for n in range(cfg.max_degree + 1)}
+        return BlockOperator(cfg, zero | _first_copy_blocks(h_t, k_t, doubled, cfg.max_degree))
+    with np.errstate(all="ignore"):  # an overflowing <h,k> gives non-finite blocks
+        hk = float(np.dot(np.asarray(h, dtype=float), np.asarray(k, dtype=float)))
+        blocks = {(n, n): q ** n * hk * np.eye(cfg.dim(n)) for n in range(cfg.max_degree + 1)}
     return BlockOperator(cfg, blocks)
 
 
@@ -183,9 +177,8 @@ class SchattenReport:
         return f"S_{self.p} norm {self.norm:.12g} (threshold p* = {self.threshold:.6g})"
 
 
-@lru_cache(maxsize=None)
 def float_gram(degree: int, cfg: SpaceConfig) -> np.ndarray:
-    """Numeric Gram block, assembled once per configuration."""
+    """Numeric Gram block; gram_factors memoizes its factorization."""
     _require_float(cfg, "Gram evaluation")
     return gram_matrix(degree, cfg)
 
@@ -204,6 +197,12 @@ def gram_factors(degree: int, cfg: SpaceConfig) -> tuple:
     root = (vecs * np.sqrt(vals)) @ vecs.T
     inv_root = (vecs / np.sqrt(vals)) @ vecs.T
     return root, inv_root
+
+
+def _gram_conjugate(block, target: int, source: int, cfg: SpaceConfig) -> np.ndarray:
+    """A (target, source) degree block in the q-inner geometry:
+    G_target^1/2 block G_source^-1/2."""
+    return gram_factors(target, cfg)[0] @ np.asarray(block, dtype=float) @ gram_factors(source, cfg)[1]
 
 
 def schatten_threshold(q: float, d: int) -> float:
@@ -244,8 +243,7 @@ def schatten_norm(op: BlockOperator, p: float, cfg: SpaceConfig) -> SchattenRepo
         if block is None:
             svals = np.zeros(0)
         else:
-            root, inv_root = gram_factors(n, cfg)
-            svals = np.linalg.svd(root @ np.asarray(block, dtype=float) @ inv_root, compute_uv=False)
+            svals = np.linalg.svd(_gram_conjugate(block, n, n, cfg), compute_uv=False)
         degree_svals.append(np.sort(svals))
         total += float(np.sum(svals ** p))
         partial_norms.append(total ** (1.0 / p))
@@ -295,24 +293,10 @@ def block_decay(xi: FockVector, eta: FockVector, cfg: SpaceConfig) -> DecayRepor
     n1, n2 = xi.degrees()[0], eta.degrees()[0]
     band = n1 + n2
     inner = SpaceConfig(cfg.d, 1, cfg.max_degree, cfg.scalar)
-    rev_xi = reversed_vector(xi)
-    columns: dict = {}
-    for j in range(cfg.max_degree + 1):
-        for col, word in enumerate(first_copy_words(j, cfg)):
-            image = wick_apply(rev_xi, wick_apply(FockVector.from_word(cfg, word), eta))
-            image = copy_count_projection(image, 0, "exact")
-            for w, c in image.coeffs.items():
-                columns.setdefault((len(w), j), []).append((w, col, float(c)))
     block_norms = {}
     max_offband = 0.0
-    for (i, j), entries in columns.items():
-        rows = {w: r for r, w in enumerate(first_copy_words(i, cfg))}
-        mat = np.zeros((inner.dim(i), inner.dim(j)))
-        for w, col, c in entries:
-            mat[rows[w], col] += c
-        g_i, _ = gram_factors(i, inner)
-        _, g_j_inv = gram_factors(j, inner)
-        norm = float(np.linalg.norm(g_i @ mat @ g_j_inv, 2))
+    for (i, j), mat in _first_copy_blocks(xi, eta, cfg, cfg.max_degree).items():
+        norm = float(np.linalg.norm(_gram_conjugate(mat, i, j, inner), 2))
         if norm == 0.0:
             continue
         block_norms[(i, j)] = norm

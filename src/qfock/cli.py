@@ -140,8 +140,6 @@ def emit(args, payload: dict, text: str = None) -> str:
             _write_json(_finite(payload), 0, parts.append, allow_nan=True)
         parts.append("\n")
         return "".join(parts)
-    if text is None:
-        raise ValueError(f"format {args.format!r} not available for {args.command}")
     return text if text.endswith("\n") else text + "\n"
 
 
@@ -240,8 +238,6 @@ def scan_payload(args, reports) -> tuple:
 def cmd_gram(args) -> tuple:
     mode = parse_q(args.q)
     cfg = SpaceConfig(args.d, args.copies, args.max_degree, mode)
-    if args.degree > args.max_degree:
-        raise ValueError(f"degree {args.degree} above truncation {args.max_degree}")
     rows = _gram_rows(gram_matrix(args.degree, cfg), mode)
     words = word_basis(args.degree, cfg.letters)
     results = [

@@ -41,7 +41,7 @@ from .fock import word_basis, word_inner_poly, word_to_str
 from .scalars import QPolynomial
 from .wick import wick_word_action
 
-# Largest case count the claim, two-mode and inclusion-exclusion scans
+# Largest case count the claim, two-mode, inclusion-exclusion and iota scans
 # accept; see check_budget.
 SCAN_BUDGET = 50_000
 
@@ -92,6 +92,7 @@ _CASE_COUNTS = {
     "claim": lambda n, m_max: _straddling_count(n, range(1, min(m_max, n // 2) + 1)),
     "two-mode": lambda n, d: d ** n * sum(min(k, n - k) + 1 for k in range(n + 1)),
     "sweep": lambda n, d: (n + 1) * d ** n,
+    "iota": lambda n, _: _straddling_count(n, range(n // 2 + 1)),
 }
 
 
@@ -99,7 +100,8 @@ def check_budget(scan: str, n_max: int, size: int) -> int:
     """Cases a scan would check, counted by arithmetic; over ``SCAN_BUDGET``
     raises ValueError before any work.
 
-    ``scan`` is "claim" (size = m_max), "two-mode" or "sweep" (size = d).
+    ``scan`` is "claim" (size = m_max), "two-mode" or "sweep" (size = d),
+    or "iota" (size unused).
     The two-mode scan is also refused when its partition tables would hold
     more than ``SCAN_BUDGET`` straddling partitions, whatever d is.  The
     sums over n stop as soon as one passes the budget, so a huge n_max
@@ -361,10 +363,7 @@ def iota_prime_identity_scan(n_max: int = 8, fault=None) -> ScanReport:
     """Insertion statistic == coset/permutation closed form, exhaustively;
     the enumerator yields block-respecting partitions only, so both sides
     read the pair tuples unchecked."""
-    if n_max < 0:
-        raise ValueError(f"iota-prime scan needs n_max >= 0, got {n_max}")
-    if n_max > 10:
-        raise ValueError("scan capped at n <= 10")
+    check_budget("iota", n_max, 1)
     results = []
     for n in range(n_max + 1):
         for k in range(n + 1):

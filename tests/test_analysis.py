@@ -13,7 +13,6 @@ from qfock.analysis import (
     dilation_operator,
     gram_factors,
     ou_tail,
-    phi_hk_apply,
     phi_hk_check,
     phi_hk_operator,
     phi_schatten_closed_form,
@@ -27,11 +26,15 @@ from qfock.fock import (
     FockVector,
     SpaceConfig,
     copy_count_projection,
+    first_copy_words,
     q_inner,
+    second_copy_vector,
     second_quantize,
     word_basis,
+    word_index,
 )
 from qfock.scalars import EXACT, ScalarMode
+from qfock.wick import wick_apply
 
 
 def doubled(d, n, q=0.5):
@@ -74,15 +77,14 @@ def test_phi_check_small_deviation():
 
 
 def test_phi_orthogonal_arguments_kill_the_map():
-    cfg = doubled(2, 4)
-    v = FockVector.from_word(cfg, (0, 1))
-    assert phi_hk_apply((1.0, 0.0), (0.0, 1.0), v).is_zero()
+    cfg = single(2, 3)
+    op = phi_hk_operator((1.0, 0.0), (0.0, 1.0), cfg, route="vector")
+    assert set(op.blocks) == {(n, n) for n in range(4)}
+    assert not any(mat.any() for mat in op.blocks.values())
 
 
 def test_phi_input_validation():
     cfg = doubled(2, 3)
-    with pytest.raises(ValueError):
-        phi_hk_apply((1.0, 0.0), (1.0, 0.0), FockVector.from_word(cfg, (2,)))
     with pytest.raises(ValueError):
         phi_hk_check((1.0,), (1.0, 0.0), cfg)
     with pytest.raises(ValueError):
@@ -102,6 +104,71 @@ def test_phi_operator_routes_agree():
         phi_hk_operator((1.0, 0.0), (1.0, 0.0), doubled(2, 3))
     with pytest.raises(ValueError):
         phi_hk_operator((1.0, 0.0), (1.0, 0.0), cfg, route="spectral")
+
+
+# ---------------------------------------------------------------------------
+# the per-word route the shared block assembly replaced, as an oracle
+
+
+def phi_hk_apply(h, k, v):
+    """E(s(h~) x s(k~)) on the vector x Omega, x in the first-copy algebra:
+    s(k~) Omega is k~ and s(h~) acts as W(h~).  Exact on components of
+    degree at most max_degree - 2."""
+    right = wick_apply(v, second_copy_vector(k, v.cfg))
+    return copy_count_projection(wick_apply(second_copy_vector(h, v.cfg), right), 0, "exact")
+
+
+def oracle_phi_check(h, k, cfg):
+    """The per-word deviation loop: every first-copy word of degree
+    n <= max_degree - 2 against q^n <h,k>, a non-finite coefficient
+    returned at once."""
+    q = cfg.scalar.q
+    with np.errstate(all="ignore"):
+        hk = float(np.dot(np.asarray(h, dtype=float), np.asarray(k, dtype=float)))
+    dev = 0.0
+    for n in range(cfg.max_degree - 1):
+        for word in first_copy_words(n, cfg):
+            image = phi_hk_apply(h, k, FockVector.from_word(cfg, word))
+            for c in (image - FockVector.from_word(cfg, word, q ** n * hk)).coeffs.values():
+                if not math.isfinite(c):
+                    return abs(c)
+                dev = max(dev, abs(c))
+    return dev
+
+
+PHI_PAIRS = {
+    1: [((1.0,), (1.0,)), ((0.6,), (-1.5,)), ((2.0,), (0.25,))],
+    2: [((1.0, 0.0), (1.0, 0.0)), ((0.6, 0.8), (0.8, -0.6)), ((1.0, -2.0), (0.5, 0.3))],
+}
+PHI_GRID = [(d, q, h, k) for d in (1, 2) for q in (0.5, -0.4, 0.9) for h, k in PHI_PAIRS[d]]
+
+
+@pytest.mark.parametrize("d, q, h, k", PHI_GRID)
+def test_phi_vector_route_is_the_per_word_images(d, q, h, k):
+    for top in range(4):
+        cfg = single(d, top, q)
+        big = doubled(d, top + 2, q)
+        expected = {(n, n): np.zeros((d ** n, d ** n)) for n in range(top + 1)}
+        for n in range(top + 1):
+            for col, word in enumerate(first_copy_words(n, big)):
+                for w, c in phi_hk_apply(h, k, FockVector.from_word(big, word)).coeffs.items():
+                    block = expected.setdefault((len(w), n), np.zeros((d ** len(w), d ** n)))
+                    block[word_index(len(w), d)[w], col] = c
+        op = phi_hk_operator(h, k, cfg, route="vector")
+        assert set(op.blocks) == set(expected)
+        for key, block in expected.items():
+            assert np.array_equal(op.block(*key), block)
+
+
+@pytest.mark.parametrize("d, q, h, k", PHI_GRID + [
+    (1, 0.5, (1e200,), (1e200,)),
+    (2, 0.5, (1e200, 1e200), (1e200, -1e200)),
+    (2, 0.0, (1e300, 0.0), (1e300, 0.0)),
+])
+def test_phi_check_is_the_per_word_deviation(d, q, h, k):
+    for top in range(6):
+        cfg = doubled(d, top, q)
+        assert repr(phi_hk_check(h, k, cfg)) == repr(oracle_phi_check(h, k, cfg))
 
 
 def test_schatten_identity_block():

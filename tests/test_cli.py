@@ -8,6 +8,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -185,6 +186,7 @@ def _entered(*args, **kwargs):
         (["verify-ie", "--nmax", "14", "--split-nmax", "3"], "budget"),
         (["verify-ie", "--nmax", "6", "--split-nmax", "6", "--d", "9"], "budget"),
         (["verify-ie", "--nmax", "1000000000", "--split-nmax", "3", "--d", "1"], "budget"),
+        (["verify-iota", "--nmax", "12"], "budget"),
     ],
 )
 def test_oversized_verify_scans_are_usage_errors(capsys, monkeypatch, argv, reason):
@@ -236,7 +238,10 @@ def test_claim_other_reading_output_is_pinned(capsys):
 
 
 def test_gram_degree_above_truncation(capsys):
+    # refused by gram_matrix itself, before any work
     assert main(["gram", "--d", "2", "--degree", "7", "--max-degree", "6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "outside 0..6" in captured.err
 
 
 def test_gram_json(capsys):
@@ -462,13 +467,23 @@ def test_phi_check(capsys):
 
 
 def test_phi_check_overflow_is_not_verified(capsys):
-    # <h, k> overflows to inf and the deviation to NaN, which must not read as 0
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    # <h, k> overflows to inf and the deviation to NaN, which must not read
+    # as 0; numpy's floating-point warnings stay off stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code, doc = run_json(capsys, "phi-check", "--d", "2", "--max-degree", "3", "--h", "1e308,1e308")
     assert code == 1
     check_envelope(doc)
     assert not doc["verified"]
     assert doc["results"][0]["deviation"] is None
+
+
+@pytest.mark.parametrize("max_degree", ["0", "1"])
+def test_phi_check_below_degree_two_checks_nothing(capsys, max_degree):
+    code, doc = run_json(capsys, "phi-check", "--d", "2", "--max-degree", max_degree)
+    assert code == 0
+    check_envelope(doc)
+    assert doc["results"][0]["deviation"] == 0.0
 
 
 def test_decay(capsys):
@@ -634,7 +649,12 @@ def test_emit_writes_non_finite_keys_as_json_does():
     ["schatten", "--d", "2", "--p", "2", "--hk", "1e308"],
 ])
 def test_overflowing_envelopes_are_strict_json(capsys, argv):
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    # phi-check keeps numpy's floating-point warnings to itself; the
+    # Schatten norm's overflowing power still warns
+    warns = argv[0] == "schatten"
+    with pytest.warns(RuntimeWarning, match="overflow") if warns else warnings.catch_warnings():
+        if not warns:
+            warnings.simplefilter("error")
         assert main(argv + ["--format", "json"]) == 1
     doc = json.loads(capsys.readouterr().out, parse_constant=_no_constants)
     check_envelope(doc)
@@ -674,6 +694,32 @@ def test_json_stdout_is_the_oracle_text_of_its_payload(capsys, monkeypatch, argv
     main(argv + ["--format", "json"])
     assert len(payloads) == 1
     assert capsys.readouterr().out == json.dumps(payloads[0], indent=2) + "\n"
+
+
+def _format_choices() -> dict:
+    """Each subcommand's ``--format`` choices, read from the parser."""
+    subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: next(a for a in sub._actions if a.dest == "format").choices
+        for name, sub in subparsers.choices.items()
+    }
+
+
+FORMAT_ARGV = [
+    argv + ["--format", fmt] for argv in ENVELOPE_ARGV for fmt in _format_choices()[argv[0]]
+]
+
+
+def test_format_argv_cover_every_subcommand():
+    assert {argv[0] for argv in ENVELOPE_ARGV} == set(_format_choices())
+
+
+@pytest.mark.parametrize("argv", FORMAT_ARGV, ids=lambda argv: " ".join(argv[:1] + argv[-1:]))
+def test_every_offered_format_writes_output(capsys, argv):
+    # every format a subcommand offers has text to write, so emit never
+    # meets a format it cannot serve
+    assert main(argv) in (0, 1)
+    assert capsys.readouterr().out.strip()
 
 
 SESSION_ARGV = [

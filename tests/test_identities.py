@@ -324,8 +324,10 @@ def test_iota_scan():
     report = iota_prime_identity_scan(6)
     assert report.passed and report.cases == 160
     assert not iota_prime_identity_scan(6, fault=5).passed
-    with pytest.raises(ValueError):
-        iota_prime_identity_scan(11)
+    report = iota_prime_identity_scan(11)
+    assert report.passed and report.cases == identities.check_budget("iota", 11, 1) == 20_371
+    with pytest.raises(ValueError, match="budget"):
+        iota_prime_identity_scan(12)
 
 
 def test_iota_scan_never_revalidates_a_partition(monkeypatch):
@@ -430,6 +432,7 @@ def test_budget_admits_the_documented_inputs():
         ("claim", 9, 3), ("claim", 12, 4), ("two-mode", 6, 2), ("two-mode", 4, 3),
         ("two-mode", 11, 1),
         ("sweep", 5, 2), ("sweep", 6, 3),
+        ("iota", 8, 1), ("iota", 10, 1), ("iota", 11, 1),
     ]:
         assert identities.check_budget(scan, n_max, size) <= identities.SCAN_BUDGET
 
@@ -451,6 +454,7 @@ def test_oversized_scans_are_refused_before_work(monkeypatch):
         lambda: two_mode_scan(13, 1),
         lambda: inclusion_exclusion_sweep(40, 3),
         lambda: inclusion_exclusion_sweep(12, 2),
+        lambda: iota_prime_identity_scan(12),
     ):
         with pytest.raises(ValueError, match="budget"):
             run()
