@@ -245,7 +245,8 @@ def schatten_norm(op: BlockOperator, p: float, cfg: SpaceConfig) -> SchattenRepo
         else:
             svals = np.linalg.svd(_gram_conjugate(block, n, n, cfg), compute_uv=False)
         degree_svals.append(np.sort(svals))
-        total += float(np.sum(svals ** p))
+        with np.errstate(all="ignore"):  # an overflowing norm is reported as null
+            total += float(np.sum(svals ** p))
         partial_norms.append(total ** (1.0 / p))
     return SchattenReport(
         p=p,

@@ -19,14 +19,17 @@ recursion
 
     <h (x) w, w'> = sum_j q^(j-1) <h, w'_j> <w, w' with slot j removed>
 
-memoized per word pair for the sparse routes (``word_inner_poly``).  Gram
-blocks apply the same recursion to whole blocks (Bozejko-Speicher):
+memoized per word pair for the sparse routes (``word_inner_poly``).  Words
+with different letter contents (multisets) are orthogonal, so exact Gram
+blocks are assembled per content: the same recursion fills each content's
+integer coefficient block from the blocks one letter smaller, and
+polynomials are built only at the end.  Float mode applies it to whole
+blocks (Bozejko-Speicher):
 
     G_0 = [1],  G_n = sum_j q^j (I_letters (x) G_(n-1))[:, P_j]
 
-with P_j[v] the index of word v with slot j moved to the front.  Float mode
-scales float arrays by q^j; exact mode adds integer coefficient arrays into
-the coefficient axis shifted by j, and builds polynomials only at the end.
+with P_j[v] the index of word v with slot j moved to the front; at the
+sizes used, dense float arrays beat per-content blocks.
 
 There is no ladder kernel here: a field s(h) is the degree-1 Wick product
 W(h), applied by ``qfock.wick.wick_apply``.  Its kernel
@@ -49,10 +52,11 @@ from .scalars import QPolynomial, ScalarMode
 
 DEFAULT_MAX_DIM = 5000
 EXACT_GRAM_BUDGET = 2 ** 28
-"""Bytes the dense exact Gram coefficient array of one degree may take.
+"""Bytes exact Gram assembly of one degree may hold at its peak.
 
-Assembly also holds two work buffers of the previous degree's width, so
-the peak is about 2.6 times this at the largest admitted degree.
+That is every content block of the degree below, the largest content
+block of the degree, and the references of the dense result
+(``_gram_bytes``); d = 2 is admitted up to degree 11.
 """
 
 
@@ -206,10 +210,14 @@ class FockVector:
     coeffs: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.coeffs = {w: c for w, c in self.coeffs.items() if not scalar_is_zero(c)}
-        for w in self.coeffs:
-            if len(w) > self.cfg.max_degree:
-                raise ValueError(f"word {w} above max degree {self.cfg.max_degree}")
+        top, kept = self.cfg.max_degree, {}
+        for w, c in self.coeffs.items():
+            if scalar_is_zero(c):
+                continue  # dropped before its degree is checked
+            if len(w) > top:
+                raise ValueError(f"word {w} above max degree {top}")
+            kept[w] = c
+        self.coeffs = kept
 
     @staticmethod
     def vacuum(cfg: SpaceConfig) -> "FockVector":
@@ -279,6 +287,22 @@ def _slot_moves(degree: int, letters: int) -> tuple:
     return tuple(moves)
 
 
+def _float_gram(degree: int, letters: int, q0: float) -> np.ndarray:
+    """G_n = sum_j q^j (I_letters (x) G_(n-1))[:, P_j] at the float q0."""
+    g = np.ones((1, 1))
+    for n in range(1, degree + 1):
+        m = g.shape[0]
+        lifted = np.zeros((m * letters, m * letters))
+        for a in range(letters):
+            lifted[a * m : (a + 1) * m, a * m : (a + 1) * m] = g
+        g, term = np.zeros_like(lifted), np.empty_like(lifted)
+        for j, move in enumerate(_slot_moves(n, letters)):
+            np.take(lifted, move, axis=1, out=term, mode="clip")
+            term *= q0 ** j
+            g += term
+    return g
+
+
 def _coeff_dtype(degree: int):
     # every coefficient of a degree-n entry counts permutations, so is <= n!
     bound = math.factorial(degree)
@@ -289,63 +313,58 @@ def _coeff_dtype(degree: int):
     return object
 
 
-def _next_gram(prev: np.ndarray, degree: int, letters: int, out: np.ndarray, add_q_power) -> None:
-    """out += sum_j q^j (I_letters (x) prev)[:, P_j].
-
-    add_q_power(out, term, j) adds q^j * term; it is the only step that
-    differs between float and exact scalars.
-    """
-    m = prev.shape[0]
-    lifted = np.zeros((m * letters, m * letters) + prev.shape[2:], dtype=out.dtype)
-    for a in range(letters):
-        lifted[a * m : (a + 1) * m, a * m : (a + 1) * m] = prev
-    term = np.empty_like(lifted)
-    for j, move in enumerate(_slot_moves(degree, letters)):
-        np.take(lifted, move, axis=1, out=term, mode="clip")
-        add_q_power(out, term, j)
-
-
 def _gram_bytes(degree: int, letters: int) -> int:
-    """Size of the exact coefficient array of one Gram block, from its shape alone."""
-    dim = letters ** degree
-    return dim * dim * (degree * (degree - 1) // 2 + 1) * np.dtype(_coeff_dtype(degree)).itemsize
+    """Bytes exact assembly holds at its peak, from shapes alone: every content
+    block of the degree below, the largest of this degree, and the result's references."""
+
+    def block_bytes(n: int) -> list:  # per content: words^2 * coefficients * itemsize
+        size = (n * (n - 1) // 2 + 1) * np.dtype(_coeff_dtype(n)).itemsize
+        return [
+            (math.factorial(n) // math.prod(math.factorial(c.count(a)) for a in set(c))) ** 2 * size
+            for c in itertools.combinations_with_replacement(range(letters), n)
+        ]
+
+    below = sum(block_bytes(degree - 1)) if degree else 0
+    return below + max(block_bytes(degree)) + letters ** (2 * degree) * np.dtype(object).itemsize
 
 
-@lru_cache(maxsize=16)
-def _gram_coeffs(degree: int, letters: int) -> np.ndarray:
-    """Exact Gram block as integer coefficients, shape (dim, dim, C(degree, 2) + 1).
+def _content_blocks(degree: int, letters: int):
+    """Yield (content, word indices, coefficient block) per letter content.
 
-    Entry [u, v, k] is the coefficient of q^k in <u, v>.
+    The content is the sorted letters of the words, their indices ascend,
+    and block[s, t, k] is the coefficient of q^k in <word s, word t>.
+    Words of other contents are orthogonal.  A word a u' pairs with v
+    through the slots j where v_j = a (<a u', v> = sum_j q^j <u', v minus
+    slot j>), so each block is filled from the blocks one letter smaller,
+    which are held only while this degree is yielded.
 
-    >>> _gram_coeffs(2, 1).tolist()
-    [[[1, 1]]]
+    >>> for content, words, block in _content_blocks(2, 2):
+    ...     print(content, words.tolist(), block.tolist())
+    (0, 0) [0] [[[1, 1]]]
+    (0, 1) [1, 2] [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]
+    (1, 1) [3] [[[1, 1]]]
     """
     if degree == 0:
-        out = np.ones((1, 1, 1), dtype=_coeff_dtype(0))
-    else:
-        prev = _gram_coeffs(degree - 1, letters)
-        width = prev.shape[2]
-
-        def add_q_power(out, term, j):
-            out[:, :, j : j + width] += term
-
-        dim = letters ** degree
-        out = np.zeros((dim, dim, degree * (degree - 1) // 2 + 1), dtype=_coeff_dtype(degree))
-        _next_gram(prev, degree, letters, out, add_q_power)
-    out.flags.writeable = False
-    return out
-
-
-def _float_gram(degree: int, letters: int, q0: float) -> np.ndarray:
-    def add_q_power(out, term, j):
-        term *= q0 ** j
-        out += term
-
-    g = np.ones((1, 1))
-    for n in range(1, degree + 1):
-        prev, g = g, np.zeros((letters ** n, letters ** n))
-        _next_gram(prev, n, letters, g, add_q_power)
-    return g
+        yield (), np.zeros(1, dtype=np.int64), np.ones((1, 1, 1), dtype=_coeff_dtype(0))
+        return
+    below = {content: (words, block) for content, words, block in _content_blocks(degree - 1, letters)}
+    width = degree * (degree - 1) // 2 + 1
+    for content in itertools.combinations_with_replacement(range(letters), degree):
+        parts = []
+        for a in dict.fromkeys(content):  # each letter the words may start with
+            i = content.index(a)
+            parts.append((a, *below[content[:i] + content[i + 1 :]]))
+        words = np.concatenate([a * letters ** (degree - 1) + sub for a, sub, _ in parts])
+        block = np.zeros((len(words), len(words), width), dtype=_coeff_dtype(degree))
+        start = 0
+        for a, sub, sub_block in parts:
+            rows = slice(start, start + len(sub))
+            start += len(sub)
+            for j in range(degree):
+                after = letters ** (degree - 1 - j)  # the slots behind j
+                cols = np.searchsorted(words, (sub // after * letters + a) * after + sub % after)
+                block[rows, cols, j : j + sub_block.shape[2]] += sub_block
+        yield content, words, block
 
 
 def gram_matrix(degree: int, cfg: SpaceConfig) -> np.ndarray:
@@ -353,8 +372,8 @@ def gram_matrix(degree: int, cfg: SpaceConfig) -> np.ndarray:
 
     Float mode gives a float array at the configured q; exact mode an
     object array of QPolynomial, zero entries sharing one zero polynomial.
-    Exact mode raises ValueError, before allocating anything, when the
-    coefficient array would exceed ``EXACT_GRAM_BUDGET`` bytes.
+    Exact mode raises ValueError, before allocating anything, when its
+    assembly would hold more than ``EXACT_GRAM_BUDGET`` bytes.
 
     >>> g = gram_matrix(2, SpaceConfig(2, 1, 2, ScalarMode.exact()))
     >>> print(g[0, 0], "|", g[1, 2], "|", g[0, 1])
@@ -370,16 +389,15 @@ def gram_matrix(degree: int, cfg: SpaceConfig) -> np.ndarray:
             f"exact Gram block of degree {degree} over {cfg.letters} letters needs "
             f"{need} bytes, over the exact Gram budget of {EXACT_GRAM_BUDGET}"
         )
-    coeffs = _gram_coeffs(degree, cfg.letters)
-    dim = coeffs.shape[0]
+    dim = cfg.dim(degree)
     out = np.full((dim, dim), QPolynomial.zero(), dtype=object)
-    nonzero = (coeffs != 0).any(axis=2)
-    # few distinct polynomials fill many entries; build each one once
-    keys = [tuple(row) for row in coeffs[nonzero].tolist()]
-    distinct = {key: QPolynomial(key) for key in set(keys)}
-    polys = np.empty(len(keys), dtype=object)
-    polys[:] = [distinct[key] for key in keys]
-    out[nonzero] = polys
+    distinct: dict = {}  # few distinct polynomials fill many entries; build each one once
+    for _, words, block in _content_blocks(degree, cfg.letters):
+        for word, row in zip(words, block):
+            keys = list(map(tuple, row.tolist()))
+            for key in set(keys).difference(distinct):
+                distinct[key] = QPolynomial(key)
+            out[word, words] = list(map(distinct.__getitem__, keys))
     return out
 
 

@@ -98,8 +98,10 @@ def wick_apply(xi: FockVector, v: FockVector) -> FockVector:
             weight = xc * sc
             if scalar_is_zero(weight):
                 continue
+            # basis words have the unit weight: the kernel's polynomial is the term
+            unit = type(weight) is QPolynomial and weight.coeffs == (1,)
             for tw, p in wick_word_action(xw, sw, v.cfg.max_degree):
-                term = weight * mode.of(p)
+                term = p if unit else weight * mode.of(p)
                 prev = out.get(tw)
                 out[tw] = term if prev is None else prev + term
     return FockVector(v.cfg, out)

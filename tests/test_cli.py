@@ -166,8 +166,10 @@ def test_exact_gram_over_budget_is_a_usage_error(capsys, monkeypatch):
     from qfock import fock
 
     monkeypatch.setattr(fock, "EXACT_GRAM_BUDGET", fock._gram_bytes(3, 2) - 1)
+    monkeypatch.setattr(fock, "_content_blocks", _entered)
     assert main(["gram", "--d", "2", "--degree", "3", "--max-degree", "3"]) == 2
-    assert "budget" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == "" and "budget" in captured.err
 
 
 def _entered(*args, **kwargs):
@@ -452,7 +454,8 @@ def test_float_options_refuse_non_finite_values(capsys, argv, value):
 
 
 def test_schatten_overflowing_norm_is_a_violation(capsys):
-    with pytest.warns(RuntimeWarning, match="overflow"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code, doc = run_json(capsys, "schatten", "--d", "2", "--p", "2", "--hk", "1e308")
     assert code == 1
     check_envelope(doc)
@@ -649,12 +652,9 @@ def test_emit_writes_non_finite_keys_as_json_does():
     ["schatten", "--d", "2", "--p", "2", "--hk", "1e308"],
 ])
 def test_overflowing_envelopes_are_strict_json(capsys, argv):
-    # phi-check keeps numpy's floating-point warnings to itself; the
-    # Schatten norm's overflowing power still warns
-    warns = argv[0] == "schatten"
-    with pytest.warns(RuntimeWarning, match="overflow") if warns else warnings.catch_warnings():
-        if not warns:
-            warnings.simplefilter("error")
+    # both keep numpy's floating-point warnings to themselves
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert main(argv + ["--format", "json"]) == 1
     doc = json.loads(capsys.readouterr().out, parse_constant=_no_constants)
     check_envelope(doc)

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,6 +191,16 @@ def test_codec_round_trip_property(d_word):
     assert parse_word(word_to_str(word, d), d) == (word, copies)
 
 
+def test_vector_drops_zeros_before_checking_degrees():
+    cfg = exact_cfg(d=2, n=2)
+    above = (0, 1, 0)
+    for zero in (QPolynomial.zero(), 0, 0.0):
+        v = FockVector(cfg, {above: zero, (1,): QPolynomial.q()})
+        assert v.coeffs == {(1,): QPolynomial.q()}
+    with pytest.raises(ValueError, match="above max degree 2"):
+        FockVector(cfg, {above: QPolynomial.one()})
+
+
 def test_gram_small():
     cfg1 = exact_cfg(d=1, copies=1, n=2)
     g = gram_matrix(2, cfg1)
@@ -278,19 +289,64 @@ def test_gram_entry_eval_is_correctly_rounded(d, degree):
         assert p.eval(-0.9) == eval_rational(p, -0.9)
 
 
+def _no_assembly(*args):
+    raise AssertionError("assembly started before the budget check")
+
+
 def test_exact_gram_budget_is_checked_before_allocating(monkeypatch):
-    # the d=2, n=11 block the dimension cap admits: arithmetic only
-    assert fock._gram_bytes(11, 2) == 2048 * 2048 * 56 * 4
-    assert fock._gram_bytes(11, 2) > fock.EXACT_GRAM_BUDGET
-    assert fock._gram_bytes(5, 3) == 243 * 243 * 11 * 4
+    # arithmetic only.  d=2, n=11: the degree-10 content blocks (sum_k
+    # C(10, k)^2 word pairs, 46 int32 coefficients each), the widest
+    # degree-11 block (462 words, 56 coefficients) and 2048^2 references
+    below = math.comb(20, 10) * 46 * 4
+    assert fock._gram_bytes(11, 2) == below + 462 * 462 * 56 * 4 + 2048 * 2048 * 8
+    assert fock._gram_bytes(11, 2) < fock.EXACT_GRAM_BUDGET < fock._gram_bytes(12, 2)
+    # d=3, n=5: 639 degree-4 word pairs of one content, 30 words, 243^2 references
+    assert fock._gram_bytes(5, 3) == 639 * 7 * 4 + 30 * 30 * 11 * 4 + 243 * 243 * 8
     assert fock._gram_bytes(5, 3) < fock.EXACT_GRAM_BUDGET // 100
     # the refusal itself, on a small block under a lowered budget
     monkeypatch.setattr(fock, "EXACT_GRAM_BUDGET", fock._gram_bytes(4, 2) - 1)
     cfg = exact_cfg(d=2, n=4)
     assert gram_matrix(3, cfg).shape == (8, 8)
+    monkeypatch.setattr(fock, "_content_blocks", _no_assembly)
     with pytest.raises(ValueError, match="budget"):
         gram_matrix(4, cfg)
     assert gram_matrix(4, SpaceConfig(2, 1, 4, ScalarMode.at(0.5))).shape == (16, 16)
+
+
+def test_exact_gram_assembly_peaks_small():
+    # the dense coefficient array of all 243^2 word pairs peaked at 5.9 MB
+    cfg = SpaceConfig(3, 1, 5, EXACT)
+    tracemalloc.start()
+    try:
+        gram_matrix(5, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 10**6
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_content_blocks_are_the_word_pair_grams(d):
+    for n in range(7):
+        seen = []
+        for content, words, block in fock._content_blocks(n, d):
+            basis = [word_basis(n, d)[i] for i in words.tolist()]
+            assert all(tuple(sorted(w)) == content for w in basis)
+            polys = [[QPolynomial(tuple(c)) for c in row] for row in block.tolist()]
+            assert polys == [[word_inner_poly(u, v) for v in basis] for u in basis]
+            seen += basis
+        assert sorted(seen) == list(word_basis(n, d))
+
+
+@pytest.mark.parametrize("d,copies,n", [(2, 1, 5), (3, 1, 4), (2, 2, 3)])
+def test_gram_cross_content_entries_are_the_shared_zero(d, copies, n):
+    g = gram_matrix(n, SpaceConfig(d, copies, n, EXACT))
+    contents = [tuple(sorted(w)) for w in word_basis(n, d * copies)]
+    zero = g[0, -1]  # the all-first-letter word against the all-last-letter word
+    assert zero.is_zero()
+    for i, left in enumerate(contents):
+        for j, right in enumerate(contents):
+            assert (g[i, j] is zero) == (left != right)
 
 
 @pytest.mark.parametrize(
@@ -303,7 +359,8 @@ def test_gram_coefficients_widen_before_overflow(degree, dtype):
     The largest coefficient of [n]_q! first leaves int32 at n = 14 and
     int64 at n = 22, so a narrower dtype there would wrap visibly.
     """
-    assert fock._gram_coeffs(degree, 1).dtype == dtype
+    [(_, _, block)] = fock._content_blocks(degree, 1)
+    assert block.dtype == dtype
     g = gram_matrix(degree, SpaceConfig(1, 1, degree, EXACT))
     assert g.tolist() == gram_by_word_pairs(degree, 1)
 
@@ -349,24 +406,17 @@ def bareiss_determinant(rows):
 
 def distinct_letter_gram(n):
     """Gram block of the n! words using each of n letters once, as polynomials."""
-    perms = list(itertools.permutations(range(n)))
-    cfg = SpaceConfig(n, 1, n, EXACT)
-    if fock._gram_bytes(n, n) > fock.EXACT_GRAM_BUDGET:
-        with pytest.raises(ValueError, match="budget"):
-            gram_matrix(n, cfg)
-        return [[word_inner_poly(u, v) for v in perms] for u in perms]
-    g, index = gram_matrix(n, cfg), word_index(n, n)
-    rows = [index[w] for w in perms]
-    return [[g[i, j] for j in rows] for i in rows]
+    for content, _, block in fock._content_blocks(n, n):
+        if content == tuple(range(n)):
+            return [[QPolynomial(tuple(c)) for c in row] for row in block.tolist()]
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_distinct_letter_gram_determinant_is_zagiers(n):
     """Zagier (1992): det = prod_{k=1}^{n-1} (1 - q^(k^2+k))^((n-k) n!/(k^2+k)).
 
-    Both sides are polynomials in q, compared at integer q.  The exact
-    block at d = n is the principal block of gram_matrix up to n = 4; at
-    n = 5 it is over the budget and is built from word_inner_poly.
+    Both sides are polynomials in q, compared at integer q.  The block is
+    the all-distinct content's block of the exact assembly at d = n.
     """
     block = distinct_letter_gram(n)
     for q in (2, -3):
