@@ -6,8 +6,14 @@ subcommands can emit a JSON envelope with the fixed shape
     {"command": ..., "config": ..., "results": [...],
      "verified": bool, "violations": [...]}
 
-where exact scalars appear as strings ("2 + q") so nothing is rounded.  Exit
-codes: 0 success/verified, 1 an identity failed to verify, 2 bad usage or
+where exact scalars appear as strings ("2 + q") so nothing is rounded.
+
+Each ``cmd_*`` handler takes the parsed arguments and the scalar mode of
+``--q`` and returns ``(results, violations, text)``; ``text`` is what the
+non-JSON formats print.  ``main`` alone parses ``--q`` (on every
+subcommand, so a bad value is a usage error even where it is unused),
+builds the envelope, writes it through ``emit`` and sets the exit code:
+0 when ``violations`` is empty, 1 when it is not, 2 bad usage or
 configuration.  ``--inject-fault`` corrupts one comparison in the verify-*
 scans (seeded, for exercising the exit-code contract); it has no other use.
 """
@@ -220,23 +226,20 @@ def fault_index(args):
     return None
 
 
-def scan_payload(args, reports) -> tuple:
+def scan_payload(reports) -> tuple:
     results = [
         {"name": r.name, "cases": r.cases, "passed": r.passed, "notes": dict(r.notes)}
         for r in reports
     ]
     violations = [str(v) for r in reports for v in r.violations]
-    payload = envelope(args, results, violations)
-    text = "\n".join(r.summary() for r in reports)
-    return emit(args, payload, text), (0 if not violations else 1)
+    return results, violations, "\n".join(r.summary() for r in reports)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_gram(args) -> tuple:
-    mode = parse_q(args.q)
+def cmd_gram(args, mode: ScalarMode) -> tuple:
     cfg = SpaceConfig(args.d, args.copies, args.max_degree, mode)
     rows = _gram_rows(gram_matrix(args.degree, cfg), mode)
     words = word_basis(args.degree, cfg.letters)
@@ -250,7 +253,7 @@ def cmd_gram(args) -> tuple:
     text = None
     if args.format == "text":
         text = "\n".join("\t".join(str(entry) for entry in row) for row in rows)
-    return emit(args, envelope(args, results, []), text), 0
+    return results, [], text
 
 
 def _gram_rows(matrix, mode: ScalarMode) -> list:
@@ -266,30 +269,27 @@ def _gram_rows(matrix, mode: ScalarMode) -> list:
     return [[printed[key] for key in map(id, row)] for row in cells]
 
 
-def cmd_moment(args) -> tuple:
-    mode = parse_q(args.q)
+def cmd_moment(args, mode: ScalarMode) -> tuple:
     codes, _ = parse_word(args.letters, args.d)
     value = moment_pair_partitions(codes, mode)
     results = [{"letters": args.letters, "moment": scalar_out(value, mode)}]
-    return emit(args, envelope(args, results, []), str(value)), 0
+    return results, [], str(value)
 
 
-def cmd_wick(args) -> tuple:
-    mode = parse_q(args.q)
+def cmd_wick(args, mode: ScalarMode) -> tuple:
     codes, copies = parse_word(args.letters, args.d)
     on_codes, on_copies = parse_word(args.on, args.d) if args.on else ((), 1)
-    max_degree = args.max_degree or len(codes) + len(on_codes)
+    max_degree = len(codes) + len(on_codes) if args.max_degree is None else args.max_degree
     cfg = SpaceConfig(args.d, max(copies, on_copies), max_degree, mode)
     xi = FockVector.from_word(cfg, codes)
     out = wick_apply(xi, FockVector.from_word(cfg, on_codes))
-    return emit(args, envelope(args, vector_results(out, args.d), []), _vector_text(out, args.d)), 0
+    return vector_results(out, args.d), [], _vector_text(out, args.d)
 
 
-def cmd_split(args) -> tuple:
-    mode = parse_q(args.q)
+def cmd_split(args, mode: ScalarMode) -> tuple:
     codes, copies = parse_word(args.letters, args.d)
     n = len(codes)
-    cfg = SpaceConfig(args.d, copies, args.max_degree or n, mode)
+    cfg = SpaceConfig(args.d, copies, n if args.max_degree is None else args.max_degree, mode)
     xi = FockVector.from_word(cfg, codes)
     combined = wick_split_product(xi, args.k)
     # same product through the two factor operators, for the dual route
@@ -299,13 +299,10 @@ def cmd_split(args) -> tuple:
     a, b, zero = combined.coeffs, direct.coeffs, mode.zero()
     differ = sorted(w for w in a.keys() | b.keys() if not _agree(a.get(w, zero), b.get(w, zero), mode))
     violations = [f"routes differ on {differ}"] if differ else []
-    results = vector_results(combined, args.d)
-    code = 0 if not violations else 1
-    return emit(args, envelope(args, results, violations), _vector_text(combined, args.d)), code
+    return vector_results(combined, args.d), violations, _vector_text(combined, args.d)
 
 
-def cmd_clt(args) -> tuple:
-    mode = parse_q(args.q)
+def cmd_clt(args, mode: ScalarMode) -> tuple:
     if args.left or args.right:
         if not (args.left and args.right):
             raise ValueError("off-diagonal comparison needs both --left and --right")
@@ -322,8 +319,7 @@ def cmd_clt(args) -> tuple:
                 "reference": scalar_out(ref, mode),
             }
         ]
-        text = f"{value}  vs  {ref}"
-        return emit(args, envelope(args, results, violations), text), 0 if not violations else 1
+        return results, violations, f"{value}  vs  {ref}"
     if not args.letters:
         raise ValueError("need --letters for the diagonal moment")
     codes, _ = parse_word(args.letters, args.d)
@@ -336,7 +332,7 @@ def cmd_clt(args) -> tuple:
         lines.append(f"N={N}: {value}")
     results.append({"N": "limit", "moment": scalar_out(limit, mode)})
     lines.append(f"limit: {limit}")
-    return emit(args, envelope(args, results, []), "\n".join(lines)), 0
+    return results, [], "\n".join(lines)
 
 
 def _guard_partitions(N: int, m: int, rows: int = 0) -> None:
@@ -348,11 +344,11 @@ def _guard_partitions(N: int, m: int, rows: int = 0) -> None:
         raise ValueError(f"{walked} set partitions of {m} letters and {rows} rows is too many")
 
 
-def cmd_verify_iota(args) -> tuple:
-    return scan_payload(args, [iota_prime_identity_scan(args.nmax, fault=fault_index(args))])
+def cmd_verify_iota(args, mode: ScalarMode) -> tuple:
+    return scan_payload([iota_prime_identity_scan(args.nmax, fault=fault_index(args))])
 
 
-def cmd_verify_ie(args) -> tuple:
+def cmd_verify_ie(args, mode: ScalarMode) -> tuple:
     # both scans are sized before either starts
     check_budget("two-mode", args.split_nmax, args.d)
     check_budget("sweep", args.nmax, args.d)
@@ -360,17 +356,14 @@ def cmd_verify_ie(args) -> tuple:
         two_mode_scan(args.split_nmax, args.d),
         inclusion_exclusion_sweep(args.nmax, args.d, fault=fault_index(args)),
     ]
-    return scan_payload(args, [merge_reports("splitting identities", reports)] if args.merged else reports)
+    return scan_payload([merge_reports("splitting identities", reports)] if args.merged else reports)
 
 
-def cmd_verify_claim(args) -> tuple:
-    return scan_payload(
-        args, [claim_scan(args.nmax, args.mmax, args.reading, fault=fault_index(args))]
-    )
+def cmd_verify_claim(args, mode: ScalarMode) -> tuple:
+    return scan_payload([claim_scan(args.nmax, args.mmax, args.reading, fault=fault_index(args))])
 
 
-def cmd_schatten(args) -> tuple:
-    mode = parse_q(args.q)
+def cmd_schatten(args, mode: ScalarMode) -> tuple:
     cfg = SpaceConfig(args.d, 1, args.max_degree, mode)
     h = (1.0,) + (0.0,) * (args.d - 1)
     k = (args.hk,) + (0.0,) * (args.d - 1)
@@ -394,22 +387,20 @@ def cmd_schatten(args) -> tuple:
             "partial_norms": report.partial_norms,
         }
     ]
-    return emit(args, envelope(args, results, violations), report.summary()), 0 if not violations else 1
+    return results, violations, report.summary()
 
 
-def cmd_phi_check(args) -> tuple:
-    mode = parse_q(args.q)
+def cmd_phi_check(args, mode: ScalarMode) -> tuple:
     cfg = SpaceConfig(args.d, 2, args.max_degree, mode)
     h = _parse_floats(args.h, args.d) if args.h else (1.0,) + (0.0,) * (args.d - 1)
     k = _parse_floats(args.k, args.d) if args.k else h
     dev = phi_hk_check(h, k, cfg)
     violations = [] if dev < args.tol else [f"deviation {dev!r} above {args.tol!r}"]
     results = [{"deviation": dev, "tol": args.tol}]
-    return emit(args, envelope(args, results, violations), f"deviation {dev:.3e}"), 0 if not violations else 1
+    return results, violations, f"deviation {dev:.3e}"
 
 
-def cmd_decay(args) -> tuple:
-    mode = parse_q(args.q)
+def cmd_decay(args, mode: ScalarMode) -> tuple:
     cfg = SpaceConfig(args.d, 2, args.max_degree, mode)
     codes, _ = parse_word(args.letters, args.d)
     xi = FockVector.from_word(cfg, codes)
@@ -431,12 +422,10 @@ def cmd_decay(args) -> tuple:
             ],
         }
     ]
-    text = f"rate {report.rate:.6f} over degrees {report.fit_degrees}"
-    return emit(args, envelope(args, results, violations), text), 0 if not violations else 1
+    return results, violations, f"rate {report.rate:.6f} over degrees {report.fit_degrees}"
 
 
-def cmd_deform(args) -> tuple:
-    mode = parse_q(args.q)
+def cmd_deform(args, mode: ScalarMode) -> tuple:
     cfg = SpaceConfig(args.d, 2, args.nmax, mode)
     t_cap = 2.0 ** (-args.kcut)
     tmin = args.tmin if args.tmin is not None else t_cap / 20
@@ -459,47 +448,41 @@ def cmd_deform(args) -> tuple:
             "rows": [list(row) for row in report.rows],
         }
     ]
+    text = f"max ratio {report.max_ratio:.6f} over {len(report.rows)} rows"
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["n", "t", "left", "right", "ratio"])
         writer.writerows(report.rows)
-        return buf.getvalue(), 0 if not violations else 1
-    text = f"max ratio {report.max_ratio:.6f} over {len(report.rows)} rows"
-    return emit(args, envelope(args, results, violations), text), 0 if not violations else 1
+        text = buf.getvalue()
+    return results, violations, text
 
 
-def cmd_tail(args) -> tuple:
-    mode = parse_q(args.q)
+def cmd_tail(args, mode: ScalarMode) -> tuple:
     codes, copies = parse_word(args.letters, args.d)
-    cfg = SpaceConfig(args.d, copies, args.max_degree or len(codes), mode)
+    cfg = SpaceConfig(args.d, copies, len(codes) if args.max_degree is None else args.max_degree, mode)
     x = FockVector.from_word(cfg, codes)
     value = ou_tail(x, args.t, args.top)
-    results = [{"t": args.t, "top": args.top, "tail": value}]
-    return emit(args, envelope(args, results, []), f"{value:.12g}"), 0
+    return [{"t": args.t, "top": args.top, "tail": value}], [], f"{value:.12g}"
 
 
-def cmd_render(args) -> tuple:
+def cmd_render(args, mode: ScalarMode) -> tuple:
     if args.n < 1:
         raise ValueError(f"--n must be at least 1, got {args.n}")
     rho = PartialPartition(args.n, args.k, parse_pairs(args.pairs))
-    if args.format == "svg":
-        return svg_diagram(rho), 0
     doc = ascii_diagram(rho)
-    if args.format == "json":
-        results = [
-            {
-                "n": args.n,
-                "k": args.k,
-                "pairs": [list(p) for p in rho.pairs],
-                "iota": crossings(rho),
-                "diagram": doc,
-            }
-        ]
-        if rho.k > 0 and rho.respects_block():
-            results[0]["iota_prime"] = iota_prime(rho)
-        return emit(args, envelope(args, results, [])), 0
-    return doc, 0
+    results = [
+        {
+            "n": args.n,
+            "k": args.k,
+            "pairs": [list(p) for p in rho.pairs],
+            "iota": crossings(rho),
+            "diagram": doc,
+        }
+    ]
+    if rho.k > 0 and rho.respects_block():
+        results[0]["iota_prime"] = iota_prime(rho)
+    return results, [], svg_diagram(rho) if args.format == "svg" else doc
 
 
 def _vector_text(v: FockVector, d: int) -> str:
@@ -529,9 +512,9 @@ def _parse_floats(text: str, d: int) -> tuple:
 # parser
 
 
-def _add_common(sub, *, q_default="generic", formats=("json", "text"), fmt_default=None):
+def _add_common(sub, *, q_default="generic", formats=("json", "text")):
     sub.add_argument("--q", default=q_default, help='"generic" for exact scalars, or a float')
-    sub.add_argument("--format", choices=formats, default=fmt_default or formats[0])
+    sub.add_argument("--format", choices=formats, default=formats[0])
     sub.add_argument("--out", default=None, help="write output to a file instead of stdout")
 
 
@@ -553,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--max-degree", type=int, required=True)
     p.add_argument("--copies", type=int, choices=(1, 2), default=1)
-    _add_common(p, formats=("json", "text"))
+    _add_common(p)
     p.set_defaults(func=cmd_gram)
 
     p = subs.add_parser("moment", help="vacuum moment of a field-operator word")
@@ -567,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--letters", required=True)
     p.add_argument("--on", default="", help="target word (default: vacuum)")
     p.add_argument("--max-degree", type=int, default=None)
-    _add_common(p, formats=("json", "text"))
+    _add_common(p)
     p.set_defaults(func=cmd_wick)
 
     p = subs.add_parser("split", help="two-block splitting of a Wick product on the vacuum")
@@ -575,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--letters", required=True)
     p.add_argument("--k", type=int, required=True, help="size of the right block")
     p.add_argument("--max-degree", type=int, default=None)
-    _add_common(p, formats=("json", "text"))
+    _add_common(p)
     p.set_defaults(func=cmd_split)
 
     p = subs.add_parser("clt", help="finite-size central limit moments")
@@ -584,12 +567,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True, help="number of colors")
     p.add_argument("--left", default="", help="adjoint-side word for the off-diagonal check")
     p.add_argument("--right", default="", help="distinct-color word for the off-diagonal check")
-    _add_common(p, formats=("json", "text"))
+    _add_common(p)
     p.set_defaults(func=cmd_clt)
 
     p = subs.add_parser("verify-iota", help="insertion statistic against its coset closed form")
     p.add_argument("--nmax", type=int, default=8)
-    _add_common(p, formats=("json", "text"))
+    _add_common(p)
     _add_verify(p)
     p.set_defaults(func=cmd_verify_iota)
 
@@ -598,7 +581,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split-nmax", type=int, default=6)
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--merged", action="store_true", help="report one merged scan")
-    _add_common(p, formats=("json", "text"))
+    _add_common(p)
     _add_verify(p)
     p.set_defaults(func=cmd_verify_ie)
 
@@ -606,7 +589,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nmax", type=int, default=8)
     p.add_argument("--mmax", type=int, default=3)
     p.add_argument("--reading", choices=("prime-plain", "prime-prime"), default="prime-plain")
-    _add_common(p, formats=("json", "text"))
+    _add_common(p)
     _add_verify(p)
     p.set_defaults(func=cmd_verify_claim)
 
@@ -616,7 +599,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hk", type=finite_float, default=1.0, help="inner product of the two vectors")
     p.add_argument("--max-degree", type=int, default=6)
     p.add_argument("--route", choices=("diagonal", "vector"), default="diagonal")
-    _add_common(p, q_default="0.5", formats=("json", "text"))
+    _add_common(p, q_default="0.5")
     p.set_defaults(func=cmd_schatten)
 
     p = subs.add_parser("phi-check", help="rank-one form of the compressed double sandwich")
@@ -625,7 +608,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", default="", help="comma-separated coefficients")
     p.add_argument("--max-degree", type=int, default=4)
     p.add_argument("--tol", type=finite_float, default=1e-10)
-    _add_common(p, q_default="0.5", formats=("json", "text"))
+    _add_common(p, q_default="0.5")
     p.set_defaults(func=cmd_phi_check)
 
     p = subs.add_parser("decay", help="block-norm decay of a compressed Wick sandwich")
@@ -633,7 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--letters", required=True)
     p.add_argument("--right", default="", help="second word (default: same as --letters)")
     p.add_argument("--max-degree", type=int, default=6)
-    _add_common(p, q_default="0.5", formats=("json", "text"))
+    _add_common(p, q_default="0.5")
     p.set_defaults(func=cmd_decay)
 
     p = subs.add_parser("deform", help="second-quantized rotation against the surviving tail")
@@ -652,7 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=finite_float, required=True)
     p.add_argument("--top", type=int, required=True)
     p.add_argument("--max-degree", type=int, default=None)
-    _add_common(p, q_default="0.5", formats=("json", "text"))
+    _add_common(p, q_default="0.5")
     p.set_defaults(func=cmd_tail)
 
     p = subs.add_parser("render", help="arc diagram of a pair/singleton partition")
@@ -672,7 +655,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        text, code = args.func(args)
+        results, violations, text = args.func(args, parse_q(args.q))
+        text = emit(args, envelope(args, results, violations), text)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -685,7 +669,7 @@ def main(argv=None) -> int:
             return 2
     else:
         sys.stdout.write(text)
-    return code
+    return 1 if violations else 0
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import functools
 import gzip
 import hashlib
 import importlib.util
@@ -575,6 +576,13 @@ def test_usage_errors(capsys):
     assert main(["moment", "--d", "1", "--letters", "1,1", "--frob"]) == 2
     assert main(["moment", "--d", "2", "--letters", "5"]) == 2
     assert main(["moment", "--d", "1", "--letters", "1,1", "--q", "1.5"]) == 2
+    # --max-degree 0 is honoured, as --max-degree 1 is for a word of degree 2
+    capsys.readouterr()
+    assert main(["wick", "--d", "1", "--letters", "1", "--max-degree", "0"]) == 2
+    assert main(["split", "--d", "1", "--letters", "1,1", "--k", "1", "--max-degree", "0"]) == 2
+    assert main(["tail", "--letters", "1", "--t", "1", "--top", "0", "--max-degree", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("above max degree 0") == 3
 
 
 def test_module_entry_point():
@@ -681,8 +689,21 @@ ENVELOPE_ARGV = [
 ]
 
 
-@pytest.mark.parametrize("argv", ENVELOPE_ARGV, ids=lambda argv: " ".join(argv[:1] + argv[-1:]))
+# runs whose envelope carries violations
+FAILING_ARGV = [
+    ["verify-iota", "--nmax", "5", "--inject-fault", "--seed", "7"],
+    ["verify-ie", "--nmax", "4", "--split-nmax", "4", "--inject-fault", "--seed", "7"],
+    ["verify-claim", "--nmax", "6", "--mmax", "2", "--inject-fault", "--seed", "7"],
+    ["schatten", "--d", "2", "--p", "2", "--hk", "1e308"],
+    ["phi-check", "--d", "2", "--h", "1e200,1e200"],
+]
+
+
+@pytest.mark.parametrize(
+    "argv", ENVELOPE_ARGV + FAILING_ARGV, ids=lambda argv: " ".join(argv[:1] + argv[-1:])
+)
 def test_json_stdout_is_the_oracle_text_of_its_payload(capsys, monkeypatch, argv):
+    # main emits once, and exits 1 exactly when the envelope has violations
     payloads = []
 
     def recording_emit(args, payload, text=None):
@@ -691,9 +712,20 @@ def test_json_stdout_is_the_oracle_text_of_its_payload(capsys, monkeypatch, argv
 
     emit = cli.emit
     monkeypatch.setattr(cli, "emit", recording_emit)
-    main(argv + ["--format", "json"])
+    code = main(argv + ["--format", "json"])
     assert len(payloads) == 1
-    assert capsys.readouterr().out == json.dumps(payloads[0], indent=2) + "\n"
+    assert capsys.readouterr().out == json.dumps(nulled(payloads[0]), indent=2) + "\n"
+    assert code == (1 if payloads[0]["violations"] else 0)
+    assert argv not in FAILING_ARGV or code == 1
+
+
+@pytest.mark.parametrize("q", ["abc", "1.5"])
+@pytest.mark.parametrize("argv", ENVELOPE_ARGV, ids=lambda argv: " ".join(argv[:1] + argv[-1:]))
+def test_bad_q_is_a_usage_error_on_every_subcommand(capsys, argv, q):
+    # main parses --q for every subcommand, also where its value is unused
+    assert main(argv + ["--q", q]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
 
 
 def _format_choices() -> dict:
@@ -756,8 +788,9 @@ def test_repeated_main_calls_match_fresh_parsers():
 
 
 # ---------------------------------------------------------------------------
-# the benchmark's byte contract: every exact command-line stage of
-# bench/workloads.py prints what bench/reference records for it
+# the benchmark's output contract: every command-line stage of
+# bench/workloads.py prints what bench/reference records for it, byte for
+# byte for the exact stages and number by number for the float ones
 
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -771,6 +804,7 @@ def _bench_workloads():
     return module
 
 
+@functools.lru_cache(maxsize=None)
 def _bench_references(workload):
     with gzip.open(BENCH / "reference" / f"{workload}.json.gz", "rt") as fh:
         rows = (line.rstrip("\n").split("\t") for line in fh)
@@ -778,15 +812,22 @@ def _bench_references(workload):
 
 
 BENCH_WORKLOADS = _bench_workloads()
-EXACT_CLI_STAGES = [
-    pytest.param(workload, size, stage, argv, id=f"{size}-{stage.name}-{i}")
-    for workload, stages in BENCH_WORKLOADS.WORKLOADS.items()
-    for stage in stages
-    if stage.exact
-    for size in BENCH_WORKLOADS.SIZES
-    for i, argv in enumerate(stage.variants(size))
-    if argv[0] != "three-trace"  # the one stage that is not a subcommand
-]
+
+
+def _cli_stages(exact: bool) -> list:
+    return [
+        pytest.param(workload, size, stage, argv, id=f"{size}-{stage.name}-{i}")
+        for workload, stages in BENCH_WORKLOADS.WORKLOADS.items()
+        for stage in stages
+        if stage.exact is exact
+        for size in BENCH_WORKLOADS.SIZES
+        for i, argv in enumerate(stage.variants(size))
+        if argv[0] != "three-trace"  # the one stage that is not a subcommand
+    ]
+
+
+EXACT_CLI_STAGES = _cli_stages(exact=True)
+FLOAT_CLI_STAGES = _cli_stages(exact=False)
 
 
 @pytest.mark.parametrize("workload, size, stage, argv", EXACT_CLI_STAGES)
@@ -797,6 +838,40 @@ def test_exact_benchmark_stages_print_their_reference_bytes(capsys, workload, si
     assert code == reference["exit"]
     assert stage.cases(json.loads(out)) == reference["cases"]
     assert hashlib.sha256(out.encode()).hexdigest() == reference["sha256"]
+
+
+def _differs(got, want) -> bool:
+    """Whether a float stage's output differs from its reference as the
+    benchmark judges it: numbers to a relative 1e-9 (absolute 1e-12 near
+    zero), everything else equal."""
+    if isinstance(want, dict):
+        return not isinstance(got, dict) or set(got) != set(want) or any(_differs(got[k], want[k]) for k in want)
+    if isinstance(want, list):
+        return not isinstance(got, list) or len(got) != len(want) or any(map(_differs, got, want))
+    if isinstance(want, (int, float)) and not isinstance(want, bool):
+        return (
+            isinstance(got, bool)
+            or not isinstance(got, (int, float))
+            or not math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12)
+        )
+    return type(got) is not type(want) or got != want
+
+
+def test_float_comparison_is_the_benchmarks():
+    assert not _differs({"a": [1.0, 2e-13, "x"]}, {"a": [1.0 + 1e-10, 0.0, "x"]})
+    for got in ({"a": [1.0 + 1e-8, 0.0, "x"]}, {"a": [1.0, 2e-12, "x"]}, {"a": [1.0, 0.0, "y"]},
+                {"a": [1.0, 0.0]}, {"a": [True, 0.0, "x"]}, {"b": [1.0, 0.0, "x"]}):
+        assert _differs(got, {"a": [1.0, 0.0, "x"]})
+
+
+@pytest.mark.parametrize("workload, size, stage, argv", FLOAT_CLI_STAGES)
+def test_float_benchmark_stages_match_their_reference(capsys, workload, size, stage, argv):
+    code = main(list(argv))
+    payload = json.loads(capsys.readouterr().out)
+    reference = _bench_references(workload)[(size, " ".join(argv))]
+    assert code == reference["exit"]
+    assert stage.cases(payload) == reference["cases"]
+    assert not _differs(payload, reference["payload"])
 
 
 @pytest.mark.parametrize(
