@@ -64,6 +64,9 @@ from .wick import (
 MAX_DEFORM_STEPS = 10_000
 """Most ``deform --steps`` grid points; the scan keeps (nmax - kcut + 1) rows per point."""
 
+MAX_GRAM_ENTRIES = 2 ** 20
+"""Most entries ``gram`` prints: the matrix of d = 2, degree 10 (74 MB of JSON)."""
+
 # ---------------------------------------------------------------------------
 # parsing helpers
 
@@ -241,6 +244,11 @@ def scan_payload(reports) -> tuple:
 
 def cmd_gram(args, mode: ScalarMode) -> tuple:
     cfg = SpaceConfig(args.d, args.copies, args.max_degree, mode)
+    # the printed rows outweigh the assembly; gram_matrix refuses a degree above max_degree
+    if args.degree <= cfg.max_degree and cfg.dim(args.degree) ** 2 > MAX_GRAM_ENTRIES:
+        raise ValueError(
+            f"gram would print {cfg.dim(args.degree) ** 2} entries, over the cap of {MAX_GRAM_ENTRIES}"
+        )
     rows = _gram_rows(gram_matrix(args.degree, cfg), mode)
     words = word_basis(args.degree, cfg.letters)
     results = [

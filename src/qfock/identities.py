@@ -59,11 +59,6 @@ class ScanReport:
     def passed(self) -> bool:
         return not self.violations
 
-    def record(self, ok: bool, label) -> None:
-        self.cases += 1
-        if not ok:
-            self.violations.append(label)
-
     def summary(self) -> str:
         state = "ok" if self.passed else f"{len(self.violations)} violations"
         return f"{self.name}: {self.cases} cases, {state}"
@@ -75,10 +70,8 @@ def _finalize(name: str, results: list, fault, notes=None) -> ScanReport:
         idx = fault % len(results)
         ok, label = results[idx]
         results[idx] = (not ok, label)
-    report = ScanReport(name=name, notes=dict(notes or {}))
-    for ok, label in results:
-        report.record(ok, label)
-    return report
+    violations = [label for ok, label in results if not ok]
+    return ScanReport(name, len(results), violations, dict(notes or {}))
 
 
 def _straddling_count(n: int, js: range) -> int:
@@ -105,9 +98,11 @@ def check_budget(scan: str, n_max: int, size: int) -> int:
     The two-mode scan is also refused when its partition tables would hold
     more than ``SCAN_BUDGET`` straddling partitions, whatever d is.  The
     sums over n stop as soon as one passes the budget, so a huge n_max
-    costs nothing.  A negative n_max, which would pass with 0 cases, and a
-    size below 1, which would leave the scan looping over empty levels, are
-    refused as well.
+    costs nothing.  A scan with 0 cases would pass without checking
+    anything, so it is refused as well: a negative n_max, and a claim scan
+    with n_max below 2 (its smallest partition has one pair on 2 points).
+    So is a size below 1, which would leave the scan looping over empty
+    levels.
 
     >>> check_budget("claim", 9, 3), check_budget("two-mode", 6, 2), check_budget("sweep", 5, 2)
     (2244, 1621, 321)
@@ -125,6 +120,8 @@ def check_budget(scan: str, n_max: int, size: int) -> int:
             raise ValueError(f"{scan} scan would check more than {SCAN_BUDGET} cases, over the budget")
         if partitions > SCAN_BUDGET:
             raise ValueError(f"{scan} scan would tabulate more than {SCAN_BUDGET} partitions, over the budget")
+    if not cases:
+        raise ValueError(f"{scan} scan would check 0 cases up to n_max = {n_max}")
     return cases
 
 
@@ -314,7 +311,8 @@ def alternating_claim(pi: PartialPartition, reading: str = "prime-plain") -> QPo
     reading "prime-plain" takes e = iota'(rho) + iota(sigma); "prime-prime"
     takes iota'(sigma) instead.  Both statistics run on the pair tuples, and
     the signs are collected by exponent before one polynomial is built.
-    Empty pi gives 1; one or more pairs should cancel to 0.
+    Empty pi gives 1; one or more pairs should cancel to 0.  The value
+    depends on the pairs alone, not on n or the split.
     """
     if reading not in ("prime-plain", "prime-prime"):
         raise ValueError(f"unknown reading {reading!r}")
@@ -338,15 +336,26 @@ def alternating_claim(pi: PartialPartition, reading: str = "prime-plain") -> QPo
 
 def claim_scan(n_max: int = 8, m_max: int = 3, reading: str = "prime-plain", fault=None) -> ScanReport:
     """The alternating sum vanishes for every straddling partition with
-    1 <= m <= m_max pairs; a surviving value is recorded verbatim."""
+    1 <= m <= m_max pairs; a surviving value is recorded verbatim.
+
+    Every (n, k, pairs) is a case of its own, but the sum reads the pairs
+    only, and one pair tuple straddles every split between its largest
+    left and smallest right endpoint at every n from its largest right
+    endpoint on.  So the scan computes one polynomial per distinct pair
+    tuple (792 for the 2,244 cases of n_max = 9, m_max = 3) and every
+    case reads its verdict from it.
+    """
     check_budget("claim", n_max, m_max)
     results = []
     notes: dict = {}
+    sums: dict = {}  # pair tuple -> its alternating sum, for this reading
     for n in range(2, n_max + 1):
         for k in range(n + 1):
             for m in range(1, min(m_max, max_pairs(n, k)) + 1):
                 for pi in enumerate_partial_partitions(n, k, m):
-                    value = alternating_claim(pi, reading)
+                    value = sums.get(pi.pairs)
+                    if value is None:
+                        value = sums[pi.pairs] = alternating_claim(pi, reading)
                     ok = value.is_zero()
                     results.append((ok, (n, k, pi.pairs)))
                     if not ok and "first_nonzero" not in notes:

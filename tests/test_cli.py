@@ -173,6 +173,33 @@ def test_exact_gram_over_budget_is_a_usage_error(capsys, monkeypatch):
     assert captured.out == "" and "budget" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gram", "--d", "2", "--degree", "11", "--max-degree", "11"],
+        ["gram", "--d", "1", "--copies", "2", "--degree", "11", "--max-degree", "11"],
+        ["gram", "--d", "3", "--degree", "7", "--max-degree", "7", "--q", "0.5"],
+    ],
+)
+def test_gram_over_the_printed_entry_cap_is_a_usage_error(capsys, monkeypatch, argv):
+    from qfock import fock
+
+    monkeypatch.setattr(fock, "_content_blocks", _entered)
+    monkeypatch.setattr(fock, "_float_gram", _entered)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "cap" in captured.err
+
+
+def test_gram_entry_cap_admits_d2_degree10(monkeypatch):
+    # 1024^2 entries is the cap itself, so assembly starts
+    from qfock import fock
+
+    monkeypatch.setattr(fock, "_content_blocks", _entered)
+    with pytest.raises(AssertionError, match="started"):
+        main(["gram", "--d", "2", "--degree", "10", "--max-degree", "10"])
+
+
 def _entered(*args, **kwargs):
     raise AssertionError("the scan started before the budget check")
 
@@ -183,6 +210,10 @@ def _entered(*args, **kwargs):
         (["verify-claim", "--nmax", "30", "--mmax", "6"], "budget"),
         (["verify-claim", "--nmax", "1000000000", "--mmax", "1000000000"], "budget"),
         (["verify-claim", "--nmax", "1000000000", "--mmax", "0"], "at least 1"),
+        (["verify-claim", "--nmax", "0"], "0 cases"),
+        (["verify-claim", "--nmax", "1", "--mmax", "4"], "0 cases"),
+        (["verify-claim", "--nmax", "1", "--inject-fault", "--seed", "7"], "0 cases"),
+        (["verify-claim", "--nmax", "0", "--reading", "prime-prime", "--inject-fault"], "0 cases"),
         (["verify-ie", "--nmax", "3", "--split-nmax", "12"], "budget"),
         (["verify-ie", "--d", "1", "--nmax", "1", "--split-nmax", "13"], "budget"),
         (["verify-ie", "--d", "1", "--nmax", "1", "--split-nmax", "12"], "budget"),

@@ -389,6 +389,52 @@ def test_claim_matches_object_oracle_both_readings():
     assert nonzero > 100  # the prime-prime reading leaves survivors to compare
 
 
+def oracle_claim_scan(n_max, m_max, reading, fault=None):
+    """The claim scan with one alternating sum per case, the reference for
+    the scan that shares a sum between cases with the same pair tuple."""
+    results, notes = [], {}
+    for n in range(2, n_max + 1):
+        for k in range(n + 1):
+            for m in range(1, min(m_max, max_pairs(n, k)) + 1):
+                for pi in enumerate_partial_partitions(n, k, m):
+                    value = alternating_claim(pi, reading)
+                    ok = value.is_zero()
+                    results.append((ok, (n, k, pi.pairs)))
+                    if not ok and "first_nonzero" not in notes:
+                        notes["first_nonzero"] = {"n": n, "k": k, "pairs": pi.pairs, "value": str(value)}
+    if fault is not None:
+        ok, label = results[fault % len(results)]
+        results[fault % len(results)] = (not ok, label)
+    violations = [label for ok, label in results if not ok]
+    return identities.ScanReport(f"alternating claim ({reading})", len(results), violations, notes)
+
+
+@pytest.mark.parametrize("reading", ["prime-plain", "prime-prime"])
+def test_claim_scan_matches_per_case_oracle(reading):
+    for n_max in range(2, 9):
+        for m_max in range(1, 4):
+            for fault in (None, 0, 7, 12345):
+                got = claim_scan(n_max, m_max, reading, fault)
+                want = oracle_claim_scan(n_max, m_max, reading, fault)
+                assert (got.cases, got.violations, got.notes, got.summary()) == (
+                    want.cases, want.violations, want.notes, want.summary()
+                )
+
+
+def test_claim_scan_sums_once_per_pair_tuple(monkeypatch):
+    summed = []
+    real = identities.alternating_claim
+
+    def counted(pi, reading="prime-plain"):
+        summed.append(pi.pairs)
+        return real(pi, reading)
+
+    monkeypatch.setattr(identities, "alternating_claim", counted)
+    report = claim_scan(9, 3)
+    assert report.passed and report.cases == 2244
+    assert len(summed) == len(set(summed)) == 792
+
+
 def test_sweep_fault_flips_one_real_comparison():
     clean = inclusion_exclusion_sweep(n_max=3, d=2)
     labels = {word_to_str(w, 2) or "vac" for n in range(4) for w in word_basis(n, 2)}
