@@ -210,10 +210,6 @@ def _entered(*args, **kwargs):
         (["verify-claim", "--nmax", "30", "--mmax", "6"], "budget"),
         (["verify-claim", "--nmax", "1000000000", "--mmax", "1000000000"], "budget"),
         (["verify-claim", "--nmax", "1000000000", "--mmax", "0"], "at least 1"),
-        (["verify-claim", "--nmax", "0"], "0 cases"),
-        (["verify-claim", "--nmax", "1", "--mmax", "4"], "0 cases"),
-        (["verify-claim", "--nmax", "1", "--inject-fault", "--seed", "7"], "0 cases"),
-        (["verify-claim", "--nmax", "0", "--reading", "prime-prime", "--inject-fault"], "0 cases"),
         (["verify-ie", "--nmax", "3", "--split-nmax", "12"], "budget"),
         (["verify-ie", "--d", "1", "--nmax", "1", "--split-nmax", "13"], "budget"),
         (["verify-ie", "--d", "1", "--nmax", "1", "--split-nmax", "12"], "budget"),
@@ -221,6 +217,10 @@ def _entered(*args, **kwargs):
         (["verify-ie", "--nmax", "6", "--split-nmax", "6", "--d", "9"], "budget"),
         (["verify-ie", "--nmax", "1000000000", "--split-nmax", "3", "--d", "1"], "budget"),
         (["verify-iota", "--nmax", "12"], "budget"),
+        (["verify-claim", "--nmax", "0"], "0 cases"),
+        (["verify-claim", "--nmax", "1", "--mmax", "4"], "0 cases"),
+        (["verify-claim", "--nmax", "1", "--inject-fault", "--seed", "7"], "0 cases"),
+        (["verify-claim", "--nmax", "0", "--reading", "prime-prime", "--inject-fault"], "0 cases"),
     ],
 )
 def test_oversized_verify_scans_are_usage_errors(capsys, monkeypatch, argv, reason):
