@@ -33,7 +33,7 @@ permutations are plain tuples: a subset of {1..n} is ``(n, chosen)`` with
 The block enumerator yields its pair tuples already sorted and valid, so
 it builds partitions through a trusted constructor that skips the public
 constructor's sorting and validation.  Perfect matchings are not
-enumerated here: the moment in ``qfock.wick`` walks them depth first.
+enumerated here: the moment in ``qfock.wick`` walks open-arc states.
 A set partition of positions is a restricted growth string (``patterns``).
 """
 

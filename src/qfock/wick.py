@@ -12,20 +12,20 @@ never as block matrices.  It is the package's only annihilation walk: a
 field s(h) is W(h) of the degree-1 vector h.  It also truncates the space,
 dropping each term whose creations would leave the top degree.
 
-Mixed vacuum moments of field operators are sums over pair partitions
-weighted by q^crossings; the finite-N central-limit averages and the
-off-diagonal coefficient sum colored moments over the set partitions of
-positions by color, so their N-independence and their closed forms are
-checked against rather than assumed.
+Mixed vacuum moments of field operators sum q^crossings over pair
+partitions, read left to right over open arcs; the finite-N central-limit
+averages and the off-diagonal coefficient sum colored moments over the set
+partitions of positions by color, checking N-independence and closed forms.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
+from collections import Counter, deque
 from fractions import Fraction
 from functools import lru_cache
-from math import perm, prod
+from math import comb, factorial, perm
+from typing import Iterator
 
 from .combinatorics import (
     coset_inversions,
@@ -116,94 +116,92 @@ def reversed_vector(xi: FockVector) -> FockVector:
 # moments
 
 
-MAX_MATCHINGS = 2_100_000
-"""Most matchings ``moment_pair_partitions`` walks; 16 equal letters need 2,027,025."""
+MAX_MOMENT_STATES = 200_000
+"""Most open-arc states ``moment_pair_partitions`` may hold, summed over its steps."""
 
 
-def _odd_double_factorial(m: int) -> int:
-    """(m - 1)!!, the number of perfect matchings of m points (m even)."""
-    return prod(range(m - 1, 1, -2))
+def _state_bounds(codes: list) -> Iterator[int]:
+    """Bounds on the states a word of integer codes holds, before the first letter and after each.
 
-
-def _inner_rows(hs: list) -> list:
-    """rows[i][j] = <h_i, h_j> for i < j, as plain ints, Fractions or QPolynomials."""
-    m = len(hs)
-    if all(isinstance(h, int) for h in hs):
-        return [[int(hs[i] == hs[j]) if j > i else 0 for j in range(m)] for i in range(m)]
-    return [
-        [sum(x * y for x, y in zip(hs[i], hs[j])) if j > i else 0 for j in range(m)]
-        for i in range(m)
-    ]
-
-
-def _crossing_histogram(rows: list, m: int) -> list:
-    """hist[k] = sum over matchings with k crossings of the paired inner products.
-
-    Depth first over matchings in lexicographic order: the smallest free
-    point ``first`` pairs with the i-th later free point ``partner``.  The
-    points strictly between them that are already matched are right ends of
-    pairs opened left of ``first``, so this pair crosses exactly
-    partner - first - 1 - i earlier pairs.  Partners with inner product 0
-    are skipped, which prunes every matching through them.
+    A state keeps k <= min(p, s) of the p copies of a letter read, s to come,
+    k of p's parity: at most the position choices, and at most the sequences
+    with such counts (an EGF product; letters with one such k enter at once).
     """
-    hist = [0] * (m * (m - 2) // 8 + 1)  # at most C(m/2, 2) crossings
+    to_come, read = Counter(codes), Counter()
+    yield 1
+    for x in codes:
+        to_come[x] -= 1
+        read[x] += 1
+        positions, lengths, forced, ways = 1, [1], 0, 1
+        for a, p in read.items():
+            ks = range(p % 2, min(p, to_come[a]) + 1, 2)
+            positions *= sum(comb(p, k) for k in ks)
+            if len(ks) == 1:
+                forced, ways = forced + ks[0], ways * factorial(ks[0])
+            else:  # lengths[j]: sequences of j letters, interleaving k new ones
+                lengths = [sum(lengths[j - k] * comb(j, k) for k in ks if 0 <= j - k < len(lengths))
+                           for j in range(len(lengths) + ks[-1])]
+        sequences = sum(n * comb(j + forced, j) for j, n in enumerate(lengths))
+        yield min(positions, sequences * factorial(forced) // ways)
 
-    def walk(free: tuple, cross: int, weight) -> None:
-        first, rest = free[0], free[1:]
-        row = rows[first]
-        if len(rest) == 1:
-            w = row[rest[0]]
-            if w:
-                cross += rest[0] - first - 1
-                hist[cross] = hist[cross] + weight * w
-            return
-        for i, partner in enumerate(rest):
-            w = row[partner]
-            if w:
-                walk(rest[:i] + rest[i + 1 :], cross + partner - first - 1 - i, weight * w)
 
-    if m:
-        walk(tuple(range(m)), 0, 1)
+def _open_arc_states(hs: list, codes: bool) -> Iterator[dict]:
+    """{open arcs, oldest first: {crossings: weight}} before the first letter and after each.
+
+    Arcs are named by their letters.  A letter opens one while more letters
+    that can close it (equal codes; any vector) are to come than such arcs
+    are open, and closes each open arc j with <h_j, x> != 0, times that
+    product, crossing the arcs opened after j.
+    """
+    if codes:
+        ids, inner = hs, {a: {a: 1} for a in hs}
+        room = [hs[n + 1 :].count(x) for n, x in enumerate(hs)]
     else:
-        hist[0] = 1
-    return hist
+        ids, room = [tuple(h) for h in hs], range(len(hs) - 1, -1, -1)
+        inner = {b: {a: w for a in ids if (w := sum(x * y for x, y in zip(a, b)))} for b in ids}
+    states = {(): {0: 1}}
+    yield states
+    for x, left in zip(ids, room):
+        # openings first: no two states open into the same one
+        nxt = {s + (x,): dict(h) for s, h in states.items() if (s.count(x) if codes else len(s)) < left}
+        for s, hist in states.items():
+            for j, a in enumerate(s):
+                if a in inner[x]:  # crossing the top - j arcs opened after arc j
+                    acc, w, top = nxt.setdefault(s[:j] + s[j + 1 :], {}), inner[x][a], len(s) - 1
+                    for k, v in hist.items():
+                        acc[k + top - j] = acc.get(k + top - j, 0) + v * w
+        states = nxt
+        yield states
 
 
 def moment_pair_partitions(hs, mode: ScalarMode = EXACT):
     """tau(s(h_1) ... s(h_m)) = sum over pair partitions of q^crossings times <h_i, h_j> per pair.
 
-    Letters may be integer codes (orthonormal) or coefficient tuples whose
-    entries are ints, Fractions or QPolynomials.  The sum is a crossing
-    histogram of products of the plain inner products (see
-    ``_crossing_histogram``), lifted to the scalar mode once at the end;
-    float mode evaluates that exact polynomial at q.  With integer codes a
-    letter of odd multiplicity gives 0 before any enumeration, and only
-    same-letter pairs are visited.
+    Letters are integer codes (orthonormal) or coefficient tuples of ints,
+    Fractions or QPolynomials.  A left-to-right walk over open-arc states
+    (the q-annihilation operator on the word of open letters; for one letter,
+    Flajolet's continued fraction for the Touchard-Riordan moments) ends with
+    the empty state's crossing histogram, lifted to the scalar mode once.
+    After n of m letters a state is a subsequence of them of n's parity, at
+    most m - n long: F(m + 2) states in all, or ``_state_bounds``.  Over
+    ``MAX_MOMENT_STATES`` a ValueError is raised before the walk starts.
 
-    Raises ValueError, before any work, when more than ``MAX_MATCHINGS``
-    matchings would be walked: prod over letters of (c - 1)!! for integer
-    codes with multiplicities c, (m - 1)!! for vector letters.
+    >>> print(moment_pair_partitions((0,) * 6))
+    5 + 6q + 3q^2 + q^3
+    >>> print(moment_pair_partitions((0, 1, 0, 1)))
+    q
     """
     hs = list(hs)
-    m = len(hs)
-    if m % 2:
+    codes = all(isinstance(h, int) for h in hs)
+    if len(hs) % 2 or codes and any(c % 2 for c in Counter(hs).values()):
         return mode.zero()
-    if all(isinstance(h, int) for h in hs):
-        counts = Counter(hs).values()
-        if any(c % 2 for c in counts):
-            return mode.zero()
-        work = prod(_odd_double_factorial(c) for c in counts)
-    else:
-        work = _odd_double_factorial(m)
-    if work > MAX_MATCHINGS:
-        raise ValueError(
-            f"{work} pair partitions to enumerate, over the cap of {MAX_MATCHINGS}"
-        )
-    hist = _crossing_histogram(_inner_rows(hs), m)
-    exact = QPolynomial(tuple(0 if isinstance(w, QPolynomial) else w for w in hist))
-    for k, w in enumerate(hist):
-        if isinstance(w, QPolynomial):
-            exact = exact + w.shift(k)
+    fibonacci = sum(comb(len(hs) + 1 - k, k) for k in range(len(hs) // 2 + 1))  # F(m + 2)
+    bounds = itertools.accumulate(_state_bounds(hs)) if codes else [fibonacci]
+    if fibonacci > MAX_MOMENT_STATES and any(held > MAX_MOMENT_STATES for held in bounds):
+        raise ValueError(f"more than {MAX_MOMENT_STATES} open-arc states to walk, over the cap")
+    hist = deque(_open_arc_states(hs, codes), maxlen=1)[0].get((), {})
+    plain = {k: w for k, w in hist.items() if not isinstance(w, QPolynomial)}
+    exact = sum((w.shift(k) for k, w in hist.items() if k not in plain), QPolynomial.from_powers(plain))
     return mode.of(exact)
 
 

@@ -1,13 +1,16 @@
-"""Perfect matchings enumerated one by one, for the tests' oracles.
+"""Perfect matchings walked one by one, for the tests' oracles.
 
-The package walks matchings only inside the moment's depth-first search
-(``qfock.wick``); the crossing tests and the enumerate-then-multiply
-moment oracle use this separate enumerator, so they stay independent of it.
+The package never enumerates perfect matchings: its moment
+(``qfock.wick.moment_pair_partitions``) reads the word once over open-arc
+states.  The crossing tests and the enumerate-then-multiply moment oracle
+use the enumerator here, and ``dfs_moment`` sums the same moment depth
+first over matchings, so each stays independent of the walk it checks.
 """
 
 from typing import Iterator
 
 from qfock.combinatorics import PartialPartition
+from qfock.scalars import QPolynomial
 
 
 def _matchings(points: tuple) -> Iterator[tuple]:
@@ -42,3 +45,65 @@ def enumerate_pair_partitions(m: int) -> Iterator[PartialPartition]:
         return
     for pairs in _matchings(tuple(range(1, m + 1))):
         yield PartialPartition(m, 0, pairs)
+
+
+def _inner_rows(hs: list) -> list:
+    """rows[i][j] = <h_i, h_j> for i < j, as plain ints, Fractions or QPolynomials."""
+    m = len(hs)
+    if all(isinstance(h, int) for h in hs):
+        return [[int(hs[i] == hs[j]) if j > i else 0 for j in range(m)] for i in range(m)]
+    return [
+        [sum(x * y for x, y in zip(hs[i], hs[j])) if j > i else 0 for j in range(m)]
+        for i in range(m)
+    ]
+
+
+def _crossing_histogram(rows: list, m: int) -> list:
+    """hist[k] = sum over matchings with k crossings of the paired inner products.
+
+    Depth first over matchings in lexicographic order: the smallest free
+    point ``first`` pairs with the i-th later free point ``partner``.  The
+    points strictly between them that are already matched are right ends of
+    pairs opened left of ``first``, so this pair crosses exactly
+    partner - first - 1 - i earlier pairs.  Partners with inner product 0
+    are skipped, which prunes every matching through them.
+    """
+    hist = [0] * (m * (m - 2) // 8 + 1)  # at most C(m/2, 2) crossings
+
+    def walk(free: tuple, cross: int, weight) -> None:
+        first, rest = free[0], free[1:]
+        row = rows[first]
+        if len(rest) == 1:
+            w = row[rest[0]]
+            if w:
+                cross += rest[0] - first - 1
+                hist[cross] = hist[cross] + weight * w
+            return
+        for i, partner in enumerate(rest):
+            w = row[partner]
+            if w:
+                walk(rest[:i] + rest[i + 1 :], cross + partner - first - 1 - i, weight * w)
+
+    if m:
+        walk(tuple(range(m)), 0, 1)
+    else:
+        hist[0] = 1
+    return hist
+
+
+def dfs_moment(hs) -> QPolynomial:
+    """The exact moment sum over pair partitions of q^crossings times <h_i, h_j>
+    per pair, depth first over the matchings; letters as in
+    ``moment_pair_partitions``.
+
+    >>> print(dfs_moment((0, 0, 0, 0)))
+    2 + q
+    >>> print(dfs_moment(((1, 1),) * 4))  # <h, h> = 2 on every pair
+    8 + 4q
+    """
+    hist = _crossing_histogram(_inner_rows(list(hs)), len(hs))
+    total = QPolynomial(tuple(0 if isinstance(w, QPolynomial) else w for w in hist))
+    for k, w in enumerate(hist):
+        if isinstance(w, QPolynomial):
+            total = total + w.shift(k)
+    return total

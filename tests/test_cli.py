@@ -150,10 +150,20 @@ def test_moment_odd_length_is_zero(capsys):
     assert out == "0\n"
 
 
-def test_moment_over_the_matching_cap_is_a_usage_error(capsys):
-    # 40 equal letters: 39!! ~ 3e23 matchings, refused before any enumeration
-    assert main(["moment", "--d", "1", "--letters", ",".join(["1"] * 40)]) == 2
-    assert "cap" in capsys.readouterr().err
+def test_moment_over_the_state_cap_is_a_usage_error(capsys, monkeypatch):
+    # 1,2 twenty times: 846,528 open-arc states by the letter counts, refused
+    # before the walk starts
+    monkeypatch.setattr(wick, "_open_arc_states", _entered)
+    assert main(["moment", "--d", "2", "--letters", ",".join(["1", "2"] * 20)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "cap" in captured.err
+
+
+@pytest.mark.parametrize("m, catalan", [(18, 4862), (60, 3_814_986_502_092_304)])
+def test_moment_of_many_equal_letters_is_walked(capsys, m, catalan):
+    code, out = run(capsys, "moment", "--d", "1", "--letters", ",".join(["1"] * m))
+    assert code == 0
+    assert out.startswith(f"{catalan} + ")  # Catalan(m/2) matchings without crossings
 
 
 def test_moment_with_an_odd_letter_count_is_zero_at_once(capsys):

@@ -6,7 +6,7 @@ from math import comb
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from matchings import enumerate_pair_partitions
+from matchings import dfs_moment, enumerate_pair_partitions
 from test_fock import basis_one_particle, field_operator, one_particle_vectors
 
 from qfock import wick
@@ -222,6 +222,21 @@ def test_moment_of_twelve_equal_letters_is_the_touchard_riordan_sum():
     assert moment_pair_partitions(codes).coeffs[0] == 132  # Catalan(6): no crossings
 
 
+def test_moment_matches_the_depth_first_oracle_on_two_letter_arrangements():
+    # all 924 arrangements of six 0s and six 1s
+    for ones in itertools.combinations(range(12), 6):
+        codes = tuple(int(i in ones) for i in range(12))
+        assert moment_pair_partitions(codes) == dfs_moment(codes)
+
+
+def test_moment_matches_the_depth_first_oracle_on_three_letter_words():
+    rng = np.random.default_rng(16)
+    for m in range(0, 15, 2):
+        for _ in range(12):
+            codes = tuple(int(c) for c in rng.integers(0, 3, size=m))
+            assert moment_pair_partitions(codes) == dfs_moment(codes)
+
+
 def _times_one_minus_q(coeffs: list) -> list:
     return [a - b for a, b in zip(coeffs + [0], [0] + coeffs)]
 
@@ -235,7 +250,7 @@ def _touchard_riordan_numerator(n: int) -> list:
     return out
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", range(1, 21))
 def test_equal_letter_moment_is_the_touchard_riordan_closed_form(n):
     # Σ over matchings of [2n] of q^cr = (1−q)^(−n) · numerator (Touchard
     # 1952, Riordan 1975); compared after clearing the denominator, on plain
@@ -246,20 +261,83 @@ def test_equal_letter_moment_is_the_touchard_riordan_closed_form(n):
     assert lhs == _touchard_riordan_numerator(n)
 
 
-def test_moment_guard_refuses_before_enumerating(monkeypatch):
-    def no_enumeration(*args):
-        raise AssertionError("enumeration started")
+def held_states(hs) -> int:
+    """Open-arc states the moment's walk holds, summed over its steps."""
+    codes = all(isinstance(h, int) for h in hs)
+    return sum(len(states) for states in wick._open_arc_states(list(hs), codes))
 
-    monkeypatch.setattr(wick, "_crossing_histogram", no_enumeration)
+
+def fibonacci(n: int) -> int:
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+def test_the_state_bound_of_any_word_is_a_fibonacci_number():
+    # subsequences of the first n letters of the parity of n, no longer than
+    # the m - n letters to come
+    for m in range(0, 41, 2):
+        subsets = sum(
+            comb(n, k) for n in range(m + 1) for k in range(n % 2, min(n, m - n) + 1, 2)
+        )
+        assert subsets == fibonacci(m + 2)
+
+
+def test_vector_words_are_admitted_up_to_the_fibonacci_bound(monkeypatch):
+    monkeypatch.setattr(wick, "_open_arc_states", lambda hs, codes: iter([{(): {0: 1}}]))
+    assert fibonacci(26) <= wick.MAX_MOMENT_STATES < fibonacci(28)
+    assert moment_pair_partitions([(1, 1)] * 24) == ONE  # the stub's empty state
     with pytest.raises(ValueError, match="cap"):
-        moment_pair_partitions([0] * 40)  # 39!! matchings
+        moment_pair_partitions([(1, 1)] * 26)
+
+
+@pytest.mark.parametrize(
+    "codes, held",
+    [
+        ([0] * 18, 55),  # equal letters: the sequences bound
+        ([0] * 60, 496),
+        (list(range(30)) * 2, 61),  # distinct pairs: the positions bound, a state a step
+    ],
+)
+def test_the_state_bound_is_exact_on_equal_letters_and_distinct_pairs(codes, held):
+    assert sum(wick._state_bounds(codes)) == held_states(codes) == held
+
+
+EVEN_CODE_WORDS = st.lists(st.integers(min_value=0, max_value=3), max_size=7).flatmap(
+    lambda w: st.permutations(w + w)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(EVEN_CODE_WORDS)
+def test_the_state_bound_covers_the_walk_on_codes(codes):
+    bound = sum(wick._state_bounds(codes))
+    assert held_states(codes) <= bound <= fibonacci(len(codes) + 2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(VECTOR_WORDS.filter(lambda hs: len(hs) % 2 == 0))
+def test_the_state_bound_covers_the_walk_on_vectors(hs):
+    assert held_states(hs) <= fibonacci(len(hs) + 2)
+
+
+def _walked(*args):
+    raise AssertionError("the walk started")
+
+
+def test_moment_guard_refuses_before_enumerating(monkeypatch):
+    monkeypatch.setattr(wick, "_open_arc_states", _walked)
+    distinct = [tuple(int(i == j) for j in range(40)) for i in range(40)]
     with pytest.raises(ValueError, match="cap"):
-        moment_pair_partitions([(1, 0)] * 20)  # vector letters: 19!! bound
+        moment_pair_partitions(distinct)  # F(42) ~ 2.7e8 states for any 40 letters
+    with pytest.raises(ValueError, match="cap"):
+        moment_pair_partitions([0, 1] * 20)  # 846,528 by the letter counts
     # an odd letter count is zero whatever the rest of the word costs
     assert moment_pair_partitions([0] * 31 + [1]) == QPolynomial.zero()
     assert moment_pair_partitions([0] * 31 + [1], ScalarMode.at(0.5)) == 0.0
-    # the benchmark's largest words stay far below the cap
-    assert 10_395 * 100 < wick.MAX_MATCHINGS
+    # every word of the benchmark's 12 letters stays far below the cap
+    assert fibonacci(12 + 2) * 100 < wick.MAX_MOMENT_STATES
 
 
 def test_moment_with_general_vectors():
