@@ -21,10 +21,11 @@ partitions of positions by color, checking N-independence and closed forms.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter, deque
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, perm
+from math import comb, perm
 from typing import Iterator
 
 from .combinatorics import (
@@ -116,33 +117,48 @@ def reversed_vector(xi: FockVector) -> FockVector:
 # moments
 
 
-MAX_MOMENT_STATES = 200_000
-"""Most open-arc states ``moment_pair_partitions`` may hold, summed over its steps."""
+MAX_MATCHINGS = 2_100_000
+"""Words of at most this many matchings are walked: 16 equal letters have 2,027,025."""
+
+MAX_MOMENT_WORK = 2_000_000
+"""Most histogram updates ``_walk_work`` may bound the walk of any other word by."""
 
 
-def _state_bounds(codes: list) -> Iterator[int]:
-    """Bounds on the states a word of integer codes holds, before the first letter and after each.
+def _state_bounds(hs: list, codes: bool) -> Iterator[int]:
+    """Bounds on the states the walk holds, before the first letter and after each.
 
-    A state keeps k <= min(p, s) of the p copies of a letter read, s to come,
-    k of p's parity: at most the position choices, and at most the sequences
-    with such counts (an EGF product; letters with one such k enter at once).
+    After n of m letters a state is a subsequence of them of n's parity, at
+    most m - n long; with integer codes, one with k <= min(p, s) copies of a
+    letter read p times, s to come, k of p's parity (an EGF product).
     """
-    to_come, read = Counter(codes), Counter()
-    yield 1
-    for x in codes:
-        to_come[x] -= 1
-        read[x] += 1
-        positions, lengths, forced, ways = 1, [1], 0, 1
-        for a, p in read.items():
-            ks = range(p % 2, min(p, to_come[a]) + 1, 2)
-            positions *= sum(comb(p, k) for k in ks)
-            if len(ks) == 1:
-                forced, ways = forced + ks[0], ways * factorial(ks[0])
-            else:  # lengths[j]: sequences of j letters, interleaving k new ones
-                lengths = [sum(lengths[j - k] * comb(j, k) for k in ks if 0 <= j - k < len(lengths))
-                           for j in range(len(lengths) + ks[-1])]
-        sequences = sum(n * comb(j + forced, j) for j, n in enumerate(lengths))
-        yield min(positions, sequences * factorial(forced) // ways)
+    m, to_come, read = len(hs), Counter(hs) if codes else None, Counter()
+    for n in range(m + 1):
+        bound = sum(comb(n, k) for k in range(n % 2, min(n, m - n) + 1, 2))
+        if codes and n:
+            to_come[hs[n - 1]] -= 1
+            read[hs[n - 1]] += 1
+            lengths = [1]  # lengths[j]: sequences of j letters
+            for a, p in read.items():
+                ks = range(p % 2, min(p, to_come[a]) + 1, 2)
+                grown = [0] * (len(lengths) + ks[-1])
+                for j, c in enumerate(lengths):  # interleaving k copies of a
+                    for k in ks:
+                        grown[j + k] += c * comb(j + k, k)
+                lengths = grown
+            bound = min(bound, sum(lengths))
+        yield bound
+
+
+def _walk_work(hs: list, codes: bool) -> Iterator[int]:
+    """Bounds on the walk's histogram updates up to each letter.
+
+    At letter n + 1 each state adds its histogram into the next step for the
+    arc it opens and each of at most min(n, m - n) arcs it closes; its c
+    closed and L open arcs (2c + L = n) cross C(c, 2) + cL <= n^2 / 6 times.
+    """
+    m = len(hs)
+    steps = zip(range(m), _state_bounds(hs, codes))
+    return itertools.accumulate((min(n, m - n) + 1) * s * (n * n // 6 + 1) for n, s in steps)
 
 
 def _open_arc_states(hs: list, codes: bool) -> Iterator[dict]:
@@ -182,9 +198,9 @@ def moment_pair_partitions(hs, mode: ScalarMode = EXACT):
     (the q-annihilation operator on the word of open letters; for one letter,
     Flajolet's continued fraction for the Touchard-Riordan moments) ends with
     the empty state's crossing histogram, lifted to the scalar mode once.
-    After n of m letters a state is a subsequence of them of n's parity, at
-    most m - n long: F(m + 2) states in all, or ``_state_bounds``.  Over
-    ``MAX_MOMENT_STATES`` a ValueError is raised before the walk starts.
+    A ValueError is raised before the walk starts when the word has more
+    than ``MAX_MATCHINGS`` matchings and ``_walk_work`` bounds the walk's
+    histogram updates by more than ``MAX_MOMENT_WORK``.
 
     >>> print(moment_pair_partitions((0,) * 6))
     5 + 6q + 3q^2 + q^3
@@ -193,15 +209,18 @@ def moment_pair_partitions(hs, mode: ScalarMode = EXACT):
     """
     hs = list(hs)
     codes = all(isinstance(h, int) for h in hs)
-    if len(hs) % 2 or codes and any(c % 2 for c in Counter(hs).values()):
+    counts = Counter(hs).values() if codes else [len(hs)]  # vectors: all may pair
+    if any(c % 2 for c in counts):
         return mode.zero()
-    fibonacci = sum(comb(len(hs) + 1 - k, k) for k in range(len(hs) // 2 + 1))  # F(m + 2)
-    bounds = itertools.accumulate(_state_bounds(hs)) if codes else [fibonacci]
-    if fibonacci > MAX_MOMENT_STATES and any(held > MAX_MOMENT_STATES for held in bounds):
-        raise ValueError(f"more than {MAX_MOMENT_STATES} open-arc states to walk, over the cap")
+    matchings = itertools.accumulate((f for c in counts for f in range(c - 1, 1, -2)), operator.mul)
+    if any(k > MAX_MATCHINGS for k in matchings) and any(
+        w > MAX_MOMENT_WORK for w in _walk_work(hs, codes)
+    ):
+        raise ValueError(f"more than {MAX_MOMENT_WORK} histogram updates to walk, over the cap")
     hist = deque(_open_arc_states(hs, codes), maxlen=1)[0].get((), {})
     plain = {k: w for k, w in hist.items() if not isinstance(w, QPolynomial)}
-    exact = sum((w.shift(k) for k, w in hist.items() if k not in plain), QPolynomial.from_powers(plain))
+    exact = QPolynomial(tuple(plain.get(k, 0) for k in range(max(plain, default=-1) + 1)))
+    exact = sum((w.shift(k) for k, w in hist.items() if k not in plain), exact)
     return mode.of(exact)
 
 
@@ -384,9 +403,7 @@ def offdiag_reference(N: int, f_codes, h_codes, mode: ScalarMode = EXACT):
     """N^(-m) (N)(N-1)...(N-m+1) times the q-inner product of the two words."""
     f_codes, h_codes = tuple(f_codes), tuple(h_codes)
     m = len(h_codes)
-    if len(f_codes) != m:
-        return mode.zero()
-    if N < m:
+    if len(f_codes) != m or N < m:
         return mode.zero()
     factor = Fraction(perm(N, m), N ** m)
     return mode.of(_scaled(word_inner_poly(f_codes, h_codes), factor))

@@ -150,9 +150,9 @@ def test_moment_odd_length_is_zero(capsys):
     assert out == "0\n"
 
 
-def test_moment_over_the_state_cap_is_a_usage_error(capsys, monkeypatch):
-    # 1,2 twenty times: 846,528 open-arc states by the letter counts, refused
-    # before the walk starts
+def test_moment_over_the_matching_cap_is_a_usage_error(capsys, monkeypatch):
+    # 1,2 twenty times: 19!!^2 matchings and a work bound of 1.3e9 histogram
+    # updates, refused before the walk starts
     monkeypatch.setattr(wick, "_open_arc_states", _entered)
     assert main(["moment", "--d", "2", "--letters", ",".join(["1", "2"] * 20)]) == 2
     captured = capsys.readouterr()
@@ -164,6 +164,18 @@ def test_moment_of_many_equal_letters_is_walked(capsys, m, catalan):
     code, out = run(capsys, "moment", "--d", "1", "--letters", ",".join(["1"] * m))
     assert code == 0
     assert out.startswith(f"{catalan} + ")  # Catalan(m/2) matchings without crossings
+
+
+def test_moment_of_few_matchings_is_walked_over_the_work_bound(capsys):
+    # 1..10 four times: 3^10 matchings, under the matching cap, although the
+    # work bound (2.8e11 updates) is over its own
+    letters = ",".join(str(a) for a in range(1, 11))
+    code, out = run(capsys, "moment", "--d", "10", "--letters", ",".join([letters] * 4))
+    assert code == 0
+    assert out == (
+        "1024q^90 + 5120q^91 + 11520q^94 + 15360q^99 + 13440q^106 + 8064q^115"
+        " + 3360q^126 + 960q^139 + 180q^154 + 20q^171 + q^190\n"
+    )
 
 
 def test_moment_with_an_odd_letter_count_is_zero_at_once(capsys):

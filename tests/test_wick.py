@@ -267,6 +267,13 @@ def held_states(hs) -> int:
     return sum(len(states) for states in wick._open_arc_states(list(hs), codes))
 
 
+def walk_updates(hs) -> int:
+    """Histogram entries the walk carries into each next step, at most open arcs + 1 times."""
+    codes = all(isinstance(h, int) for h in hs)
+    steps = list(wick._open_arc_states(list(hs), codes))[:-1]
+    return sum((len(s) + 1) * len(hist) for states in steps for s, hist in states.items())
+
+
 def fibonacci(n: int) -> int:
     a, b = 0, 1
     for _ in range(n):
@@ -278,30 +285,17 @@ def test_the_state_bound_of_any_word_is_a_fibonacci_number():
     # subsequences of the first n letters of the parity of n, no longer than
     # the m - n letters to come
     for m in range(0, 41, 2):
-        subsets = sum(
-            comb(n, k) for n in range(m + 1) for k in range(n % 2, min(n, m - n) + 1, 2)
-        )
-        assert subsets == fibonacci(m + 2)
+        assert sum(wick._state_bounds([(1,)] * m, False)) == fibonacci(m + 2)
 
 
-def test_vector_words_are_admitted_up_to_the_fibonacci_bound(monkeypatch):
-    monkeypatch.setattr(wick, "_open_arc_states", lambda hs, codes: iter([{(): {0: 1}}]))
-    assert fibonacci(26) <= wick.MAX_MOMENT_STATES < fibonacci(28)
-    assert moment_pair_partitions([(1, 1)] * 24) == ONE  # the stub's empty state
-    with pytest.raises(ValueError, match="cap"):
-        moment_pair_partitions([(1, 1)] * 26)
+def work_bound(hs) -> int:
+    codes = all(isinstance(h, int) for h in hs)
+    return max(wick._walk_work(list(hs), codes), default=0)
 
 
-@pytest.mark.parametrize(
-    "codes, held",
-    [
-        ([0] * 18, 55),  # equal letters: the sequences bound
-        ([0] * 60, 496),
-        (list(range(30)) * 2, 61),  # distinct pairs: the positions bound, a state a step
-    ],
-)
-def test_the_state_bound_is_exact_on_equal_letters_and_distinct_pairs(codes, held):
-    assert sum(wick._state_bounds(codes)) == held_states(codes) == held
+@pytest.mark.parametrize("m, held", [(18, 55), (60, 496)])
+def test_the_state_bound_is_exact_on_equal_letters(m, held):
+    assert sum(wick._state_bounds([0] * m, True)) == held_states([0] * m) == held
 
 
 EVEN_CODE_WORDS = st.lists(st.integers(min_value=0, max_value=3), max_size=7).flatmap(
@@ -311,15 +305,22 @@ EVEN_CODE_WORDS = st.lists(st.integers(min_value=0, max_value=3), max_size=7).fl
 
 @settings(max_examples=150, deadline=None)
 @given(EVEN_CODE_WORDS)
-def test_the_state_bound_covers_the_walk_on_codes(codes):
-    bound = sum(wick._state_bounds(codes))
+def test_the_state_and_work_bounds_cover_the_walk_on_codes(codes):
+    bound = sum(wick._state_bounds(codes, True))
     assert held_states(codes) <= bound <= fibonacci(len(codes) + 2)
+    assert walk_updates(codes) <= work_bound(codes)
 
 
 @settings(max_examples=150, deadline=None)
 @given(VECTOR_WORDS.filter(lambda hs: len(hs) % 2 == 0))
-def test_the_state_bound_covers_the_walk_on_vectors(hs):
-    assert held_states(hs) <= fibonacci(len(hs) + 2)
+def test_the_state_and_work_bounds_cover_the_walk_on_vectors(hs):
+    assert held_states(hs) <= sum(wick._state_bounds(hs, False))
+    assert walk_updates(hs) <= work_bound(hs)
+
+
+def test_the_work_bound_is_within_three_times_the_walk_on_equal_letters():
+    for m in (18, 40, 60):
+        assert walk_updates([0] * m) <= work_bound([0] * m) < 3 * walk_updates([0] * m)
 
 
 def _walked(*args):
@@ -330,14 +331,49 @@ def test_moment_guard_refuses_before_enumerating(monkeypatch):
     monkeypatch.setattr(wick, "_open_arc_states", _walked)
     distinct = [tuple(int(i == j) for j in range(40)) for i in range(40)]
     with pytest.raises(ValueError, match="cap"):
-        moment_pair_partitions(distinct)  # F(42) ~ 2.7e8 states for any 40 letters
+        moment_pair_partitions(distinct)  # 39!! matchings, F(42) ~ 2.7e8 states
     with pytest.raises(ValueError, match="cap"):
-        moment_pair_partitions([0, 1] * 20)  # 846,528 by the letter counts
+        moment_pair_partitions([0, 1] * 20)  # 19!!^2 matchings, 1.3e9 updates
     # an odd letter count is zero whatever the rest of the word costs
     assert moment_pair_partitions([0] * 31 + [1]) == QPolynomial.zero()
     assert moment_pair_partitions([0] * 31 + [1], ScalarMode.at(0.5)) == 0.0
-    # every word of the benchmark's 12 letters stays far below the cap
-    assert fibonacci(12 + 2) * 100 < wick.MAX_MOMENT_STATES
+    # the benchmark's largest moment words, twelve letters of two kinds, stay
+    # far below the cap
+    for word in ([0] * 12, [0, 1] * 6, [0, 1, 1, 0] * 3):
+        assert work_bound(word) * 100 < wick.MAX_MOMENT_WORK
+
+
+def test_moment_guard_stops_counting_once_over_the_cap(monkeypatch):
+    # 3,000 equal letters pass the cap within their first hundred letters'
+    # bounds; the guard reads no more of them
+    read = []
+
+    def counted(hs, codes):
+        for bound in bounds(hs, codes):
+            read.append(bound)
+            yield bound
+
+    bounds = wick._state_bounds
+    monkeypatch.setattr(wick, "_state_bounds", counted)
+    monkeypatch.setattr(wick, "_open_arc_states", _walked)
+    with pytest.raises(ValueError, match="cap"):
+        moment_pair_partitions([0] * 3000)
+    assert len(read) < 100
+
+
+def test_moment_walks_every_word_of_few_matchings(monkeypatch):
+    # up to the matching cap a word is walked without its work bound
+    monkeypatch.setattr(wick, "_walk_work", _walked)
+    assert sum(moment_pair_partitions([0] * 16).coeffs) == 2_027_025  # 15!!
+    assert sum(moment_pair_partitions(list(range(10)) * 4).coeffs) == 3**10
+    assert moment_pair_partitions([(1, 0)] * 16).coeffs[0] == 1430  # Catalan(8)
+
+
+def test_fraction_letters_with_whole_products_give_int_coefficients():
+    h = (Fraction(1, 2),) * 4  # <h, h> = Fraction(1, 1)
+    p = moment_pair_partitions([h] * 4)
+    assert p == QPolynomial((2, 1))
+    assert all(type(c) is int for c in p.coeffs)
 
 
 def test_moment_with_general_vectors():
