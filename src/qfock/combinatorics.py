@@ -351,7 +351,7 @@ def patterns(n: int, blocks: int, min_size: int = 1) -> Iterator[tuple]:
             yield from walk(word + (len(sizes) - 1,), short + min_size - 1)
             sizes.pop()
 
-    return walk((), 0)
+    yield from walk((), 0)
 
 
 def count_patterns(n: int, blocks: int) -> int:

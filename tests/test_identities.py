@@ -430,9 +430,93 @@ def test_claim_scan_sums_once_per_pair_tuple(monkeypatch):
         return real(pi, reading)
 
     monkeypatch.setattr(identities, "alternating_claim", counted)
+    report = claim_scan(9, 3, "prime-prime")
+    assert not report.passed and report.cases == 2244
+    assert len(summed) == len(set(summed)) == 792
+
+
+def _raises(*args, **kwargs):
+    raise AssertionError("a 2^m subset sum was entered")
+
+
+def test_prime_plain_claim_scan_visits_no_subset(monkeypatch):
+    """Every straddling pair tuple is settled by the toggle certificate, so
+    neither statistic of the subset loop runs."""
+    monkeypatch.setattr(identities, "_iota_prime_pairs", _raises)
+    monkeypatch.setattr(identities, "crossings", _raises)
     report = claim_scan(9, 3)
     assert report.passed and report.cases == 2244
-    assert len(summed) == len(set(summed)) == 792
+
+
+def distinct_straddling_tuples(n_max, m_max):
+    """{pairs: the first partition with them} over every split up to n_max."""
+    first = {}
+    for n in range(2, n_max + 1):
+        for k in range(n + 1):
+            for m in range(1, min(m_max, max_pairs(n, k)) + 1):
+                for pi in enumerate_partial_partitions(n, k, m):
+                    first.setdefault(pi.pairs, pi)
+    return first
+
+
+def test_toggle_certificate_holds_where_the_object_oracle_cancels():
+    tuples = distinct_straddling_tuples(10, 5)
+    assert len(tuples) == 2925
+    for pairs, pi in tuples.items():
+        assert identities._toggle_cancels(pairs)
+        assert oracle_alternating_claim(pi, "prime-plain").is_zero()
+
+
+def pair_tuples(n_max, m_max):
+    """Every tuple of 1..m_max disjoint pairs inside {1..n_max}, each pair
+    low endpoint first, sorted by left endpoint; straddling or not."""
+    def matchings(points):
+        if not points:
+            yield ()
+            return
+        for i in range(1, len(points)):
+            for rest in matchings(points[1:i] + points[i + 1 :]):
+                yield ((points[0], points[i]),) + rest
+
+    for m in range(1, m_max + 1):
+        for points in itertools.combinations(range(1, n_max + 1), 2 * m):
+            yield from matchings(points)
+
+
+def closed_form_subset_sum(pairs):
+    """{exponent: signed count} of the prime-plain sum over all 2^m
+    splittings, with both statistics in closed form on the pair tuples;
+    on a tuple that does not straddle, iota' can go negative."""
+    hist = {}
+    for j in range(len(pairs) + 1):
+        for chosen in itertools.combinations(pairs, j):
+            removed = {x for p in chosen for x in p}
+            relabel = {}
+            for x in range(1, max(r for _, r in pairs) + 1):
+                if x not in removed:
+                    relabel[x] = len(relabel) + 1
+            sigma = tuple((relabel[l], relabel[r]) for l, r in pairs if (l, r) not in chosen)
+            expo = combinatorics._iota_prime_pairs(chosen) + combinatorics.crossings(sigma)
+            hist[expo] = hist.get(expo, 0) + (-1) ** j
+    return {e: c for e, c in hist.items() if c}
+
+
+def test_toggle_certificate_fails_where_the_subset_sum_survives():
+    """The certificate is a sound test on any pair tuple, not a constant:
+    wherever the subset sum survives, it returns False.  The insertion-built
+    object oracle cancels on every such tuple up to this size, so the
+    surviving sums are the closed-form ones the subset loop would add."""
+    surviving = certified = 0
+    for pairs in pair_tuples(8, 3):
+        survives = bool(closed_form_subset_sum(pairs))
+        certificate = identities._toggle_cancels(pairs)
+        assert not (survives and certificate)
+        surviving += survives
+        certified += certificate
+        pi = PartialPartition(8, len(pairs), pairs)
+        assert oracle_alternating_claim(pi, "prime-plain").is_zero()
+    assert closed_form_subset_sum(((1, 2), (3, 4))) == {-1: 1, 0: -1}
+    assert surviving == 294 and certified == len(distinct_straddling_tuples(8, 3)) == 336
 
 
 def test_sweep_fault_flips_one_real_comparison():
