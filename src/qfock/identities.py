@@ -31,7 +31,6 @@ from .combinatorics import (
     _closed_form_pairs,
     _iota_prime_pairs,
     coset_inversions,
-    crossings,
     enumerate_partial_partitions,
     max_pairs,
     pattern,
@@ -301,61 +300,6 @@ def inclusion_exclusion_sweep(n_max: int = 5, d: int = 2, fault=None) -> ScanRep
     return _finalize(f"inclusion-exclusion sweep (n <= {n_max}, d = {d})", results, fault)
 
 
-def _toggle_cancels(pairs: tuple) -> bool:
-    """True when moving p* = (ls, rs), the last of the pairs (sorted by left
-    endpoint), between the inserted set C and the leftover keeps the
-    exponent iota'(C) + cr(sigma(C)) of the prime-plain reading for every
-    C, with cr the ``crossings`` statistic; then the alternating sum over
-    splittings cancels in pairs and is 0.
-
-    Both statistics are closed forms on pair tuples, so the two exponent
-    changes of the toggle are closed forms too.  p* sorts last in
-    C + {p*}: it adds its own rs - ls - 1, and each earlier chosen pair e
-    loses one from the -C(j, 2) term and gains one if it ends beyond rs::
-
-        iota'(C + {p*}) - iota'(C) = (rs - ls - 1) + sum_{e in C} (-1 + [r_e > rs])
-
-    Removing p*'s two points from the leftover keeps the order of the other
-    points and only shortens the pairs around them; p* leaves its own
-    length (less the chosen endpoints inside it) and its crossings (1) and
-    nestings (2) with leftover pairs (rel(e, p*), 0 when disjoint)::
-
-        cr(sigma(C)) - cr(sigma(C + {p*})) = (rs - ls - 1)
-            - sum_{e in C} #{endpoints of e inside (ls, rs)}
-            + sum_{e not in C} (#{ls, rs inside e} - rel(e, p*))
-
-    So the toggle keeps the exponent for every C when each other pair e
-    has -1 + [r_e > rs] + #{its endpoints inside (ls, rs)} = 0 and
-    #{ls, rs inside e} = rel(e, p*); it flips the sign, so the terms
-    cancel in pairs.  One pass over the pairs checks it.
-
-    Lemma: every tuple whose left endpoints all lie below its right
-    endpoints passes, whatever its size m >= 1, so its alternating sum
-    (prime-plain reading) vanishes.  Every other e starts before ls, and
-    ls < r_e: its left endpoint is never inside (ls, rs) and its right one
-    is inside exactly when r_e < rs, which gives the first equation; ls is
-    inside e, rs is inside e exactly when e nests around p*, and then
-    rel(e, p*) is 2, else 1, which gives the second.  The check reads both
-    equations as derived; on a tuple sorted by left endpoint the second
-    always holds and the first says r_e > ls, so the certificate holds
-    exactly on the straddling tuples.
-
-    >>> _toggle_cancels(((1, 4), (2, 5))), _toggle_cancels(((1, 6), (2, 5)))
-    (True, True)
-    >>> _toggle_cancels(((1, 2), (3, 4)))
-    False
-    """
-    ls, rs = pairs[-1]
-    for l, r in pairs[:-1]:
-        inside = (ls < l < rs) + (ls < r < rs)
-        covered = (l < ls < r) + (l < rs < r)
-        # l < ls, so e and p* are disjoint, cross or nest, in this order
-        rel = 0 if r < ls else 1 if r < rs else 2
-        if (r > rs) - 1 + inside or covered != rel:
-            return False
-    return True
-
-
 def alternating_claim(pi: PartialPartition, reading: str = "prime-plain") -> QPolynomial:
     """Alternating sum over splittings of pi's pairs into inserted/leftover.
 
@@ -367,23 +311,27 @@ def alternating_claim(pi: PartialPartition, reading: str = "prime-plain") -> QPo
     takes iota'(sigma) instead.  Empty pi gives 1.  The value depends on
     the pairs alone, not on n or the split.
 
-    In the prime-plain reading a nonempty pi is settled in O(m) by the
-    sign-reversing involution of ``_toggle_cancels``, which holds for every
-    straddling pair tuple (its lemma): the sum is 0 and no subset is
-    visited.  Otherwise both statistics run on the pair tuples of all 2^m
-    splittings, and the signs are collected by exponent before one
-    polynomial is built; the prime-prime sum does not vanish in general.
+    Lemma: in the prime-plain reading the sum of a nonempty pi is 0.
+    Moving p* = (ls, rs), the pair with the largest left endpoint, between
+    rho and sigma flips the sign and keeps the exponent: every other pair
+    starts before ls and ends after it, so it crosses p* or nests around
+    it, and then iota'(rho) grows and iota(sigma) shrinks by the same
+    rs - ls - 1 less the number of chosen pairs crossing p*.  So the terms
+    cancel in pairs; ``toggle_cancels`` in tests/test_identities.py derives
+    both exponent changes in closed form and checks them.  The
+    prime-prime sum does not vanish in general: both statistics run on the
+    pair tuples of all 2^m splittings, and the signs are collected by
+    exponent before one polynomial is built.
     """
     if reading not in ("prime-plain", "prime-prime"):
         raise ValueError(f"unknown reading {reading!r}")
     if not pi.respects_block():
         raise ValueError("pairs must straddle the split")
     pairs = pi.pairs
-    if pairs and reading == "prime-plain" and _toggle_cancels(pairs):
-        return QPolynomial.zero()
+    if reading == "prime-plain":
+        return QPolynomial.zero() if pairs else QPolynomial.one()
     # every sub-tuple of block-respecting pairs respects the block too, so
-    # both statistics run unchecked from here on
-    leftover_stat = crossings if reading == "prime-plain" else _iota_prime_pairs
+    # the statistic runs unchecked from here on
     hist: dict = {}
     for mask in range(1 << len(pairs)):
         chosen, rest = [], []
@@ -391,7 +339,7 @@ def alternating_claim(pi: PartialPartition, reading: str = "prime-plain") -> QPo
             (chosen if mask >> bit & 1 else rest).append(pair)
         removed = sorted(x for pair in chosen for x in pair)
         sigma = tuple((l - bisect_left(removed, l), r - bisect_left(removed, r)) for l, r in rest)
-        expo = _iota_prime_pairs(chosen) + leftover_stat(sigma)
+        expo = _iota_prime_pairs(chosen) + _iota_prime_pairs(sigma)
         hist[expo] = hist.get(expo, 0) + (-1 if len(chosen) % 2 else 1)
     return QPolynomial.from_powers(hist)
 

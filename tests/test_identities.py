@@ -440,10 +440,9 @@ def _raises(*args, **kwargs):
 
 
 def test_prime_plain_claim_scan_visits_no_subset(monkeypatch):
-    """Every straddling pair tuple is settled by the toggle certificate, so
-    neither statistic of the subset loop runs."""
+    """Every straddling pair tuple sums to 0 by the lemma of
+    ``alternating_claim``, so the statistic of the subset loop never runs."""
     monkeypatch.setattr(identities, "_iota_prime_pairs", _raises)
-    monkeypatch.setattr(identities, "crossings", _raises)
     report = claim_scan(9, 3)
     assert report.passed and report.cases == 2244
 
@@ -459,12 +458,60 @@ def distinct_straddling_tuples(n_max, m_max):
     return first
 
 
+def toggle_cancels(pairs):
+    """True when moving p* = (ls, rs), the last of the pairs (sorted by left
+    endpoint), between the inserted set C and the leftover keeps the
+    exponent iota'(C) + cr(sigma(C)) of the prime-plain reading for every
+    C; then the alternating sum over splittings cancels in pairs and is 0.
+    This checks the lemma of ``alternating_claim`` on the closed forms.
+
+    p* sorts last in C + {p*}: it adds its own rs - ls - 1, and each
+    earlier chosen pair e loses one from the -C(j, 2) term and gains one if
+    it ends beyond rs::
+
+        iota'(C + {p*}) - iota'(C) = (rs - ls - 1) + sum_{e in C} (-1 + [r_e > rs])
+
+    Removing p*'s two points from the leftover keeps the order of the other
+    points and only shortens the pairs around them; p* leaves its own
+    length (less the chosen endpoints inside it) and its crossings (1) and
+    nestings (2) with leftover pairs (rel(e, p*), 0 when disjoint)::
+
+        cr(sigma(C)) - cr(sigma(C + {p*})) = (rs - ls - 1)
+            - sum_{e in C} #{endpoints of e inside (ls, rs)}
+            + sum_{e not in C} (#{ls, rs inside e} - rel(e, p*))
+
+    So the toggle keeps the exponent for every C when each other pair e
+    has -1 + [r_e > rs] + #{its endpoints inside (ls, rs)} = 0 and
+    #{ls, rs inside e} = rel(e, p*).  On a straddling tuple every other e
+    has l_e < ls < r_e: its right endpoint is inside (ls, rs) exactly when
+    r_e < rs, which gives the first equation; ls is inside e, and rs is
+    inside e exactly when e nests around p*, when rel(e, p*) is 2, else 1,
+    which gives the second.
+    """
+    ls, rs = pairs[-1]
+    for l, r in pairs[:-1]:
+        inside = (ls < l < rs) + (ls < r < rs)
+        covered = (l < ls < r) + (l < rs < r)
+        # l < ls, so e and p* are disjoint, cross or nest, in this order
+        rel = 0 if r < ls else 1 if r < rs else 2
+        if (r > rs) - 1 + inside or covered != rel:
+            return False
+    return True
+
+
+def test_toggle_certificate_examples():
+    assert toggle_cancels(((1, 4), (2, 5)))  # crossing
+    assert toggle_cancels(((1, 6), (2, 5)))  # nesting
+    assert not toggle_cancels(((1, 2), (3, 4)))  # disjoint: does not straddle
+
+
 def test_toggle_certificate_holds_where_the_object_oracle_cancels():
     tuples = distinct_straddling_tuples(10, 5)
     assert len(tuples) == 2925
     for pairs, pi in tuples.items():
-        assert identities._toggle_cancels(pairs)
+        assert toggle_cancels(pairs)
         assert oracle_alternating_claim(pi, "prime-plain").is_zero()
+        assert alternating_claim(pi).is_zero()
 
 
 def pair_tuples(n_max, m_max):
@@ -502,21 +549,22 @@ def closed_form_subset_sum(pairs):
 
 
 def test_toggle_certificate_fails_where_the_subset_sum_survives():
-    """The certificate is a sound test on any pair tuple, not a constant:
-    wherever the subset sum survives, it returns False.  The insertion-built
-    object oracle cancels on every such tuple up to this size, so the
-    surviving sums are the closed-form ones the subset loop would add."""
-    surviving = certified = 0
+    """The certificate holds on exactly the straddling tuples, and wherever
+    the closed-form subset sum survives it returns False.  The
+    insertion-built object oracle cancels on every tuple up to this size,
+    straddling or not; its statistics read no block, and k = m is the
+    least block size its relabelled remainders accept."""
+    straddling = set(distinct_straddling_tuples(8, 3))
+    surviving = 0
     for pairs in pair_tuples(8, 3):
         survives = bool(closed_form_subset_sum(pairs))
-        certificate = identities._toggle_cancels(pairs)
+        certificate = toggle_cancels(pairs)
+        assert certificate == (pairs in straddling)
         assert not (survives and certificate)
         surviving += survives
-        certified += certificate
-        pi = PartialPartition(8, len(pairs), pairs)
-        assert oracle_alternating_claim(pi, "prime-plain").is_zero()
+        assert oracle_alternating_claim(PartialPartition(8, len(pairs), pairs), "prime-plain").is_zero()
     assert closed_form_subset_sum(((1, 2), (3, 4))) == {-1: 1, 0: -1}
-    assert surviving == 294 and certified == len(distinct_straddling_tuples(8, 3)) == 336
+    assert surviving == 294 and len(straddling) == 336
 
 
 def test_sweep_fault_flips_one_real_comparison():
