@@ -32,8 +32,10 @@ permutations are plain tuples: a subset of {1..n} is ``(n, chosen)`` with
 
 The block enumerator yields its pair tuples already sorted and valid, so
 it builds partitions through a trusted constructor that skips the public
-constructor's sorting and validation.  Perfect matchings are not
-enumerated here: the moment in ``qfock.wick`` walks open-arc states.
+constructor's sorting and validation; scans that read the pairs alone walk
+the bare tuples (``_straddling_pairs``) and build no partition.  Perfect
+matchings are not enumerated here: the moment in ``qfock.wick`` walks
+open-arc states.
 A set partition of positions is a restricted growth string (``patterns``).
 """
 
@@ -259,15 +261,11 @@ def iota_prime_closed_form(rho: PartialPartition) -> int:
     >>> iota_prime_closed_form(PartialPartition(8, 4, ((1, 6), (2, 5))))
     6
     """
-    return _closed_form_pairs(rho.n, rho.k, _block_pairs(rho))
-
-
-def _closed_form_pairs(n: int, k: int, pairs: tuple) -> int:
-    # iota_prime_closed_form on a pair tuple already known to straddle n - k
-    a, b, sigma = _triple(n - k, pairs)
+    split = rho.n - rho.k
+    a, b, sigma = _triple(split, _block_pairs(rho))
     return (
-        coset_inversions(n - k, a, False)
-        + coset_inversions(k, b, True)
+        coset_inversions(split, a, False)
+        + coset_inversions(rho.k, b, True)
         + inversions(sigma)
         + comb(len(sigma), 2)
     )
@@ -289,9 +287,15 @@ def enumerate_partial_partitions(n: int, k: int, j: int) -> Iterator[PartialPart
         raise ValueError(f"right block size {k} outside 0..{n}")
     if not 0 <= j <= min(k, n - k):
         raise ValueError(f"pair count {j} outside 0..min({k}, {n - k})")
-    split = n - k
-    for pairs in _straddling(split, 1, tuple(range(split + 1, n + 1)), j, ()):
+    for pairs in _straddling_pairs(n, k, j):
         yield PartialPartition._trusted(n, k, pairs)
+
+
+def _straddling_pairs(n: int, k: int, j: int) -> Iterator[tuple]:
+    # the pair tuples of enumerate_partial_partitions, in the same order,
+    # for 0 <= j <= min(k, n - k); scans that read the pairs alone walk these
+    split = n - k
+    return _straddling(split, 1, tuple(range(split + 1, n + 1)), j, ())
 
 
 def _straddling(split: int, low: int, rights: tuple, j: int, pairs: tuple) -> Iterator[tuple]:

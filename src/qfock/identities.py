@@ -15,6 +15,12 @@ every word of that orbit reports its verdict.  The
 inclusion-exclusion sweep works on word dictionaries through the Wick
 kernel ``wick_word_action``.  Scans run with polynomial scalars, so one
 pass certifies all q in (-1, 1).
+
+The iota' scan builds each block of straddling partitions from the
+triples (A, B, sigma) of the closed form, so iota(A) is read once per A
+and iota(B) once per B, and the insertion statistic still runs on every
+pair tuple.  The claim scan walks bare pair tuples.  Every scan streams
+one verdict per case and keeps the violations only.
 """
 
 from __future__ import annotations
@@ -28,10 +34,11 @@ from operator import itemgetter
 
 from .combinatorics import (
     PartialPartition,
-    _closed_form_pairs,
     _iota_prime_pairs,
+    _straddling_pairs,
     coset_inversions,
     enumerate_partial_partitions,
+    inversions,
     max_pairs,
     pattern,
     patterns,
@@ -63,14 +70,24 @@ class ScanReport:
         return f"{self.name}: {self.cases} cases, {state}"
 
 
-def _finalize(name: str, results: list, fault, notes=None) -> ScanReport:
-    # fault hook: flip one comparison so exit-code wiring can be exercised
-    if fault is not None and results:
-        idx = fault % len(results)
-        ok, label = results[idx]
-        results[idx] = (not ok, label)
-    violations = [label for ok, label in results if not ok]
-    return ScanReport(name, len(results), violations, dict(notes or {}))
+def _finalize(name: str, verdicts, cases: int, fault, notes=None) -> ScanReport:
+    """The report of a scan that streams one (ok, label) per case.
+
+    ``cases`` is the count ``check_budget`` returned, so the fault hook can
+    flip case ``fault % cases`` (to exercise the exit-code wiring) while
+    the verdicts stream; only violation labels are kept.  ``notes`` is read
+    after the last verdict, so a scan may fill it while it streams.  A scan
+    that streams another number of cases than it counted is a bug.
+    """
+    flip = -1 if fault is None else fault % cases
+    violations = []
+    i = -1
+    for i, (ok, label) in enumerate(verdicts):
+        if ok == (i == flip):  # a failed case, or the flipped case if it held
+            violations.append(label)
+    if i + 1 != cases:
+        raise RuntimeError(f"{name}: streamed {i + 1} cases, counted {cases}")
+    return ScanReport(name, cases, violations, dict(notes or {}))
 
 
 def _straddling_count(n: int, js: range) -> int:
@@ -254,13 +271,15 @@ def two_mode_scan(n_max: int = 6, d: int = 2, fault=None) -> ScanReport:
     partitions and their statistics are built once per (n, k, j) shape,
     and each split is checked once per pattern.
     """
-    check_budget("two-mode", n_max, d)
-    results = []
-    for n in range(n_max + 1):
-        for k in range(n + 1):
-            for oks, label in _by_pattern(n, d, partial(_two_mode_verdicts, n, k)):
-                results.extend((ok, (n, k, j, label)) for j, ok in enumerate(oks))
-    return _finalize(f"two-mode split equality (n <= {n_max}, d = {d})", results, fault)
+    cases = check_budget("two-mode", n_max, d)
+    verdicts = (
+        (ok, (n, k, j, label))
+        for n in range(n_max + 1)
+        for k in range(n + 1)
+        for oks, label in _by_pattern(n, d, partial(_two_mode_verdicts, n, k))
+        for j, ok in enumerate(oks)
+    )
+    return _finalize(f"two-mode split equality (n <= {n_max}, d = {d})", verdicts, cases, fault)
 
 
 def _inclusion_exclusion_image(lw: tuple, rw: tuple) -> dict:
@@ -290,14 +309,14 @@ def _inclusion_exclusion_results(n: int, k: int, d: int) -> list:
 def inclusion_exclusion_sweep(n_max: int = 5, d: int = 2, fault=None) -> ScanReport:
     """The inclusion-exclusion identity for every word of degree n <= n_max
     and every split k."""
-    check_budget("sweep", n_max, d)
-    results = [
+    cases = check_budget("sweep", n_max, d)
+    verdicts = (
         result
         for n in range(n_max + 1)
         for k in range(n + 1)
         for result in _inclusion_exclusion_results(n, k, d)
-    ]
-    return _finalize(f"inclusion-exclusion sweep (n <= {n_max}, d = {d})", results, fault)
+    )
+    return _finalize(f"inclusion-exclusion sweep (n <= {n_max}, d = {d})", verdicts, cases, fault)
 
 
 def alternating_claim(pi: PartialPartition, reading: str = "prime-plain") -> QPolynomial:
@@ -323,15 +342,24 @@ def alternating_claim(pi: PartialPartition, reading: str = "prime-plain") -> QPo
     pair tuples of all 2^m splittings, and the signs are collected by
     exponent before one polynomial is built.
     """
-    if reading not in ("prime-plain", "prime-prime"):
-        raise ValueError(f"unknown reading {reading!r}")
+    _check_reading(reading)
     if not pi.respects_block():
         raise ValueError("pairs must straddle the split")
-    pairs = pi.pairs
+    return _alternating_sum(pi.pairs, reading)
+
+
+def _check_reading(reading: str) -> None:
+    if reading not in ("prime-plain", "prime-prime"):
+        raise ValueError(f"unknown reading {reading!r}")
+
+
+def _alternating_sum(pairs: tuple, reading: str) -> QPolynomial:
+    # alternating_claim on a pair tuple already known to straddle one split,
+    # in a reading already checked
     if reading == "prime-plain":
         return QPolynomial.zero() if pairs else QPolynomial.one()
     # every sub-tuple of block-respecting pairs respects the block too, so
-    # the statistic runs unchecked from here on
+    # the statistic runs unchecked
     hist: dict = {}
     for mask in range(1 << len(pairs)):
         chosen, rest = [], []
@@ -351,45 +379,82 @@ def claim_scan(n_max: int = 8, m_max: int = 3, reading: str = "prime-plain", fau
     Every (n, k, pairs) is a case of its own, but the sum reads the pairs
     only, and one pair tuple straddles every split between its largest
     left and smallest right endpoint at every n from its largest right
-    endpoint on.  So the scan computes one value per distinct pair tuple
-    (792 for the 2,244 cases of n_max = 9, m_max = 3) and every case reads
-    its verdict from it.  In the prime-plain reading each value is the
-    O(m) certificate of ``alternating_claim``; the prime-prime reading sums
-    2^m terms per tuple.
+    endpoint on.  So the scan walks the bare pair tuples, computes one
+    value per distinct tuple (792 for the 2,244 cases of n_max = 9,
+    m_max = 3) and every case reads its verdict from it.  In the
+    prime-plain reading each value is 0 by the lemma of
+    ``alternating_claim``; the prime-prime reading sums 2^m terms per tuple.
+    Only the violations are kept.
     """
-    check_budget("claim", n_max, m_max)
-    results = []
+    cases = check_budget("claim", n_max, m_max)
+    _check_reading(reading)
     notes: dict = {}
     sums: dict = {}  # pair tuple -> its alternating sum, for this reading
-    for n in range(2, n_max + 1):
-        for k in range(n + 1):
-            for m in range(1, min(m_max, max_pairs(n, k)) + 1):
-                for pi in enumerate_partial_partitions(n, k, m):
-                    value = sums.get(pi.pairs)
-                    if value is None:
-                        value = sums[pi.pairs] = alternating_claim(pi, reading)
-                    ok = value.is_zero()
-                    results.append((ok, (n, k, pi.pairs)))
-                    if not ok and "first_nonzero" not in notes:
-                        notes["first_nonzero"] = {
-                            "n": n,
-                            "k": k,
-                            "pairs": pi.pairs,
-                            "value": str(value),
-                        }
-    return _finalize(f"alternating claim ({reading})", results, fault, notes)
+
+    def verdicts():
+        for n in range(2, n_max + 1):
+            for k in range(n + 1):
+                for m in range(1, min(m_max, max_pairs(n, k)) + 1):
+                    for pairs in _straddling_pairs(n, k, m):
+                        value = sums.get(pairs)
+                        if value is None:
+                            value = sums[pairs] = _alternating_sum(pairs, reading)
+                        ok = value.is_zero()
+                        if not ok and "first_nonzero" not in notes:
+                            notes["first_nonzero"] = {"n": n, "k": k, "pairs": pairs, "value": str(value)}
+                        yield ok, (n, k, pairs)
+
+    return _finalize(f"alternating claim ({reading})", verdicts(), cases, fault, notes)
+
+
+@lru_cache(maxsize=8)
+def _sigma_table(j: int) -> tuple:
+    """(picker, inversions(sigma) + C(j,2)) per permutation sigma of j
+    items, 0-based; the picker reads position sigma(s) for each s."""
+    shift = comb(j, 2)
+    return tuple((_picker(sigma), inversions(sigma) + shift) for sigma in itertools.permutations(range(j)))
+
+
+def _iota_block(n: int, k: int, j: int) -> list:
+    """(pairs, closed form) per partition of {1..n} with j pairs straddling
+    n - k, built from its triple (A, B, sigma) and sorted by pair tuple,
+    the order of ``enumerate_partial_partitions``.
+
+    The s-th smallest left endpoint A_s is paired with the sigma(s)-th
+    smallest right endpoint, and the closed form
+    iota(A) + iota(B) + inversions(sigma) + C(j,2) is read per A, per B
+    and per sigma from the coset-inversion memo and ``_sigma_table``.
+    """
+    split = n - k
+    sigmas = _sigma_table(j)
+    block = []
+    for a in itertools.combinations(range(1, split + 1), j):
+        ia = coset_inversions(split, a, False)
+        for b in itertools.combinations(range(1, k + 1), j):
+            iab = ia + coset_inversions(k, b, True)
+            rights = tuple(r + split for r in b)
+            for pick, inv in sigmas:
+                block.append((tuple(zip(a, pick(rights))), iab + inv))
+    block.sort()
+    return block
 
 
 def iota_prime_identity_scan(n_max: int = 8, fault=None) -> ScanReport:
-    """Insertion statistic == coset/permutation closed form, exhaustively;
-    the enumerator yields block-respecting partitions only, so both sides
-    read the pair tuples unchecked."""
-    check_budget("iota", n_max, 1)
-    results = []
-    for n in range(n_max + 1):
-        for k in range(n + 1):
-            for j in range(max_pairs(n, k) + 1):
-                for rho in enumerate_partial_partitions(n, k, j):
-                    ok = _iota_prime_pairs(rho.pairs) == _closed_form_pairs(n, k, rho.pairs)
-                    results.append((ok, (n, k, rho.pairs)))
-    return _finalize(f"iota-prime closed form (n <= {n_max})", results, fault)
+    """Insertion statistic == coset/permutation closed form, exhaustively.
+
+    Each (n, k, j) block of straddling partitions is built from the
+    triples (A, B, sigma), so the closed form is read once per A, once per
+    B and once per sigma, while the insertion statistic runs on every pair
+    tuple; the pairs are block-respecting by construction, so neither side
+    re-checks them.  Blocks stream in lexicographic order of pair tuples,
+    and only the violations are kept.
+    """
+    cases = check_budget("iota", n_max, 1)
+    verdicts = (
+        (_iota_prime_pairs(pairs) == closed, (n, k, pairs))
+        for n in range(n_max + 1)
+        for k in range(n + 1)
+        for j in range(max_pairs(n, k) + 1)
+        for pairs, closed in _iota_block(n, k, j)
+    )
+    return _finalize(f"iota-prime closed form (n <= {n_max})", verdicts, cases, fault)

@@ -203,7 +203,8 @@ def oracle_two_mode_scan(n_max, d, fault=None):
                 for j in range(max_pairs(n, k) + 1):
                     ok = subset_level(lw, rw, j) == rho_level(lw, rw, j)
                     results.append((ok, (n, k, j, word_to_str(word, d) or "vac")))
-    return identities._finalize(f"two-mode split equality (n <= {n_max}, d = {d})", results, fault)
+    name = f"two-mode split equality (n <= {n_max}, d = {d})"
+    return identities._finalize(name, results, len(results), fault)
 
 
 def oracle_inclusion_exclusion_sweep(n_max, d, fault=None):
@@ -217,7 +218,8 @@ def oracle_inclusion_exclusion_sweep(n_max, d, fault=None):
         for k in range(n + 1)
         for word in word_basis(n, d)
     ]
-    return identities._finalize(f"inclusion-exclusion sweep (n <= {n_max}, d = {d})", results, fault)
+    name = f"inclusion-exclusion sweep (n <= {n_max}, d = {d})"
+    return identities._finalize(name, results, len(results), fault)
 
 
 @pytest.mark.parametrize("d, n_max", [(1, 5), (2, 5), (3, 5)])
@@ -330,9 +332,61 @@ def test_iota_scan():
         iota_prime_identity_scan(12)
 
 
+def test_iota_blocks_are_the_enumerated_partitions_in_order():
+    """Built from triples and sorted, each (n, k, j) block lists every
+    straddling partition once, in the enumerator's order; each pair tuple's
+    triple is the one it was built from, and its closed form is that
+    triple's statistic."""
+    for n in range(10):
+        for k in range(n + 1):
+            split = n - k
+            for j in range(max_pairs(n, k) + 1):
+                block = identities._iota_block(n, k, j)
+                assert [pairs for pairs, _ in block] == [
+                    rho.pairs for rho in enumerate_partial_partitions(n, k, j)
+                ]
+                for pairs, closed in block:
+                    a, b, sigma = combinatorics._triple(split, pairs)
+                    assert pairs == tuple(zip(a, (b[s - 1] + split for s in sigma)))
+                    assert closed == (
+                        coset_data((split, a))[1]
+                        + coset_data((k, b), chosen_first=True)[1]
+                        + combinatorics.inversions(sigma)
+                        + comb(j, 2)
+                    )
+
+
+def test_scans_stream_every_counted_case():
+    for report, cases in [
+        (claim_scan(9, 3), identities.check_budget("claim", 9, 3)),
+        (claim_scan(7, 2, "prime-prime"), identities.check_budget("claim", 7, 2)),
+        (two_mode_scan(5, 2), identities.check_budget("two-mode", 5, 2)),
+        (inclusion_exclusion_sweep(4, 3), identities.check_budget("sweep", 4, 3)),
+        (iota_prime_identity_scan(10), identities.check_budget("iota", 10, 1)),
+    ]:
+        assert report.cases == cases
+
+
+def test_finalize_refuses_a_miscounted_stream():
+    verdicts = [(True, "a"), (True, "b")]
+    assert identities._finalize("scan", iter(verdicts), 2, 3).violations == ["b"]
+    for cases in (1, 3):
+        with pytest.raises(RuntimeError, match="streamed 2 cases"):
+            identities._finalize("scan", iter(verdicts), cases, None)
+
+
+def test_fault_labels_are_pinned():
+    # the case each fault index flips, as recorded before the scans streamed
+    assert iota_prime_identity_scan(10, fault=12345).violations == [(10, 5, ((1, 10), (2, 6), (3, 7), (5, 8)))]
+    assert iota_prime_identity_scan(6, fault=5).violations == [(2, 1, ((1, 2),))]
+    assert claim_scan(9, 3, fault=1000).violations == [(9, 3, ((1, 8), (6, 7)))]
+    assert inclusion_exclusion_sweep(5, 2, fault=100).violations == ["1,1,2,2"]
+    assert two_mode_scan(4, 2, fault=100).violations == [(4, 1, 1, "1,2,2,2")]
+
+
 def test_iota_scan_never_revalidates_a_partition(monkeypatch):
-    """The enumerator yields block-respecting partitions only, and the scan
-    trusts that; the closed form it compares against never reads iota'."""
+    """The scan builds block-respecting pair tuples from their triples and
+    trusts them; the closed form it compares against never reads iota'."""
     monkeypatch.setattr(PartialPartition, "respects_block", _entered)
     monkeypatch.setattr(combinatorics, "iota_prime", _entered)
     monkeypatch.setattr(combinatorics, "_iota_prime_pairs", _entered)
@@ -423,13 +477,13 @@ def test_claim_scan_matches_per_case_oracle(reading):
 
 def test_claim_scan_sums_once_per_pair_tuple(monkeypatch):
     summed = []
-    real = identities.alternating_claim
+    real = identities._alternating_sum
 
-    def counted(pi, reading="prime-plain"):
-        summed.append(pi.pairs)
-        return real(pi, reading)
+    def counted(pairs, reading):
+        summed.append(pairs)
+        return real(pairs, reading)
 
-    monkeypatch.setattr(identities, "alternating_claim", counted)
+    monkeypatch.setattr(identities, "_alternating_sum", counted)
     report = claim_scan(9, 3, "prime-prime")
     assert not report.passed and report.cases == 2244
     assert len(summed) == len(set(summed)) == 792
@@ -621,6 +675,8 @@ def _entered(*args, **kwargs):
 
 def test_oversized_scans_are_refused_before_work(monkeypatch):
     monkeypatch.setattr(identities, "enumerate_partial_partitions", _entered)
+    monkeypatch.setattr(identities, "_straddling_pairs", _entered)
+    monkeypatch.setattr(identities, "_iota_block", _entered)
     monkeypatch.setattr(identities, "word_basis", _entered)
     monkeypatch.setattr(identities, "patterns", _entered)
     monkeypatch.setattr(identities, "_finalize", _entered)
