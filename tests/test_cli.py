@@ -226,6 +226,12 @@ def _entered(*args, **kwargs):
     raise AssertionError("the scan started before the budget check")
 
 
+# the identities functions that start a scan's work
+SCAN_WORK = (
+    "enumerate_partial_partitions", "_straddling_pairs", "_iota_block", "word_basis", "_alternating_sum",
+)
+
+
 @pytest.mark.parametrize(
     "argv, reason",
     [
@@ -248,7 +254,7 @@ def _entered(*args, **kwargs):
 def test_oversized_verify_scans_are_usage_errors(capsys, monkeypatch, argv, reason):
     from qfock import identities
 
-    for name in ("enumerate_partial_partitions", "_straddling_pairs", "_iota_block", "word_basis", "alternating_claim"):
+    for name in SCAN_WORK:
         monkeypatch.setattr(identities, name, _entered)
     assert main(argv) == 2
     assert reason in capsys.readouterr().err
@@ -267,7 +273,7 @@ def test_oversized_verify_scans_are_usage_errors(capsys, monkeypatch, argv, reas
 def test_negative_scan_bounds_are_usage_errors(capsys, monkeypatch, argv):
     from qfock import identities
 
-    for name in ("enumerate_partial_partitions", "_straddling_pairs", "_iota_block", "word_basis", "alternating_claim"):
+    for name in SCAN_WORK:
         monkeypatch.setattr(identities, name, _entered)
     assert main(argv) == 2
     captured = capsys.readouterr()

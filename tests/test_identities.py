@@ -376,8 +376,9 @@ def test_finalize_refuses_a_miscounted_stream():
 
 
 def test_fault_labels_are_pinned():
-    # the case each fault index flips, as recorded before the scans streamed
-    assert iota_prime_identity_scan(10, fault=12345).violations == [(10, 5, ((1, 10), (2, 6), (3, 7), (5, 8)))]
+    # the case each fault index flips: labels and order are part of the output
+    pinned = [(10, 5, ((1, 10), (2, 6), (3, 7), (5, 8)))]
+    assert iota_prime_identity_scan(10, fault=12345).violations == pinned
     assert iota_prime_identity_scan(6, fault=5).violations == [(2, 1, ((1, 2),))]
     assert claim_scan(9, 3, fault=1000).violations == [(9, 3, ((1, 8), (6, 7)))]
     assert inclusion_exclusion_sweep(5, 2, fault=100).violations == ["1,1,2,2"]
