@@ -41,7 +41,15 @@ from .analysis import (
     schatten_term_ratio,
 )
 from .combinatorics import PartialPartition, count_patterns, crossings, iota_prime
-from .fock import FockVector, SpaceConfig, gram_matrix, parse_word, word_basis, word_to_str
+from .fock import (
+    FockVector,
+    SpaceConfig,
+    _exact_gram_blocks,
+    gram_matrix,
+    parse_word,
+    word_basis,
+    word_to_str,
+)
 from .identities import (
     check_budget,
     claim_scan,
@@ -51,7 +59,7 @@ from .identities import (
     two_mode_scan,
 )
 from .render import ascii_diagram, svg_diagram
-from .scalars import EXACT, ScalarMode
+from .scalars import EXACT, QPolynomial, ScalarMode
 from .wick import (
     clt_moments,
     moment_pair_partitions,
@@ -244,12 +252,22 @@ def scan_payload(reports) -> tuple:
 
 def cmd_gram(args, mode: ScalarMode) -> tuple:
     cfg = SpaceConfig(args.d, args.copies, args.max_degree, mode)
-    # the printed rows outweigh the assembly; gram_matrix refuses a degree above max_degree
+    # the printed rows outweigh the assembly; both routes refuse a degree above max_degree
     if args.degree <= cfg.max_degree and cfg.dim(args.degree) ** 2 > MAX_GRAM_ENTRIES:
         raise ValueError(
             f"gram would print {cfg.dim(args.degree) ** 2} entries, over the cap of {MAX_GRAM_ENTRIES}"
         )
-    rows = _gram_rows(gram_matrix(args.degree, cfg), mode)
+    if mode.is_exact:  # each distinct coefficient tuple printed once; "0" between contents
+        blocks = _exact_gram_blocks(args.degree, cfg, lambda coeffs: str(QPolynomial(coeffs)))
+        zeros = ["0"] * cfg.dim(args.degree)
+        rows = [zeros] * len(zeros)  # each word's row is replaced in its block
+        for words, block in blocks:
+            for s, entries in zip(words, block):
+                row = rows[s] = zeros.copy()
+                for t, entry in zip(words, entries):
+                    row[t] = entry
+    else:
+        rows = gram_matrix(args.degree, cfg).tolist()
     words = word_basis(args.degree, cfg.letters)
     results = [
         {
@@ -262,19 +280,6 @@ def cmd_gram(args, mode: ScalarMode) -> tuple:
     if args.format == "text":
         text = "\n".join("\t".join(str(entry) for entry in row) for row in rows)
     return results, [], text
-
-
-def _gram_rows(matrix, mode: ScalarMode) -> list:
-    """Gram entries as output scalars, row by row.
-
-    An exact block shares each distinct polynomial among many entries, so
-    each is printed once, keyed by identity while ``cells`` holds them all.
-    """
-    cells = matrix.tolist()  # Python floats in float mode
-    if not mode.is_exact:
-        return cells
-    printed = {key: str(p) for key, p in {id(p): p for row in cells for p in row}.items()}
-    return [[printed[key] for key in map(id, row)] for row in cells]
 
 
 def cmd_moment(args, mode: ScalarMode) -> tuple:

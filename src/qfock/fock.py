@@ -22,9 +22,11 @@ recursion
 memoized per word pair for the sparse routes (``word_inner_poly``).  Words
 with different letter contents (multisets) are orthogonal, so exact Gram
 blocks are assembled per content: the same recursion fills each content's
-integer coefficient block from the blocks one letter smaller, and
-polynomials are built only at the end.  Float mode applies it to whole
-blocks (Bozejko-Speicher):
+integer coefficient block from the blocks one letter smaller.  The blocks
+are then read row by row and each distinct coefficient tuple is lifted
+once: to a polynomial for ``gram_matrix``, straight to its text for the
+``gram`` command.  Float mode applies the recursion to whole blocks
+(Bozejko-Speicher):
 
     G_0 = [1],  G_n = sum_j q^j (I_letters (x) G_(n-1))[:, P_j]
 
@@ -204,7 +206,14 @@ def scalar_is_zero(s) -> bool:
 
 @dataclass
 class FockVector:
-    """Sparse vector: word -> scalar, zero coefficients never stored."""
+    """Sparse vector: word -> scalar, zero coefficients never stored.
+
+    The constructor drops zero coefficients, then refuses a word above the
+    top degree.  ``from_word`` without a coefficient, ``vacuum`` and the
+    Wick product build through a private path that skips both checks,
+    because their coefficients are already known nonzero and their words
+    within the top degree.
+    """
 
     cfg: SpaceConfig
     coeffs: dict = field(default_factory=dict)
@@ -219,13 +228,25 @@ class FockVector:
             kept[w] = c
         self.coeffs = kept
 
+    @classmethod
+    def _trusted(cls, cfg: SpaceConfig, coeffs: dict) -> "FockVector":
+        # coefficients already known nonzero, on words within the top degree
+        v = object.__new__(cls)
+        v.cfg, v.coeffs = cfg, coeffs
+        return v
+
     @staticmethod
     def vacuum(cfg: SpaceConfig) -> "FockVector":
-        return FockVector(cfg, {(): cfg.scalar.one()})
+        return FockVector._trusted(cfg, {(): cfg.scalar.one()})
 
     @staticmethod
     def from_word(cfg: SpaceConfig, word: tuple, coeff=None) -> "FockVector":
-        return FockVector(cfg, {tuple(word): cfg.scalar.one() if coeff is None else coeff})
+        word = tuple(word)
+        if coeff is not None:
+            return FockVector(cfg, {word: coeff})
+        if len(word) > cfg.max_degree:
+            raise ValueError(f"word {word} above max degree {cfg.max_degree}")
+        return FockVector._trusted(cfg, {word: cfg.scalar.one()})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -379,26 +400,51 @@ def gram_matrix(degree: int, cfg: SpaceConfig) -> np.ndarray:
     >>> print(g[0, 0], "|", g[1, 2], "|", g[0, 1])
     1 + q | q | 0
     """
+    if not cfg.scalar.is_exact:
+        _check_degree(degree, cfg)
+        return _float_gram(degree, cfg.letters, cfg.scalar.q)
+    blocks = _exact_gram_blocks(degree, cfg, QPolynomial)
+    dim = cfg.dim(degree)
+    out = np.full((dim, dim), QPolynomial.zero(), dtype=object)
+    for words, rows in blocks:
+        out[np.ix_(words, words)] = rows
+    return out
+
+
+def _check_degree(degree: int, cfg: SpaceConfig) -> None:
     if not 0 <= degree <= cfg.max_degree:
         raise ValueError(f"degree {degree} outside 0..{cfg.max_degree}")
-    if not cfg.scalar.is_exact:
-        return _float_gram(degree, cfg.letters, cfg.scalar.q)
+
+
+def _exact_gram_blocks(degree: int, cfg: SpaceConfig, lift) -> list:
+    """(word indices, rows) per content block of the exact Gram block.
+
+    Entry t of row s is ``lift`` of the coefficient tuple of <word s, word
+    t> (powers of q ascending, trailing zeros kept); words of other
+    contents are orthogonal.  Few distinct tuples fill many entries, so
+    each is lifted once.  Raises ValueError, before allocating anything,
+    for a degree outside 0..max_degree or over ``EXACT_GRAM_BUDGET``.
+    """
+    _check_degree(degree, cfg)
     need = _gram_bytes(degree, cfg.letters)
     if need > EXACT_GRAM_BUDGET:
         raise ValueError(
             f"exact Gram block of degree {degree} over {cfg.letters} letters needs "
             f"{need} bytes, over the exact Gram budget of {EXACT_GRAM_BUDGET}"
         )
-    dim = cfg.dim(degree)
-    out = np.full((dim, dim), QPolynomial.zero(), dtype=object)
-    distinct: dict = {}  # few distinct polynomials fill many entries; build each one once
+    blocks, lifted = [], {}
     for _, words, block in _content_blocks(degree, cfg.letters):
-        for word, row in zip(words, block):
-            keys = list(map(tuple, row.tolist()))
-            for key in set(keys).difference(distinct):
-                distinct[key] = QPolynomial(key)
-            out[word, words] = list(map(distinct.__getitem__, keys))
-    return out
+        rows = []
+        for coeffs in block.tolist():
+            row = []
+            for key in map(tuple, coeffs):
+                value = lifted.get(key)
+                if value is None:
+                    value = lifted[key] = lift(key)
+                row.append(value)
+            rows.append(row)
+        blocks.append((words.tolist(), rows))
+    return blocks
 
 
 # ---------------------------------------------------------------------------

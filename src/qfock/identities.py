@@ -37,7 +37,6 @@ from .combinatorics import (
     _iota_prime_pairs,
     _straddling_pairs,
     coset_inversions,
-    enumerate_partial_partitions,
     inversions,
     max_pairs,
     pattern,
@@ -222,14 +221,14 @@ def _rho_shapes(n: int, k: int, j: int) -> tuple:
         return ()
     split = n - k
     shapes = []
-    for rho in enumerate_partial_partitions(n, k, j):
-        paired = {x - 1 for pair in rho.pairs for x in pair}
+    for pairs in _straddling_pairs(n, k, j):
+        paired = {x - 1 for pair in pairs for x in pair}
         shapes.append((
-            _picker(tuple(l - 1 for l, _ in rho.pairs)),
-            _picker(tuple(r - 1 for _, r in rho.pairs)),
+            _picker(tuple(l - 1 for l, _ in pairs)),
+            _picker(tuple(r - 1 for _, r in pairs)),
             _picker(tuple(p for p in range(split) if p not in paired)),
             _picker(tuple(p for p in range(split, n) if p not in paired)),
-            _iota_prime_pairs(rho.pairs),
+            _iota_prime_pairs(pairs),
         ))
     return tuple(shapes)
 
@@ -256,7 +255,13 @@ def _by_pattern(n: int, d: int, check) -> list:
     relabeling letters keeps every verdict, so ``check`` runs once per
     pattern.  A label is the word's text form, "vac" for the vacuum."""
     verdicts = {p: check(p) for p in patterns(n, d)}
-    return [(verdicts[pattern(word)], word_to_str(word, d) or "vac") for word in word_basis(n, d)]
+    return [(verdicts[p], label) for p, label in _pattern_labels(n, d)]
+
+
+@lru_cache(maxsize=16)
+def _pattern_labels(n: int, d: int) -> tuple:
+    # (pattern, label) per word of _by_pattern; a scan asks once per split k
+    return tuple((pattern(word), word_to_str(word, d) or "vac") for word in word_basis(n, d))
 
 
 def _two_mode_verdicts(n: int, k: int, word: tuple) -> tuple:
@@ -379,17 +384,18 @@ def claim_scan(n_max: int = 8, m_max: int = 3, reading: str = "prime-plain", fau
     Every (n, k, pairs) is a case of its own, but the sum reads the pairs
     only, and one pair tuple straddles every split between its largest
     left and smallest right endpoint at every n from its largest right
-    endpoint on.  So the scan walks the bare pair tuples, computes one
-    value per distinct tuple (792 for the 2,244 cases of n_max = 9,
-    m_max = 3) and every case reads its verdict from it.  In the
-    prime-plain reading each value is 0 by the lemma of
-    ``alternating_claim``; the prime-prime reading sums 2^m terms per tuple.
-    Only the violations are kept.
+    endpoint on.  So the scan walks the bare pair tuples.  The prime-prime
+    reading sums 2^m terms per tuple, so it computes one value per distinct
+    tuple (792 for the 2,244 cases of n_max = 9, m_max = 3) and every case
+    reads its verdict from it.  In the prime-plain reading each value is 0
+    by the lemma of ``alternating_claim`` and is returned at once, so none
+    is kept.  Only the violations are kept.
     """
     cases = check_budget("claim", n_max, m_max)
     _check_reading(reading)
     notes: dict = {}
-    sums: dict = {}  # pair tuple -> its alternating sum, for this reading
+    sums: dict = {}  # pair tuple -> its alternating sum, kept in the prime-prime reading
+    keep = reading == "prime-prime"
 
     def verdicts():
         for n in range(2, n_max + 1):
@@ -398,7 +404,9 @@ def claim_scan(n_max: int = 8, m_max: int = 3, reading: str = "prime-plain", fau
                     for pairs in _straddling_pairs(n, k, m):
                         value = sums.get(pairs)
                         if value is None:
-                            value = sums[pairs] = _alternating_sum(pairs, reading)
+                            value = _alternating_sum(pairs, reading)
+                            if keep:
+                                sums[pairs] = value
                         ok = value.is_zero()
                         if not ok and "first_nonzero" not in notes:
                             notes["first_nonzero"] = {"n": n, "k": k, "pairs": pairs, "value": str(value)}

@@ -48,11 +48,11 @@ class QPolynomial:
 
     @staticmethod
     def zero() -> "QPolynomial":
-        return _poly(())
+        return _ZERO
 
     @staticmethod
     def one() -> "QPolynomial":
-        return _poly((1,))
+        return _ONE
 
     @staticmethod
     def q() -> "QPolynomial":
@@ -232,6 +232,11 @@ def _poly(cs) -> QPolynomial:
     return p
 
 
+# frozen, so every caller may share them
+_ZERO = _poly(())
+_ONE = _poly((1,))
+
+
 def _coeff_str(c: Coefficient) -> str:
     if isinstance(c, Fraction) and c.denominator != 1:
         return f"({c})"
@@ -286,10 +291,10 @@ class ScalarMode:
     # Lifting helpers so space/operator code is mode-generic.
 
     def zero(self):
-        return QPolynomial.zero() if self.is_exact else 0.0
+        return _ZERO if self.is_exact else 0.0
 
     def one(self):
-        return QPolynomial.one() if self.is_exact else 1.0
+        return _ONE if self.is_exact else 1.0
 
     def q_power(self, k: int):
         if self.is_exact:

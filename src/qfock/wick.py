@@ -10,10 +10,13 @@ pins the normalization.  ``wick_word_action`` is the one kernel: the
 operator exists only as its action on sparse vectors (``wick_apply``),
 never as block matrices.  It is the package's only annihilation walk: a
 field s(h) is W(h) of the degree-1 vector h.  It also truncates the space,
-dropping each term whose creations would leave the top degree.
+dropping each term whose creations would leave the top degree.  In exact
+mode ``wick_apply`` reuses the kernel's polynomials wherever the weight is
+1 and builds a polynomial only for a scaled term or a sum.
 
 Mixed vacuum moments of field operators sum q^crossings over pair
-partitions, read left to right over open arcs; the finite-N central-limit
+partitions, read left to right over open arcs (with integer codes a letter
+finds the arcs it closes by its code); the finite-N central-limit
 averages and the off-diagonal coefficient sum colored moments over the set
 partitions of positions by color, checking N-independence and closed forms.
 """
@@ -89,11 +92,22 @@ def wick_word_action(xi_word: tuple, source: tuple, max_degree: int) -> tuple:
 
 
 def wick_apply(xi: FockVector, v: FockVector) -> FockVector:
-    """Apply the Wick operator of xi (any degrees, linearly) to v."""
+    """Apply the Wick operator of xi (any degrees, linearly) to v.
+
+    Each pair of words contributes the kernel's terms times the product of
+    their coefficients.  In exact mode a unit weight reuses the kernel's
+    polynomials as they are (a basis word on a basis word is the kernel's
+    output), a new polynomial is built only for a scaled term or a sum,
+    and only sums can cancel, so only they are checked for zero.  Float
+    mode lifts each kernel polynomial to the configured q and adds the
+    terms one by one.
+    """
     if not xi.cfg.compatible(v.cfg):
         raise ValueError("space mismatch")
-    mode = v.cfg.scalar
+    cfg = v.cfg
+    of = None if cfg.scalar.is_exact else cfg.scalar.of
     out: dict = {}
+    summed = False
     for xw, xc in xi.coeffs.items():
         for sw, sc in v.coeffs.items():
             weight = xc * sc
@@ -101,11 +115,18 @@ def wick_apply(xi: FockVector, v: FockVector) -> FockVector:
                 continue
             # basis words have the unit weight: the kernel's polynomial is the term
             unit = type(weight) is QPolynomial and weight.coeffs == (1,)
-            for tw, p in wick_word_action(xw, sw, v.cfg.max_degree):
-                term = p if unit else weight * mode.of(p)
+            for tw, p in wick_word_action(xw, sw, cfg.max_degree):
+                term = p if unit else weight * (p if of is None else of(p))
                 prev = out.get(tw)
-                out[tw] = term if prev is None else prev + term
-    return FockVector(v.cfg, out)
+                if prev is None:
+                    out[tw] = term
+                else:
+                    out[tw], summed = prev + term, True
+    if of is not None:
+        return FockVector(cfg, out)
+    # the kernel keeps every word within the top degree, and a product of
+    # nonzero polynomials is nonzero
+    return FockVector._trusted(cfg, {tw: c for tw, c in out.items() if c} if summed else out)
 
 
 def reversed_vector(xi: FockVector) -> FockVector:
@@ -167,11 +188,16 @@ def _open_arc_states(hs: list, codes: bool) -> Iterator[dict]:
     Arcs are named by their letters.  A letter opens one while more letters
     that can close it (equal codes; any vector) are to come than such arcs
     are open, and closes each open arc j with <h_j, x> != 0, times that
-    product, crossing the arcs opened after j.
+    product, crossing the arcs opened after j.  With integer codes only the
+    arcs of x itself close, and ``tuple.count``/``tuple.index`` count and
+    find them without a Python-level scan of the state.
     """
     if codes:
-        ids, inner = hs, {a: {a: 1} for a in hs}
-        room = [hs[n + 1 :].count(x) for n, x in enumerate(hs)]
+        ids, inner, room, to_come = hs, {a: {a: 1} for a in hs}, [], Counter()
+        for x in reversed(hs):
+            room.append(to_come[x])
+            to_come[x] += 1
+        room.reverse()
     else:
         ids, room = [tuple(h) for h in hs], range(len(hs) - 1, -1, -1)
         inner = {b: {a: w for a in ids if (w := sum(x * y for x, y in zip(a, b)))} for b in ids}
@@ -180,12 +206,19 @@ def _open_arc_states(hs: list, codes: bool) -> Iterator[dict]:
     for x, left in zip(ids, room):
         # openings first: no two states open into the same one
         nxt = {s + (x,): dict(h) for s, h in states.items() if (s.count(x) if codes else len(s)) < left}
+        partners = inner[x]
         for s, hist in states.items():
-            for j, a in enumerate(s):
-                if a in inner[x]:  # crossing the top - j arcs opened after arc j
-                    acc, w, top = nxt.setdefault(s[:j] + s[j + 1 :], {}), inner[x][a], len(s) - 1
-                    for k, v in hist.items():
-                        acc[k + top - j] = acc.get(k + top - j, 0) + v * w
+            j, top = -1, len(s) - 1
+            # with codes only the arcs of x itself close: tuple.index finds them at C speed
+            for _ in range(s.count(x) if codes else len(s)):
+                j = s.index(x, j + 1) if codes else j + 1
+                w = partners.get(s[j])
+                if not w:
+                    continue
+                acc, above = nxt.setdefault(s[:j] + s[j + 1 :], {}), top - j  # arcs opened after j
+                for k, v in hist.items():
+                    k += above
+                    acc[k] = acc.get(k, 0) + v * w
         states = nxt
         yield states
 

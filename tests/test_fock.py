@@ -201,6 +201,16 @@ def test_vector_drops_zeros_before_checking_degrees():
         FockVector(cfg, {above: QPolynomial.one()})
 
 
+def test_from_word_checks_the_degree_of_its_one_word():
+    cfg = exact_cfg(d=2, n=2)
+    for coeff in (None, QPolynomial.q(), 2):
+        with pytest.raises(ValueError, match="above max degree 2"):
+            FockVector.from_word(cfg, [0, 1, 0], coeff)
+    assert FockVector.from_word(cfg, (0, 1, 0), QPolynomial.zero()).is_zero()
+    assert FockVector.from_word(cfg, [1, 0]).coeffs == {(1, 0): QPolynomial.one()}
+    assert FockVector.vacuum(SpaceConfig(1, 1, 0, ScalarMode.at(0.5))).coeffs == {(): 1.0}
+
+
 def test_gram_small():
     cfg1 = exact_cfg(d=1, copies=1, n=2)
     g = gram_matrix(2, cfg1)

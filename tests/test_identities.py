@@ -92,6 +92,37 @@ def oracle_rho_terms(lw, rw, j):
     return out
 
 
+def test_rho_shapes_are_the_tables_of_the_partition_enumerator():
+    for n in range(7):
+        probe = tuple(range(n))  # a picker applied to it returns its positions
+        for k in range(n + 1):
+            for j in range(max_pairs(n, k) + 2):
+                got = [
+                    (lefts(probe), rights(probe), l_rest(probe), r_rest(probe), iota)
+                    for lefts, rights, l_rest, r_rest, iota in identities._rho_shapes(n, k, j)
+                ]
+                expect = []
+                for rho in enumerate_partial_partitions(n, k, j) if j <= max_pairs(n, k) else ():
+                    paired = {x for pair in rho.pairs for x in pair}
+                    expect.append((
+                        tuple(l - 1 for l, _ in rho.pairs),
+                        tuple(r - 1 for _, r in rho.pairs),
+                        tuple(p - 1 for p in range(1, n - k + 1) if p not in paired),
+                        tuple(p - 1 for p in range(n - k + 1, n + 1) if p not in paired),
+                        iota_prime(rho),
+                    ))
+                assert got == expect
+
+
+def test_pattern_labels_are_built_once_per_degree():
+    identities._pattern_labels.cache_clear()
+    two_mode_scan(4, 2)
+    info = identities._pattern_labels.cache_info()
+    assert (info.misses, info.currsize) == (5, 5)  # n = 0..4, every split k reusing its table
+    assert identities._pattern_labels(2, 2) == (((0, 0), "1,1"), ((0, 1), "1,2"), ((0, 1), "2,1"), ((0, 0), "2,2"))
+    assert identities._pattern_labels(0, 3) == (((), "vac"),)
+
+
 @pytest.mark.parametrize("d, n_max", [(1, 5), (2, 5), (3, 4)])
 def test_shape_tables_match_per_word_oracle(d, n_max):
     for n in range(n_max + 1):
@@ -490,6 +521,21 @@ def test_claim_scan_sums_once_per_pair_tuple(monkeypatch):
     assert len(summed) == len(set(summed)) == 792
 
 
+def test_prime_plain_claim_scan_keeps_no_sums(monkeypatch):
+    # every prime-plain sum is 0 at once, so each case asks for its own
+    summed = []
+    real = identities._alternating_sum
+
+    def counted(pairs, reading):
+        summed.append(pairs)
+        return real(pairs, reading)
+
+    monkeypatch.setattr(identities, "_alternating_sum", counted)
+    report = claim_scan(9, 3)
+    assert report.passed and report.cases == len(summed) == 2244
+    assert len(set(summed)) == 792
+
+
 def _raises(*args, **kwargs):
     raise AssertionError("a 2^m subset sum was entered")
 
@@ -675,7 +721,6 @@ def _entered(*args, **kwargs):
 
 
 def test_oversized_scans_are_refused_before_work(monkeypatch):
-    monkeypatch.setattr(identities, "enumerate_partial_partitions", _entered)
     monkeypatch.setattr(identities, "_straddling_pairs", _entered)
     monkeypatch.setattr(identities, "_iota_block", _entered)
     monkeypatch.setattr(identities, "word_basis", _entered)

@@ -123,3 +123,10 @@ def test_mode_lifting():
     assert m.of(QPolynomial((2, 1))) == 2.5
     assert EXACT.q_power(2) == QPolynomial.monomial(2)
     assert EXACT.of(3) == QPolynomial.constant(3)
+
+
+def test_zero_and_one_are_shared_constants():
+    assert QPolynomial.one() is QPolynomial.one() is EXACT.one()
+    assert QPolynomial.zero() is QPolynomial.zero() is EXACT.zero()
+    assert QPolynomial.one().coeffs == (1,) and QPolynomial.zero().coeffs == ()
+    assert ScalarMode.at(0.5).one() == 1.0 and ScalarMode.at(0.5).zero() == 0.0

@@ -14,6 +14,7 @@ from qfock.combinatorics import crossings
 from qfock.fock import (
     FockVector,
     SpaceConfig,
+    scalar_is_zero,
     word_basis,
     word_inner_poly,
 )
@@ -123,6 +124,60 @@ def test_reversed_vector_is_adjoint():
                 for ww in word_basis(dw, cfg.letters):
                     w = word_vec(cfg, ww)
                     assert q_inner(wick_apply(xi, v), w) == q_inner(v, wick_apply(rev, w))
+
+
+def termwise_wick_apply(xi, v):
+    """The Wick product term by term: every kernel term lifted to the scalar
+    mode, scaled and added into its word, the sum checked by the validating
+    constructor; the route ``wick_apply`` replaced, kept as its oracle."""
+    mode, out = v.cfg.scalar, {}
+    for xw, xc in xi.coeffs.items():
+        for sw, sc in v.coeffs.items():
+            weight = xc * sc
+            if scalar_is_zero(weight):
+                continue
+            for tw, p in wick.wick_word_action(xw, sw, v.cfg.max_degree):
+                term = weight * mode.of(p)
+                out[tw] = out[tw] + term if tw in out else term
+    return FockVector(v.cfg, out)
+
+
+EXACT_WEIGHTS = (ONE, Q, QPolynomial((2, -1)), Fraction(1, 3), QPolynomial((Fraction(-2, 5), 0, 1)), 3)
+
+
+@pytest.mark.parametrize("mode", [EXACT, ScalarMode.at(0.35), ScalarMode.at(-0.8)])
+def test_wick_apply_matches_the_termwise_route(mode):
+    weights = EXACT_WEIGHTS if mode.is_exact else (1.0, 0.25, -1.5, 1 / 3)
+    cfg = SpaceConfig(2, 1, 4, mode)
+    words = [w for n in range(4) for w in word_basis(n, 2)]
+    for offset in range(0, len(words), 5):
+        xi = FockVector(cfg, {w: weights[i % len(weights)] for i, w in enumerate(words[offset : offset + 3])})
+        for start in range(0, len(words), 4):
+            chunk = words[start : start + 4]
+            v = FockVector(cfg, {w: weights[(i + start) % len(weights)] for i, w in enumerate(chunk)})
+            got, expect = wick_apply(xi, v), termwise_wick_apply(xi, v)
+            # float mode keeps the termwise order of operations, so even floats agree exactly
+            assert got.coeffs == expect.coeffs
+            assert list(got.coeffs) == list(expect.coeffs)
+
+
+@pytest.mark.parametrize("x", EXACT_WEIGHTS + (0.3,))
+def test_wick_apply_drops_the_words_whose_terms_cancel(x):
+    # W(e2) e1 + x W(e2) e2 - x W(e1) e1 - x^2 W(e1) e2: the vacuum gets x - x
+    mode = ScalarMode.at(0.5) if isinstance(x, float) else EXACT
+    cfg = SpaceConfig(2, 1, 3, mode)
+    xi = FockVector(cfg, {(1,): mode.one(), (0,): -x})
+    v = FockVector(cfg, {(0,): mode.one(), (1,): x})
+    got = wick_apply(xi, v)
+    assert () not in got.coeffs and got.coeffs == termwise_wick_apply(xi, v).coeffs
+    assert set(got.coeffs) == {(1, 0), (1, 1), (0, 0), (0, 1)}
+
+
+def test_a_basis_word_on_a_basis_word_is_the_kernel_output():
+    cfg = cfg_for(5)
+    got = wick_apply(word_vec(cfg, (0, 1, 0)), word_vec(cfg, (0, 0)))
+    assert tuple(got.coeffs.items()) == wick.wick_word_action((0, 1, 0), (0, 0), 5)
+    assert got.coeffs == termwise_wick_apply(word_vec(cfg, (0, 1, 0)), word_vec(cfg, (0, 0))).coeffs
 
 
 def test_moment_examples():
@@ -235,6 +290,27 @@ def test_moment_matches_the_depth_first_oracle_on_three_letter_words():
         for _ in range(12):
             codes = tuple(int(c) for c in rng.integers(0, 3, size=m))
             assert moment_pair_partitions(codes) == dfs_moment(codes)
+
+
+def test_moment_matches_the_depth_first_oracle_on_many_distinct_letter_pairs():
+    # each letter twice or four times among up to 10 letters, shuffled: the
+    # walk finds the arcs a letter closes by code, not by a scan
+    rng = np.random.default_rng(19)
+    for letters in range(1, 11):
+        for _ in range(6):
+            codes = [int(c) for c in rng.permutation(letters)] * 2
+            codes += [int(c) for c in rng.integers(0, letters, size=rng.integers(0, 3))] * 2
+            codes = tuple(int(c) for c in rng.permutation(codes))
+            assert moment_pair_partitions(codes) == dfs_moment(codes)
+
+
+def test_the_walk_reaches_five_thousand_letter_pairs():
+    # one matching each: nested arcs never cross, and the arcs of 0..4999
+    # read twice cross pairwise, C(5000, 2) times in all
+    nested = tuple(range(5000)) + tuple(reversed(range(5000)))
+    assert moment_pair_partitions(nested) == ONE
+    crossing = list(range(5000)) * 2
+    assert collections.deque(wick._open_arc_states(crossing, True), maxlen=1)[0] == {(): {comb(5000, 2): 1}}
 
 
 def _times_one_minus_q(coeffs: list) -> list:
