@@ -16,6 +16,8 @@ inclusion-exclusion sweep works on word dictionaries through the Wick
 kernel ``wick_word_action``.  Scans run with polynomial scalars, so one
 pass certifies all q in (-1, 1).
 
+The level maps are {power of q: count} histograms per remainder pair and
+are compared as such; the sweep lifts one polynomial per target word.
 The iota' scan builds each block of straddling partitions from the
 triples (A, B, sigma) of the closed form, so iota(A) is read once per A
 and iota(B) once per B, and the insertion statistic still runs on every
@@ -187,12 +189,14 @@ def _subset_shapes(nl: int, nr: int, j: int) -> tuple:
 
 def _subset_level(lw: tuple, rw: tuple, j: int) -> dict:
     """q^C(j,2) times the level-j contraction map of the split word lw|rw,
-    subset form, as {(left rest, right rest): QPolynomial}.
+    subset form, as {(left rest, right rest): {power of q: count}}.
 
     Each j-subset A of left positions meets each j-subset B of right
     positions with weight q^(iota(A)+iota(B)) times the q-inner product of
-    the extracted subwords.  Inner products have nonnegative coefficients,
-    so no collected value cancels to 0.  Level 0 is the bare product.
+    the extracted subwords.  Inner products have nonnegative coefficients
+    and their zero coefficients are skipped, so every count is positive and
+    two maps are equal exactly when their polynomials are.  Level 0 is the
+    bare product.
     """
     shift = comb(j, 2)
     hists: dict = {}
@@ -205,8 +209,9 @@ def _subset_level(lw: tuple, rw: tuple, j: int) -> dict:
         if hist is None:
             hists[key] = hist = {}
         for power, c in enumerate(inner, iota + shift):
-            hist[power] = hist.get(power, 0) + c
-    return {key: QPolynomial.from_powers(hist) for key, hist in hists.items()}
+            if c:
+                hist[power] = hist.get(power, 0) + c
+    return hists
 
 
 @lru_cache(maxsize=32)
@@ -235,7 +240,8 @@ def _rho_shapes(n: int, k: int, j: int) -> tuple:
 
 def _rho_level(lw: tuple, rw: tuple, j: int) -> dict:
     """The same map over straddling partitions with j pairs, weighted
-    q^iota'(rho); it equals ``_subset_level``."""
+    q^iota'(rho), as {(left rest, right rest): {power of q: count}}; it
+    equals ``_subset_level``, and each count is at least 1."""
     word = lw + rw
     hists: dict = {}
     for lefts, rights, l_rest, r_rest, iota in _rho_shapes(len(word), len(rw), j):
@@ -247,7 +253,7 @@ def _rho_level(lw: tuple, rw: tuple, j: int) -> dict:
         if hist is None:
             hists[key] = hist = {}
         hist[iota] = hist.get(iota, 0) + 1
-    return {key: QPolynomial.from_powers(hist) for key, hist in hists.items()}
+    return hists
 
 
 def _by_pattern(n: int, d: int, check) -> list:
@@ -290,17 +296,28 @@ def two_mode_scan(n_max: int = 6, d: int = 2, fault=None) -> ScanReport:
 def _inclusion_exclusion_image(lw: tuple, rw: tuple) -> dict:
     """sum_j (-1)^j q^C(j,2) w^j(lw, rw) applied to the vacuum, as
     {word: QPolynomial} with zeros dropped; the identity says this is
-    {lw + rw: 1}."""
+    {lw + rw: 1}.
+
+    The signed level histograms times each kernel polynomial add into one
+    {power of q: integer} dict per target word, and each target word
+    becomes one polynomial at the end.
+    """
     n = len(lw) + len(rw)
     total: dict = {}
     for j in range(min(len(lw), len(rw)) + 1):
-        for (lrem, rrem), coeff in _subset_level(lw, rw, j).items():
-            weight = -coeff if j % 2 else coeff
+        sign = -1 if j % 2 else 1
+        for (lrem, rrem), hist in _subset_level(lw, rw, j).items():
             # W(rrem) on the vacuum is the word rrem itself
             for target, p in wick_word_action(lrem, rrem, n):
-                term = weight * p
-                total[target] = total[target] + term if target in total else term
-    return {w: p for w, p in total.items() if not p.is_zero()}
+                acc = total.get(target)
+                if acc is None:
+                    total[target] = acc = {}
+                kernel = p.coeffs
+                for power, count in hist.items():
+                    count *= sign
+                    for e, c in enumerate(kernel, power):
+                        acc[e] = acc.get(e, 0) + count * c
+    return {word: p for word, acc in total.items() if (p := QPolynomial.from_powers(acc))}
 
 
 def _inclusion_exclusion_results(n: int, k: int, d: int) -> list:
@@ -425,13 +442,15 @@ def _sigma_table(j: int) -> tuple:
 
 def _iota_block(n: int, k: int, j: int) -> list:
     """(pairs, closed form) per partition of {1..n} with j pairs straddling
-    n - k, built from its triple (A, B, sigma) and sorted by pair tuple,
-    the order of ``enumerate_partial_partitions``.
+    n - k, built from its triple (A, B, sigma), in construction order: A,
+    then B, then sigma.
 
     The s-th smallest left endpoint A_s is paired with the sigma(s)-th
     smallest right endpoint, and the closed form
     iota(A) + iota(B) + inversions(sigma) + C(j,2) is read per A, per B
     and per sigma from the coset-inversion memo and ``_sigma_table``.
+    Sorted by pair tuple, the block is in the order of
+    ``enumerate_partial_partitions``.
     """
     split = n - k
     sigmas = _sigma_table(j)
@@ -443,7 +462,6 @@ def _iota_block(n: int, k: int, j: int) -> list:
             rights = tuple(r + split for r in b)
             for pick, inv in sigmas:
                 block.append((tuple(zip(a, pick(rights))), iab + inv))
-    block.sort()
     return block
 
 
@@ -454,15 +472,28 @@ def iota_prime_identity_scan(n_max: int = 8, fault=None) -> ScanReport:
     triples (A, B, sigma), so the closed form is read once per A, once per
     B and once per sigma, while the insertion statistic runs on every pair
     tuple; the pairs are block-respecting by construction, so neither side
-    re-checks them.  Blocks stream in lexicographic order of pair tuples,
-    and only the violations are kept.
+    re-checks them.  Blocks stream in construction order and only the
+    violations are kept.  Case indices and labels follow the enumerator's
+    order all the same: the one block that holds the fault's case is
+    sorted by pair tuple before it streams, and the violations are sorted
+    at the end.
     """
     cases = check_budget("iota", n_max, 1)
-    verdicts = (
-        (_iota_prime_pairs(pairs) == closed, (n, k, pairs))
-        for n in range(n_max + 1)
-        for k in range(n + 1)
-        for j in range(max_pairs(n, k) + 1)
-        for pairs, closed in _iota_block(n, k, j)
-    )
-    return _finalize(f"iota-prime closed form (n <= {n_max})", verdicts, cases, fault)
+    flip = -1 if fault is None else fault % cases
+
+    def verdicts():
+        start = 0
+        for n in range(n_max + 1):
+            for k in range(n + 1):
+                for j in range(max_pairs(n, k) + 1):
+                    block = _iota_block(n, k, j)
+                    if start <= flip < start + len(block):
+                        block.sort()
+                    start += len(block)
+                    for pairs, closed in block:
+                        yield _iota_prime_pairs(pairs) == closed, (n, k, pairs)
+
+    report = _finalize(f"iota-prime closed form (n <= {n_max})", verdicts(), cases, fault)
+    # a label (n, k, pairs) sorts by its block (n, k, j = len(pairs)), then by pair tuple
+    report.violations.sort(key=lambda label: (label[0], label[1], len(label[2]), label[2]))
+    return report

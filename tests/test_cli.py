@@ -297,6 +297,101 @@ def test_claim_other_reading_output_is_pinned(capsys):
     )
 
 
+# Exit code and SHA-256 of stdout of the verify scans, with and without a
+# seeded fault.  The iota' violations, the flipped case and every printed
+# polynomial are part of these bytes, so a change to the scan routes that
+# moves any of them shows here.
+VERIFY_DIGESTS = {
+    "verify-iota --nmax 6 --format json":
+        (0, "c68bf0f27740e0e236d2cd25708652b9f5df7387dd5cb93a76aeece7b739d1f6"),
+    "verify-iota --nmax 6 --format json --inject-fault --seed 1":
+        (1, "7ad10788617db05e07d2385ebaf4685b18bc56e1e5690a42a18af6f3d54db323"),
+    "verify-iota --nmax 6 --format json --inject-fault --seed 7":
+        (1, "4ff9738967e6136a5eb6681c02532a714326003ea9335c5e1a4e936421e6b9dd"),
+    "verify-iota --nmax 6 --format json --inject-fault --seed 123":
+        (1, "cbba80f2ebfd0ba1cc66d696eb4e4318302d0c43bb915b6207734809569f1cbe"),
+    "verify-iota --nmax 6 --format text":
+        (0, "70ed3535d78128d92673a5c80931f00c4ea34edfdde3f44cff0d2ebe9ddc2a57"),
+    "verify-iota --nmax 6 --format text --inject-fault --seed 1":
+        (1, "68ccb5c91722c2c8f4e330eb0da97dc05554b6e0b1b6ccc2c4b6f789758e3fd5"),
+    "verify-iota --nmax 6 --format text --inject-fault --seed 7":
+        (1, "68ccb5c91722c2c8f4e330eb0da97dc05554b6e0b1b6ccc2c4b6f789758e3fd5"),
+    "verify-iota --nmax 6 --format text --inject-fault --seed 123":
+        (1, "68ccb5c91722c2c8f4e330eb0da97dc05554b6e0b1b6ccc2c4b6f789758e3fd5"),
+    "verify-iota --nmax 10 --format json":
+        (0, "16e07f3d8ecd9fcb0dd34eb3f7bb5c75baadd2952ca25aee21115236c9637857"),
+    "verify-iota --nmax 10 --format json --inject-fault --seed 1":
+        (1, "9859631eabde7d716dcdefc9f3ce509aa89599f3cf9929e801e853b1eb21ad02"),
+    "verify-iota --nmax 10 --format json --inject-fault --seed 7":
+        (1, "4e1ab471583aef491788f1388f7f252e3abb65bb1c64698d95f455fe68bf86a7"),
+    "verify-iota --nmax 10 --format json --inject-fault --seed 123":
+        (1, "f1d42c2f3955060e0fa11b478454f044a794c30b4b3aa31e39b4e99571b2727c"),
+    "verify-iota --nmax 10 --format text":
+        (0, "92f78050970b0d447bc72e2a0c82cd78787173ed443a0573238890166c70a81b"),
+    "verify-iota --nmax 10 --format text --inject-fault --seed 1":
+        (1, "cb14cbec71ac9618114e4cee394292cfe7d994b35d80904c9702acce9e96845a"),
+    "verify-iota --nmax 10 --format text --inject-fault --seed 7":
+        (1, "cb14cbec71ac9618114e4cee394292cfe7d994b35d80904c9702acce9e96845a"),
+    "verify-iota --nmax 10 --format text --inject-fault --seed 123":
+        (1, "cb14cbec71ac9618114e4cee394292cfe7d994b35d80904c9702acce9e96845a"),
+    "verify-ie --format json":
+        (0, "22cdf6982b733afc45753ff77660494b2cff14bca98d39c4d5456d94b6895614"),
+    "verify-ie --format json --inject-fault --seed 1":
+        (1, "425c6bbee9e7c1e909d023e06c2db9900894cbb66ab249d57f9abe832c7e8387"),
+    "verify-ie --format json --inject-fault --seed 7":
+        (1, "8f1f527f98fc33cf6ed3ee8852485651e484b675d5a67b1ed2a84732726fb8be"),
+    "verify-ie --format json --inject-fault --seed 123":
+        (1, "4bede16d11638f08f448031677d0144ed5aafe22d44df11048c334f6136e65d2"),
+    "verify-ie --format text":
+        (0, "28872cc12965aee594585ec4b1fad155585d9dffb53ec9f541116bad96b2dd28"),
+    "verify-ie --format text --inject-fault --seed 1":
+        (1, "43d10d66ceb83277bbd768077d4866efa04361818b92fa307eba674219429e27"),
+    "verify-ie --format text --inject-fault --seed 7":
+        (1, "43d10d66ceb83277bbd768077d4866efa04361818b92fa307eba674219429e27"),
+    "verify-ie --format text --inject-fault --seed 123":
+        (1, "43d10d66ceb83277bbd768077d4866efa04361818b92fa307eba674219429e27"),
+    "verify-ie --merged --format json":
+        (0, "cb4db8b748b78faf61cf1e7c5310b49d27b57fe6bc8daaacff3120248c38ea9f"),
+    "verify-ie --merged --format json --inject-fault --seed 1":
+        (1, "37f2e6eae14cbf24876ef9f969e1d89fa1eff3bea1763445f676681b0612aeee"),
+    "verify-ie --merged --format json --inject-fault --seed 7":
+        (1, "b25d2cf9a474823e4756c7af9c2731ed50c9a4b277aa20b254eb213f6a96692b"),
+    "verify-ie --merged --format json --inject-fault --seed 123":
+        (1, "e986532b5b85f250d945d25a1615b7602ae74e3655e6ef5e9dc2f07933ba3aef"),
+    "verify-ie --merged --format text":
+        (0, "88f9bc5215125b32d7d0a42748ef4f62118188712d6279466f8ab17f62d29d50"),
+    "verify-ie --merged --format text --inject-fault --seed 1":
+        (1, "d669a8272d4417c185a1a6c1832a9d3af1e7beb19b6145a870969680aa1b3c8f"),
+    "verify-ie --merged --format text --inject-fault --seed 7":
+        (1, "d669a8272d4417c185a1a6c1832a9d3af1e7beb19b6145a870969680aa1b3c8f"),
+    "verify-ie --merged --format text --inject-fault --seed 123":
+        (1, "d669a8272d4417c185a1a6c1832a9d3af1e7beb19b6145a870969680aa1b3c8f"),
+    "verify-claim --format json":
+        (0, "6c0935b37e53748daf6b756fecd73b9184cb41a44784342d8afc635c01795c31"),
+    "verify-claim --format json --inject-fault --seed 1":
+        (1, "42cd48e94374d8714e80261dff85cb72a333f866450191d35a6804c7ac3bdb05"),
+    "verify-claim --format json --inject-fault --seed 7":
+        (1, "af957c09a9f41453a93ddf219c5eb3554d3d6879aebd61b6e014466fed337f85"),
+    "verify-claim --format json --inject-fault --seed 123":
+        (1, "80b008553ba3362ac4c6f590d802c39b705d15162075db8f06b8a2baf811935e"),
+    "verify-claim --format text":
+        (0, "c2c4d9251f49faadc9fee726d2d4eb9d4676d6b28ab71bc469a7ccd79ff1f834"),
+    "verify-claim --format text --inject-fault --seed 1":
+        (1, "5771fe0da863f7a78077efab5be25f2bc003e2c4081b0b699bcae78435cf0d58"),
+    "verify-claim --format text --inject-fault --seed 7":
+        (1, "5771fe0da863f7a78077efab5be25f2bc003e2c4081b0b699bcae78435cf0d58"),
+    "verify-claim --format text --inject-fault --seed 123":
+        (1, "5771fe0da863f7a78077efab5be25f2bc003e2c4081b0b699bcae78435cf0d58"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(VERIFY_DIGESTS))
+def test_verify_scans_print_their_pinned_bytes(capsys, argv):
+    code = main(argv.split())
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == VERIFY_DIGESTS[argv]
+
+
 def test_gram_degree_above_truncation(capsys):
     # refused by gram_matrix itself, before any work
     assert main(["gram", "--d", "2", "--degree", "7", "--max-degree", "6"]) == 2

@@ -47,6 +47,12 @@ def gathered(terms, shift=0):
     return {key: p.shift(shift) for key, p in out.items() if not p.is_zero()}
 
 
+def lifted(hists):
+    """A level map's {power: count} histograms as one polynomial per
+    remainder pair, for comparison with the polynomial oracles."""
+    return {key: QPolynomial.from_powers(hist) for key, hist in hists.items()}
+
+
 # ---------------------------------------------------------------------------
 # the per-word route the shape tables replaced, as an oracle: subsets and
 # partitions are enumerated afresh for every word
@@ -132,25 +138,25 @@ def test_shape_tables_match_per_word_oracle(d, n_max):
                 # levels above min(k, n-k) are empty on both routes
                 for j in range(max(k, n - k) + 1):
                     expected = gathered(oracle_subset_terms(lw, rw, j), comb(j, 2))
-                    assert subset_level(lw, rw, j) == expected
-                    assert rho_level(lw, rw, j) == gathered(oracle_rho_terms(lw, rw, j)) == expected
+                    assert lifted(subset_level(lw, rw, j)) == expected
+                    assert lifted(rho_level(lw, rw, j)) == gathered(oracle_rho_terms(lw, rw, j)) == expected
 
 
 def test_level_zero_is_bare_product():
     assert oracle_subset_terms((0, 1), (1,), 0) == [(ONE, (0, 1), (1,))]
     assert oracle_rho_terms((0, 1), (1,), 0) == [(ONE, (0, 1), (1,))]
-    assert subset_level((0, 1), (1,), 0) == rho_level((0, 1), (1,), 0) == {((0, 1), (1,)): ONE}
+    assert lifted(subset_level((0, 1), (1,), 0)) == lifted(rho_level((0, 1), (1,), 0)) == {((0, 1), (1,)): ONE}
 
 
 def test_single_contraction_scalar_example():
     assert gathered(oracle_subset_terms((0,), (0,), 1)) == {((), ()): ONE}
-    assert subset_level((0,), (0,), 1) == rho_level((0,), (0,), 1) == {((), ()): ONE}
+    assert lifted(subset_level((0,), (0,), 1)) == lifted(rho_level((0,), (0,), 1)) == {((), ()): ONE}
 
 
 def test_level_above_either_side_is_empty():
     assert oracle_subset_terms((0, 1), (0,), 2) == []
     assert oracle_rho_terms((0, 1), (0,), 2) == []
-    assert subset_level((0, 1), (0,), 2) == rho_level((0, 1), (0,), 2) == {}
+    assert lifted(subset_level((0, 1), (0,), 2)) == lifted(rho_level((0, 1), (0,), 2)) == {}
 
 
 def test_subset_terms_by_hand():
@@ -158,7 +164,25 @@ def test_subset_terms_by_hand():
     subset = gathered(oracle_subset_terms((0, 1), (0, 1), 1))
     assert subset == {((1,), (1,)): Q, ((0,), (0,)): Q}
     assert gathered(oracle_rho_terms((0, 1), (0, 1), 1)) == subset
-    assert subset_level((0, 1), (0, 1), 1) == rho_level((0, 1), (0, 1), 1) == subset
+    assert lifted(subset_level((0, 1), (0, 1), 1)) == lifted(rho_level((0, 1), (0, 1), 1)) == subset
+
+
+def test_level_maps_hold_no_zero_count():
+    """Every count in both level maps is positive, so two maps compare
+    equal exactly when their lifted polynomials do."""
+    # an inner product may have zero coefficients below its degree: (0, 1) on (1, 0) is q
+    assert word_inner_poly((0, 1), (1, 0)).coeffs == (0, 1)
+    assert subset_level((0, 1), (1, 0), 2) == {((), ()): {2: 1}}
+    for d in (1, 2, 3):
+        for n in range(6):
+            for k in range(n + 1):
+                for word in word_basis(n, d):
+                    lw, rw = word[: n - k], word[n - k :]
+                    for j in range(max(k, n - k) + 1):
+                        for level in (subset_level, rho_level):
+                            hists = level(lw, rw, j)
+                            assert all(hists.values())  # no remainder pair without a power
+                            assert all(c > 0 for hist in hists.values() for c in hist.values())
 
 
 # ---------------------------------------------------------------------------
@@ -364,16 +388,16 @@ def test_iota_scan():
 
 
 def test_iota_blocks_are_the_enumerated_partitions_in_order():
-    """Built from triples and sorted, each (n, k, j) block lists every
-    straddling partition once, in the enumerator's order; each pair tuple's
-    triple is the one it was built from, and its closed form is that
-    triple's statistic."""
+    """Built from triples, each (n, k, j) block lists every straddling
+    partition once: sorted, it is the enumerator's list.  Each pair
+    tuple's triple is the one it was built from, and its closed form is
+    that triple's statistic."""
     for n in range(10):
         for k in range(n + 1):
             split = n - k
             for j in range(max_pairs(n, k) + 1):
                 block = identities._iota_block(n, k, j)
-                assert [pairs for pairs, _ in block] == [
+                assert [pairs for pairs, _ in sorted(block)] == [
                     rho.pairs for rho in enumerate_partial_partitions(n, k, j)
                 ]
                 for pairs, closed in block:
@@ -385,6 +409,47 @@ def test_iota_blocks_are_the_enumerated_partitions_in_order():
                         + combinatorics.inversions(sigma)
                         + comb(j, 2)
                     )
+
+
+def enumerated_iota_labels(n_max):
+    """(n, k, pairs) per iota' case in the enumerator's order, and the index
+    of the first case of each (n, k, j) block."""
+    labels, starts = [], []
+    for n in range(n_max + 1):
+        for k in range(n + 1):
+            for j in range(max_pairs(n, k) + 1):
+                starts.append(len(labels))
+                labels.extend((n, k, rho.pairs) for rho in enumerate_partial_partitions(n, k, j))
+    return labels, starts
+
+
+def test_iota_violations_come_in_enumerator_order(monkeypatch):
+    """Blocks stream in construction order, yet violations and the flipped
+    case are those of the enumerator's order."""
+    statistic = identities._iota_prime_pairs
+
+    def off_by_one(pairs):  # wrong on every tuple whose first right endpoint is even
+        return statistic(pairs) + (bool(pairs) and pairs[0][1] % 2 == 0)
+
+    labels, starts = enumerated_iota_labels(8)
+    failing = [i for i, (_, _, pairs) in enumerate(labels) if pairs and pairs[0][1] % 2 == 0]
+    monkeypatch.setattr(identities, "_iota_prime_pairs", off_by_one)
+    report = iota_prime_identity_scan(8)
+    assert report.cases == len(labels)
+    assert len({(n, k, len(pairs)) for n, k, pairs in report.violations}) > 30  # many blocks
+    assert report.violations == [labels[i] for i in failing]
+    # flipping a failed case clears it; flipping a passing one adds it
+    passing = next(i for i in range(len(labels)) if i not in failing and labels[i][2])
+    for fault, flagged in [
+        (failing[40], failing[:40] + failing[41:]),
+        (passing, sorted(failing + [passing])),
+    ]:
+        assert iota_prime_identity_scan(8, fault=fault).violations == [labels[i] for i in flagged]
+    monkeypatch.undo()
+    ends = [s - 1 for s in starts[1:]] + [len(labels) - 1]
+    for fault in sorted({0, len(labels) - 1, *starts, *ends}):
+        assert iota_prime_identity_scan(8, fault=fault).violations == [labels[fault]]
+        assert iota_prime_identity_scan(8, fault=fault + 5 * len(labels)).violations == [labels[fault]]
 
 
 def test_scans_stream_every_counted_case():
