@@ -6,7 +6,7 @@ The package is organised bottom-up:
   and the exact/float scalar mode switch.
 * :mod:`qfock.combinatorics` -- partitions into pairs and singletons (one
   type, perfect matchings included), crossing counts, and the insertion
-  statistic with its coset decomposition; subsets and permutations are
+  statistic with its (A, B, sigma) triple; subsets and permutations are
   plain tuples.
 * :mod:`qfock.fock` -- truncated Fock spaces, the word codec and the
   doubled-space layout, the deformed inner product and Gram blocks, block
@@ -27,9 +27,7 @@ The package is organised bottom-up:
 from .combinatorics import (
     PartialPartition,
     crossings,
-    enumerate_partial_partitions,
     iota_prime,
-    iota_prime_closed_form,
     partition_triple,
 )
 from .fock import (
@@ -43,7 +41,7 @@ from .fock import (
 )
 from .scalars import EXACT, QPolynomial, ScalarMode
 from .wick import (
-    clt_finite,
+    clt_moments,
     moment_pair_partitions,
     three_wick_trace,
     wick_apply,
@@ -60,12 +58,10 @@ __all__ = [
     "QPolynomial",
     "ScalarMode",
     "SpaceConfig",
-    "clt_finite",
+    "clt_moments",
     "crossings",
-    "enumerate_partial_partitions",
     "gram_matrix",
     "iota_prime",
-    "iota_prime_closed_form",
     "moment_pair_partitions",
     "partition_triple",
     "q_inner",

@@ -1,7 +1,13 @@
 """Command-line front end.
 
-Every computation and verifier in the package is reachable from here.  All
-subcommands can emit a JSON envelope with the fixed shape
+Every computation and verifier in the package is reachable from here but
+five library-only entry points: ``analysis.dilation_check``,
+``analysis.deformation_block_check`` and the coset helpers
+``combinatorics.coset_data`` and ``combinatorics.partition_triple``, which
+the acceptance criteria call directly, and
+``identities.alternating_claim``, the claim for one partition (the
+``verify-claim`` scan reads bare pair tuples instead).  All subcommands can
+emit a JSON envelope with the fixed shape
 
     {"command": ..., "config": ..., "results": [...],
      "verified": bool, "violations": [...]}

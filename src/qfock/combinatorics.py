@@ -24,25 +24,23 @@ later pairs nested inside it.
 
 ``iota_prime`` decomposes through ``partition_triple`` as
 iota(A) + iota(B) + inversions(sigma) + C(j,2) where A collects left
-endpoints, B right endpoints, and sigma the matching pattern;
-``iota_prime_closed_form`` counts those inversions on the coset
-representatives, an independent route to the same number.  Subsets and
-permutations are plain tuples: a subset of {1..n} is ``(n, chosen)`` with
-``chosen`` ascending, a permutation the tuple of its images.
+endpoints, B right endpoints, and sigma the matching pattern; the
+inversions of A and B are counted on the coset representatives of
+``coset_data``.  Subsets and permutations are plain tuples: a subset of
+{1..n} is ``(n, chosen)`` with ``chosen`` ascending, a permutation the
+tuple of its images.
 
-The block enumerator yields its pair tuples already sorted and valid, so
-it builds partitions through a trusted constructor that skips the public
-constructor's sorting and validation; scans that read the pairs alone walk
-the bare tuples (``_straddling_pairs``) and build no partition.  Perfect
-matchings are not enumerated here: the moment in ``qfock.wick`` walks
-open-arc states.
+Block partitions are enumerated as bare pair tuples (``_straddling_pairs``),
+already sorted and valid, and no partition object is built for them.
+Perfect matchings are not enumerated here: the moment in ``qfock.wick``
+walks open-arc states.
 A set partition of positions is a restricted growth string (``patterns``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import comb
 from typing import Iterator, Sequence, Union
 
@@ -96,7 +94,7 @@ def coset_inversions(n: int, chosen: tuple, chosen_first: bool) -> int:
     of {1..n}, as ``coset_data`` gives it, memoized on plain tuples.
 
     This is the subset statistic iota of the Wick expansion and of the
-    closed form of ``iota_prime``: complement-first for left blocks,
+    decomposition of ``iota_prime``: complement-first for left blocks,
     chosen-first for right ones.
 
     >>> coset_inversions(4, (1, 2, 4), False), coset_inversions(4, (1, 3), True)
@@ -114,7 +112,6 @@ class PartialPartition:
     constraint (every pair straddles position n-k) is NOT enforced at
     construction so that plain crossing counts work on arbitrary pairings;
     statistics that need the block structure check it explicitly.
-    ``singletons`` is worked out on first use; the scans never read it.
     """
 
     n: int
@@ -129,21 +126,6 @@ class PartialPartition:
         paired = [x for p in ps for x in p]
         if len(set(paired)) != len(paired) or any(not 1 <= x <= self.n for x in paired):
             raise ValueError(f"overlapping or out-of-range pairs {ps}")
-
-    @classmethod
-    def _trusted(cls, n: int, k: int, pairs: tuple) -> "PartialPartition":
-        """Build from pairs already sorted, low endpoint first, and disjoint
-        inside {1..n}; nothing is re-sorted or re-checked."""
-        rho = object.__new__(cls)
-        object.__setattr__(rho, "n", n)
-        object.__setattr__(rho, "k", k)
-        object.__setattr__(rho, "pairs", pairs)
-        return rho
-
-    @cached_property
-    def singletons(self) -> tuple:
-        inside = {x for p in self.pairs for x in p}
-        return tuple(x for x in range(1, self.n + 1) if x not in inside)
 
     def respects_block(self) -> bool:
         split = self.n - self.k
@@ -220,15 +202,6 @@ def _iota_prime_pairs(pairs: tuple) -> int:
     return total
 
 
-def _triple(split: int, pairs: tuple) -> tuple:
-    # (A, B, sigma) as plain tuples of pairs sorted by left endpoint and
-    # already known to straddle the split
-    rights = sorted(r for _, r in pairs)
-    lefts = tuple(l for l, _ in pairs)
-    sigma = tuple(rights.index(r) + 1 for _, r in pairs)
-    return lefts, tuple(r - split for r in rights), sigma
-
-
 def partition_triple(rho: PartialPartition) -> tuple:
     """Decompose a block-respecting partition into (A, B, sigma).
 
@@ -248,52 +221,16 @@ def partition_triple(rho: PartialPartition) -> tuple:
     ((4, (2, 4)), (4, (1, 3)), (1, 2))
     """
     split = rho.n - rho.k
-    a, b, sigma = _triple(split, _block_pairs(rho))
-    return (split, a), (rho.k, b), sigma
-
-
-def iota_prime_closed_form(rho: PartialPartition) -> int:
-    """iota(A) + iota(B) + inversions(sigma) + C(j,2), the triple of
-    ``partition_triple`` counted on plain tuples: the inversions of the
-    complement-first representative of A, of the chosen-first one of B, and
-    of sigma.  It never evaluates the insertion statistic.
-
-    >>> iota_prime_closed_form(PartialPartition(8, 4, ((1, 6), (2, 5))))
-    6
-    """
-    split = rho.n - rho.k
-    a, b, sigma = _triple(split, _block_pairs(rho))
-    return (
-        coset_inversions(split, a, False)
-        + coset_inversions(rho.k, b, True)
-        + inversions(sigma)
-        + comb(len(sigma), 2)
-    )
-
-
-def enumerate_partial_partitions(n: int, k: int, j: int) -> Iterator[PartialPartition]:
-    """All block-respecting partitions of {1..n} with exactly j pairs.
-
-    Every pair has its left endpoint in {1..n-k} and right endpoint in
-    {n-k+1..n}; count is C(n-k,j) * C(k,j) * j!.  Generated lazily,
-    lexicographic by pair tuple.
-
-    >>> [p.pairs for p in enumerate_partial_partitions(2, 1, 1)]
-    [((1, 2),)]
-    >>> sum(1 for _ in enumerate_partial_partitions(4, 2, 1))
-    4
-    """
-    if not 0 <= k <= n:
-        raise ValueError(f"right block size {k} outside 0..{n}")
-    if not 0 <= j <= min(k, n - k):
-        raise ValueError(f"pair count {j} outside 0..min({k}, {n - k})")
-    for pairs in _straddling_pairs(n, k, j):
-        yield PartialPartition._trusted(n, k, pairs)
+    pairs = _block_pairs(rho)
+    rights = sorted(r for _, r in pairs)
+    sigma = tuple(rights.index(r) + 1 for _, r in pairs)
+    return (split, tuple(l for l, _ in pairs)), (rho.k, tuple(r - split for r in rights)), sigma
 
 
 def _straddling_pairs(n: int, k: int, j: int) -> Iterator[tuple]:
-    # the pair tuples of enumerate_partial_partitions, in the same order,
-    # for 0 <= j <= min(k, n - k); scans that read the pairs alone walk these
+    # every partition of {1..n} with j pairs straddling n - k, as its pair
+    # tuple (sorted, low endpoint first), lexicographic and lazy; none for j
+    # above min(k, n - k)
     split = n - k
     return _straddling(split, 1, tuple(range(split + 1, n + 1)), j, ())
 

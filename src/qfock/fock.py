@@ -459,7 +459,6 @@ class BlockOperator:
     blocks: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self._columns: dict = {}
         for (ti, si), mat in self.blocks.items():
             expect = (self.cfg.dim(ti), self.cfg.dim(si))
             if mat.shape != expect:
@@ -467,14 +466,6 @@ class BlockOperator:
 
     def block(self, target: int, source: int):
         return self.blocks.get((target, source))
-
-    def _column(self, key: tuple, j: int):
-        # column sparsity is computed once and reused across applies
-        cache = self._columns.setdefault(key, {})
-        if j not in cache:
-            col = self.blocks[key][:, j]
-            cache[j] = [(i, col[i]) for i in range(len(col)) if not scalar_is_zero(col[i])]
-        return cache[j]
 
     def apply(self, v: FockVector) -> FockVector:
         if not self.cfg.compatible(v.cfg):
@@ -484,33 +475,15 @@ class BlockOperator:
         for word, c in v.coeffs.items():
             si = len(word)
             j = word_index(si, letters)[word]
-            for (ti, s2), _ in self.blocks.items():
+            for (ti, s2), mat in self.blocks.items():
                 if s2 != si:
                     continue
                 basis = word_basis(ti, letters)
-                for i, entry in self._column((ti, si), j):
-                    target = basis[i]
-                    out[target] = out.get(target, 0) + entry * c
+                for i, entry in enumerate(mat[:, j]):
+                    if not scalar_is_zero(entry):
+                        target = basis[i]
+                        out[target] = out.get(target, 0) + entry * c
         return FockVector(v.cfg, out)
-
-    def compose(self, other: "BlockOperator") -> "BlockOperator":
-        """self after other."""
-        if not self.cfg.compatible(other.cfg):
-            raise ValueError("space mismatch")
-        blocks: dict = {}
-        for (ti, mid), a in self.blocks.items():
-            for (m2, si), b in other.blocks.items():
-                if mid != m2:
-                    continue
-                prod = a @ b
-                key = (ti, si)
-                blocks[key] = prod if key not in blocks else blocks[key] + prod
-        return BlockOperator(self.cfg, blocks)
-
-    def __matmul__(self, other):
-        if isinstance(other, BlockOperator):
-            return self.compose(other)
-        return NotImplemented
 
 
 # ---------------------------------------------------------------------------

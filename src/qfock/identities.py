@@ -450,7 +450,7 @@ def _iota_block(n: int, k: int, j: int) -> list:
     iota(A) + iota(B) + inversions(sigma) + C(j,2) is read per A, per B
     and per sigma from the coset-inversion memo and ``_sigma_table``.
     Sorted by pair tuple, the block is in the order of
-    ``enumerate_partial_partitions``.
+    ``_straddling_pairs``.
     """
     split = n - k
     sigmas = _sigma_table(j)

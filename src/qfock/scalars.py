@@ -155,14 +155,6 @@ class QPolynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative power")
-        out = QPolynomial.one()
-        for _ in range(n):
-            out = out * self
-        return out
-
     def shift(self, k: int) -> "QPolynomial":
         """Multiply by q**k (cheaper than a full product)."""
         if not k or not self.coeffs:

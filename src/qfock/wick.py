@@ -31,13 +31,7 @@ from functools import lru_cache
 from math import comb, perm
 from typing import Iterator
 
-from .combinatorics import (
-    coset_inversions,
-    crossings,
-    enumerate_partial_partitions,
-    max_pairs,
-    patterns,
-)
+from .combinatorics import _straddling_pairs, coset_inversions, crossings, max_pairs, patterns
 from .fock import FockVector, scalar_is_zero, word_inner_poly
 from .scalars import EXACT, QPolynomial, ScalarMode
 
@@ -330,9 +324,9 @@ def _three_trace_words(wx: tuple, we: tuple, wt: tuple) -> QPolynomial:
 def wick_split_product(xi: FockVector, k: int) -> FockVector:
     """W(first n-k letters) W(last k letters) applied to the vacuum.
 
-    Expands over the block partitions whose pairs straddle position n-k:
-    each partition removes its paired letters (which must match) and
-    contributes q^crossings times the remaining word.
+    Expands over the block partitions whose pairs straddle position n-k,
+    walked as bare pair tuples: each partition removes its paired letters
+    (which must match) and contributes q^crossings times the remaining word.
     """
     degrees = xi.degrees()
     if len(degrees) != 1:
@@ -344,24 +338,18 @@ def wick_split_product(xi: FockVector, k: int) -> FockVector:
     out: dict = {}
     for word, c in xi.coeffs.items():
         for j in range(max_pairs(n, k) + 1):
-            for rho in enumerate_partial_partitions(n, k, j):
-                if any(word[l - 1] != word[r - 1] for l, r in rho.pairs):
+            for pairs in _straddling_pairs(n, k, j):
+                if any(word[l - 1] != word[r - 1] for l, r in pairs):
                     continue
-                remaining = _subword(word, rho.singletons)
-                if len(remaining) > xi.cfg.max_degree:
-                    continue
-                weight = c * mode.q_power(crossings(rho))
+                paired = {x for pair in pairs for x in pair}
+                remaining = tuple(a for p, a in enumerate(word, 1) if p not in paired)
+                weight = c * mode.q_power(crossings(pairs))
                 out[remaining] = out.get(remaining, 0) + weight
     return FockVector(xi.cfg, out)
 
 
 # ---------------------------------------------------------------------------
 # finite-N central limit
-
-
-@lru_cache(maxsize=4096)
-def _colored_moment(colored: tuple) -> QPolynomial:
-    return moment_pair_partitions(colored, EXACT)
 
 
 _COLOR_BASE = 64
@@ -383,7 +371,7 @@ def _pattern_sums(codes: tuple, blocks: int, distinct: int = 0) -> list:
         if len(set(colors[len(codes) - distinct :])) == distinct:
             b = max(colors, default=-1) + 1
             colored = tuple(code * _COLOR_BASE + color for code, color in zip(codes, colors))
-            sums[b] = sums[b] + _colored_moment(colored)
+            sums[b] = sums[b] + moment_pair_partitions(colored, EXACT)
     return sums
 
 
@@ -407,11 +395,6 @@ def clt_moments(N_max: int, codes, mode: ScalarMode = EXACT) -> list:
         return [mode.zero()] * N_max
     sums = _pattern_sums(codes, min(N_max, m // 2))
     return [_color_average(sums, N, m, mode) for N in range(1, N_max + 1)]
-
-
-def clt_finite(N: int, codes, mode: ScalarMode = EXACT):
-    """The N-color moment of ``clt_moments``."""
-    return clt_moments(N, codes, mode)[-1]
 
 
 def offdiag_wick_coefficient(N: int, f_codes, h_codes, mode: ScalarMode = EXACT):

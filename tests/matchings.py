@@ -1,12 +1,17 @@
-"""Perfect matchings walked one by one, for the tests' oracles.
+"""Matchings and block partitions walked one by one, for the tests' oracles.
 
 The package never enumerates perfect matchings: its moment
 (``qfock.wick.moment_pair_partitions``) reads the word once over open-arc
 states.  The crossing tests and the enumerate-then-multiply moment oracle
 use the enumerator here, and ``dfs_moment`` sums the same moment depth
 first over matchings, so each stays independent of the walk it checks.
+Block partitions are enumerated in the package as bare pair tuples
+(``qfock.combinatorics._straddling_pairs``); the oracles that check the
+scans and the split product built on that walk enumerate them here by
+another route, each through the validating constructor.
 """
 
+from itertools import combinations, permutations
 from typing import Iterator
 
 from qfock.combinatorics import PartialPartition
@@ -45,6 +50,39 @@ def enumerate_pair_partitions(m: int) -> Iterator[PartialPartition]:
         return
     for pairs in _matchings(tuple(range(1, m + 1))):
         yield PartialPartition(m, 0, pairs)
+
+
+def enumerate_partial_partitions(n: int, k: int, j: int) -> list:
+    """All partitions of {1..n} with j pairs straddling n - k, sorted by pair tuple.
+
+    The left endpoints are a j-subset of {1..n-k}, the right endpoints a
+    j-subset of {n-k+1..n}, and each ordering of the rights pairs them with
+    the lefts in turn; every partition goes through the validating
+    constructor.  A list, built whole: none for j above min(k, n - k).
+
+    >>> [rho.pairs for rho in enumerate_partial_partitions(4, 2, 1)]
+    [((1, 3),), ((1, 4),), ((2, 3),), ((2, 4),)]
+    >>> len(enumerate_partial_partitions(4, 2, 2)), enumerate_partial_partitions(4, 2, 3)
+    (2, [])
+    """
+    split = n - k
+    found = [
+        PartialPartition(n, k, tuple(zip(lefts, order)))
+        for lefts in combinations(range(1, split + 1), j)
+        for rights in combinations(range(split + 1, n + 1), j)
+        for order in permutations(rights)
+    ]
+    return sorted(found, key=lambda rho: rho.pairs)
+
+
+def singletons(rho: PartialPartition) -> tuple:
+    """The points of {1..n} in no pair, ascending.
+
+    >>> singletons(PartialPartition(8, 4, ((2, 5), (4, 7))))
+    (1, 3, 6, 8)
+    """
+    paired = {x for pair in rho.pairs for x in pair}
+    return tuple(x for x in range(1, rho.n + 1) if x not in paired)
 
 
 def _inner_rows(hs: list) -> list:

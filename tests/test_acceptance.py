@@ -17,7 +17,6 @@ from qfock.analysis import (
     deformation_block_check,
     deformation_scan,
     dilation_check,
-    float_gram,
     phi_hk_check,
     phi_hk_operator,
     phi_schatten_closed_form,
@@ -33,7 +32,7 @@ from qfock.combinatorics import (
     iota_prime,
     partition_triple,
 )
-from qfock.fock import FockVector, SpaceConfig
+from qfock.fock import FockVector, SpaceConfig, gram_matrix
 from qfock.identities import (
     claim_scan,
     inclusion_exclusion_sweep,
@@ -42,7 +41,7 @@ from qfock.identities import (
 )
 from qfock.scalars import EXACT, ScalarMode
 from qfock.wick import (
-    clt_finite,
+    clt_moments,
     moment_pair_partitions,
     offdiag_reference,
     offdiag_wick_coefficient,
@@ -192,13 +191,11 @@ def test_c08_clt_exactness():
     diag_words = [(0,) * m for m in (2, 4, 6)] + [(0, 1, 0, 1), (0, 0, 1, 1), (0, 1, 0, 1, 0, 1)]
     for word in diag_words:
         limit = moment_pair_partitions(word, EXACT)
-        for N in range(1, 5):
-            got = clt_finite(N, word, EXACT)
+        for N, got in enumerate(clt_moments(4, word, EXACT), 1):
             if not (got - limit).is_zero():
                 failures.append(f"{word} at N={N}: {got} != {limit}")
-    for N in (1, 2):
-        got = clt_finite(N, (0,) * 8, EXACT)
-        limit = moment_pair_partitions((0,) * 8, EXACT)
+    limit = moment_pair_partitions((0,) * 8, EXACT)
+    for N, got in enumerate(clt_moments(2, (0,) * 8, EXACT), 1):
         if not (got - limit).is_zero():
             failures.append(f"length 8 at N={N}")
     pairs = 0
@@ -299,7 +296,7 @@ def test_c12_gram_positivity():
         for d in (1, 2, 3):
             cfg = SpaceConfig(d, 1, 5, ScalarMode.at(q))
             for degree in range(6):
-                g = float_gram(degree, cfg)
+                g = gram_matrix(degree, cfg)
                 low = float(np.linalg.eigvalsh(g).min()) if g.size else 1.0
                 smallest = min(smallest, low)
                 if low <= 0:

@@ -4,18 +4,17 @@ from math import comb, factorial, perm
 
 import pytest
 from hypothesis import given, strategies as st
-from matchings import enumerate_pair_partitions
+from matchings import enumerate_pair_partitions, enumerate_partial_partitions, singletons
 
 from qfock.combinatorics import (
     PartialPartition,
+    _straddling_pairs,
     coset_data,
     coset_inversions,
     count_patterns,
     crossings,
-    enumerate_partial_partitions,
     inversions,
     iota_prime,
-    iota_prime_closed_form,
     max_pairs,
     partition_triple,
     pattern,
@@ -25,6 +24,24 @@ from qfock.combinatorics import (
 FIG_A = PartialPartition(8, 4, ((2, 5), (4, 7)))
 FIG_B = PartialPartition(8, 4, ((1, 6), (2, 5)))
 FIG_C = PartialPartition(8, 4, ((1, 6), (2, 5), (4, 7)))
+
+
+def closed_form(rho):
+    """iota(A) + iota(B) + inversions(sigma) + C(j,2) on the triple of
+    ``partition_triple``: the inversions of the complement-first coset
+    representative of A, of the chosen-first one of B, and of sigma.  It
+    never evaluates the insertion statistic.
+
+    >>> closed_form(PartialPartition(8, 4, ((1, 6), (2, 5))))
+    6
+    """
+    a, b, sigma = partition_triple(rho)
+    return (
+        coset_data(a)[1]
+        + coset_data(b, chosen_first=True)[1]
+        + inversions(sigma)
+        + comb(len(sigma), 2)
+    )
 
 
 def test_inversions():
@@ -123,15 +140,20 @@ def test_pair_partitions_are_lexicographic_and_lazy():
     # 59!! matchings: only a generator that never materializes them returns
     first = next(enumerate_pair_partitions(60))
     assert first.pairs == tuple((2 * i + 1, 2 * i + 2) for i in range(30))
+    # C(20,10)^2 * 10! straddling partitions: the same holds for the block walk
+    assert next(_straddling_pairs(40, 20, 10)) == tuple((i, 20 + i) for i in range(1, 11))
+
+
+def test_straddling_pairs_match_the_independent_enumerator():
+    """The package's block walk yields, in order, the pair tuples of the
+    validated partitions that the test enumerator builds from left and
+    right endpoint subsets, and none for j above min(k, n - k)."""
     for n in range(9):
         for k in range(n + 1):
-            for j in range(max_pairs(n, k) + 1):
-                seen = [rho.pairs for rho in enumerate_partial_partitions(n, k, j)]
-                assert seen == sorted(seen) and len(seen) == len(set(seen))
-                assert len(seen) == comb(n - k, j) * comb(k, j) * factorial(j)
-    # C(20,10)^2 * 10! straddling partitions: the same holds for partial ones
-    first = next(enumerate_partial_partitions(40, 20, 10))
-    assert first.pairs == tuple((i, 20 + i) for i in range(1, 11))
+            for j in range(max_pairs(n, k) + 2):
+                walked = list(_straddling_pairs(n, k, j))
+                assert walked == [rho.pairs for rho in enumerate_partial_partitions(n, k, j)]
+                assert len(walked) == comb(n - k, j) * comb(k, j) * factorial(j)
 
 
 def test_iota_prime_on_figures():
@@ -153,40 +175,25 @@ def test_partition_triple_on_figures():
     assert sigma == (1, 2)
     assert coset_data(a)[1] == 1
     assert coset_data(b, chosen_first=True)[1] == 1
-    assert iota_prime_closed_form(FIG_A) == 3
+    assert closed_form(FIG_A) == 3
 
     a, b, sigma = partition_triple(FIG_C)
     assert a == (4, (1, 2, 4)) and sigma == (2, 1, 3)
     assert coset_data(a)[1] == 2
     assert coset_data(b, chosen_first=True)[1] == 0
     assert inversions(sigma) == 1
-    assert iota_prime_closed_form(FIG_C) == 2 + 0 + 1 + comb(3, 2)
+    assert closed_form(FIG_C) == 2 + 0 + 1 + comb(3, 2)
 
 
 def test_partition_triple_empty():
     a, b, sigma = partition_triple(PartialPartition(6, 2, ()))
     assert a == (4, ()) and b == (2, ()) and sigma == ()
-    assert iota_prime_closed_form(PartialPartition(6, 2, ())) == 0
-
-
-def test_partial_partition_counts():
-    for n in range(0, 9):
-        for k in range(0, n + 1):
-            for j in range(0, max_pairs(n, k) + 1):
-                seen = list(enumerate_partial_partitions(n, k, j))
-                assert len(seen) == comb(n - k, j) * comb(k, j) * factorial(j)
-                assert len(set(seen)) == len(seen)
+    assert closed_form(PartialPartition(6, 2, ())) == 0
 
 
 def test_enumeration_contains_figure_partition():
-    assert FIG_A in list(enumerate_partial_partitions(8, 4, 2))
-
-
-def test_enumeration_is_sorted_and_validated():
-    pairs_seen = [p.pairs for p in enumerate_partial_partitions(6, 3, 2)]
-    assert pairs_seen == sorted(pairs_seen)
-    with pytest.raises(ValueError):
-        list(enumerate_partial_partitions(4, 2, 3))
+    assert FIG_A.pairs in _straddling_pairs(8, 4, 2)
+    assert FIG_A in enumerate_partial_partitions(8, 4, 2)
 
 
 def test_closed_form_matches_recursion_exhaustively():
@@ -196,7 +203,7 @@ def test_closed_form_matches_recursion_exhaustively():
         for k in range(0, n + 1):
             for j in range(0, max_pairs(n, k) + 1):
                 for rho in enumerate_partial_partitions(n, k, j):
-                    assert iota_prime(rho) == iota_prime_closed_form(rho)
+                    assert iota_prime(rho) == closed_form(rho)
                     checked += 1
     assert checked > 150
 
@@ -209,10 +216,10 @@ def test_single_pair_iota_prime_is_crossings():
 
 
 def test_singletons_derived():
-    assert FIG_A.singletons == (1, 3, 6, 8)
+    assert singletons(FIG_A) == (1, 3, 6, 8)
     matching = PartialPartition(4, 0, ((4, 3), (1, 2)))
-    assert matching.pairs == ((1, 2), (3, 4)) and matching.singletons == ()
-    assert PartialPartition(4, 0, ((1, 2),)).singletons == (3, 4)
+    assert matching.pairs == ((1, 2), (3, 4)) and singletons(matching) == ()
+    assert singletons(PartialPartition(4, 0, ((1, 2),))) == (3, 4)
     with pytest.raises(ValueError):
         PartialPartition(4, 2, ((1, 3), (3, 4)))
 
@@ -227,7 +234,7 @@ def oracle_iota_prime(rho):
     total = 0
     inserted = []
     for idx, (l, r) in enumerate(pending):
-        loose = set(rho.singletons)
+        loose = set(singletons(rho))
         loose.update(x for p in pending[idx + 1 :] for x in p)
         total += sum(1 for m in loose if l < m < r)
         total += 2 * sum(1 for l2, r2 in inserted if l < l2 and r2 < r)
@@ -241,7 +248,7 @@ def oracle_crossings(rho):
         if k < j < l:
             total += 1
     for i, j in rho.pairs:
-        total += sum(1 for s in rho.singletons if i < s < j)
+        total += sum(1 for s in singletons(rho) if i < s < j)
     return total
 
 
@@ -285,7 +292,7 @@ def block_pairings(draw):
 
 @given(block_pairings())
 def test_iota_prime_property(rho):
-    assert iota_prime(rho) == oracle_iota_prime(rho) == iota_prime_closed_form(rho)
+    assert iota_prime(rho) == oracle_iota_prime(rho) == closed_form(rho)
     assert crossings(rho.pairs) == oracle_crossings(rho)
 
 
@@ -296,14 +303,6 @@ def test_iota_prime_rejects_pairs_off_every_split():
             with pytest.raises(ValueError):
                 iota_prime(PartialPartition(n, k, pairs))
     assert iota_prime(PartialPartition(0, 0, ())) == 0
-
-
-def test_trusted_construction_equals_validated():
-    for rho in all_block_partitions(8):
-        checked = PartialPartition(rho.n, rho.k, rho.pairs)
-        assert rho == checked and hash(rho) == hash(checked)
-        assert rho.singletons == checked.singletons
-        assert rho.pairs == checked.pairs and rho.respects_block()
 
 
 def test_public_constructor_still_validates():

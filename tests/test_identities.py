@@ -2,15 +2,16 @@ import itertools
 from math import comb, factorial
 
 import pytest
-from test_combinatorics import oracle_crossings, oracle_iota_prime
+from matchings import enumerate_partial_partitions
+from test_combinatorics import closed_form, oracle_crossings, oracle_iota_prime
 
 from qfock import combinatorics, identities
 from qfock.combinatorics import (
     PartialPartition,
     coset_data,
-    enumerate_partial_partitions,
     iota_prime,
     max_pairs,
+    partition_triple,
     patterns,
 )
 from qfock.fock import FockVector, SpaceConfig, word_basis, word_inner_poly, word_to_str
@@ -108,7 +109,7 @@ def test_rho_shapes_are_the_tables_of_the_partition_enumerator():
                     for lefts, rights, l_rest, r_rest, iota in identities._rho_shapes(n, k, j)
                 ]
                 expect = []
-                for rho in enumerate_partial_partitions(n, k, j) if j <= max_pairs(n, k) else ():
+                for rho in enumerate_partial_partitions(n, k, j):
                     paired = {x for pair in rho.pairs for x in pair}
                     expect.append((
                         tuple(l - 1 for l, _ in rho.pairs),
@@ -401,14 +402,10 @@ def test_iota_blocks_are_the_enumerated_partitions_in_order():
                     rho.pairs for rho in enumerate_partial_partitions(n, k, j)
                 ]
                 for pairs, closed in block:
-                    a, b, sigma = combinatorics._triple(split, pairs)
+                    rho = PartialPartition(n, k, pairs)
+                    (_, a), (_, b), sigma = partition_triple(rho)
                     assert pairs == tuple(zip(a, (b[s - 1] + split for s in sigma)))
-                    assert closed == (
-                        coset_data((split, a))[1]
-                        + coset_data((k, b), chosen_first=True)[1]
-                        + combinatorics.inversions(sigma)
-                        + comb(j, 2)
-                    )
+                    assert closed == closed_form(rho)
 
 
 def enumerated_iota_labels(n_max):
@@ -490,7 +487,7 @@ def test_iota_scan_never_revalidates_a_partition(monkeypatch):
     report = iota_prime_identity_scan(6)
     assert report.passed and report.cases == 160
     with pytest.raises(AssertionError):  # the public forms still validate
-        combinatorics.iota_prime_closed_form(PartialPartition(4, 2, ((1, 3),)))
+        partition_triple(PartialPartition(4, 2, ((1, 3),)))
 
 
 # ---------------------------------------------------------------------------

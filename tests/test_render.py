@@ -4,9 +4,10 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
+from matchings import enumerate_partial_partitions, singletons
 
 from qfock.cli import main
-from qfock.combinatorics import PartialPartition, crossings, enumerate_partial_partitions
+from qfock.combinatorics import PartialPartition, crossings
 from qfock.render import ascii_diagram, caption, svg_diagram
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -95,7 +96,7 @@ def test_ascii_is_seven_bit_and_marks_crossings(rho):
     body = "\n".join(doc.splitlines()[:-1])  # caption spells "iota"
     assert body.count("+") == pair_crossings(rho.pairs)
     assert body.count("o") == 2 * len(rho.pairs)
-    assert body.count("'") == len(rho.singletons)
+    assert body.count("'") == len(singletons(rho))
 
 
 def test_block_partitions_render_both_statistics():

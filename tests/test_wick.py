@@ -20,7 +20,6 @@ from qfock.fock import (
 )
 from qfock.scalars import EXACT, QPolynomial, ScalarMode
 from qfock.wick import (
-    clt_finite,
     clt_moments,
     moment_pair_partitions,
     offdiag_reference,
@@ -547,22 +546,20 @@ def test_split_product_matches_operator_product():
 
 def test_rational_scalings_keep_integral_coefficients_as_ints():
     values = (
-        clt_finite(3, [0, 0, 0, 0]),
+        clt_moments(3, [0, 0, 0, 0])[-1],
         offdiag_wick_coefficient(2, [0], [0]),
         offdiag_reference(2, [0], [0]),
     )
     for value in values:
         assert value.coeffs and all(type(c) is int for c in value.coeffs)
-    assert str(clt_finite(3, [0, 0, 0, 0])) == "2 + q"
+    assert str(clt_moments(3, [0, 0, 0, 0])[-1]) == "2 + q"
 
 
 def test_clt_matches_plain_moment():
-    for N in (1, 2, 3, 4):
-        assert clt_finite(N, [0, 0, 0, 0]) == QPolynomial((2, 1))
-        assert clt_finite(N, [0, 1, 0]) == QPolynomial.zero()
-    for N in (1, 2, 3):
-        for codes in itertools.product(range(2), repeat=4):
-            assert clt_finite(N, codes) == moment_pair_partitions(codes)
+    assert clt_moments(4, [0, 0, 0, 0]) == [QPolynomial((2, 1))] * 4
+    assert clt_moments(4, [0, 1, 0]) == [QPolynomial.zero()] * 4
+    for codes in itertools.product(range(2), repeat=4):
+        assert clt_moments(3, codes) == [moment_pair_partitions(codes)] * 3
 
 
 def test_offdiag_examples():
@@ -626,7 +623,7 @@ def test_partition_sums_match_coloring_oracle(codes):
     values = clt_moments(4, codes)
     for N in range(1, 5):
         expected = oracle_clt(N, codes)
-        assert values[N - 1] == clt_finite(N, codes) == expected
+        assert values[N - 1] == clt_moments(N, codes)[-1] == expected
         assert str(values[N - 1]) == str(expected)
 
 
@@ -639,7 +636,9 @@ def test_offdiag_partition_sums_match_coloring_oracle():
 
 def test_clt_walks_only_partitions_without_singletons(monkeypatch):
     seen = []
-    monkeypatch.setattr(wick, "_colored_moment", lambda letters: seen.append(letters) or QPolynomial.one())
+    monkeypatch.setattr(
+        wick, "moment_pair_partitions", lambda letters, mode: seen.append(letters) or QPolynomial.one()
+    )
     clt_moments(3, (0,) * 6)
     # colors of the 6 positions, as the walk visits them: every block pairs
     assert len(seen) == len(set(seen)) == 1 + 25 + 15  # 1, 2 and 3 blocks of sizes >= 2
