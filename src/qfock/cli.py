@@ -36,6 +36,8 @@ import random
 import re
 import sys
 
+import numpy as np
+
 from .analysis import (
     block_decay,
     deformation_scan,
@@ -50,6 +52,7 @@ from .combinatorics import PartialPartition, count_patterns, crossings, iota_pri
 from .fock import (
     FockVector,
     SpaceConfig,
+    _content_words,
     _exact_gram_blocks,
     gram_matrix,
     parse_word,
@@ -169,7 +172,9 @@ def emit(args, payload: dict, text: str = None) -> str:
 _PLAIN = frozenset((str, int, float, bool, type(None)))
 
 
-@functools.lru_cache(maxsize=None)
+# keyed by (depth, allow_nan); the CLI's envelopes reach depth 7 (a scan's
+# notes), so 32 entries hold every key in use
+@functools.lru_cache(maxsize=32)
 def _flat_encoder(depth: int, allow_nan: bool = False):
     """C-encoder ``encode`` whose item separator starts a line at ``depth``;
     unless ``allow_nan``, it raises ValueError on NaN and infinities."""
@@ -194,11 +199,16 @@ def _write_json(obj, depth: int, write, allow_nan: bool = False) -> None:
     With ``indent`` set, ``json`` runs its pure-Python encoder.  Here a
     container whose members are all plain scalars goes to the C encoder in
     one call, its separator carrying the newline and indent; everything
-    else recurses.  Tuples are lists, and non-``str`` keys and non-ASCII
-    text are written as ``json`` writes them; unless ``allow_nan``, a
-    non-finite float, value or key, raises ValueError.  The caller joins the pieces once, so no large
+    else recurses.  A ``_Row`` rendered for this depth is written as its
+    text, one piece per row, without reading its members.  Tuples are
+    lists, and non-``str`` keys and non-ASCII text are written as ``json``
+    writes them; unless ``allow_nan``, a non-finite float, value or key,
+    raises ValueError.  The caller joins the pieces once, so no large
     string is copied level by level.
     """
+    if type(obj) is _Row and obj.depth == depth:
+        write(obj.text)
+        return
     if isinstance(obj, dict):
         brackets, members = "{}", obj.values()
     elif isinstance(obj, (list, tuple)):
@@ -257,23 +267,41 @@ def scan_payload(reports) -> tuple:
 
 
 def cmd_gram(args, mode: ScalarMode) -> tuple:
+    """The Gram block of one degree, printed by letter content.
+
+    Words of different contents are orthogonal, so each row starts as a
+    copy of one shared zero row, each content block is placed into its
+    rows once, and each row is rendered once (``_Row``).  Only the entry
+    lift and the zero text differ by mode: exact mode lifts each distinct
+    coefficient tuple once, to its polynomial string and that string's
+    printed text; float mode reads each block from the dense matrix
+    through the content's word indices and prints its entries by ``repr``.
+    """
     cfg = SpaceConfig(args.d, args.copies, args.max_degree, mode)
     # the printed rows outweigh the assembly; both routes refuse a degree above max_degree
     if args.degree <= cfg.max_degree and cfg.dim(args.degree) ** 2 > MAX_GRAM_ENTRIES:
         raise ValueError(
             f"gram would print {cfg.dim(args.degree) ** 2} entries, over the cap of {MAX_GRAM_ENTRIES}"
         )
-    if mode.is_exact:  # each distinct coefficient tuple printed once; "0" between contents
-        blocks = _exact_gram_blocks(args.degree, cfg, lambda coeffs: str(QPolynomial(coeffs)))
-        zeros = ["0"] * cfg.dim(args.degree)
-        rows = [zeros] * len(zeros)  # each word's row is replaced in its block
-        for words, block in blocks:
-            for s, entries in zip(words, block):
-                row = rows[s] = zeros.copy()
-                for t, entry in zip(words, entries):
-                    row[t] = entry
+    as_json = args.format == "json"
+    if mode.is_exact:
+        quote = json.encoder.encode_basestring_ascii if as_json else str
+        blocks = _exact_gram_blocks(args.degree, cfg, lambda coeffs: (p := str(QPolynomial(coeffs)), quote(p)))
+        zero = ("0", quote("0"))
     else:
-        rows = gram_matrix(args.degree, cfg).tolist()
+        # with |q| < 1 every entry between contents is 0.0; only the one
+        # content of a long single-letter word can overflow, to inf, which json writes as null
+        g = gram_matrix(args.degree, cfg)
+        render = repr if not as_json or np.isfinite(g).all() else _json_float
+        contents = (words.tolist() for _, words in _content_words(args.degree, cfg.letters))
+        blocks = (
+            (words, (zip(row, map(render, row)) for row in g[np.ix_(words, words)].tolist()))
+            for words in contents
+        )
+        zero = (0.0, "0.0")
+    # a row sits at depth 4 of the envelope: results, its member, "matrix", the row
+    depth = 4 if as_json else None
+    rows = _content_rows(cfg.dim(args.degree), blocks, zero, depth)
     words = word_basis(args.degree, cfg.letters)
     results = [
         {
@@ -282,10 +310,46 @@ def cmd_gram(args, mode: ScalarMode) -> tuple:
             "matrix": rows,
         }
     ]
-    text = None
-    if args.format == "text":
-        text = "\n".join("\t".join(str(entry) for entry in row) for row in rows)
+    text = None if as_json else "\n".join(row.text for row in rows)
     return results, [], text
+
+
+def _json_float(value: float) -> str:
+    return repr(value) if math.isfinite(value) else "null"
+
+
+class _Row(list):
+    """A payload row that carries its printed ``text``: the JSON text of
+    the row at envelope depth ``depth``, or, where ``depth`` is None, its
+    entries joined by tabs."""
+
+    __slots__ = ("depth", "text")
+
+
+def _content_rows(dim: int, blocks, zero: tuple, depth) -> list:
+    """The ``_Row``s of a block-diagonal matrix, rendered for ``depth``.
+
+    Each block is (word indices, rows of (value, text) pairs), and every
+    index lies in exactly one block.  Each row is a copy of one shared
+    zero row, values and texts, with the entries of its block placed in
+    it; the texts are joined once, and only the row's text is kept.
+    """
+    if depth is None:
+        start, join, end = "", "\t".join, ""
+    else:
+        pad = "\n" + "  " * (depth + 1)
+        start, join, end = "[" + pad, ("," + pad).join, pad[:-2] + "]"
+    zero_values, zero_texts = [zero[0]] * dim, [zero[1]] * dim
+    rows = [None] * dim
+    for words, entries in blocks:
+        for s, pairs in zip(words, entries):
+            row, texts = _Row(zero_values), zero_texts.copy()
+            for t, (value, text) in zip(words, pairs):
+                row[t] = value
+                texts[t] = text
+            row.depth, row.text = depth, start + join(texts) + end
+            rows[s] = row
+    return rows
 
 
 def cmd_moment(args, mode: ScalarMode) -> tuple:

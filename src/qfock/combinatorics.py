@@ -42,6 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from operator import itemgetter
 from typing import Iterator, Sequence, Union
 
 
@@ -101,6 +102,18 @@ def coset_inversions(n: int, chosen: tuple, chosen_first: bool) -> int:
     (2, 1)
     """
     return inversions(_coset_rep(n, chosen, chosen_first))
+
+
+@lru_cache(maxsize=4096)
+def _picker(positions: tuple):
+    """word -> the tuple of its letters at the 0-based positions; shared by
+    every table that reads the same positions."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if positions:
+        (p,) = positions
+        return lambda word: (word[p],)
+    return lambda word: ()
 
 
 @dataclass(frozen=True)

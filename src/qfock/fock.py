@@ -31,7 +31,9 @@ once: to a polynomial for ``gram_matrix``, straight to its text for the
     G_0 = [1],  G_n = sum_j q^j (I_letters (x) G_(n-1))[:, P_j]
 
 with P_j[v] the index of word v with slot j moved to the front; at the
-sizes used, dense float arrays beat per-content blocks.
+sizes used, dense float arrays beat per-content blocks.  Both modes share
+one content layout (``_content_words``): the ``gram`` command prints the
+dense float matrix through it too.
 
 There is no ladder kernel here: a field s(h) is the degree-1 Wick product
 W(h), applied by ``qfock.wick.wick_apply``.  Its kernel
@@ -349,11 +351,40 @@ def _gram_bytes(degree: int, letters: int) -> int:
     return below + max(block_bytes(degree)) + letters ** (2 * degree) * np.dtype(object).itemsize
 
 
+@lru_cache(maxsize=16)
+def _content_words(degree: int, letters: int) -> tuple:
+    """(content, word indices) per letter content of the degree.
+
+    The content is the sorted letters of the words, in the order of
+    ``combinations_with_replacement``, and the indices ascend: the words
+    starting with each letter of the content in turn, each followed by a
+    word of the content with that letter removed.  The arrays are read-only.
+
+    >>> [(content, words.tolist()) for content, words in _content_words(2, 2)]
+    [((0, 0), [0]), ((0, 1), [1, 2]), ((1, 1), [3])]
+    """
+    layout = {(): np.zeros(1, dtype=np.int64)}
+    for n in range(1, degree + 1):  # a loop, not recursion: one letter reaches degree 4999
+        top = letters ** (n - 1)
+        layout = {
+            content: np.concatenate([a * top + layout[_without(content, a)] for a in dict.fromkeys(content)])
+            for content in itertools.combinations_with_replacement(range(letters), n)
+        }
+    for words in layout.values():
+        words.flags.writeable = False
+    return tuple(layout.items())
+
+
+def _without(content: tuple, a: int) -> tuple:
+    i = content.index(a)
+    return content[:i] + content[i + 1 :]
+
+
 def _content_blocks(degree: int, letters: int):
     """Yield (content, word indices, coefficient block) per letter content.
 
-    The content is the sorted letters of the words, their indices ascend,
-    and block[s, t, k] is the coefficient of q^k in <word s, word t>.
+    Contents and word indices are those of ``_content_words``, and
+    block[s, t, k] is the coefficient of q^k in <word s, word t>.
     Words of other contents are orthogonal.  A word a u' pairs with v
     through the slots j where v_j = a (<a u', v> = sum_j q^j <u', v minus
     slot j>), so each block is filled from the blocks one letter smaller,
@@ -366,19 +397,16 @@ def _content_blocks(degree: int, letters: int):
     (1, 1) [3] [[[1, 1]]]
     """
     if degree == 0:
-        yield (), np.zeros(1, dtype=np.int64), np.ones((1, 1, 1), dtype=_coeff_dtype(0))
+        [(content, words)] = _content_words(0, letters)
+        yield content, words, np.ones((1, 1, 1), dtype=_coeff_dtype(0))
         return
     below = {content: (words, block) for content, words, block in _content_blocks(degree - 1, letters)}
     width = degree * (degree - 1) // 2 + 1
-    for content in itertools.combinations_with_replacement(range(letters), degree):
-        parts = []
-        for a in dict.fromkeys(content):  # each letter the words may start with
-            i = content.index(a)
-            parts.append((a, *below[content[:i] + content[i + 1 :]]))
-        words = np.concatenate([a * letters ** (degree - 1) + sub for a, sub, _ in parts])
+    for content, words in _content_words(degree, letters):
         block = np.zeros((len(words), len(words), width), dtype=_coeff_dtype(degree))
         start = 0
-        for a, sub, sub_block in parts:
+        for a in dict.fromkeys(content):  # the rows of the words starting with a
+            sub, sub_block = below[_without(content, a)]
             rows = slice(start, start + len(sub))
             start += len(sub)
             for j in range(degree):
@@ -422,7 +450,8 @@ def _exact_gram_blocks(degree: int, cfg: SpaceConfig, lift) -> list:
     Entry t of row s is ``lift`` of the coefficient tuple of <word s, word
     t> (powers of q ascending, trailing zeros kept); words of other
     contents are orthogonal.  Few distinct tuples fill many entries, so
-    each is lifted once.  Raises ValueError, before allocating anything,
+    each is lifted once, and a block is read as lists one row at a time,
+    never whole.  Raises ValueError, before allocating anything,
     for a degree outside 0..max_degree or over ``EXACT_GRAM_BUDGET``.
     """
     _check_degree(degree, cfg)
@@ -435,9 +464,9 @@ def _exact_gram_blocks(degree: int, cfg: SpaceConfig, lift) -> list:
     blocks, lifted = [], {}
     for _, words, block in _content_blocks(degree, cfg.letters):
         rows = []
-        for coeffs in block.tolist():
+        for coeffs in block:
             row = []
-            for key in map(tuple, coeffs):
+            for key in map(tuple, coeffs.tolist()):
                 value = lifted.get(key)
                 if value is None:
                     value = lifted[key] = lift(key)

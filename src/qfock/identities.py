@@ -32,11 +32,11 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from math import comb, factorial
-from operator import itemgetter
 
 from .combinatorics import (
     PartialPartition,
     _iota_prime_pairs,
+    _picker,
     _straddling_pairs,
     coset_inversions,
     inversions,
@@ -149,18 +149,6 @@ def merge_reports(name: str, reports) -> ScanReport:
         merged.violations.extend(rep.violations)
         merged.notes.update(rep.notes)
     return merged
-
-
-@lru_cache(maxsize=4096)
-def _picker(positions: tuple):
-    """word -> the tuple of its letters at the 0-based positions; shared by
-    every shape that reads the same positions."""
-    if len(positions) > 1:
-        return itemgetter(*positions)
-    if positions:
-        (p,) = positions
-        return lambda word: (word[p],)
-    return lambda word: ()
 
 
 # The scans use a shape table only while they walk the words of one (n, k),

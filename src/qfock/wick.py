@@ -31,7 +31,7 @@ from functools import lru_cache
 from math import comb, perm
 from typing import Iterator
 
-from .combinatorics import _straddling_pairs, coset_inversions, crossings, max_pairs, patterns
+from .combinatorics import _picker, _straddling_pairs, coset_inversions, crossings, max_pairs, patterns
 from .fock import FockVector, scalar_is_zero, word_inner_poly
 from .scalars import EXACT, QPolynomial, ScalarMode
 
@@ -284,8 +284,32 @@ def three_wick_trace(xi: FockVector, eta: FockVector, theta: FockVector):
     return total
 
 
-def _subword(word: tuple, positions: tuple) -> tuple:
-    return tuple(word[p - 1] for p in positions)
+# A trace stage walks word triples of a few lengths, so the tables of
+# every (length, size, orientation) in use fit.
+@lru_cache(maxsize=128)
+def _trace_subsets(n: int, size: int, orientation: str) -> tuple:
+    """(chosen letters, other letters, iota) per size-subset of {1..n},
+    lexicographic, each position set as a ``_picker``.
+
+    The orientation names the factor: ``"xi"`` reads both parts reversed
+    with the complement-first iota, ``"eta"`` the chosen part forward and
+    the rest reversed with the chosen-first iota, ``"theta"`` both forward
+    with the complement-first iota.
+    """
+    reverse_chosen, reverse_rest, chosen_first = {
+        "xi": (True, True, False),
+        "eta": (False, True, True),
+        "theta": (False, False, False),
+    }[orientation]
+    table = []
+    for chosen in itertools.combinations(range(n), size):
+        rest = tuple(p for p in range(n) if p not in chosen)
+        table.append((
+            _picker(chosen[::-1] if reverse_chosen else chosen),
+            _picker(rest[::-1] if reverse_rest else rest),
+            coset_inversions(n, tuple(p + 1 for p in chosen), chosen_first),
+        ))
+    return tuple(table)
 
 
 def _three_trace_words(wx: tuple, we: tuple, wt: tuple) -> QPolynomial:
@@ -296,27 +320,20 @@ def _three_trace_words(wx: tuple, we: tuple, wt: tuple) -> QPolynomial:
     a = (n + m - l) // 2
     if a < 0 or a > min(n, m) or n - a > l:
         return total
-    for A in itertools.combinations(range(1, n + 1), a):
-        ac = tuple(p for p in range(1, n + 1) if p not in A)
-        xa = _subword(wx, tuple(reversed(A)))
-        xac = _subword(wx, tuple(reversed(ac)))
-        ia = coset_inversions(n, A, False)
-        for B in itertools.combinations(range(1, m + 1), a):
-            first = word_inner_poly(xa, _subword(we, B))
+    for pick_a, pick_ac, ia in _trace_subsets(n, a, "xi"):
+        xa, xac = pick_a(wx), pick_ac(wx)
+        for pick_b, pick_bc, ib in _trace_subsets(m, a, "eta"):
+            first = word_inner_poly(xa, pick_b(we))
             if first.is_zero():
                 continue
-            bc = tuple(p for p in range(1, m + 1) if p not in B)
-            ebc = _subword(we, tuple(reversed(bc)))
-            ib = coset_inversions(m, B, True)
-            for C in itertools.combinations(range(1, l + 1), n - a):
-                second = word_inner_poly(xac, _subword(wt, C))
+            ebc = pick_bc(we)
+            for pick_c, pick_cc, ic in _trace_subsets(l, n - a, "theta"):
+                second = word_inner_poly(xac, pick_c(wt))
                 if second.is_zero():
                     continue
-                cc = tuple(p for p in range(1, l + 1) if p not in C)
-                third = word_inner_poly(ebc, _subword(wt, cc))
+                third = word_inner_poly(ebc, pick_cc(wt))
                 if third.is_zero():
                     continue
-                ic = coset_inversions(l, C, False)
                 total = total + (first * second * third).shift(ia + ib + ic)
     return total
 

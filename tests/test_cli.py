@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from qfock import cli, wick
 from qfock.cli import main, parse_pairs, parse_q
-from qfock.fock import FockVector, SpaceConfig, gram_matrix, parse_word, word_to_str
+from qfock.fock import FockVector, SpaceConfig, gram_matrix, parse_word, word_basis, word_to_str
 from qfock.scalars import EXACT
 
 
@@ -392,6 +392,61 @@ def test_verify_scans_print_their_pinned_bytes(capsys, argv):
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == VERIFY_DIGESTS[argv]
 
 
+# Exit code and SHA-256 of stdout of the benchmark's ``gram`` runs, full
+# and tiny sizes, at its four float q values and generic, in json and
+# text.  Every entry's digits, the zeros between contents and the layout
+# of the envelope are part of these bytes.
+GRAM_DIGESTS = {
+    "gram --d 3 --degree 5 --max-degree 5 --q 0.5 --format json":
+        (0, "888c835042c558badd01852d1b2a07c2fe7090a5f90cc2ff73be022b43b39f61"),
+    "gram --d 3 --degree 5 --max-degree 5 --q 0.5 --format text":
+        (0, "10fe1cbd95dda97382c7d1a8b2de467c3dfdb7ece37bda435d238ae7f5142267"),
+    "gram --d 3 --degree 5 --max-degree 5 --q 0.3 --format json":
+        (0, "d3758978351756f58162d821b081ed48a074eb494b670f848082d174efd20247"),
+    "gram --d 3 --degree 5 --max-degree 5 --q 0.3 --format text":
+        (0, "b3a3e8a0ff03c782a6e461f43645f3e4018a3ecb2d52a29378baac38703fd8cb"),
+    "gram --d 3 --degree 5 --max-degree 5 --q -0.4 --format json":
+        (0, "14fc8f8769644effbb4ed97914826498b2fb9293fda51dc765086b540023a574"),
+    "gram --d 3 --degree 5 --max-degree 5 --q -0.4 --format text":
+        (0, "de4fc26ee4208d11029e53d3caa4fb3ec9d0b24bd308a81b62cde9e9d1c5aabe"),
+    "gram --d 3 --degree 5 --max-degree 5 --q 0.7 --format json":
+        (0, "0988eab4af75f55a1dc31effa6a3edfcf4ad2999dd2041b19019c519e20e0546"),
+    "gram --d 3 --degree 5 --max-degree 5 --q 0.7 --format text":
+        (0, "ef0d066225fd4053ca6ff74a652ebabd69a631c8239043cd4e9729eb5c46ee9c"),
+    "gram --d 3 --degree 5 --max-degree 5 --q generic --format json":
+        (0, "905a476b902b04be9e3c4c65ad9535af6601bedcf59cd5cc61bda5c476fbd616"),
+    "gram --d 3 --degree 5 --max-degree 5 --q generic --format text":
+        (0, "e627d18f6cbfe7b9ff8e892ded88e98a764206e659d4f6e94d09a8f5a40717c0"),
+    "gram --d 2 --degree 3 --max-degree 3 --q 0.5 --format json":
+        (0, "36fd35f67dd241c3341ecf7a1dfddfa7cd27a08387f692ffa225d63649d1c80d"),
+    "gram --d 2 --degree 3 --max-degree 3 --q 0.5 --format text":
+        (0, "1b52fd3fe767faa7369253f9764dc3f028e449546031fdfc15621c4b7e165a09"),
+    "gram --d 2 --degree 3 --max-degree 3 --q 0.3 --format json":
+        (0, "bf0a75c5a7b7a7cfe5df454d3eb076c87d43f5f06f57c783989f9e26012f074e"),
+    "gram --d 2 --degree 3 --max-degree 3 --q 0.3 --format text":
+        (0, "995b7f607fce2f5f5e16fda9539591ddeb1f66c8205bd36863ec8deffe18fb4c"),
+    "gram --d 2 --degree 3 --max-degree 3 --q -0.4 --format json":
+        (0, "dad5efd33483ce5e3be62baa2a407e9c3b321daa47f320354fcb4282153b2d2f"),
+    "gram --d 2 --degree 3 --max-degree 3 --q -0.4 --format text":
+        (0, "73561502800a57cf69b085365700e09befb5fd518c6971237440af5fed9ca186"),
+    "gram --d 2 --degree 3 --max-degree 3 --q 0.7 --format json":
+        (0, "9974db36fd1dbf9c4ede6a779c2454a42f9e41162e5171221362661f0cebeca8"),
+    "gram --d 2 --degree 3 --max-degree 3 --q 0.7 --format text":
+        (0, "bbfd18b1b23bcd306b916a07e606f70729b60f843b8c0008006969e1a5b0d1e7"),
+    "gram --d 2 --degree 3 --max-degree 3 --q generic --format json":
+        (0, "1d400ecea3012cabe888bc581dd37cde940b9af490bd74cfd0d0bd8ea77930ee"),
+    "gram --d 2 --degree 3 --max-degree 3 --q generic --format text":
+        (0, "764264e6cb3c29ee7bcc1208755766f8becec85d22c94451b0e105be5fa0cbb9"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GRAM_DIGESTS))
+def test_gram_prints_its_pinned_bytes(capsys, argv):
+    code = main(argv.split())
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == GRAM_DIGESTS[argv]
+
+
 def test_gram_degree_above_truncation(capsys):
     # refused by gram_matrix itself, before any work
     assert main(["gram", "--d", "2", "--degree", "7", "--max-degree", "6"]) == 2
@@ -426,6 +481,44 @@ def test_exact_gram_printout_matches_the_dense_matrix_rows(capsys, d, copies):
         assert code == 0 and doc["results"][0]["matrix"] == rows
         code, out = run(capsys, *argv, "--format", "text")
         assert code == 0 and out == "\n".join("\t".join(row) for row in rows) + "\n"
+
+
+@pytest.mark.parametrize("q", ["0.5", "-0.4", "0.0", "-0.0", "0.95"])
+@pytest.mark.parametrize("d,copies", [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (3, 2)])
+def test_float_gram_printout_matches_the_dense_matrix_rows(capsys, d, copies, q):
+    for degree in range(6):
+        if (d * copies) ** degree > 256:  # keeps the test quick; the digests pin larger blocks
+            break
+        cfg = SpaceConfig(d, copies, degree, parse_q(q))
+        dense = gram_matrix(degree, cfg)
+        rows = dense.tolist()
+        # the printout starts every row from a shared 0.0 row: every entry
+        # between words of different letter content is +0.0 in the dense matrix
+        contents = [sorted(w) for w in word_basis(degree, cfg.letters)]
+        between = [(s, t) for s, u in enumerate(contents) for t, v in enumerate(contents) if u != v]
+        assert all(repr(rows[s][t]) == "0.0" for s, t in between)
+        argv = ["gram", "--d", str(d), "--copies", str(copies), "--degree", str(degree), "--max-degree", str(degree), "--q", q]
+        code, out = run(capsys, *argv, "--format", "json")
+        matrix = json.loads(out)["results"][0]["matrix"]
+        assert code == 0 and matrix == rows
+        assert [list(map(repr, row)) for row in matrix] == [list(map(repr, row)) for row in rows]
+        code, out = run(capsys, *argv, "--format", "text")
+        assert code == 0 and out == "\n".join("\t".join(map(str, row)) for row in rows) + "\n"
+
+
+@pytest.mark.parametrize("q", ["0.9999", "0.99999"])
+def test_float_gram_entries_that_overflow_print_as_the_dense_matrix(capsys, q):
+    # [200]_q! overflows near q = 1: json writes null, text writes inf
+    cfg = SpaceConfig(1, 1, 200, parse_q(q))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rows = gram_matrix(200, cfg).tolist()
+        argv = ["gram", "--d", "1", "--degree", "200", "--max-degree", "200", "--q", q]
+        code, out = run(capsys, *argv, "--format", "json")
+        assert code == 0 and json.loads(out, parse_constant=_no_constants)["results"][0]["matrix"] == nulled(rows)
+        code, out = run(capsys, *argv, "--format", "text")
+    assert rows == [[math.inf]]
+    assert code == 0 and out == "inf\n"
 
 
 def test_wick_on_vacuum_returns_the_word(capsys):

@@ -16,7 +16,6 @@ UNBOUNDED = {
     "word_basis",
     "word_index",
     "word_inner_poly",
-    "_flat_encoder",
 }
 
 
