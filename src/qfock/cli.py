@@ -199,14 +199,17 @@ def _write_json(obj, depth: int, write, allow_nan: bool = False) -> None:
     With ``indent`` set, ``json`` runs its pure-Python encoder.  Here a
     container whose members are all plain scalars goes to the C encoder in
     one call, its separator carrying the newline and indent; everything
-    else recurses.  A ``_Row`` rendered for this depth is written as its
-    text, one piece per row, without reading its members.  Tuples are
+    else recurses.  A ``_Row`` is written as its text, one piece per row,
+    without reading its members; met anywhere but at ``_GRAM_ROW_DEPTH``,
+    where it was rendered, it raises TypeError.  Tuples are
     lists, and non-``str`` keys and non-ASCII text are written as ``json``
     writes them; unless ``allow_nan``, a non-finite float, value or key,
     raises ValueError.  The caller joins the pieces once, so no large
     string is copied level by level.
     """
-    if type(obj) is _Row and obj.depth == depth:
+    if type(obj) is _Row:
+        if depth != _GRAM_ROW_DEPTH:  # not ValueError, which emit reads as a non-finite float
+            raise TypeError(f"a gram row rendered for depth {_GRAM_ROW_DEPTH} met at depth {depth}")
         write(obj.text)
         return
     if isinstance(obj, dict):
@@ -289,19 +292,18 @@ def cmd_gram(args, mode: ScalarMode) -> tuple:
         blocks = _exact_gram_blocks(args.degree, cfg, lambda coeffs: (p := str(QPolynomial(coeffs)), quote(p)))
         zero = ("0", quote("0"))
     else:
-        # with |q| < 1 every entry between contents is 0.0; only the one
-        # content of a long single-letter word can overflow, to inf, which json writes as null
+        # ScalarMode refuses |q| >= 1, so every entry between contents is +0.0
+        # and |<u, v>| <= n!; under MAX_GRAM_ENTRIES only a space of one letter
+        # reaches a degree where that overflows, to inf, which json writes as null
         g = gram_matrix(args.degree, cfg)
         render = repr if not as_json or np.isfinite(g).all() else _json_float
-        contents = (words.tolist() for _, words in _content_words(args.degree, cfg.letters))
+        contents = (words.tolist() for words in _content_words(args.degree, cfg.letters).values())
         blocks = (
             (words, (zip(row, map(render, row)) for row in g[np.ix_(words, words)].tolist()))
             for words in contents
         )
         zero = (0.0, "0.0")
-    # a row sits at depth 4 of the envelope: results, its member, "matrix", the row
-    depth = 4 if as_json else None
-    rows = _content_rows(cfg.dim(args.degree), blocks, zero, depth)
+    rows = _content_rows(cfg.dim(args.degree), blocks, zero, _GRAM_ROW_DEPTH if as_json else None)
     words = word_basis(args.degree, cfg.letters)
     results = [
         {
@@ -318,12 +320,15 @@ def _json_float(value: float) -> str:
     return repr(value) if math.isfinite(value) else "null"
 
 
+# a gram row sits at this depth of the envelope: results, its member, "matrix", the row
+_GRAM_ROW_DEPTH = 4
+
+
 class _Row(list):
     """A payload row that carries its printed ``text``: the JSON text of
-    the row at envelope depth ``depth``, or, where ``depth`` is None, its
-    entries joined by tabs."""
+    the row at ``_GRAM_ROW_DEPTH``, or its entries joined by tabs."""
 
-    __slots__ = ("depth", "text")
+    __slots__ = ("text",)
 
 
 def _content_rows(dim: int, blocks, zero: tuple, depth) -> list:
@@ -347,7 +352,7 @@ def _content_rows(dim: int, blocks, zero: tuple, depth) -> list:
             for t, (value, text) in zip(words, pairs):
                 row[t] = value
                 texts[t] = text
-            row.depth, row.text = depth, start + join(texts) + end
+            row.text = start + join(texts) + end
             rows[s] = row
     return rows
 

@@ -351,28 +351,30 @@ def _gram_bytes(degree: int, letters: int) -> int:
     return below + max(block_bytes(degree)) + letters ** (2 * degree) * np.dtype(object).itemsize
 
 
-@lru_cache(maxsize=16)
-def _content_words(degree: int, letters: int) -> tuple:
-    """(content, word indices) per letter content of the degree.
+def _content_words(degree: int, letters: int) -> dict:
+    """{content: word indices} per letter content of the degree.
 
     The content is the sorted letters of the words, in the order of
     ``combinations_with_replacement``, and the indices ascend: the words
     starting with each letter of the content in turn, each followed by a
-    word of the content with that letter removed.  The arrays are read-only.
+    word of the content with that letter removed.
 
-    >>> [(content, words.tolist()) for content, words in _content_words(2, 2)]
-    [((0, 0), [0]), ((0, 1), [1, 2]), ((1, 1), [3])]
+    >>> {content: words.tolist() for content, words in _content_words(2, 2).items()}
+    {(0, 0): [0], (0, 1): [1, 2], (1, 1): [3]}
     """
     layout = {(): np.zeros(1, dtype=np.int64)}
     for n in range(1, degree + 1):  # a loop, not recursion: one letter reaches degree 4999
-        top = letters ** (n - 1)
-        layout = {
-            content: np.concatenate([a * top + layout[_without(content, a)] for a in dict.fromkeys(content)])
-            for content in itertools.combinations_with_replacement(range(letters), n)
-        }
-    for words in layout.values():
-        words.flags.writeable = False
-    return tuple(layout.items())
+        layout = _grow_layout(layout, n, letters)
+    return layout
+
+
+def _grow_layout(below: dict, degree: int, letters: int) -> dict:
+    """The ``_content_words`` layout of the degree from that of the degree below."""
+    top = letters ** (degree - 1)
+    return {
+        content: np.concatenate([a * top + below[_without(content, a)] for a in dict.fromkeys(content)])
+        for content in itertools.combinations_with_replacement(range(letters), degree)
+    }
 
 
 def _without(content: tuple, a: int) -> tuple:
@@ -397,12 +399,13 @@ def _content_blocks(degree: int, letters: int):
     (1, 1) [3] [[[1, 1]]]
     """
     if degree == 0:
-        [(content, words)] = _content_words(0, letters)
+        [(content, words)] = _content_words(0, letters).items()
         yield content, words, np.ones((1, 1, 1), dtype=_coeff_dtype(0))
         return
     below = {content: (words, block) for content, words, block in _content_blocks(degree - 1, letters)}
+    layout = _grow_layout({content: words for content, (words, _) in below.items()}, degree, letters)
     width = degree * (degree - 1) // 2 + 1
-    for content, words in _content_words(degree, letters):
+    for content, words in layout.items():
         block = np.zeros((len(words), len(words), width), dtype=_coeff_dtype(degree))
         start = 0
         for a in dict.fromkeys(content):  # the rows of the words starting with a

@@ -521,6 +521,33 @@ def test_float_gram_entries_that_overflow_print_as_the_dense_matrix(capsys, q):
     assert code == 0 and out == "inf\n"
 
 
+@pytest.mark.parametrize("q", ["1e30", "-1e30", "1.0", "-1.0"])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_float_gram_refuses_q_outside_the_unit_interval(capsys, q, fmt):
+    # the printout's +0.0 between contents and its n! bound rely on |q| < 1
+    argv = ["gram", "--d", "2", "--degree", "10", "--max-degree", "10", f"--q={q}", "--format", fmt]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "requires |q| < 1" in captured.err
+
+
+@pytest.mark.parametrize("q", ["0.5", "generic"])
+def test_gram_envelope_writes_each_row_as_one_piece(q):
+    argv = ["gram", "--d", "2", "--degree", "3", "--max-degree", "3", "--q", q, "--format", "json"]
+    args = cli.build_parser().parse_args(argv)
+    results, violations, _ = cli.cmd_gram(args, parse_q(q))
+    payload = cli.envelope(args, results, violations)
+    parts = []
+    cli._write_json(payload, 0, parts.append)
+    rows = results[0]["matrix"]
+    assert [type(row) for row in rows] == [cli._Row] * 8
+    assert all(parts.count(row.text) == 1 for row in rows)
+    assert "".join(parts) == json.dumps(payload, indent=2)
+    # a row met at any other depth is a fault, not a non-finite float to null
+    with pytest.raises(TypeError):
+        cli._write_json({"matrix": rows}, 0, parts.append)
+
+
 def test_wick_on_vacuum_returns_the_word(capsys):
     code, doc = run_json(capsys, "wick", "--d", "2", "--letters", "1,2")
     assert code == 0
