@@ -152,101 +152,47 @@ def envelope(args, results: list, violations: list) -> dict:
 
 
 def emit(args, payload: dict, text: str = None) -> str:
-    """The output text: ``json.dumps(payload, indent=2)`` for JSON, with
-    every non-finite float written as null (RFC 8259 has no NaN or
-    Infinity), else ``text``."""
-    if args.format == "json":
-        parts = []
-        try:
-            _write_json(payload, 0, parts.append)
-        except ValueError:  # the strict encoder met NaN or an infinity
-            # values are nulled; a non-finite float key is written as
-            # json writes it ("Infinity"), which is a valid key
-            parts = []
-            _write_json(_finite(payload), 0, parts.append, allow_nan=True)
-        parts.append("\n")
-        return "".join(parts)
-    return text if text.endswith("\n") else text + "\n"
+    """The output text: ``text`` for the non-JSON formats, else
+    ``json.dumps(payload, indent=2)`` with every non-finite float value
+    written as null (RFC 8259 has no NaN or Infinity).
+
+    ``json.dumps`` writes a copy of the payload in which each ``_Row`` is
+    a marker string, and the row's text, rendered for ``_GRAM_ROW_DEPTH``,
+    then takes the marker's place; the output is joined once.  A marker
+    that does not sit at that depth, or a marker count other than the row
+    count, raises TypeError (a fault, not a usage error).
+    """
+    if args.format != "json":
+        return text if text.endswith("\n") else text + "\n"
+    rows = []
+    dumped = json.dumps(_plain(payload, rows), indent=2)
+    if not rows:
+        return dumped + "\n"
+    pieces = dumped.split(_ROW_MARK)
+    if len(pieces) != len(rows) + 1 or not all(piece.endswith(_ROW_INDENT) for piece in pieces[:-1]):
+        raise TypeError(f"{len(rows)} gram rows do not match their markers at depth {_GRAM_ROW_DEPTH}")
+    out = [pieces[0]]
+    for row, piece in zip(rows, pieces[1:]):
+        out += (row.text, piece)
+    out.append("\n")
+    return "".join(out)
 
 
-_PLAIN = frozenset((str, int, float, bool, type(None)))
-
-
-# keyed by (depth, allow_nan); the CLI's envelopes reach depth 7 (a scan's
-# notes), so 32 entries hold every key in use
-@functools.lru_cache(maxsize=32)
-def _flat_encoder(depth: int, allow_nan: bool = False):
-    """C-encoder ``encode`` whose item separator starts a line at ``depth``;
-    unless ``allow_nan``, it raises ValueError on NaN and infinities."""
-    return json.JSONEncoder(separators=(",\n" + "  " * depth, ": "), allow_nan=allow_nan).encode
-
-
-def _finite(obj):
-    """A copy of a JSON payload with every non-finite float value as None;
-    containers become lists and dicts, keys stay as they are."""
+def _plain(obj, rows: list):
+    """A copy of a JSON payload with every non-finite float value as None
+    and each ``_Row`` as ``_ROW_STAND_IN``, appended to ``rows`` in the
+    order json writes them; containers become lists and dicts, keys stay
+    as they are."""
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else None
-    if isinstance(obj, dict):
-        return {key: _finite(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_finite(value) for value in obj]
-    return obj
-
-
-def _write_json(obj, depth: int, write, allow_nan: bool = False) -> None:
-    """Pass the text of ``json.dumps(obj, indent=2)`` to ``write``, in pieces.
-
-    With ``indent`` set, ``json`` runs its pure-Python encoder.  Here a
-    container whose members are all plain scalars goes to the C encoder in
-    one call, its separator carrying the newline and indent; everything
-    else recurses.  A ``_Row`` is written as its text, one piece per row,
-    without reading its members; met anywhere but at ``_GRAM_ROW_DEPTH``,
-    where it was rendered, it raises TypeError.  Tuples are
-    lists, and non-``str`` keys and non-ASCII text are written as ``json``
-    writes them; unless ``allow_nan``, a non-finite float, value or key,
-    raises ValueError.  The caller joins the pieces once, so no large
-    string is copied level by level.
-    """
     if type(obj) is _Row:
-        if depth != _GRAM_ROW_DEPTH:  # not ValueError, which emit reads as a non-finite float
-            raise TypeError(f"a gram row rendered for depth {_GRAM_ROW_DEPTH} met at depth {depth}")
-        write(obj.text)
-        return
+        rows.append(obj)
+        return _ROW_STAND_IN
     if isinstance(obj, dict):
-        brackets, members = "{}", obj.values()
-    elif isinstance(obj, (list, tuple)):
-        brackets, members = "[]", obj
-    else:
-        write(_flat_encoder(0, allow_nan)(obj))
-        return
-    if not obj:
-        write(brackets)
-        return
-    pad = "\n" + "  " * (depth + 1)
-    separator = brackets[0] + pad
-    if _PLAIN.issuperset(map(type, members)):
-        write(separator)
-        write(_flat_encoder(depth + 1, allow_nan)(obj)[1:-1])
-    elif brackets == "{}":
-        for key, value in obj.items():
-            write(separator + _json_key(key) + ": ")
-            _write_json(value, depth + 1, write, allow_nan)
-            separator = "," + pad
-    else:
-        for value in obj:
-            write(separator)
-            _write_json(value, depth + 1, write, allow_nan)
-            separator = "," + pad
-    write(pad[:-2] + brackets[1])
-
-
-def _json_key(key) -> str:
-    # json writes a number, bool or None key as its own JSON text, quoted
-    # ("NaN" too, which is a valid key); any other non-str key is refused
-    # by the string encoder
-    if isinstance(key, (int, float)) or key is None:
-        key = json.dumps(key)
-    return json.encoder.encode_basestring_ascii(key)
+        return {key: _plain(value, rows) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(value, rows) for value in obj]
+    return obj
 
 
 def fault_index(args):
@@ -322,6 +268,11 @@ def _json_float(value: float) -> str:
 
 # a gram row sits at this depth of the envelope: results, its member, "matrix", the row
 _GRAM_ROW_DEPTH = 4
+_ROW_INDENT = "\n" + "  " * _GRAM_ROW_DEPTH
+# a row's stand-in in the copy json.dumps writes, and the text written for
+# it; the NULs keep it apart from any printed word or polynomial
+_ROW_STAND_IN = "\0gram row\0"
+_ROW_MARK = json.dumps(_ROW_STAND_IN)
 
 
 class _Row(list):

@@ -62,6 +62,10 @@ That is every content block of the degree below, the largest content
 block of the degree, and the references of the dense result
 (``_gram_bytes``); d = 2 is admitted up to degree 11.
 """
+EXACT_GRAM_WORK = 2 ** 28
+"""Coefficient additions exact Gram assembly of one degree may make
+(``_gram_work``); d = 2 is admitted up to degree 11, one letter up to 108.
+"""
 
 
 @dataclass(frozen=True)
@@ -336,19 +340,42 @@ def _coeff_dtype(degree: int):
     return object
 
 
+def _content_sizes(degree: int, letters: int):
+    """Yield (words, letter multiplicities) per letter content of the degree."""
+    for content in itertools.combinations_with_replacement(range(letters), degree):
+        counts = [content.count(a) for a in dict.fromkeys(content)]
+        yield math.factorial(degree) // math.prod(map(math.factorial, counts)), counts
+
+
 def _gram_bytes(degree: int, letters: int) -> int:
     """Bytes exact assembly holds at its peak, from shapes alone: every content
     block of the degree below, the largest of this degree, and the result's references."""
 
     def block_bytes(n: int) -> list:  # per content: words^2 * coefficients * itemsize
         size = (n * (n - 1) // 2 + 1) * np.dtype(_coeff_dtype(n)).itemsize
-        return [
-            (math.factorial(n) // math.prod(math.factorial(c.count(a)) for a in set(c))) ** 2 * size
-            for c in itertools.combinations_with_replacement(range(letters), n)
-        ]
+        return [words ** 2 * size for words, _ in _content_sizes(n, letters)]
 
     below = sum(block_bytes(degree - 1)) if degree else 0
     return below + max(block_bytes(degree)) + letters ** (2 * degree) * np.dtype(object).itemsize
+
+
+def _gram_work(degree: int, letters: int) -> int:
+    """Coefficient additions exact assembly makes up to the degree, from shapes alone.
+
+    At degree n, each content's block adds, once per slot, the block of
+    the content with one letter a removed: (words * count of a / n)^2
+    entries of (n-1)(n-2)/2 + 1 coefficients.  An addition of Python ints
+    (the object blocks, degree 21 on) counts 16: it measured 45-70 ns, an
+    int64 one 3-5 ns.  Counting stops past ``EXACT_GRAM_WORK``.
+    """
+    work = 0
+    for n in range(1, degree + 1):
+        if work > EXACT_GRAM_WORK:
+            break
+        per_pair = n * ((n - 1) * (n - 2) // 2 + 1) * (16 if _coeff_dtype(n) is object else 1)
+        pairs = sum((words * m // n) ** 2 for words, counts in _content_sizes(n, letters) for m in counts)
+        work += per_pair * pairs
+    return work
 
 
 def _content_words(degree: int, letters: int) -> dict:
@@ -390,7 +417,8 @@ def _content_blocks(degree: int, letters: int):
     Words of other contents are orthogonal.  A word a u' pairs with v
     through the slots j where v_j = a (<a u', v> = sum_j q^j <u', v minus
     slot j>), so each block is filled from the blocks one letter smaller,
-    which are held only while this degree is yielded.
+    degree by degree; the blocks of the degree below are held only while
+    this degree is yielded.
 
     >>> for content, words, block in _content_blocks(2, 2):
     ...     print(content, words.tolist(), block.tolist())
@@ -398,11 +426,16 @@ def _content_blocks(degree: int, letters: int):
     (0, 1) [1, 2] [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]
     (1, 1) [3] [[[1, 1]]]
     """
-    if degree == 0:
-        [(content, words)] = _content_words(0, letters).items()
-        yield content, words, np.ones((1, 1, 1), dtype=_coeff_dtype(0))
-        return
-    below = {content: (words, block) for content, words, block in _content_blocks(degree - 1, letters)}
+    [(content, words)] = _content_words(0, letters).items()
+    layer = [(content, words, np.ones((1, 1, 1), dtype=_coeff_dtype(0)))]
+    for n in range(1, degree + 1):  # a loop, not recursion, as in _content_words
+        layer = _grow_blocks({content: (words, block) for content, words, block in layer}, n, letters)
+    yield from layer
+
+
+def _grow_blocks(below: dict, degree: int, letters: int):
+    """Yield the ``_content_blocks`` of the degree from those of the degree
+    below, given as {content: (word indices, block)}."""
     layout = _grow_layout({content: words for content, (words, _) in below.items()}, degree, letters)
     width = degree * (degree - 1) // 2 + 1
     for content, words in layout.items():
@@ -454,8 +487,9 @@ def _exact_gram_blocks(degree: int, cfg: SpaceConfig, lift) -> list:
     t> (powers of q ascending, trailing zeros kept); words of other
     contents are orthogonal.  Few distinct tuples fill many entries, so
     each is lifted once, and a block is read as lists one row at a time,
-    never whole.  Raises ValueError, before allocating anything,
-    for a degree outside 0..max_degree or over ``EXACT_GRAM_BUDGET``.
+    never whole.  Raises ValueError, before allocating anything, for a
+    degree outside 0..max_degree, over ``EXACT_GRAM_BUDGET`` or over
+    ``EXACT_GRAM_WORK``.
     """
     _check_degree(degree, cfg)
     need = _gram_bytes(degree, cfg.letters)
@@ -463,6 +497,11 @@ def _exact_gram_blocks(degree: int, cfg: SpaceConfig, lift) -> list:
         raise ValueError(
             f"exact Gram block of degree {degree} over {cfg.letters} letters needs "
             f"{need} bytes, over the exact Gram budget of {EXACT_GRAM_BUDGET}"
+        )
+    if _gram_work(degree, cfg.letters) > EXACT_GRAM_WORK:
+        raise ValueError(
+            f"exact Gram block of degree {degree} over {cfg.letters} letters takes more "
+            f"coefficient additions than the exact Gram work bound of {EXACT_GRAM_WORK}"
         )
     blocks, lifted = [], {}
     for _, words, block in _content_blocks(degree, cfg.letters):

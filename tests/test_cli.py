@@ -195,6 +195,17 @@ def test_exact_gram_over_budget_is_a_usage_error(capsys, monkeypatch):
     assert captured.out == "" and "budget" in captured.err
 
 
+@pytest.mark.parametrize("degree", ["300", "990"])
+def test_exact_one_letter_gram_past_the_work_bound_is_a_usage_error(capsys, monkeypatch, degree):
+    # one entry of Python-int coefficients; degree 990 once overflowed the recursion
+    from qfock import fock
+
+    monkeypatch.setattr(fock, "_content_blocks", _entered)
+    assert main(["gram", "--d", "1", "--degree", degree, "--max-degree", degree]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "work bound" in captured.err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -447,6 +458,76 @@ def test_gram_prints_its_pinned_bytes(capsys, argv):
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == GRAM_DIGESTS[argv]
 
 
+# Exit code and SHA-256 of stdout of the ENVELOPE_ARGV and FAILING_ARGV
+# runs whose output has no BLAS roundoff, in json and text: the envelope
+# bytes themselves, beside the json.dumps oracle of
+# test_json_stdout_is_the_oracle_text_of_its_payload.
+ENVELOPE_DIGESTS = {
+    "moment --d 2 --letters 1,2,2,1 --format json":
+        (0, "abcce2aec03d1bcee5c64293577ed4b546e701a6050cf43f6bade2fc839264fc"),
+    "moment --d 2 --letters 1,2,2,1 --format text":
+        (0, "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865"),
+    "wick --d 2 --letters 1,2t --on 2,1 --format json":
+        (0, "f277f6ca3f1212f917eaa7a8a685fd06ef98d27967da9047558218b98f9f83d4"),
+    "wick --d 2 --letters 1,2t --on 2,1 --format text":
+        (0, "c4f7b98416aa223799dad9e49d5dcf3162401ef8c3548da9ee1b8ad9c549769b"),
+    "split --d 2 --letters 1,2,2,1 --k 2 --q 0.5 --format json":
+        (0, "84b9fc4fdc45684ba86507bc39602c3e72a2e98410f61329607f18d59d074bc1"),
+    "split --d 2 --letters 1,2,2,1 --k 2 --q 0.5 --format text":
+        (0, "31d81bac2739e05c988dd924846156c9b80d5d7ab930f1fbd4a561aeb616fa1d"),
+    "clt --d 1 --letters 1,1,1,1 --N 2 --format json":
+        (0, "01d74dd336649f5e7c3437892bb0c173d6a1c6ca56ea0a5c8778df4751418e70"),
+    "clt --d 1 --letters 1,1,1,1 --N 2 --format text":
+        (0, "3e8feffdc641c593c47f4273567278f6f8094c6600bf6b748db1e77fb87481eb"),
+    "clt --d 2 --N 2 --left 1,2 --right 1,2 --format json":
+        (0, "16baf165e61866444ee904838630ed14afa0c77a08540c8a5dbd38446e06daf4"),
+    "clt --d 2 --N 2 --left 1,2 --right 1,2 --format text":
+        (0, "75387acc2dd595973788c8e1e7495daaedc613ab6b04eab92ed01142991f08e4"),
+    "verify-iota --nmax 4 --format json":
+        (0, "ab645b28db55eebf20cd50d6e7c0c1a098926e9971d5634adecb51ec5c2d366c"),
+    "verify-iota --nmax 4 --format text":
+        (0, "1766754f3765a820d784a9deac8c6e0de3e62d815732bab7bbd70cc875f8df1a"),
+    "verify-ie --nmax 3 --split-nmax 3 --format json":
+        (0, "62ab8387dddaab69cc6b0f5f8a2d7b8e8e384c0c7116e39ea69b90f5eef1ad08"),
+    "verify-ie --nmax 3 --split-nmax 3 --format text":
+        (0, "aeda20ef5f8d7e9b125c7f85a3f2e91a7dc7c6195ccbc5639d31bd7e9217daac"),
+    "verify-claim --nmax 4 --mmax 2 --reading prime-prime --format json":
+        (1, "6c7d44cb077eedd035a34c43383a5a82f7a3a5dce27993e20c94ef94d4098f1c"),
+    "verify-claim --nmax 4 --mmax 2 --reading prime-prime --format text":
+        (1, "6b4bb87a93c3c295e526292f06d07bcc444b07c715b0b737922014430730dcea"),
+    "render --n 8 --k 4 --pairs 1:6,2:5 --format json":
+        (0, "c5b1943379d074c4e925c95ac17db45e392a927963e4e7425037b4d4cb0e167d"),
+    "render --n 8 --k 4 --pairs 1:6,2:5 --format text":
+        (0, "9e0311911d1673eed5590835d588090d44a9a00a62dd4bb52ae15d1ec865725b"),
+    "verify-iota --nmax 5 --inject-fault --seed 7 --format json":
+        (1, "6683f33da1b4662d66187170c3b95827191b3b6492586408492a36dbb44ab583"),
+    "verify-iota --nmax 5 --inject-fault --seed 7 --format text":
+        (1, "965f03b62378690224107d439e208b303538f7962441d24996f4a11120995862"),
+    "verify-ie --nmax 4 --split-nmax 4 --inject-fault --seed 7 --format json":
+        (1, "0dd898c0538bc7e88ff55441dc739fa8006967e46deb9296fc07f9232cc34c2c"),
+    "verify-ie --nmax 4 --split-nmax 4 --inject-fault --seed 7 --format text":
+        (1, "831b2d2e1af7b5e0308d3e4173aa4e6644b031e24a1cd8382c3ec55a9ba5b041"),
+    "verify-claim --nmax 6 --mmax 2 --inject-fault --seed 7 --format json":
+        (1, "f0f8dc898c51fd1e1605f77e66b7038a406754b33157941bb0c6416d3d006d70"),
+    "verify-claim --nmax 6 --mmax 2 --inject-fault --seed 7 --format text":
+        (1, "f9274ca660a4ddcbb629e7f70db0d193b1e9fdfb110385fe84f8a7ca4584cd0d"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(ENVELOPE_DIGESTS))
+def test_envelopes_print_their_pinned_bytes(capsys, argv):
+    code = main(argv.split())
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == ENVELOPE_DIGESTS[argv]
+
+
+def test_envelope_digests_cover_the_exact_envelope_argv():
+    # gram has its own table; the rest print floats through numpy's BLAS
+    floats = ("gram", "schatten", "phi-check", "decay", "deform", "tail")
+    exact = [argv for argv in ENVELOPE_ARGV + FAILING_ARGV if argv[0] not in floats]
+    assert {" ".join(argv + ["--format", fmt]) for argv in exact for fmt in ("json", "text")} == set(ENVELOPE_DIGESTS)
+
+
 def test_gram_degree_above_truncation(capsys):
     # refused by gram_matrix itself, before any work
     assert main(["gram", "--d", "2", "--degree", "7", "--max-degree", "6"]) == 2
@@ -537,15 +618,36 @@ def test_gram_envelope_writes_each_row_as_one_piece(q):
     args = cli.build_parser().parse_args(argv)
     results, violations, _ = cli.cmd_gram(args, parse_q(q))
     payload = cli.envelope(args, results, violations)
-    parts = []
-    cli._write_json(payload, 0, parts.append)
+    out = cli.emit(args, payload)
     rows = results[0]["matrix"]
     assert [type(row) for row in rows] == [cli._Row] * 8
-    assert all(parts.count(row.text) == 1 for row in rows)
-    assert "".join(parts) == json.dumps(payload, indent=2)
-    # a row met at any other depth is a fault, not a non-finite float to null
+    assert all(out.count(row.text) == 1 for row in rows)
+    assert out == json.dumps(payload, indent=2) + "\n"
+    # a row met at any other depth is a fault, not a usage error
     with pytest.raises(TypeError):
-        cli._write_json({"matrix": rows}, 0, parts.append)
+        cli.emit(args, {"matrix": rows})
+
+
+def test_emit_writes_the_row_marker_string_as_json_does():
+    # with no rows in the payload, the marker string is plain text
+    args = argparse.Namespace(command="any", format="json")
+    for tree in ({"marker": cli._ROW_STAND_IN}, [cli._ROW_STAND_IN, {cli._ROW_STAND_IN: 1}]):
+        assert cli.emit(args, tree) == json.dumps(tree, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("where", ["words", "matrix", "config"])
+def test_emit_refuses_the_row_marker_string_beside_gram_rows(where):
+    # the marker string beside real rows miscounts the markers: a fault
+    argv = ["gram", "--d", "2", "--degree", "2", "--max-degree", "2", "--format", "json"]
+    args = cli.build_parser().parse_args(argv)
+    results, violations, _ = cli.cmd_gram(args, EXACT)
+    payload = cli.envelope(args, results, violations)
+    if where == "config":
+        payload["config"]["q"] = '"' + cli._ROW_STAND_IN
+    else:
+        results[0][where].append(cli._ROW_STAND_IN)
+    with pytest.raises(TypeError):
+        cli.emit(args, payload)
 
 
 def test_wick_on_vacuum_returns_the_word(capsys):

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import math
@@ -332,6 +333,32 @@ def test_exact_gram_budget_is_checked_before_allocating(monkeypatch):
     with pytest.raises(ValueError, match="budget"):
         gram_matrix(4, cfg)
     assert gram_matrix(4, SpaceConfig(2, 1, 4, ScalarMode.at(0.5))).shape == (16, 16)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_gram_work_counts_the_block_additions(d):
+    # each content's block adds, once per slot, the block of every content
+    # one letter smaller that it contains; words counted by enumeration
+    for degree in range(6):
+        expect = 0
+        for n in range(1, degree + 1):
+            below = collections.Counter(tuple(sorted(w)) for w in word_basis(n - 1, d))
+            for content in {tuple(sorted(w)) for w in word_basis(n, d)}:
+                for a in set(content):
+                    rest = list(content)
+                    rest.remove(a)
+                    expect += n * below[tuple(rest)] ** 2 * ((n - 1) * (n - 2) // 2 + 1)
+        assert fock._gram_work(degree, d) == expect
+
+
+def test_exact_gram_work_bound_admits_the_tested_sizes():
+    # Python-int additions (degree 21 on) count 16 each; one letter at
+    # degree n adds, in each of n slots, the (n-1)(n-2)/2 + 1 coefficients below
+    assert fock._gram_work(22, 1) - fock._gram_work(20, 1) == 16 * (21 * 191 + 22 * 211)
+    assert fock._gram_work(11, 2) <= fock.EXACT_GRAM_WORK < fock._gram_work(12, 2)
+    assert fock._gram_work(108, 1) <= fock.EXACT_GRAM_WORK < fock._gram_work(109, 1)
+    assert fock._gram_work(65, 1) <= fock.EXACT_GRAM_WORK // 4
+    assert fock._gram_work(7, 3) <= fock.EXACT_GRAM_WORK // 10
 
 
 def test_exact_gram_assembly_peaks_small():
