@@ -9,8 +9,12 @@ q^iota(A) with iota(A) the inversions of the two-ascending-runs coset word
 pins the normalization.  ``wick_word_action`` is the one kernel: the
 operator exists only as its action on sparse vectors (``wick_apply``),
 never as block matrices.  It is the package's only annihilation walk: a
-field s(h) is W(h) of the degree-1 vector h.  It also truncates the space,
-dropping each term whose creations would leave the top degree.  In exact
+field s(h) is W(h) of the degree-1 vector h.  It reads the subset sum
+through its last letter, the recursion behind the Effros-Popa Wick formula:
+the letter is kept (a complement position above every annihilated one) or
+annihilates first, so each action is built from memoized actions of the
+word one letter shorter.  It also truncates the space, dropping each term
+whose creations would leave the top degree.  In exact
 mode ``wick_apply`` reuses the kernel's polynomials wherever the weight is
 1 and builds a polynomial only for a scaled term or a sum.
 
@@ -27,7 +31,7 @@ import itertools
 import operator
 from collections import Counter, deque
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, perm
 from typing import Iterator
 
@@ -40,49 +44,92 @@ from .scalars import EXACT, QPolynomial, ScalarMode
 def wick_word_action(xi_word: tuple, source: tuple, max_degree: int) -> tuple:
     """W(word) applied to a basis word: ((target word, QPolynomial), ...).
 
-    Exact kernel shared by every scalar mode.  For each subset A of the
-    word's positions the letters at A are annihilated, largest position
-    first, with weight q^iota(A) q^(slot) per step, and then the letters at
-    the complement are created outermost-first.  The subsets are walked as
-    one decision tree from the last position down, so subsets that agree on
-    their high positions share the annihilations done there; iota(A), the
-    complement positions above each chosen one, grows by the number of
-    letters kept so far at each annihilation.  Intermediate words carry
-    {power of q: integer coefficient} dicts, and one QPolynomial is built
-    per output word.
+    Exact kernel shared by every scalar mode, sorted by target word, built
+    from the kernels of the word without its last letter x.  Either x is
+    kept: it is created innermost, after the prefix's kept letters, with
+    weight q^k for the k letters the prefix annihilates; or x annihilates
+    the source's slot j first, with weight q^j, and the prefix acts on
+    the rest.  A target of degree past the truncation, or a word and a
+    source too far apart in length to reach one, gives no terms.  Raises
+    ValueError, before any work, past ``MAX_WICK_WORK``.
     """
     n = len(xi_word)
-    # prefix plus what is left of the source must fit the truncation
-    min_k = max(0, (n + len(source) - max_degree + 1) // 2)
+    if abs(n - len(source)) > max_degree:
+        return ()
+    if not n:
+        return ((source, QPolynomial.one()),)
+    if _wick_work(n, len(source)) > MAX_WICK_WORK:
+        raise ValueError(
+            f"the Wick kernel of {n} letters on {len(source)} may take more than "
+            f"{MAX_WICK_WORK} coefficient updates, over the work bound"
+        )
+    if n > _RECURSION_DEPTH:
+        return _long_word_action(xi_word, source, max_degree)
+    return _last_letter(xi_word[-1], n - 1, source, max_degree, partial(wick_word_action, xi_word[:-1]))
+
+
+MAX_WICK_WORK = 300_000_000
+"""Most coefficient updates ``_wick_work`` may bound a kernel call by: 22
+equal letters on 23, 100 on 12 or one on 4,999 (1-3 s each on a 2-core
+host)."""
+
+
+def _wick_work(n: int, m: int) -> int:
+    """Coefficient updates of the kernel of n equal letters on m: with k =
+    min(n, m), (n + 1)(k + 1) prefix states, each read from m + 1 prefix
+    kernels of k + 1 terms of k(n + m) + 1 coefficients.  One letter is the
+    only space with long words; ``QFOCK_MAX_DIM`` keeps two within degree 12.
+    """
+    k = min(n, m)
+    return (n + 1) * (k + 1) ** 2 * (m + 1) * (k * (n + m) + 1)
+
+
+_RECURSION_DEPTH = 128
+"""Longest word whose kernel recurses, two frames a letter; only one letter
+reaches longer words."""
+
+
+def _prefix_reads(x, source: tuple, max_degree: int):
+    """(slot, source, truncation) of each prefix kernel the kernel of a word
+    ending in x reads: slot None keeps x, slot j annihilates it there."""
+    yield None, source, max_degree - 1
+    for j, letter in enumerate(source):
+        if letter == x:
+            yield j, source[:j] + source[j + 1 :], max_degree
+
+
+def _last_letter(x, n: int, source: tuple, max_degree: int, prefix_action) -> tuple:
+    """The kernel of a word ending in x, from ``prefix_action(source,
+    truncation)``, the kernel of its first n letters."""
     total: dict = {}
+    for j, s, top in _prefix_reads(x, source, max_degree):
+        for u, p in prefix_action(s, top):
+            if j is None:  # read first, and its targets are distinct
+                k = (n + len(source) - len(u)) // 2  # letters the prefix annihilated
+                total[u[: n - k] + (x,) + u[n - k :]] = p.shift(k)
+            else:
+                p, prev = p.shift(j), total.get(u)
+                total[u] = p if prev is None else prev + p
+    return tuple(sorted(total.items()))
 
-    def walk(pos: int, prefix: tuple, cur: dict, k: int) -> None:
-        if pos == 0:
-            for w, powers in cur.items():
-                acc = total.setdefault(prefix + w, {})
-                for p, c in powers.items():
-                    acc[p] = acc.get(p, 0) + c
-            return
-        code = xi_word[pos - 1]
-        if k + pos - 1 >= min_k:
-            walk(pos - 1, (code,) + prefix, cur, k)
-        above = len(prefix)
-        nxt: dict = {}
-        for w, powers in cur.items():
-            for j, letter in enumerate(w):
-                if letter == code:
-                    t = w[:j] + w[j + 1 :]
-                    acc = nxt.get(t)
-                    if acc is None:
-                        nxt[t] = acc = {}
-                    for p, c in powers.items():
-                        p += j + above
-                        acc[p] = acc.get(p, 0) + c
-        if nxt:
-            walk(pos - 1, prefix, nxt, k + 1)
 
-    walk(n, (), {source: {0: 1}}, 0)
-    return tuple((w, QPolynomial.from_powers(powers)) for w, powers in sorted(total.items()))
+def _long_word_action(xi_word: tuple, source: tuple, max_degree: int) -> tuple:
+    """The kernel of a word too long to recurse on, prefix by prefix in a loop.
+
+    A top-down pass collects the (source, truncation) states each prefix
+    is read at; a bottom-up pass fills them, each prefix's table from the
+    one below.
+    """
+    levels = [{(source, max_degree)}]
+    for x in reversed(xi_word):
+        levels.append({(s, top) for state in levels[-1] for _, s, top in _prefix_reads(x, *state)})
+    table = {state: wick_word_action((), *state) for state in levels.pop()}
+    for n, x in enumerate(xi_word):
+        below = table
+        table = {
+            state: _last_letter(x, n, *state, lambda s, top: below[s, top]) for state in levels.pop()
+        }
+    return table[source, max_degree]
 
 
 def wick_apply(xi: FockVector, v: FockVector) -> FockVector:

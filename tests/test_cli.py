@@ -206,6 +206,42 @@ def test_exact_one_letter_gram_past_the_work_bound_is_a_usage_error(capsys, monk
     assert captured.out == "" and "work bound" in captured.err
 
 
+@pytest.mark.parametrize("degree", ["256", "400", "4999"])
+def test_float_one_letter_gram_past_the_work_bound_is_a_usage_error(capsys, monkeypatch, degree):
+    # degree n makes n slot-move takes on a 1 x 1 block
+    from qfock import fock
+
+    monkeypatch.setattr(fock, "_float_gram", _entered)
+    assert main(["gram", "--d", "1", "--degree", degree, "--max-degree", degree, "--q", "0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "work bound" in captured.err
+
+
+def test_float_gram_work_bound_admits_one_letter_to_degree_255(monkeypatch):
+    from qfock import fock
+
+    monkeypatch.setattr(fock, "_float_gram", _entered)
+    with pytest.raises(AssertionError, match="started"):
+        main(["gram", "--d", "1", "--degree", "255", "--max-degree", "255", "--q", "0.5"])
+
+
+def test_wick_of_eleven_hundred_letters_on_the_vacuum_is_the_word(capsys):
+    # longer than the kernel recurses: filled prefix by prefix in a loop
+    letters = ",".join(["1"] * 1100)
+    code, doc = run_json(capsys, "wick", "--d", "1", "--letters", letters)
+    assert code == 0 and doc["results"] == [{"word": letters, "coeff": "1"}]
+
+
+@pytest.mark.parametrize("n, m", [(23, 23), (1100, 1100), (3, 1700)])
+def test_wick_past_the_work_bound_is_a_usage_error(capsys, monkeypatch, n, m):
+    monkeypatch.setattr(wick, "_last_letter", _entered)
+    monkeypatch.setattr(wick, "_long_word_action", _entered)
+    argv = ["wick", "--d", "1", "--letters", ",".join(["1"] * n), "--on", ",".join(["1"] * m)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "work bound" in captured.err
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -456,6 +492,62 @@ def test_gram_prints_its_pinned_bytes(capsys, argv):
     code = main(argv.split())
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == GRAM_DIGESTS[argv]
+
+
+# Exit code and SHA-256 of stdout of ``wick`` and ``split``, in json and
+# text: one letter fourteen deep, two copies, float q, a truncation below
+# the product's degree, and a space over the QFOCK_MAX_DIM cap.  Every
+# word and polynomial the Wick kernel gives is part of these bytes.
+ONES_14 = ",".join(["1"] * 14)
+WICK_DIGESTS = {
+    "wick --d 1 --letters " + ONES_14 + " --on " + ONES_14 + " --format json":
+        (0, "a4f00a8d8ee71e3f987f5d18424787eb630f747d48aad0363df18089de06d395"),
+    "wick --d 1 --letters " + ONES_14 + " --on " + ONES_14 + " --format text":
+        (0, "5001dc9e1ccddbde8963903f19ad88e41ff60fb18faf37b234d4481b331520e5"),
+    "wick --d 2 --letters 1,2t,1t --on 2t,1 --format json":
+        (0, "bae4e7d06c18fa177d277c3d085c53c9d0702d167f8ba88be99fbfd69eaf5467"),
+    "wick --d 2 --letters 1,2t,1t --on 2t,1 --format text":
+        (0, "47be207292ca13a6ee3da8beb7a2ddc96bd6e919e70f1bc660202e85c6396c14"),
+    "wick --d 2 --letters 1,2,2,1 --on 2,1,1 --q 0.5 --format json":
+        (0, "ed4a1b6b6d1a8f02417ee557ce0f652942c26b411c9b7344b4ae55b3152b752b"),
+    "wick --d 2 --letters 1,2,2,1 --on 2,1,1 --q 0.5 --format text":
+        (0, "45938d0d9a510a05a1b421ed488c00fff741b8caa27c7d347ca9b77e7f9e094d"),
+    "wick --d 3 --letters 1,2,3,1 --on 3,1,2 --q -0.3 --format json":
+        (0, "445fb00c408bdf26719ad9f3a1904e31f69db603a06c6fa55adfcb9d9a0e4b6f"),
+    "wick --d 3 --letters 1,2,3,1 --on 3,1,2 --q -0.3 --format text":
+        (0, "e3df9ecc2025b28fb20baa25f0b7a83030ddd16a9dc9fa966d9ca94c6e748186"),
+    "wick --d 3 --letters 1,2,3,1 --on 3,1,2,1,2 --q -0.3 --format json":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "wick --d 3 --letters 1,2,3,1 --on 3,1,2,1,2 --q -0.3 --format text":
+        (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "wick --d 2 --letters 1,2,1 --on 2,1,1 --max-degree 4 --format json":
+        (0, "2c3a0cd011d556a46ea6154604fa4905ba92dc13bede7019912e62b37443dcda"),
+    "wick --d 2 --letters 1,2,1 --on 2,1,1 --max-degree 4 --format text":
+        (0, "224f6bde64a68a3d2fc3a4727ff6a4cc3c10cc1c1c384e9b5c37d9eb545d8ef5"),
+    "split --d 2 --letters 1,2,2,1,2,1 --k 3 --format json":
+        (0, "db7989c6a4e44bdddae31fdee56d50b415070a5d2cd3178a4d35ef3a135bb5e0"),
+    "split --d 2 --letters 1,2,2,1,2,1 --k 3 --format text":
+        (0, "8485345e42ea2e01e855f9aac3b061d11af5c7979618bda745e262bd69f0d3aa"),
+    "split --d 2 --letters 1,2t,1t,2 --k 2 --format json":
+        (0, "71a2a7ef26a9f5c92b4fb52d02dd07f269253ac76c6525bf5bf5ca03e184f3bd"),
+    "split --d 2 --letters 1,2t,1t,2 --k 2 --format text":
+        (0, "953a07f59e007f5c5bfe89811f849a843a30a96d5c54a47d1f8783317fe45f4c"),
+    "split --d 1 --letters 1,1,1,1,1,1 --k 3 --q 0.7 --format json":
+        (0, "2b461bc602dc0eb9ed0f832f9556346af7caf38d3554f4707b106d5a6fb3e5e4"),
+    "split --d 1 --letters 1,1,1,1,1,1 --k 3 --q 0.7 --format text":
+        (0, "3442e8a274be130e81d33cf87d4581bc2175e287fff177f516ca1c880b8c8406"),
+    "split --d 2 --letters 1,2,1,2,1 --k 2 --max-degree 7 --format json":
+        (0, "46676523faf64467550cd0e027380373bfbde00e305787d684807fb9e3a0170b"),
+    "split --d 2 --letters 1,2,1,2,1 --k 2 --max-degree 7 --format text":
+        (0, "0f8477394647ea41a5334b9eb57b0a41a9ea03a4f49b480713d12d326c4a0d3e"),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(WICK_DIGESTS))
+def test_wick_and_split_print_their_pinned_bytes(capsys, argv):
+    code = main(argv.split())
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == WICK_DIGESTS[argv]
 
 
 # Exit code and SHA-256 of stdout of the ENVELOPE_ARGV and FAILING_ARGV

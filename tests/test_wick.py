@@ -179,6 +179,90 @@ def test_a_basis_word_on_a_basis_word_is_the_kernel_output():
     assert got.coeffs == termwise_wick_apply(word_vec(cfg, (0, 1, 0)), word_vec(cfg, (0, 0))).coeffs
 
 
+def subset_walk_action(xi_word, source, max_degree):
+    """The Wick kernel by its subsets: for each set A of the word's positions
+    the letters at A are annihilated, largest position first, with weight
+    q^iota(A) q^(slot) per step, and then the letters at the complement are
+    created outermost-first.  The subsets are walked as one decision tree
+    from the last position down; iota(A), the complement positions above
+    each chosen one, grows by the letters kept so far at each annihilation.
+    The route the last-letter recursion replaced, kept as its oracle."""
+    n = len(xi_word)
+    # prefix plus what is left of the source must fit the truncation
+    min_k = max(0, (n + len(source) - max_degree + 1) // 2)
+    total = {}
+
+    def walk(pos, prefix, cur, k):
+        if pos == 0:
+            for w, powers in cur.items():
+                acc = total.setdefault(prefix + w, {})
+                for p, c in powers.items():
+                    acc[p] = acc.get(p, 0) + c
+            return
+        code = xi_word[pos - 1]
+        if k + pos - 1 >= min_k:
+            walk(pos - 1, (code,) + prefix, cur, k)
+        above, nxt = len(prefix), {}
+        for w, powers in cur.items():
+            for j, letter in enumerate(w):
+                if letter == code:
+                    acc = nxt.setdefault(w[:j] + w[j + 1 :], {})
+                    for p, c in powers.items():
+                        acc[p + j + above] = acc.get(p + j + above, 0) + c
+        if nxt:
+            walk(pos - 1, prefix, nxt, k + 1)
+
+    walk(n, (), {source: {0: 1}}, 0)
+    return tuple((w, QPolynomial.from_powers(powers)) for w, powers in sorted(total.items()))
+
+
+def kernel_cases(d, longest):
+    words = [w for n in range(longest + 1) for w in itertools.product(range(d), repeat=n)]
+    for xi_word, source in itertools.product(words, repeat=2):
+        for max_degree in range(len(source), len(xi_word) + len(source) + 1):
+            yield xi_word, source, max_degree
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_the_kernel_is_the_subset_walk(d):
+    """Every word and source of at most four letters, at every truncation
+    from the source's degree up: the same terms, in the same order."""
+    for case in kernel_cases(d, 4):
+        assert wick.wick_word_action(*case) == subset_walk_action(*case), case
+
+
+def test_the_long_word_loop_is_the_recursion(monkeypatch):
+    # with no recursion allowed, every word goes through the prefix loop
+    monkeypatch.setattr(wick, "_RECURSION_DEPTH", 0)
+    wick.wick_word_action.cache_clear()
+    try:
+        for case in kernel_cases(2, 3):
+            assert wick.wick_word_action(*case) == subset_walk_action(*case), case
+    finally:
+        wick.wick_word_action.cache_clear()
+
+
+def q_factorial(n):
+    out = ONE
+    for k in range(1, n + 1):
+        out = out * QPolynomial((1,) * k)
+    return out
+
+
+def test_eighteen_equal_letters_reach_the_vacuum_with_the_q_factorial():
+    # <e^n, e^n> = [n]_q!, the vacuum coefficient of W(e^n) e^n
+    word = (0,) * 18
+    terms = dict(wick.wick_word_action(word, word, 36))
+    assert terms[()] == word_inner_poly(word, word) == q_factorial(18)
+    assert list(terms) == [(0,) * k for k in range(0, 37, 2)]
+
+
+def test_a_long_word_on_the_vacuum_is_itself():
+    word = (0, 1) * wick._RECURSION_DEPTH
+    assert wick.wick_word_action(word, (), len(word)) == ((word, ONE),)
+    assert wick.wick_word_action(word, (), len(word) - 1) == ()
+
+
 def test_moment_examples():
     assert moment_pair_partitions([0, 0, 0]) == QPolynomial.zero()
     assert moment_pair_partitions([0, 1]) == QPolynomial.zero()
