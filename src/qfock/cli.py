@@ -84,6 +84,12 @@ MAX_DEFORM_STEPS = 10_000
 MAX_GRAM_ENTRIES = 2 ** 20
 """Most entries ``gram`` prints: the matrix of d = 2, degree 10 (74 MB of JSON)."""
 
+FLOAT_GRAM_TAKES = 2 ** 15
+"""Most slot-move takes float ``gram`` lets ``gram_matrix`` make: degree n
+takes n(n + 1)/2, so one letter is admitted up to degree 255 (about 0.5 s
+on a 2-core host).  More letters reach no degree near that under
+``MAX_GRAM_ENTRIES``."""
+
 # ---------------------------------------------------------------------------
 # parsing helpers
 
@@ -238,6 +244,11 @@ def cmd_gram(args, mode: ScalarMode) -> tuple:
         blocks = _exact_gram_blocks(args.degree, cfg, lambda coeffs: (p := str(QPolynomial(coeffs)), quote(p)))
         zero = ("0", quote("0"))
     else:
+        if args.degree <= cfg.max_degree and args.degree * (args.degree + 1) // 2 > FLOAT_GRAM_TAKES:
+            raise ValueError(
+                f"float gram of degree {args.degree} takes more slot moves than "
+                f"the float Gram work bound of {FLOAT_GRAM_TAKES}"
+            )
         # ScalarMode refuses |q| >= 1, so every entry between contents is +0.0
         # and |<u, v>| <= n!; under MAX_GRAM_ENTRIES only a space of one letter
         # reaches a degree where that overflows, to inf, which json writes as null

@@ -66,11 +66,6 @@ EXACT_GRAM_WORK = 2 ** 28
 """Coefficient additions exact Gram assembly of one degree may make
 (``_gram_work``); d = 2 is admitted up to degree 11, one letter up to 108.
 """
-FLOAT_GRAM_TAKES = 2 ** 15
-"""Slot-move takes float Gram assembly up to one degree may make: degree n
-takes n, so one letter is admitted up to degree 255.  More letters reach
-no degree near that under ``QFOCK_MAX_DIM``.
-"""
 
 
 @dataclass(frozen=True)
@@ -463,8 +458,7 @@ def gram_matrix(degree: int, cfg: SpaceConfig) -> np.ndarray:
     Float mode gives a float array at the configured q; exact mode an
     object array of QPolynomial, zero entries sharing one zero polynomial.
     Exact mode raises ValueError, before allocating anything, when its
-    assembly would hold more than ``EXACT_GRAM_BUDGET`` bytes; float mode
-    when it would make more than ``FLOAT_GRAM_TAKES`` slot moves.
+    assembly would hold more than ``EXACT_GRAM_BUDGET`` bytes.
 
     >>> g = gram_matrix(2, SpaceConfig(2, 1, 2, ScalarMode.exact()))
     >>> print(g[0, 0], "|", g[1, 2], "|", g[0, 1])
@@ -472,11 +466,6 @@ def gram_matrix(degree: int, cfg: SpaceConfig) -> np.ndarray:
     """
     if not cfg.scalar.is_exact:
         _check_degree(degree, cfg)
-        if degree * (degree + 1) // 2 > FLOAT_GRAM_TAKES:
-            raise ValueError(
-                f"float Gram block of degree {degree} takes more slot moves than "
-                f"the float Gram work bound of {FLOAT_GRAM_TAKES}"
-            )
         return _float_gram(degree, cfg.letters, cfg.scalar.q)
     blocks = _exact_gram_blocks(degree, cfg, QPolynomial)
     dim = cfg.dim(degree)

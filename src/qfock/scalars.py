@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Union
 
 Coefficient = Union[int, Fraction]
@@ -108,9 +107,12 @@ class QPolynomial:
             return self
         if not a:
             return other
-        if _integral(a, b):
-            return _int_sum(a, b)
-        return _sum(a, b)
+        if len(a) < len(b):
+            a, b = b, a
+        cs = list(a)
+        for i, c in enumerate(b):
+            cs[i] += c
+        return _poly(cs)
 
     __radd__ = __add__
 
@@ -143,10 +145,13 @@ class QPolynomial:
                 return self if a is self.coeffs else other
             return _poly([x * c for x in a])
         if not b:
-            return _ZERO
-        if _integral(a, b):
-            return _int_product(a, b)
-        return _product(a, b)
+            return _poly(())
+        cs = [0] * (len(a) + len(b) - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b, i):
+                    cs[j] += ai * bj
+        return _poly(cs)
 
     __rmul__ = __mul__
 
@@ -222,39 +227,6 @@ def _poly(cs) -> QPolynomial:
 # frozen, so every caller may share them
 _ZERO = _poly(())
 _ONE = _poly((1,))
-
-
-def _sum(a: tuple, b: tuple) -> QPolynomial:
-    if len(a) < len(b):
-        a, b = b, a
-    cs = list(a)
-    for i, c in enumerate(b):
-        cs[i] += c
-    return _poly(cs)
-
-
-def _product(a: tuple, b: tuple) -> QPolynomial:
-    cs = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b, i):
-                cs[j] += ai * bj
-    return _poly(cs)
-
-
-def _integral(a: tuple, b: tuple) -> bool:
-    """Whether every coefficient of a and b is an int (or a bool): a
-    Fraction, float or other number makes the sum that type.  Only such
-    pairs reach the ring memos, since equal tuples of other types hash
-    alike (``Fraction(2, 1)``, ``2`` and ``2.0``) but give other results."""
-    return type(sum(a) + sum(b)) is int
-
-
-# Few distinct polynomials meet in Wick products: the benchmark's
-# three-trace stage makes 3,792 products of 142 distinct pairs and 7,098
-# sums of 893.
-_int_sum = lru_cache(maxsize=4096)(_sum)
-_int_product = lru_cache(maxsize=4096)(_product)
 
 
 def _coeff_str(c: Coefficient) -> str:

@@ -14,9 +14,9 @@ through its last letter, the recursion behind the Effros-Popa Wick formula:
 the letter is kept (a complement position above every annihilated one) or
 annihilates first, so each action is built from memoized actions of the
 word one letter shorter.  It also truncates the space, dropping each term
-whose creations would leave the top degree.  In exact
-mode ``wick_apply`` reuses the kernel's polynomials wherever the weight is
-1 and builds a polynomial only for a scaled term or a sum.
+whose creations would leave the top degree.  In exact mode ``wick_apply``
+reuses the kernel's polynomials wherever the weight is 1 and builds a
+polynomial only for a scaled term or a sum.
 
 Mixed vacuum moments of field operators sum q^crossings over pair
 partitions, read left to right over open arcs (with integer codes a letter
@@ -31,7 +31,7 @@ import itertools
 import operator
 from collections import Counter, deque
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import comb, perm
 from typing import Iterator
 
@@ -50,28 +50,43 @@ def wick_word_action(xi_word: tuple, source: tuple, max_degree: int) -> tuple:
     weight q^k for the k letters the prefix annihilates; or x annihilates
     the source's slot j first, with weight q^j, and the prefix acts on
     the rest.  A target of degree past the truncation, or a word and a
-    source too far apart in length to reach one, gives no terms.  Raises
-    ValueError, before any work, past ``MAX_WICK_WORK``.
+    source too far apart in length to reach one, gives no terms.  Each
+    prefix is read at the least truncation that keeps all it reaches, so
+    equal states share a memo entry.  Raises ValueError, before any work,
+    for a word longer than ``MAX_WICK_LETTERS`` or past ``MAX_WICK_WORK``.
     """
-    n = len(xi_word)
-    if abs(n - len(source)) > max_degree:
+    n, m = len(xi_word) - 1, len(source)  # n letters before the last one
+    if abs(n + 1 - m) > max_degree:
         return ()
-    if not n:
+    if n < 0:
         return ((source, QPolynomial.one()),)
-    if _wick_work(n, len(source)) > MAX_WICK_WORK:
+    if n >= MAX_WICK_LETTERS or _wick_work(n + 1, m) > MAX_WICK_WORK:
         raise ValueError(
-            f"the Wick kernel of {n} letters on {len(source)} may take more than "
-            f"{MAX_WICK_WORK} coefficient updates, over the work bound"
+            f"the Wick kernel of {n + 1} letters on {m} is past the work bound "
+            f"({MAX_WICK_LETTERS} letters, {MAX_WICK_WORK} coefficient updates)"
         )
-    if n > _RECURSION_DEPTH:
-        return _long_word_action(xi_word, source, max_degree)
-    return _last_letter(xi_word[-1], n - 1, source, max_degree, partial(wick_word_action, xi_word[:-1]))
+    prefix, x = xi_word[:-1], xi_word[-1]
+    total: dict = {}
+    for u, p in wick_word_action(prefix, source, min(max_degree - 1, n + m)):
+        k = (n + m - len(u)) // 2  # letters the prefix annihilated
+        total[u[: n - k] + (x,) + u[n - k :]] = p.shift(k)
+    for j, letter in enumerate(source):
+        if letter == x:
+            for u, p in wick_word_action(prefix, source[:j] + source[j + 1 :], min(max_degree, n + m - 1)):
+                p, prev = p.shift(j), total.get(u)
+                total[u] = p if prev is None else prev + p
+    return tuple(sorted(total.items()))
 
+
+MAX_WICK_LETTERS = 300
+"""Longest word the kernel takes.  It recurses once a letter, two frames
+deep: under Python's default recursion limit of 1000, ``wick --d 1`` runs
+480 letters and dies at 500.  Only one letter reaches words this long."""
 
 MAX_WICK_WORK = 300_000_000
 """Most coefficient updates ``_wick_work`` may bound a kernel call by: 22
-equal letters on 23, 100 on 12 or one on 4,999 (1-3 s each on a 2-core
-host)."""
+equal letters on 23, 100 on 12 or one on 4,999 (0.5-1.6 s each as a whole
+``wick`` command on a 2-core host)."""
 
 
 def _wick_work(n: int, m: int) -> int:
@@ -82,54 +97,6 @@ def _wick_work(n: int, m: int) -> int:
     """
     k = min(n, m)
     return (n + 1) * (k + 1) ** 2 * (m + 1) * (k * (n + m) + 1)
-
-
-_RECURSION_DEPTH = 128
-"""Longest word whose kernel recurses, two frames a letter; only one letter
-reaches longer words."""
-
-
-def _prefix_reads(x, source: tuple, max_degree: int):
-    """(slot, source, truncation) of each prefix kernel the kernel of a word
-    ending in x reads: slot None keeps x, slot j annihilates it there."""
-    yield None, source, max_degree - 1
-    for j, letter in enumerate(source):
-        if letter == x:
-            yield j, source[:j] + source[j + 1 :], max_degree
-
-
-def _last_letter(x, n: int, source: tuple, max_degree: int, prefix_action) -> tuple:
-    """The kernel of a word ending in x, from ``prefix_action(source,
-    truncation)``, the kernel of its first n letters."""
-    total: dict = {}
-    for j, s, top in _prefix_reads(x, source, max_degree):
-        for u, p in prefix_action(s, top):
-            if j is None:  # read first, and its targets are distinct
-                k = (n + len(source) - len(u)) // 2  # letters the prefix annihilated
-                total[u[: n - k] + (x,) + u[n - k :]] = p.shift(k)
-            else:
-                p, prev = p.shift(j), total.get(u)
-                total[u] = p if prev is None else prev + p
-    return tuple(sorted(total.items()))
-
-
-def _long_word_action(xi_word: tuple, source: tuple, max_degree: int) -> tuple:
-    """The kernel of a word too long to recurse on, prefix by prefix in a loop.
-
-    A top-down pass collects the (source, truncation) states each prefix
-    is read at; a bottom-up pass fills them, each prefix's table from the
-    one below.
-    """
-    levels = [{(source, max_degree)}]
-    for x in reversed(xi_word):
-        levels.append({(s, top) for state in levels[-1] for _, s, top in _prefix_reads(x, *state)})
-    table = {state: wick_word_action((), *state) for state in levels.pop()}
-    for n, x in enumerate(xi_word):
-        below = table
-        table = {
-            state: _last_letter(x, n, *state, lambda s, top: below[s, top]) for state in levels.pop()
-        }
-    return table[source, max_degree]
 
 
 def wick_apply(xi: FockVector, v: FockVector) -> FockVector:

@@ -208,7 +208,7 @@ def test_exact_one_letter_gram_past_the_work_bound_is_a_usage_error(capsys, monk
 
 @pytest.mark.parametrize("degree", ["256", "400", "4999"])
 def test_float_one_letter_gram_past_the_work_bound_is_a_usage_error(capsys, monkeypatch, degree):
-    # degree n makes n slot-move takes on a 1 x 1 block
+    # degree n needs n(n + 1)/2 slot-move takes on 1 x 1 blocks; none is made
     from qfock import fock
 
     monkeypatch.setattr(fock, "_float_gram", _entered)
@@ -225,21 +225,21 @@ def test_float_gram_work_bound_admits_one_letter_to_degree_255(monkeypatch):
         main(["gram", "--d", "1", "--degree", "255", "--max-degree", "255", "--q", "0.5"])
 
 
-def test_wick_of_eleven_hundred_letters_on_the_vacuum_is_the_word(capsys):
-    # longer than the kernel recurses: filled prefix by prefix in a loop
-    letters = ",".join(["1"] * 1100)
+def test_wick_of_the_longest_word_on_the_vacuum_is_the_word(capsys):
+    letters = ",".join(["1"] * wick.MAX_WICK_LETTERS)
     code, doc = run_json(capsys, "wick", "--d", "1", "--letters", letters)
     assert code == 0 and doc["results"] == [{"word": letters, "coeff": "1"}]
 
 
-@pytest.mark.parametrize("n, m", [(23, 23), (1100, 1100), (3, 1700)])
-def test_wick_past_the_work_bound_is_a_usage_error(capsys, monkeypatch, n, m):
-    monkeypatch.setattr(wick, "_last_letter", _entered)
-    monkeypatch.setattr(wick, "_long_word_action", _entered)
-    argv = ["wick", "--d", "1", "--letters", ",".join(["1"] * n), "--on", ",".join(["1"] * m)]
-    assert main(argv) == 2
+@pytest.mark.parametrize("n, m", [(23, 23), (301, 0), (1100, 0), (1100, 1100), (3, 1700)])
+def test_wick_past_the_work_bound_is_a_usage_error(capsys, n, m):
+    # 1,100 letters once died with RecursionError and exit 1
+    argv = ["wick", "--d", "1", "--letters", ",".join(["1"] * n)]
+    wick.wick_word_action.cache_clear()
+    assert main(argv + ["--on", ",".join(["1"] * m)] if m else argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "work bound" in captured.err
+    assert wick.wick_word_action.cache_info()[1:] == (1, 4096, 0)  # refused before any recursion
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from qfock import scalars
 from qfock.scalars import EXACT, QPolynomial, ScalarMode
 
 coeffs = st.lists(st.integers(min_value=-9, max_value=9), max_size=6)
@@ -131,36 +130,3 @@ def test_zero_and_one_are_shared_constants():
     assert QPolynomial.zero() is QPolynomial.zero() is EXACT.zero()
     assert QPolynomial.one().coeffs == (1,) and QPolynomial.zero().coeffs == ()
     assert ScalarMode.at(0.5).one() == 1.0 and ScalarMode.at(0.5).zero() == 0.0
-
-
-@pytest.mark.parametrize(
-    "kind, values", [(Fraction, (2, 0, -3, 1)), (float, (2, 0, -3, 1)), (bool, (1, 0, 1, 1))]
-)
-@pytest.mark.parametrize("ints_first", [True, False])
-def test_ring_memos_give_each_coefficient_type_its_own_result(kind, values, ints_first):
-    """Equal coefficient tuples of other types hash alike (``Fraction(2, 1)``,
-    ``2`` and ``2.0``): through the sum and product memos, in either order,
-    each gives the unmemoized result in str, == and eval."""
-    ints, typed = scalars._poly(values), scalars._poly(tuple(map(kind, values)))
-    assert ints.coeffs == typed.coeffs and hash(ints.coeffs) == hash(typed.coeffs)
-    other = QPolynomial((1, -1, 0, 5, 2))
-    scalars._int_sum.cache_clear()
-    scalars._int_product.cache_clear()
-    for p in (ints, typed) if ints_first else (typed, ints):
-        for got, expect in (
-            (p + other, scalars._sum(p.coeffs, other.coeffs)),
-            (other + p, scalars._sum(other.coeffs, p.coeffs)),
-            (p * other, scalars._product(p.coeffs, other.coeffs)),
-            (other * p, scalars._product(other.coeffs, p.coeffs)),
-        ):
-            assert str(got) == str(expect) and got == expect
-            assert [got.eval(q0) for q0 in (0.5, -0.3, 0.9)] == [expect.eval(q0) for q0 in (0.5, -0.3, 0.9)]
-    assert scalars._int_product.cache_info().currsize == 1
-
-
-@given(polys, polys)
-def test_ring_memo_hits_are_the_unmemoized_results(a, b):
-    for _ in range(2):  # the second pass hits
-        assert (a + b).coeffs == scalars._sum(a.coeffs, b.coeffs).coeffs
-        if a.coeffs and b.coeffs:
-            assert (a * b).coeffs == scalars._product(a.coeffs, b.coeffs).coeffs

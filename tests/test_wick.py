@@ -231,17 +231,6 @@ def test_the_kernel_is_the_subset_walk(d):
         assert wick.wick_word_action(*case) == subset_walk_action(*case), case
 
 
-def test_the_long_word_loop_is_the_recursion(monkeypatch):
-    # with no recursion allowed, every word goes through the prefix loop
-    monkeypatch.setattr(wick, "_RECURSION_DEPTH", 0)
-    wick.wick_word_action.cache_clear()
-    try:
-        for case in kernel_cases(2, 3):
-            assert wick.wick_word_action(*case) == subset_walk_action(*case), case
-    finally:
-        wick.wick_word_action.cache_clear()
-
-
 def q_factorial(n):
     out = ONE
     for k in range(1, n + 1):
@@ -257,10 +246,18 @@ def test_eighteen_equal_letters_reach_the_vacuum_with_the_q_factorial():
     assert list(terms) == [(0,) * k for k in range(0, 37, 2)]
 
 
-def test_a_long_word_on_the_vacuum_is_itself():
-    word = (0, 1) * wick._RECURSION_DEPTH
+def test_the_longest_word_on_the_vacuum_is_itself():
+    word = (0, 1) * (wick.MAX_WICK_LETTERS // 2)
     assert wick.wick_word_action(word, (), len(word)) == ((word, ONE),)
     assert wick.wick_word_action(word, (), len(word) - 1) == ()
+
+
+def test_a_word_past_the_longest_is_refused_before_any_work():
+    word = (0,) * (wick.MAX_WICK_LETTERS + 1)
+    wick.wick_word_action.cache_clear()
+    with pytest.raises(ValueError, match="work bound"):
+        wick.wick_word_action(word, (), len(word))
+    assert wick.wick_word_action.cache_info()[1:] == (1, 4096, 0)  # one miss, nothing stored
 
 
 def test_moment_examples():
