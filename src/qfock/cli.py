@@ -90,6 +90,13 @@ takes n(n + 1)/2, so one letter is admitted up to degree 255 (about 0.5 s
 on a 2-core host).  More letters reach no degree near that under
 ``MAX_GRAM_ENTRIES``."""
 
+SCHATTEN_TAKES = 2 * FLOAT_GRAM_TAKES
+"""Most slot-move takes ``schatten`` lets ``gram_matrix`` make over the
+degrees 0..D it builds, D(D + 1)(D + 2)/6 in all: one letter is admitted
+up to ``--max-degree`` 72 (about 1 s as a whole command on a 2-core host),
+past numpy's 64 array axes.  More letters reach no degree near that under
+``QFOCK_MAX_DIM``."""
+
 # ---------------------------------------------------------------------------
 # parsing helpers
 
@@ -244,11 +251,9 @@ def cmd_gram(args, mode: ScalarMode) -> tuple:
         blocks = _exact_gram_blocks(args.degree, cfg, lambda coeffs: (p := str(QPolynomial(coeffs)), quote(p)))
         zero = ("0", quote("0"))
     else:
-        if args.degree <= cfg.max_degree and args.degree * (args.degree + 1) // 2 > FLOAT_GRAM_TAKES:
-            raise ValueError(
-                f"float gram of degree {args.degree} takes more slot moves than "
-                f"the float Gram work bound of {FLOAT_GRAM_TAKES}"
-            )
+        if args.degree <= cfg.max_degree:
+            takes = args.degree * (args.degree + 1) // 2
+            _check_takes(f"float gram of degree {args.degree}", takes, FLOAT_GRAM_TAKES)
         # ScalarMode refuses |q| >= 1, so every entry between contents is +0.0
         # and |<u, v>| <= n!; under MAX_GRAM_ENTRIES only a space of one letter
         # reaches a degree where that overflows, to inf, which json writes as null
@@ -271,6 +276,11 @@ def cmd_gram(args, mode: ScalarMode) -> tuple:
     ]
     text = None if as_json else "\n".join(row.text for row in rows)
     return results, [], text
+
+
+def _check_takes(what: str, takes: int, bound: int) -> None:
+    if takes > bound:
+        raise ValueError(f"{what} makes {takes} slot-move takes, past the float Gram work bound of {bound}")
 
 
 def _json_float(value: float) -> str:
@@ -414,7 +424,9 @@ def cmd_verify_claim(args, mode: ScalarMode) -> tuple:
 
 
 def cmd_schatten(args, mode: ScalarMode) -> tuple:
-    cfg = SpaceConfig(args.d, 1, args.max_degree, mode)
+    top = args.max_degree
+    _check_takes(f"schatten to degree {top}", top * (top + 1) * (top + 2) // 6, SCHATTEN_TAKES)
+    cfg = SpaceConfig(args.d, 1, top, mode)
     h = (1.0,) + (0.0,) * (args.d - 1)
     k = (args.hk,) + (0.0,) * (args.d - 1)
     op = phi_hk_operator(h, k, cfg, route=args.route)
@@ -573,15 +585,20 @@ def _add_verify(sub):
     sub.add_argument("--inject-fault", action="store_true", dest="inject_fault")
 
 
-@functools.lru_cache(maxsize=1)
-def build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process; ``parse_args`` leaves it unchanged."""
-    parser = argparse.ArgumentParser(
-        prog="qfock", description="Deformed Fock space computations and identity verifiers"
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
+_SUBCOMMANDS: dict = {}
+"""Subcommand name -> (help, function adding its arguments to a parser)."""
 
-    p = subs.add_parser("gram", help="Gram matrix of one degree block")
+
+def _subcommand(name: str, help: str):
+    def register(populate):
+        _SUBCOMMANDS[name] = (help, populate)
+        return populate
+
+    return register
+
+
+@_subcommand("gram", "Gram matrix of one degree block")
+def _gram_args(p):
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--max-degree", type=int, required=True)
@@ -589,13 +606,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_gram)
 
-    p = subs.add_parser("moment", help="vacuum moment of a field-operator word")
+
+@_subcommand("moment", "vacuum moment of a field-operator word")
+def _moment_args(p):
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--letters", required=True)
     _add_common(p, formats=("text", "json"))
     p.set_defaults(func=cmd_moment)
 
-    p = subs.add_parser("wick", help="Wick product applied to a word")
+
+@_subcommand("wick", "Wick product applied to a word")
+def _wick_args(p):
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--letters", required=True)
     p.add_argument("--on", default="", help="target word (default: vacuum)")
@@ -603,7 +624,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_wick)
 
-    p = subs.add_parser("split", help="two-block splitting of a Wick product on the vacuum")
+
+@_subcommand("split", "two-block splitting of a Wick product on the vacuum")
+def _split_args(p):
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--letters", required=True)
     p.add_argument("--k", type=int, required=True, help="size of the right block")
@@ -611,7 +634,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_split)
 
-    p = subs.add_parser("clt", help="finite-size central limit moments")
+
+@_subcommand("clt", "finite-size central limit moments")
+def _clt_args(p):
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--letters", default="")
     p.add_argument("--N", type=int, required=True, help="number of colors")
@@ -620,13 +645,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(func=cmd_clt)
 
-    p = subs.add_parser("verify-iota", help="insertion statistic against its coset closed form")
+
+@_subcommand("verify-iota", "insertion statistic against its coset closed form")
+def _verify_iota_args(p):
     p.add_argument("--nmax", type=int, default=8)
     _add_common(p)
     _add_verify(p)
     p.set_defaults(func=cmd_verify_iota)
 
-    p = subs.add_parser("verify-ie", help="two-mode split and inclusion-exclusion scans")
+
+@_subcommand("verify-ie", "two-mode split and inclusion-exclusion scans")
+def _verify_ie_args(p):
     p.add_argument("--nmax", type=int, default=5)
     p.add_argument("--split-nmax", type=int, default=6)
     p.add_argument("--d", type=int, default=2)
@@ -635,7 +664,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_verify(p)
     p.set_defaults(func=cmd_verify_ie)
 
-    p = subs.add_parser("verify-claim", help="alternating cancellation over sub-pairings")
+
+@_subcommand("verify-claim", "alternating cancellation over sub-pairings")
+def _verify_claim_args(p):
     p.add_argument("--nmax", type=int, default=8)
     p.add_argument("--mmax", type=int, default=3)
     p.add_argument("--reading", choices=("prime-plain", "prime-prime"), default="prime-plain")
@@ -643,7 +674,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_verify(p)
     p.set_defaults(func=cmd_verify_claim)
 
-    p = subs.add_parser("schatten", help="Schatten norm of the rank-one compression")
+
+@_subcommand("schatten", "Schatten norm of the rank-one compression")
+def _schatten_args(p):
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--p", type=finite_float, required=True)
     p.add_argument("--hk", type=finite_float, default=1.0, help="inner product of the two vectors")
@@ -652,7 +685,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, q_default="0.5")
     p.set_defaults(func=cmd_schatten)
 
-    p = subs.add_parser("phi-check", help="rank-one form of the compressed double sandwich")
+
+@_subcommand("phi-check", "rank-one form of the compressed double sandwich")
+def _phi_check_args(p):
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--h", default="", help="comma-separated coefficients")
     p.add_argument("--k", default="", help="comma-separated coefficients")
@@ -661,7 +696,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, q_default="0.5")
     p.set_defaults(func=cmd_phi_check)
 
-    p = subs.add_parser("decay", help="block-norm decay of a compressed Wick sandwich")
+
+@_subcommand("decay", "block-norm decay of a compressed Wick sandwich")
+def _decay_args(p):
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--letters", required=True)
     p.add_argument("--right", default="", help="second word (default: same as --letters)")
@@ -669,7 +706,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, q_default="0.5")
     p.set_defaults(func=cmd_decay)
 
-    p = subs.add_parser("deform", help="second-quantized rotation against the surviving tail")
+
+@_subcommand("deform", "second-quantized rotation against the surviving tail")
+def _deform_args(p):
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--kcut", type=int, required=True)
     p.add_argument("--nmax", type=int, default=3)
@@ -679,7 +718,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, q_default="0.5", formats=("csv", "json", "text"))
     p.set_defaults(func=cmd_deform)
 
-    p = subs.add_parser("tail", help="semigroup tail norm above a cutoff degree")
+
+@_subcommand("tail", "semigroup tail norm above a cutoff degree")
+def _tail_args(p):
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--letters", required=True)
     p.add_argument("--t", type=finite_float, required=True)
@@ -688,20 +729,40 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, q_default="0.5")
     p.set_defaults(func=cmd_tail)
 
-    p = subs.add_parser("render", help="arc diagram of a pair/singleton partition")
+
+@_subcommand("render", "arc diagram of a pair/singleton partition")
+def _render_args(p):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--pairs", default="", help='pairs as "1:6,2:5"')
     _add_common(p, formats=("text", "svg", "json"))
     p.set_defaults(func=cmd_render)
 
+
+@functools.lru_cache(maxsize=len(_SUBCOMMANDS) + 1)
+def build_parser(command: str = None) -> argparse.ArgumentParser:
+    """The parser with every subcommand, or with ``command`` alone; each is
+    built once per process, and ``parse_args`` leaves it unchanged.  The full
+    tree is asked for with no argument only, so it has one memo key."""
+    parser = argparse.ArgumentParser(
+        prog="qfock", description="Deformed Fock space computations and identity verifiers"
+    )
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (help, populate) in _SUBCOMMANDS.items():
+        if command in (None, name):
+            populate(subs.add_parser(name, help=help))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a named subcommand is parsed by its parser alone; any other argv, and
+    # arguments that parser leaves over, go to the full tree and its usage
+    command = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
     try:
-        args = parser.parse_args(argv)
+        args, extra = (build_parser(command) if command else build_parser()).parse_known_args(argv)
+        if extra:
+            build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:

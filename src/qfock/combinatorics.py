@@ -39,9 +39,10 @@ A set partition of positions is a restricted growth string (``patterns``).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, perm
 from operator import itemgetter
 from typing import Iterator, Sequence, Union
 
@@ -205,13 +206,15 @@ def iota_prime(rho: PartialPartition) -> int:
 
 
 def _iota_prime_pairs(pairs: tuple) -> int:
-    # iota_prime's sum on a pair tuple already known to respect one split
-    total = -comb(len(pairs), 2)  # the sum of j - 1 - i over all pairs
-    for idx, (l, r) in enumerate(pairs):
-        total += r - l - 1
-        for _, r2 in pairs[idx + 1 :]:
-            if r2 < r:
-                total += 1
+    # iota_prime's sum on a pair tuple already known to respect one split,
+    # walked from the last pair: pair i of j has j - 1 - i pairs behind it,
+    # whose right endpoints ``later`` holds ascending
+    total = 0
+    later = []
+    for l, r in reversed(pairs):
+        below = bisect_left(later, r)
+        total += r - l - 1 - len(later) + below
+        later.insert(below, r)
     return total
 
 
@@ -246,6 +249,12 @@ def _straddling_pairs(n: int, k: int, j: int) -> Iterator[tuple]:
     # above min(k, n - k)
     split = n - k
     return _straddling(split, 1, tuple(range(split + 1, n + 1)), j, ())
+
+
+def _count_straddling(n: int, k: int, js) -> int:
+    # how many tuples _straddling_pairs(n, k, j) yields over the j in js: C(n-k, j)
+    # sets of left endpoints, each paired in order with j of the k right points
+    return sum(comb(n - k, j) * perm(k, j) for j in js)
 
 
 def _straddling(split: int, low: int, rights: tuple, j: int, pairs: tuple) -> Iterator[tuple]:

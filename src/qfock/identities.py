@@ -22,7 +22,8 @@ The iota' scan builds each block of straddling partitions from the
 triples (A, B, sigma) of the closed form, so iota(A) is read once per A
 and iota(B) once per B, and the insertion statistic still runs on every
 pair tuple.  The claim scan walks bare pair tuples.  Every scan streams
-one verdict per case and keeps the violations only.
+its cases a block at a time, the verdicts of one level or one pattern
+list with a way to name each case, and keeps the violations only.
 """
 
 from __future__ import annotations
@@ -31,10 +32,11 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from math import comb, factorial
+from math import comb
 
 from .combinatorics import (
     PartialPartition,
+    _count_straddling,
     _iota_prime_pairs,
     _picker,
     _straddling_pairs,
@@ -71,30 +73,45 @@ class ScanReport:
         return f"{self.name}: {self.cases} cases, {state}"
 
 
-def _finalize(name: str, verdicts, cases: int, fault, notes=None) -> ScanReport:
-    """The report of a scan that streams one (ok, label) per case.
+def _finalize(name: str, blocks, cases: int, fault, notes=None) -> ScanReport:
+    """The report of a scan that streams its cases a block at a time.
 
-    ``cases`` is the count ``check_budget`` returned, so the fault hook can
-    flip case ``fault % cases`` (to exercise the exit-code wiring) while
-    the verdicts stream; only violation labels are kept.  ``notes`` is read
-    after the last verdict, so a scan may fill it while it streams.  A scan
-    that streams another number of cases than it counted is a bug.
+    A block is (verdicts, label): the verdicts of its cases in scan order
+    and ``label(t)``, the name of its case t.  ``cases`` is the count
+    ``check_budget`` returned, so the fault hook can flip case
+    ``fault % cases`` (to exercise the exit-code wiring) while the blocks
+    stream.  A block that holds no failed case and not the flipped one is
+    passed after one ``all``; labels are built for violations only.
+    ``notes`` is read after the last block, so a scan may fill it while it
+    streams.  A scan that streams another number of cases than it counted
+    is a bug.
     """
-    flip = -1 if fault is None else fault % cases
+    flip = _flip_index(fault, cases)
     violations = []
-    i = -1
-    for i, (ok, label) in enumerate(verdicts):
-        if ok == (i == flip):  # a failed case, or the flipped case if it held
-            violations.append(label)
-    if i + 1 != cases:
-        raise RuntimeError(f"{name}: streamed {i + 1} cases, counted {cases}")
+    start = 0
+    for verdicts, label in blocks:
+        t = flip - start
+        start += len(verdicts)
+        if 0 <= t < len(verdicts):  # the flipped case fails if it held and passes if it failed
+            verdicts = list(verdicts)
+            verdicts[t] = not verdicts[t]
+        elif all(verdicts):
+            continue
+        violations.extend(label(s) for s, ok in enumerate(verdicts) if not ok)
+    if start != cases:
+        raise RuntimeError(f"{name}: streamed {start} cases, counted {cases}")
     return ScanReport(name, cases, violations, dict(notes or {}))
+
+
+def _flip_index(fault, cases: int) -> int:
+    # the case the fault hook flips, -1 for none
+    return -1 if fault is None else fault % cases
 
 
 def _straddling_count(n: int, js: range) -> int:
     # block-respecting partitions of {1..n} over every split k with a pair
-    # count j in js: the sum of C(n-k,j) C(k,j) j!
-    return sum(comb(n - k, j) * comb(k, j) * factorial(j) for k in range(n + 1) for j in js)
+    # count j in js
+    return sum(_count_straddling(n, k, js) for k in range(n + 1))
 
 
 # cases each scan checks at one ground-set size n
@@ -244,18 +261,24 @@ def _rho_level(lw: tuple, rw: tuple, j: int) -> dict:
     return hists
 
 
-def _by_pattern(n: int, d: int, check) -> list:
-    """(check(word), label) per degree-n word over d letters, in word order;
-    relabeling letters keeps every verdict, so ``check`` runs once per
-    pattern.  A label is the word's text form, "vac" for the vacuum."""
+def _by_pattern(n: int, d: int, check) -> tuple:
+    """The block of every degree-n word over d letters, in word order:
+    (check(word) per word, label).  Relabeling letters keeps every verdict,
+    so ``check`` runs once per pattern.  A label is the word's text form,
+    "vac" for the vacuum."""
+    table = _pattern_labels(n, d)
     verdicts = {p: check(p) for p in patterns(n, d)}
-    return [(verdicts[p], label) for p, label in _pattern_labels(n, d)]
+    return [verdicts[p] for p, _ in table], partial(_word_label, table)
 
 
 @lru_cache(maxsize=16)
 def _pattern_labels(n: int, d: int) -> tuple:
     # (pattern, label) per word of _by_pattern; a scan asks once per split k
     return tuple((pattern(word), word_to_str(word, d) or "vac") for word in word_basis(n, d))
+
+
+def _word_label(table: tuple, t: int) -> str:
+    return table[t][1]
 
 
 def _two_mode_verdicts(n: int, k: int, word: tuple) -> tuple:
@@ -271,14 +294,21 @@ def two_mode_scan(n_max: int = 6, d: int = 2, fault=None) -> ScanReport:
     and each split is checked once per pattern.
     """
     cases = check_budget("two-mode", n_max, d)
-    verdicts = (
-        (ok, (n, k, j, label))
-        for n in range(n_max + 1)
-        for k in range(n + 1)
-        for oks, label in _by_pattern(n, d, partial(_two_mode_verdicts, n, k))
-        for j, ok in enumerate(oks)
-    )
-    return _finalize(f"two-mode split equality (n <= {n_max}, d = {d})", verdicts, cases, fault)
+
+    def blocks():
+        # one block per (n, k): its words in order, each with every level j
+        for n in range(n_max + 1):
+            for k in range(n + 1):
+                per_word, word_label = _by_pattern(n, d, partial(_two_mode_verdicts, n, k))
+                levels = max_pairs(n, k) + 1
+                label = partial(_level_label, n, k, levels, word_label)
+                yield [ok for oks in per_word for ok in oks], label
+
+    return _finalize(f"two-mode split equality (n <= {n_max}, d = {d})", blocks(), cases, fault)
+
+
+def _level_label(n: int, k: int, levels: int, word_label, t: int) -> tuple:
+    return n, k, t % levels, word_label(t // levels)
 
 
 def _inclusion_exclusion_image(lw: tuple, rw: tuple) -> dict:
@@ -308,8 +338,9 @@ def _inclusion_exclusion_image(lw: tuple, rw: tuple) -> dict:
     return {word: p for word, acc in total.items() if (p := QPolynomial.from_powers(acc))}
 
 
-def _inclusion_exclusion_results(n: int, k: int, d: int) -> list:
-    """(ok, label) per degree-n word split k letters from the right."""
+def _inclusion_exclusion_results(n: int, k: int, d: int) -> tuple:
+    """The ``_by_pattern`` block of the degree-n words split k letters from
+    the right."""
     if not 0 <= k <= n:
         raise ValueError(f"split size {k} outside 0..{n}")
     one = QPolynomial.one()
@@ -320,13 +351,8 @@ def inclusion_exclusion_sweep(n_max: int = 5, d: int = 2, fault=None) -> ScanRep
     """The inclusion-exclusion identity for every word of degree n <= n_max
     and every split k."""
     cases = check_budget("sweep", n_max, d)
-    verdicts = (
-        result
-        for n in range(n_max + 1)
-        for k in range(n + 1)
-        for result in _inclusion_exclusion_results(n, k, d)
-    )
-    return _finalize(f"inclusion-exclusion sweep (n <= {n_max}, d = {d})", verdicts, cases, fault)
+    blocks = (_inclusion_exclusion_results(n, k, d) for n in range(n_max + 1) for k in range(n + 1))
+    return _finalize(f"inclusion-exclusion sweep (n <= {n_max}, d = {d})", blocks, cases, fault)
 
 
 def alternating_claim(pi: PartialPartition, reading: str = "prime-plain") -> QPolynomial:
@@ -402,22 +428,32 @@ def claim_scan(n_max: int = 8, m_max: int = 3, reading: str = "prime-plain", fau
     sums: dict = {}  # pair tuple -> its alternating sum, kept in the prime-prime reading
     keep = reading == "prime-prime"
 
-    def verdicts():
+    def value(pairs: tuple) -> QPolynomial:
+        known = sums.get(pairs)
+        if known is None:
+            known = _alternating_sum(pairs, reading)
+            if keep:
+                sums[pairs] = known
+        return known
+
+    def blocks():
+        # one block per (n, k, m)
         for n in range(2, n_max + 1):
             for k in range(n + 1):
                 for m in range(1, min(m_max, max_pairs(n, k)) + 1):
-                    for pairs in _straddling_pairs(n, k, m):
-                        value = sums.get(pairs)
-                        if value is None:
-                            value = _alternating_sum(pairs, reading)
-                            if keep:
-                                sums[pairs] = value
-                        ok = value.is_zero()
-                        if not ok and "first_nonzero" not in notes:
-                            notes["first_nonzero"] = {"n": n, "k": k, "pairs": pairs, "value": str(value)}
-                        yield ok, (n, k, pairs)
+                    tuples = list(_straddling_pairs(n, k, m))
+                    values = [value(pairs) for pairs in tuples]
+                    oks = [v.is_zero() for v in values]
+                    if "first_nonzero" not in notes and not all(oks):
+                        t = oks.index(False)
+                        notes["first_nonzero"] = {"n": n, "k": k, "pairs": tuples[t], "value": str(values[t])}
+                    yield oks, partial(_pairs_label, n, k, tuples)
 
-    return _finalize(f"alternating claim ({reading})", verdicts(), cases, fault, notes)
+    return _finalize(f"alternating claim ({reading})", blocks(), cases, fault, notes)
+
+
+def _pairs_label(n: int, k: int, tuples: list, t: int) -> tuple:
+    return n, k, tuples[t]
 
 
 @lru_cache(maxsize=8)
@@ -460,28 +496,32 @@ def iota_prime_identity_scan(n_max: int = 8, fault=None) -> ScanReport:
     triples (A, B, sigma), so the closed form is read once per A, once per
     B and once per sigma, while the insertion statistic runs on every pair
     tuple; the pairs are block-respecting by construction, so neither side
-    re-checks them.  Blocks stream in construction order and only the
-    violations are kept.  Case indices and labels follow the enumerator's
-    order all the same: the one block that holds the fault's case is
-    sorted by pair tuple before it streams, and the violations are sorted
-    at the end.
+    re-checks them.  Each block's verdicts are one comprehension, and the
+    blocks stream in construction order.  Case indices and labels follow
+    the enumerator's order all the same: the one block that holds the
+    fault's case is sorted by pair tuple before it streams, and the
+    violations are sorted at the end.
     """
     cases = check_budget("iota", n_max, 1)
-    flip = -1 if fault is None else fault % cases
+    flip = _flip_index(fault, cases)
 
-    def verdicts():
+    def blocks():
         start = 0
         for n in range(n_max + 1):
             for k in range(n + 1):
                 for j in range(max_pairs(n, k) + 1):
                     block = _iota_block(n, k, j)
-                    if start <= flip < start + len(block):
+                    if 0 <= flip - start < len(block):
                         block.sort()
                     start += len(block)
-                    for pairs, closed in block:
-                        yield _iota_prime_pairs(pairs) == closed, (n, k, pairs)
+                    oks = [_iota_prime_pairs(pairs) == closed for pairs, closed in block]
+                    yield oks, partial(_iota_label, n, k, block)
 
-    report = _finalize(f"iota-prime closed form (n <= {n_max})", verdicts(), cases, fault)
+    report = _finalize(f"iota-prime closed form (n <= {n_max})", blocks(), cases, fault)
     # a label (n, k, pairs) sorts by its block (n, k, j = len(pairs)), then by pair tuple
     report.violations.sort(key=lambda label: (label[0], label[1], len(label[2]), label[2]))
     return report
+
+
+def _iota_label(n: int, k: int, block: list, t: int) -> tuple:
+    return n, k, block[t][0]

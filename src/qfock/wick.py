@@ -35,7 +35,15 @@ from functools import lru_cache
 from math import comb, perm
 from typing import Iterator
 
-from .combinatorics import _picker, _straddling_pairs, coset_inversions, crossings, max_pairs, patterns
+from .combinatorics import (
+    _count_straddling,
+    _picker,
+    _straddling_pairs,
+    coset_inversions,
+    crossings,
+    max_pairs,
+    patterns,
+)
 from .fock import FockVector, scalar_is_zero, word_inner_poly
 from .scalars import EXACT, QPolynomial, ScalarMode
 
@@ -352,12 +360,21 @@ def _three_trace_words(wx: tuple, we: tuple, wt: tuple) -> QPolynomial:
     return total
 
 
+MAX_SPLIT_PARTITIONS = 50_000
+"""Most straddling partitions ``wick_split_product`` walks, summed over the
+words of its vector: one word of 13 letters at any split (37,633, about
+0.4 s as a whole ``split`` command on a 2-core host).  14 letters split
+7 | 7 walk 130,922 and are refused."""
+
+
 def wick_split_product(xi: FockVector, k: int) -> FockVector:
     """W(first n-k letters) W(last k letters) applied to the vacuum.
 
     Expands over the block partitions whose pairs straddle position n-k,
     walked as bare pair tuples: each partition removes its paired letters
     (which must match) and contributes q^crossings times the remaining word.
+    The walk is counted first, and past ``MAX_SPLIT_PARTITIONS`` it raises
+    ValueError before it starts.
     """
     degrees = xi.degrees()
     if len(degrees) != 1:
@@ -365,6 +382,12 @@ def wick_split_product(xi: FockVector, k: int) -> FockVector:
     n = degrees[0]
     if not 0 <= k <= n:
         raise ValueError(f"split {k} outside 0..{n}")
+    walk = len(xi.coeffs) * _count_straddling(n, k, range(max_pairs(n, k) + 1))
+    if walk > MAX_SPLIT_PARTITIONS:
+        raise ValueError(
+            f"the split of {n} letters at {k} walks {walk} straddling partitions, "
+            f"past the work bound of {MAX_SPLIT_PARTITIONS}"
+        )
     mode = xi.cfg.scalar
     out: dict = {}
     for word, c in xi.coeffs.items():

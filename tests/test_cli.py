@@ -225,6 +225,46 @@ def test_float_gram_work_bound_admits_one_letter_to_degree_255(monkeypatch):
         main(["gram", "--d", "1", "--degree", "255", "--max-degree", "255", "--q", "0.5"])
 
 
+@pytest.mark.parametrize("max_degree", ["73", "120", "4999"])
+def test_schatten_past_the_float_gram_work_bound_is_a_usage_error(capsys, monkeypatch, max_degree):
+    # degrees 0..D make D(D + 1)(D + 2)/6 takes in all; none is made
+    from qfock import analysis, fock
+
+    monkeypatch.setattr(fock, "_float_gram", _entered)
+    monkeypatch.setattr(analysis, "phi_hk_operator", _entered)
+    assert main(["schatten", "--d", "1", "--p", "2", "--max-degree", max_degree]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "work bound" in captured.err
+
+
+def test_schatten_work_bound_admits_one_letter_to_degree_72(monkeypatch):
+    from qfock import fock
+
+    assert 72 * 73 * 74 // 6 <= cli.SCHATTEN_TAKES < 73 * 74 * 75 // 6
+    assert 7 * 8 * 9 // 6 == 84  # the benchmark's schatten --d 2 --max-degree 7
+    monkeypatch.setattr(fock, "_float_gram", _entered)
+    with pytest.raises(AssertionError, match="started"):
+        main(["schatten", "--d", "1", "--p", "2", "--max-degree", "72"])
+
+
+@pytest.mark.parametrize("n, k", [(14, 7), (15, 5), (16, 8), (40, 20)])
+def test_split_past_the_work_bound_is_a_usage_error(capsys, monkeypatch, n, k):
+    monkeypatch.setattr(wick, "_straddling_pairs", _entered)
+    assert main(["split", "--d", "1", "--letters", ",".join(["1"] * n), "--k", str(k)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "work bound" in captured.err
+
+
+def test_split_work_bound_admits_thirteen_letters_at_every_split():
+    from qfock.combinatorics import _count_straddling
+
+    for k in range(14):
+        assert _count_straddling(13, k, range(14)) <= wick.MAX_SPLIT_PARTITIONS
+    for argv in LARGE_FLOAT_SPLITS:  # the largest splits the tests run
+        n, k = len(argv[4].split(",")), int(argv[6])
+        assert _count_straddling(n, k, range(n + 1)) <= wick.MAX_SPLIT_PARTITIONS
+
+
 def test_wick_of_the_longest_word_on_the_vacuum_is_the_word(capsys):
     letters = ",".join(["1"] * wick.MAX_WICK_LETTERS)
     code, doc = run_json(capsys, "wick", "--d", "1", "--letters", letters)
@@ -1273,6 +1313,110 @@ def test_repeated_main_calls_match_fresh_parsers():
     assert [code for code, _, _ in fresh] == [0, 0, 2, 0, 0, 1, 0, 0, 0, 0, 2]
     assert session(fresh=False) == fresh
     assert cli.build_parser() is cli.build_parser()
+
+
+# ---------------------------------------------------------------------------
+# main parses a named subcommand with that subcommand's parser alone; every
+# argv must behave as it does on the full tree
+
+
+def _outcome(argv) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _first_argv(command: str) -> list:
+    return next(argv for argv in ENVELOPE_ARGV if argv[0] == command)
+
+
+def _parser_probes(command: str) -> list:
+    valid = _first_argv(command)
+    return [
+        [command, "--help"],
+        # every required argument missing; the verify scans have none, so a missing value
+        [command, "--nmax"] if command.startswith("verify-") else [command],
+        [command, "--format", "xml"],
+        valid + ["--format", "xml"],
+        valid + ["--bogus"],
+        valid + ["stray"],
+        valid + ["--bogus", "1", "stray"],
+        [command, "--for", "xml"],  # an abbreviation of --format
+        valid + ["--form"],
+    ]
+
+
+COMMANDS = sorted(cli._SUBCOMMANDS)
+PARSER_ARGV = [argv for command in COMMANDS for argv in _parser_probes(command)] + [
+    ["--help"],
+    ["-h"],
+    [],
+    ["nope"],
+    ["nope", "--d", "1"],
+    ["--q", "0.5", "gram"],
+    ["gram", "--deg", "x", "--d", "2", "--max-degree", "2"],
+    ["gram", "--de", "2", "--d", "2", "--max-degree", "2", "--format", "text"],
+    ["verify-ie", "--s", "1"],  # ambiguous: --split-nmax or --seed
+]
+
+
+def test_parser_probes_cover_every_subcommand():
+    assert COMMANDS == sorted(_format_choices()) and len(COMMANDS) == 14
+    assert {argv[0] for argv in PARSER_ARGV if argv} >= set(COMMANDS)
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGV, ids=" ".join)
+def test_the_per_command_parser_behaves_as_the_full_tree(monkeypatch, argv):
+    got = _outcome(argv)
+    full = cli.build_parser()
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full)
+    assert got == _outcome(argv)
+    assert got[0] == 0 or got[1] == ""
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_the_per_command_parser_gives_the_full_tree_namespace(command):
+    argv = _first_argv(command)
+    args = vars(cli.build_parser(command).parse_args(argv))
+    assert list(args) == list(vars(cli.build_parser().parse_args(argv)))
+    assert args == vars(cli.build_parser().parse_args(argv))
+    assert next(iter(args)) == "command"  # the envelope writes config in this order
+    parser = cli.build_parser(command)
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(subparsers.choices) == [command]
+
+
+def test_main_builds_the_full_tree_only_when_it_must(monkeypatch):
+    built = []
+    real = cli.build_parser
+
+    def recording(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "build_parser", recording)
+    # the full tree is always asked for as build_parser(), never with None,
+    # so it takes one memo key, not two
+    for argv, expected in [
+        (["render", "--n", "4", "--pairs", "1:3"], [("render",)]),
+        (["render", "--n", "4", "--bogus"], [("render",), ()]),
+        (["--help"], [()]),
+        ([], [()]),
+        (["nope"], [()]),
+    ]:
+        built.clear()
+        _outcome(argv)
+        assert built == expected
+
+
+def test_the_parser_memo_holds_every_parser_main_builds():
+    cli.build_parser.cache_clear()
+    for argv in [[command, "--bogus"] for command in COMMANDS] + [["--help"], [], ["nope"]]:
+        _outcome(argv)
+    info = cli.build_parser.cache_info()
+    assert info.currsize == info.maxsize == len(COMMANDS) + 1
+    assert info.misses == info.maxsize  # nothing was built twice or evicted
 
 
 # ---------------------------------------------------------------------------

@@ -242,12 +242,32 @@ def test_inclusion_exclusion_matches_vector_oracle(d, n_max):
                 image, ok = oracle_inclusion_exclusion(word, k, d)
                 assert identities._inclusion_exclusion_image(word[: n - k], word[n - k :]) == image.coeffs
                 expected.append((ok, word_to_str(word, d) or "vac"))
-            assert identities._inclusion_exclusion_results(n, k, d) == expected
+            assert cases_of(identities._inclusion_exclusion_results(n, k, d)) == expected
 
 
 # ---------------------------------------------------------------------------
 # the word-by-word scans the pattern scans replaced, as oracles: every word
 # is checked, not one word per relabeling orbit
+
+
+def cases_of(block):
+    """(ok, label) per case of a scan block (verdicts, label)."""
+    verdicts, label = block
+    return [(ok, label(t)) for t, ok in enumerate(verdicts)]
+
+
+def oracle_finalize(name, verdicts, cases, fault, notes=None):
+    """The report of a stream of one (ok, label) per case: the per-case
+    protocol the block protocol of ``identities._finalize`` replaced."""
+    flip = -1 if fault is None else fault % cases
+    violations = []
+    i = -1
+    for i, (ok, label) in enumerate(verdicts):
+        if ok == (i == flip):  # a failed case, or the flipped case if it held
+            violations.append(label)
+    if i + 1 != cases:
+        raise RuntimeError(f"{name}: streamed {i + 1} cases, counted {cases}")
+    return identities.ScanReport(name, cases, violations, dict(notes or {}))
 
 
 def oracle_two_mode_scan(n_max, d, fault=None):
@@ -260,7 +280,7 @@ def oracle_two_mode_scan(n_max, d, fault=None):
                     ok = subset_level(lw, rw, j) == rho_level(lw, rw, j)
                     results.append((ok, (n, k, j, word_to_str(word, d) or "vac")))
     name = f"two-mode split equality (n <= {n_max}, d = {d})"
-    return identities._finalize(name, results, len(results), fault)
+    return oracle_finalize(name, results, len(results), fault)
 
 
 def oracle_inclusion_exclusion_sweep(n_max, d, fault=None):
@@ -275,7 +295,7 @@ def oracle_inclusion_exclusion_sweep(n_max, d, fault=None):
         for word in word_basis(n, d)
     ]
     name = f"inclusion-exclusion sweep (n <= {n_max}, d = {d})"
-    return identities._finalize(name, results, len(results), fault)
+    return oracle_finalize(name, results, len(results), fault)
 
 
 @pytest.mark.parametrize("d, n_max", [(1, 5), (2, 5), (3, 5)])
@@ -313,16 +333,16 @@ def test_two_mode_scan_fault_hook():
 
 
 def test_inclusion_exclusion_two_term_case():
-    assert identities._inclusion_exclusion_results(2, 1, 1) == [(True, "1,1")]
+    assert cases_of(identities._inclusion_exclusion_results(2, 1, 1)) == [(True, "1,1")]
 
 
 def test_inclusion_exclusion_trivial_split():
     for n, k in [(1, 0), (3, 0), (3, 3)]:
-        assert all(ok for ok, _ in identities._inclusion_exclusion_results(n, k, 2))
+        assert all(ok for ok, _ in cases_of(identities._inclusion_exclusion_results(n, k, 2)))
 
 
 def test_inclusion_exclusion_sixteen_words():
-    results = identities._inclusion_exclusion_results(4, 2, 2)
+    results = cases_of(identities._inclusion_exclusion_results(4, 2, 2))
     assert len(results) == 16 and all(ok for ok, _ in results)
 
 
@@ -461,11 +481,170 @@ def test_scans_stream_every_counted_case():
 
 
 def test_finalize_refuses_a_miscounted_stream():
-    verdicts = [(True, "a"), (True, "b")]
-    assert identities._finalize("scan", iter(verdicts), 2, 3).violations == ["b"]
+    blocks = [([True], "a".__getitem__), ([], None), ([True], "b".__getitem__)]
+    assert identities._finalize("scan", iter(blocks), 2, 3).violations == ["b"]
     for cases in (1, 3):
         with pytest.raises(RuntimeError, match="streamed 2 cases"):
-            identities._finalize("scan", iter(verdicts), cases, None)
+            identities._finalize("scan", iter(blocks), cases, None)
+
+
+def test_finalize_labels_only_violations():
+    named = []
+
+    def label(t):
+        named.append(t)
+        return f"case {t}"
+
+    blocks = [([True, True], label), ([True, False, True, False], label), ([True], label)]
+    assert identities._finalize("scan", iter(blocks), 7, None).violations == ["case 1", "case 3"]
+    assert named == [1, 3]
+    # the flip lands in the first block, which is otherwise all true
+    assert identities._finalize("scan", iter(blocks), 7, 1).violations == ["case 1", "case 1", "case 3"]
+    # flipping a failed case clears it
+    assert identities._finalize("scan", iter(blocks), 7, 3 + 7).violations == ["case 3"]
+    assert blocks[1][0] == [True, False, True, False]  # the flip copies its block
+
+
+# ---------------------------------------------------------------------------
+# the per-case streams the block scans replaced, as oracles: one (ok, label)
+# per case through oracle_finalize
+
+
+def per_case_iota_scan(n_max, fault=None):
+    cases = identities.check_budget("iota", n_max, 1)
+    flip = -1 if fault is None else fault % cases
+
+    def verdicts():
+        start = 0
+        for n in range(n_max + 1):
+            for k in range(n + 1):
+                for j in range(max_pairs(n, k) + 1):
+                    block = identities._iota_block(n, k, j)
+                    if start <= flip < start + len(block):
+                        block.sort()
+                    start += len(block)
+                    for pairs, closed in block:
+                        yield identities._iota_prime_pairs(pairs) == closed, (n, k, pairs)
+
+    report = oracle_finalize(f"iota-prime closed form (n <= {n_max})", verdicts(), cases, fault)
+    report.violations.sort(key=lambda label: (label[0], label[1], len(label[2]), label[2]))
+    return report
+
+
+def per_case_claim_scan(n_max, m_max, reading, fault=None):
+    cases = identities.check_budget("claim", n_max, m_max)
+    notes = {}
+
+    def verdicts():
+        for n in range(2, n_max + 1):
+            for k in range(n + 1):
+                for m in range(1, min(m_max, max_pairs(n, k)) + 1):
+                    for pi in enumerate_partial_partitions(n, k, m):
+                        value = alternating_claim(pi, reading)
+                        ok = value.is_zero()
+                        if not ok and "first_nonzero" not in notes:
+                            notes["first_nonzero"] = {"n": n, "k": k, "pairs": pi.pairs, "value": str(value)}
+                        yield ok, (n, k, pi.pairs)
+
+    return oracle_finalize(f"alternating claim ({reading})", verdicts(), cases, fault, notes)
+
+
+def straddling_sizes(n, k, js):
+    return [comb(n - k, j) * comb(k, j) * factorial(j) for j in js]
+
+
+def block_ends(sizes):
+    """Index of the first and the last case of every nonempty block."""
+    ends, start = set(), 0
+    for size in sizes:
+        if size:
+            ends |= {start, start + size - 1}
+        start += size
+    return sorted(ends)
+
+
+BLOCK_SIZES = {
+    "iota": lambda n_max, _: [
+        size for n in range(n_max + 1) for k in range(n + 1)
+        for size in straddling_sizes(n, k, range(max_pairs(n, k) + 1))
+    ],
+    "claim": lambda n_max, m_max: [
+        size for n in range(2, n_max + 1) for k in range(n + 1)
+        for size in straddling_sizes(n, k, range(1, min(m_max, max_pairs(n, k)) + 1))
+    ],
+    "two-mode": lambda n_max, d: [
+        d ** n * (max_pairs(n, k) + 1) for n in range(n_max + 1) for k in range(n + 1)
+    ],
+    "sweep": lambda n_max, d: [d ** n for n in range(n_max + 1) for k in range(n + 1)],
+}
+
+
+@pytest.mark.parametrize(
+    "scan, n_max, size", [("iota", 7, 1), ("claim", 7, 3), ("two-mode", 4, 2), ("sweep", 4, 2)]
+)
+def test_block_sizes_sum_to_the_budget_count(scan, n_max, size):
+    assert sum(BLOCK_SIZES[scan](n_max, size)) == identities.check_budget(scan, n_max, size)
+
+
+def test_iota_blocks_match_the_per_case_stream():
+    ends = block_ends(BLOCK_SIZES["iota"](7, 1))
+    assert len(ends) > 100
+    for fault in [None, *ends, ends[-1] + 17 * len(ends)]:
+        got, expected = iota_prime_identity_scan(7, fault=fault), per_case_iota_scan(7, fault)
+        assert got == expected
+        assert len(got.violations) == (fault is not None)
+
+
+def test_iota_blocks_match_the_per_case_stream_with_many_violations(monkeypatch):
+    statistic = identities._iota_prime_pairs
+
+    def off_by_one(pairs):  # wrong on every tuple whose last left endpoint is odd
+        return statistic(pairs) + (bool(pairs) and pairs[-1][0] % 2 == 1)
+
+    monkeypatch.setattr(identities, "_iota_prime_pairs", off_by_one)
+    ends = block_ends(BLOCK_SIZES["iota"](7, 1))
+    for fault in [None, *ends[::7], ends[-1]]:
+        got, expected = iota_prime_identity_scan(7, fault=fault), per_case_iota_scan(7, fault)
+        assert got == expected
+        assert len(got.violations) > 100
+
+
+@pytest.mark.parametrize("reading", ["prime-plain", "prime-prime"])
+def test_claim_blocks_match_the_per_case_stream(reading):
+    ends = block_ends(BLOCK_SIZES["claim"](7, 3))
+    assert len(ends) > 40
+    for fault in [None, *ends]:
+        got, expected = claim_scan(7, 3, reading, fault=fault), per_case_claim_scan(7, 3, reading, fault)
+        assert got == expected
+        assert (got.notes == {}) == (reading == "prime-plain")
+
+
+@pytest.mark.parametrize("scan, oracle", [
+    ("two-mode", lambda n_max, d, fault: oracle_two_mode_scan(n_max, d, fault)),
+    ("sweep", lambda n_max, d, fault: oracle_inclusion_exclusion_sweep(n_max, d, fault)),
+])
+def test_pattern_blocks_match_the_per_case_stream(scan, oracle):
+    run = two_mode_scan if scan == "two-mode" else inclusion_exclusion_sweep
+    ends = block_ends(BLOCK_SIZES[scan](4, 2))
+    for fault in [None, *ends]:
+        got, expected = run(4, 2, fault=fault), oracle(4, 2, fault)
+        assert got == expected
+        assert len(got.violations) == (fault is not None)
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+@pytest.mark.parametrize("scan", [
+    lambda: iota_prime_identity_scan(5),
+    lambda: claim_scan(6, 2),
+    lambda: claim_scan(6, 2, "prime-prime"),
+    lambda: two_mode_scan(3, 2),
+    lambda: inclusion_exclusion_sweep(3, 2),
+])
+def test_a_miscounted_scan_is_a_fault(monkeypatch, shift, scan):
+    counted = identities.check_budget
+    monkeypatch.setattr(identities, "check_budget", lambda *args: counted(*args) + shift)
+    with pytest.raises(RuntimeError, match="streamed"):
+        scan()
 
 
 def test_fault_labels_are_pinned():

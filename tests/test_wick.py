@@ -611,6 +611,22 @@ def test_split_product_examples():
         wick_split_product(xi, 4)
 
 
+def test_split_product_counts_every_word_against_its_bound(monkeypatch):
+    # a word of 4 letters split 2 | 2 walks 1 + 4 + 2 partitions; two words walk twice that
+    cfg = cfg_for(4, d=2)
+    one = word_vec(cfg, (0, 1, 1, 0))
+    two = one + word_vec(cfg, (1, 1, 1, 1))
+    monkeypatch.setattr(wick, "MAX_SPLIT_PARTITIONS", 7)
+    assert len(wick_split_product(one, 2).coeffs) == 4  # the word, (0, 0), (1, 1) and the vacuum
+    monkeypatch.setattr(wick, "_straddling_pairs", _refuse_walk)
+    with pytest.raises(ValueError, match="walks 14 straddling partitions"):
+        wick_split_product(two, 2)
+
+
+def _refuse_walk(*args):
+    raise AssertionError("the walk started past the work bound")
+
+
 def test_split_product_matches_operator_product():
     for d in (1, 2):
         for n in range(1, 4):
