@@ -20,10 +20,14 @@ The package is organised bottom-up:
 * :mod:`qfock.analysis` -- float-mode estimates: semigroup dilation,
   rank-one compressions, Schatten norms, block decay, deformation bounds.
 * :mod:`qfock.render` -- arc diagrams in ASCII and SVG.
+* :mod:`qfock.budget` -- the refusal policy: ``Refused``, the ValueError
+  every module raises for an input it declines before any work, and the
+  one table of work bounds.
 
 ``__all__`` below is the public surface; ``tests/test_api.py`` pins it.
 """
 
+from .budget import Refused
 from .combinatorics import (
     PartialPartition,
     crossings,
@@ -56,6 +60,7 @@ __all__ = [
     "FockVector",
     "PartialPartition",
     "QPolynomial",
+    "Refused",
     "ScalarMode",
     "SpaceConfig",
     "clt_moments",

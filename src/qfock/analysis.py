@@ -24,6 +24,7 @@ from math import comb
 
 import numpy as np
 
+from .budget import Refused
 from .fock import (
     BlockOperator,
     FockVector,
@@ -47,7 +48,7 @@ GRAM_EIG_FLOOR = 1e-12
 
 def _require_float(cfg: SpaceConfig, what: str) -> float:
     if cfg.scalar.is_exact:
-        raise ValueError(f"{what} needs a numeric q")
+        raise Refused(f"{what} needs a numeric q")
     return cfg.scalar.q
 
 
@@ -147,11 +148,7 @@ def phi_hk_operator(h, k, cfg: SpaceConfig, route: str = "vector") -> BlockOpera
     "diagonal" writes down q^n <h,k> directly, as certified by
     phi_hk_check.
     """
-    if cfg.copies != 1:
-        raise ValueError("the multiplier acts on the single-copy space")
     q = _require_float(cfg, "the multiplier")
-    if route not in ("vector", "diagonal"):
-        raise ValueError(f"unknown route {route!r}")
     if route == "vector":
         doubled = SpaceConfig(cfg.d, 2, cfg.max_degree + 2, cfg.scalar)
         h_t, k_t = second_copy_vector(h, doubled), second_copy_vector(k, doubled)
@@ -190,7 +187,7 @@ def gram_factors(degree: int, cfg: SpaceConfig) -> tuple:
     vals, vecs = np.linalg.eigh(gram_matrix(degree, cfg))
     low = float(vals.min())
     if low <= GRAM_EIG_FLOOR:
-        raise ValueError(
+        raise Refused(
             f"Gram block at degree {degree} has eigenvalue {low:.3e}, "
             f"below the {GRAM_EIG_FLOOR} floor; |q| is too close to 1"
         )
@@ -206,13 +203,10 @@ def _gram_conjugate(block, target: int, source: int, cfg: SpaceConfig) -> np.nda
 
 
 def schatten_threshold(q: float, d: int) -> float:
-    """Membership threshold: the norm sum converges iff p is above it."""
-    if d < 1:
-        raise ValueError("one-particle dimension must be at least 1")
+    """Membership threshold: the norm sum converges iff p is above it;
+    d >= 1 letters and 0 <= |q| < 1."""
     if q == 0:
         return 0.0
-    if not 0 < abs(q) < 1:
-        raise ValueError("threshold needs 0 < |q| < 1")
     return -math.log(d) / math.log(abs(q))
 
 
@@ -225,16 +219,12 @@ def schatten_norm(op: BlockOperator, p: float, cfg: SpaceConfig) -> SchattenRepo
     """Truncated Schatten p-norm with singular values taken per degree.
 
     Blocks are conjugated by the Gram square roots so the SVD happens in
-    the q-inner geometry; a Euclidean SVD would be wrong for q != 0.
-    Degree-mixing operators are rejected: the degree-wise report would
-    not mean anything for them.
+    the q-inner geometry; a Euclidean SVD would be wrong for q != 0.  The
+    operator keeps degrees (its blocks off the diagonal are not read).
     """
     if p < 1:
-        raise ValueError("Schatten norms need p >= 1")
+        raise Refused("Schatten norms need p >= 1")
     q = _require_float(cfg, "Schatten norms")
-    for (ti, si), mat in op.blocks.items():
-        if ti != si and np.abs(np.asarray(mat, dtype=float)).max() > 0:
-            raise ValueError("operator mixes degrees; Schatten report is per degree")
     degree_svals = []
     partial_norms = []
     total = 0.0
@@ -279,18 +269,17 @@ class DecayReport:
 def block_decay(xi: FockVector, eta: FockVector, cfg: SpaceConfig) -> DecayReport:
     """Blockwise size of x -> E(W(xi)* x W(eta)) on the single-copy algebra.
 
-    xi and eta must be homogeneous with the same fixed number of
-    second-copy letters in every word.  Off-band blocks (degree change
-    beyond deg xi + deg eta) must vanish; the diagonal norms are fitted
-    to log ||block_jj|| ~ log C + j log r over the truncation-safe range.
+    xi and eta must be homogeneous (one degree each), with the same fixed
+    number of second-copy letters in every word.  Off-band blocks (degree
+    change beyond deg xi + deg eta) must vanish; the diagonal norms are
+    fitted to log ||block_jj|| ~ log C + j log r over the truncation-safe
+    range.
     """
     _require_doubled(cfg, "the two-sided Wick multiplier")
     _require_float(cfg, "the two-sided Wick multiplier")
     counts = {second_copy_count(w, cfg) for v in (xi, eta) for w in v.coeffs}
     if len(counts) != 1:
-        raise ValueError("need a single fixed second-copy letter count")
-    if len(xi.degrees()) != 1 or len(eta.degrees()) != 1:
-        raise ValueError("homogeneous tensors required")
+        raise Refused("need a single fixed second-copy letter count")
     n1, n2 = xi.degrees()[0], eta.degrees()[0]
     band = n1 + n2
     inner = SpaceConfig(cfg.d, 1, cfg.max_degree, cfg.scalar)
@@ -370,20 +359,17 @@ def deformation_scan(kcut: int, n_max: int, t_grid, cfg: SpaceConfig) -> Deforma
 
     Both norms depend on a degree-n vector only through its norm, so the
     rows use the scalar closed forms; one matrix evaluation per degree
-    cross-checks them.  The grid must sit inside (0, 2^-kcut).
+    cross-checks them.  The grid must sit inside (0, 2^-kcut), the cut at
+    kcut >= 1 and the degrees within the truncation.
     """
     _require_doubled(cfg, "the deformation scan")
     _require_float(cfg, "the deformation scan")
-    if kcut < 1:
-        raise ValueError("cut level must be at least 1")
     if n_max < kcut:
-        raise ValueError("degrees below the cut are rejected")
-    if n_max > cfg.max_degree:
-        raise ValueError("degree range exceeds the truncation")
+        raise Refused("degrees below the cut are rejected")
     t_grid = [float(t) for t in t_grid]
     limit = 2.0 ** (-kcut)
     if any(not 0.0 < t < limit for t in t_grid):
-        raise ValueError(f"grid must lie in (0, {limit})")
+        raise Refused(f"grid must lie in (0, {limit})")
     rows = []
     for n in range(kcut, n_max + 1):
         for t in t_grid:
@@ -415,7 +401,7 @@ def deformation_scan(kcut: int, n_max: int, t_grid, cfg: SpaceConfig) -> Deforma
 def ou_tail(x: FockVector, t: float, top: int) -> float:
     """Norm of the semigroup image above the spectral cutoff."""
     if not t >= 0:
-        raise ValueError("time must be nonnegative")
+        raise Refused("time must be nonnegative")
     _require_float(x.cfg, "tail norms")
     total = 0.0
     for n in x.degrees():

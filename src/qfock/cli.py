@@ -19,9 +19,12 @@ Each ``cmd_*`` handler takes the parsed arguments and the scalar mode of
 non-JSON formats print.  ``main`` alone parses ``--q`` (on every
 subcommand, so a bad value is a usage error even where it is unused),
 builds the envelope, writes it through ``emit`` and sets the exit code:
-0 when ``violations`` is empty, 1 when it is not, 2 bad usage or
-configuration.  ``--inject-fault`` corrupts one comparison in the verify-*
-scans (seeded, for exercising the exit-code contract); it has no other use.
+0 when ``violations`` is empty, 1 when it is not, 2 when argparse rejects
+the arguments, ``--out`` cannot be written or a ``qfock.budget.Refused`` is
+raised (an input refused before any work).  Any other exception is a fault
+and propagates with its traceback.  ``--inject-fault`` corrupts one comparison
+in the verify-* scans (seeded, for exercising the exit-code contract); it
+has no other use.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ import sys
 
 import numpy as np
 
+from . import budget
 from .analysis import (
     block_decay,
     deformation_scan,
@@ -48,6 +52,7 @@ from .analysis import (
     schatten_norm,
     schatten_term_ratio,
 )
+from .budget import Refused
 from .combinatorics import PartialPartition, count_patterns, crossings, iota_prime
 from .fock import (
     FockVector,
@@ -67,7 +72,7 @@ from .identities import (
     merge_reports,
     two_mode_scan,
 )
-from .render import ascii_diagram, svg_diagram
+from .render import ASCII_UNIT, ascii_diagram, svg_diagram
 from .scalars import EXACT, QPolynomial, ScalarMode
 from .wick import (
     clt_moments,
@@ -78,25 +83,6 @@ from .wick import (
     wick_split_product,
 )
 
-MAX_DEFORM_STEPS = 10_000
-"""Most ``deform --steps`` grid points; the scan keeps (nmax - kcut + 1) rows per point."""
-
-MAX_GRAM_ENTRIES = 2 ** 20
-"""Most entries ``gram`` prints: the matrix of d = 2, degree 10 (74 MB of JSON)."""
-
-FLOAT_GRAM_TAKES = 2 ** 15
-"""Most slot-move takes float ``gram`` lets ``gram_matrix`` make: degree n
-takes n(n + 1)/2, so one letter is admitted up to degree 255 (about 0.5 s
-on a 2-core host).  More letters reach no degree near that under
-``MAX_GRAM_ENTRIES``."""
-
-SCHATTEN_TAKES = 2 * FLOAT_GRAM_TAKES
-"""Most slot-move takes ``schatten`` lets ``gram_matrix`` make over the
-degrees 0..D it builds, D(D + 1)(D + 2)/6 in all: one letter is admitted
-up to ``--max-degree`` 72 (about 1 s as a whole command on a 2-core host),
-past numpy's 64 array axes.  More letters reach no degree near that under
-``QFOCK_MAX_DIM``."""
-
 # ---------------------------------------------------------------------------
 # parsing helpers
 
@@ -104,7 +90,11 @@ past numpy's 64 array axes.  More letters reach no degree near that under
 def parse_q(text: str) -> ScalarMode:
     if text == "generic":
         return EXACT
-    return ScalarMode.at(float(text))
+    try:
+        q = float(text)
+    except ValueError:
+        raise Refused(f'--q must be "generic" or a float, got {text!r}') from None
+    return ScalarMode.at(q)
 
 
 def finite_float(text: str) -> float:
@@ -134,7 +124,7 @@ def parse_pairs(text: str) -> tuple:
             continue
         match = _PAIR.fullmatch(tok)
         if match is None:
-            raise ValueError(f"pair {tok!r} is not of the form i:j")
+            raise Refused(f"pair {tok!r} is not of the form i:j")
         pairs.append((int(match[1]), int(match[2])))
     return tuple(pairs)
 
@@ -241,19 +231,16 @@ def cmd_gram(args, mode: ScalarMode) -> tuple:
     """
     cfg = SpaceConfig(args.d, args.copies, args.max_degree, mode)
     # the printed rows outweigh the assembly; both routes refuse a degree above max_degree
-    if args.degree <= cfg.max_degree and cfg.dim(args.degree) ** 2 > MAX_GRAM_ENTRIES:
-        raise ValueError(
-            f"gram would print {cfg.dim(args.degree) ** 2} entries, over the cap of {MAX_GRAM_ENTRIES}"
-        )
+    if args.degree <= cfg.max_degree:
+        budget.check("MAX_GRAM_ENTRIES", cfg.dim(args.degree) ** 2, "gram would print")
+        if not mode.is_exact:  # degree n takes n(n + 1)/2 slot moves
+            budget.check("FLOAT_GRAM_TAKES", args.degree * (args.degree + 1) // 2, "float gram makes")
     as_json = args.format == "json"
     if mode.is_exact:
         quote = json.encoder.encode_basestring_ascii if as_json else str
         blocks = _exact_gram_blocks(args.degree, cfg, lambda coeffs: (p := str(QPolynomial(coeffs)), quote(p)))
         zero = ("0", quote("0"))
     else:
-        if args.degree <= cfg.max_degree:
-            takes = args.degree * (args.degree + 1) // 2
-            _check_takes(f"float gram of degree {args.degree}", takes, FLOAT_GRAM_TAKES)
         # ScalarMode refuses |q| >= 1, so every entry between contents is +0.0
         # and |<u, v>| <= n!; under MAX_GRAM_ENTRIES only a space of one letter
         # reaches a degree where that overflows, to inf, which json writes as null
@@ -276,11 +263,6 @@ def cmd_gram(args, mode: ScalarMode) -> tuple:
     ]
     text = None if as_json else "\n".join(row.text for row in rows)
     return results, [], text
-
-
-def _check_takes(what: str, takes: int, bound: int) -> None:
-    if takes > bound:
-        raise ValueError(f"{what} makes {takes} slot-move takes, past the float Gram work bound of {bound}")
 
 
 def _json_float(value: float) -> str:
@@ -363,12 +345,17 @@ def cmd_split(args, mode: ScalarMode) -> tuple:
 
 
 def cmd_clt(args, mode: ScalarMode) -> tuple:
+    # the color sums walk at most the set partitions of the m positions into
+    # N or fewer blocks, and the diagonal moment writes a row per N
+    if args.N < 1:
+        raise Refused("need at least one color")
+    what = f"clt with {args.N} colors walks"
     if args.left or args.right:
         if not (args.left and args.right):
-            raise ValueError("off-diagonal comparison needs both --left and --right")
+            raise Refused("off-diagonal comparison needs both --left and --right")
         f_codes, _ = parse_word(args.left, args.d)
         h_codes, _ = parse_word(args.right, args.d)
-        _guard_partitions(args.N, len(f_codes) + len(h_codes))
+        budget.check("MAX_CLT_PARTITIONS", count_patterns(len(f_codes) + len(h_codes), args.N), what)
         value = offdiag_wick_coefficient(args.N, f_codes, h_codes, mode)
         ref = offdiag_reference(args.N, f_codes, h_codes, mode)
         violations = [] if _agree(value, ref, mode) else [f"N={args.N}: {value} != {ref}"]
@@ -381,9 +368,9 @@ def cmd_clt(args, mode: ScalarMode) -> tuple:
         ]
         return results, violations, f"{value}  vs  {ref}"
     if not args.letters:
-        raise ValueError("need --letters for the diagonal moment")
+        raise Refused("need --letters for the diagonal moment")
     codes, _ = parse_word(args.letters, args.d)
-    _guard_partitions(args.N, len(codes), rows=args.N)
+    budget.check("MAX_CLT_PARTITIONS", count_patterns(len(codes), args.N) + args.N, what)
     limit = moment_pair_partitions(codes, mode)
     results = []
     lines = []
@@ -393,15 +380,6 @@ def cmd_clt(args, mode: ScalarMode) -> tuple:
     results.append({"N": "limit", "moment": scalar_out(limit, mode)})
     lines.append(f"limit: {limit}")
     return results, [], "\n".join(lines)
-
-
-def _guard_partitions(N: int, m: int, rows: int = 0) -> None:
-    # the color sums walk at most the set partitions of m positions into
-    # N or fewer blocks, then the diagonal moment writes a row per N
-    if N < 1:
-        raise ValueError("need at least one color")
-    if (walked := count_patterns(m, N)) + rows > 2_000_000:
-        raise ValueError(f"{walked} set partitions of {m} letters and {rows} rows is too many")
 
 
 def cmd_verify_iota(args, mode: ScalarMode) -> tuple:
@@ -424,8 +402,8 @@ def cmd_verify_claim(args, mode: ScalarMode) -> tuple:
 
 
 def cmd_schatten(args, mode: ScalarMode) -> tuple:
-    top = args.max_degree
-    _check_takes(f"schatten to degree {top}", top * (top + 1) * (top + 2) // 6, SCHATTEN_TAKES)
+    top = args.max_degree  # degrees 0..D make D(D + 1)(D + 2)/6 takes
+    budget.check("SCHATTEN_TAKES", top * (top + 1) * (top + 2) // 6, f"schatten to degree {top} makes")
     cfg = SpaceConfig(args.d, 1, top, mode)
     h = (1.0,) + (0.0,) * (args.d - 1)
     k = (args.hk,) + (0.0,) * (args.d - 1)
@@ -488,14 +466,15 @@ def cmd_decay(args, mode: ScalarMode) -> tuple:
 
 
 def cmd_deform(args, mode: ScalarMode) -> tuple:
+    if args.kcut < 1:  # before 2^-kcut, which overflows for a large negative cut
+        raise Refused("cut level must be at least 1")
+    if args.steps < 1:
+        raise Refused("need at least one grid point")
+    budget.check("MAX_DEFORM_STEPS", args.steps, "deform would scan")
     cfg = SpaceConfig(args.d, 2, args.nmax, mode)
     t_cap = 2.0 ** (-args.kcut)
     tmin = args.tmin if args.tmin is not None else t_cap / 20
     tmax = args.tmax if args.tmax is not None else t_cap * 0.9
-    if args.steps < 1:
-        raise ValueError("need at least one grid point")
-    if args.steps > MAX_DEFORM_STEPS:
-        raise ValueError(f"{args.steps} grid points, over the cap of {MAX_DEFORM_STEPS}")
     step = (tmax - tmin) / max(args.steps - 1, 1)
     grid = [tmin + i * step for i in range(args.steps)]
     report = deformation_scan(args.kcut, args.nmax, grid, cfg)
@@ -530,8 +509,11 @@ def cmd_tail(args, mode: ScalarMode) -> tuple:
 
 def cmd_render(args, mode: ScalarMode) -> tuple:
     if args.n < 1:
-        raise ValueError(f"--n must be at least 1, got {args.n}")
-    rho = PartialPartition(args.n, args.k, parse_pairs(args.pairs))
+        raise Refused(f"--n must be at least 1, got {args.n}")
+    pairs = parse_pairs(args.pairs)
+    # the ASCII grid, drawn in every format, is 4n columns by at most pairs + 2 rows
+    budget.check("MAX_RENDER_CELLS", ASCII_UNIT * args.n * (len(pairs) + 2), "render would draw")
+    rho = PartialPartition(args.n, args.k, pairs)
     doc = ascii_diagram(rho)
     results = [
         {
@@ -562,11 +544,14 @@ def _agree(a, b, mode: ScalarMode) -> bool:
 
 
 def _parse_floats(text: str, d: int) -> tuple:
-    values = tuple(float(x) for x in text.split(","))
+    try:
+        values = tuple(float(x) for x in text.split(","))
+    except ValueError:
+        raise Refused(f"coefficients must be floats, got {text!r}") from None
     if len(values) != d:
-        raise ValueError(f"expected {d} coefficients, got {len(values)}")
+        raise Refused(f"expected {d} coefficients, got {len(values)}")
     if not all(map(math.isfinite, values)):
-        raise ValueError(f"coefficients must be finite, got {text!r}")
+        raise Refused(f"coefficients must be finite, got {text!r}")
     return values
 
 
@@ -767,10 +752,10 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         results, violations, text = args.func(args, parse_q(args.q))
-        text = emit(args, envelope(args, results, violations), text)
-    except ValueError as exc:
+    except Refused as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    text = emit(args, envelope(args, results, violations), text)
     if args.out:
         try:
             with open(args.out, "w") as fh:

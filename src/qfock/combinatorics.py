@@ -46,6 +46,8 @@ from math import comb, perm
 from operator import itemgetter
 from typing import Iterator, Sequence, Union
 
+from .budget import Refused
+
 
 def inversions(word: Sequence[int]) -> int:
     """Number of pairs i < j with word[i] > word[j]; a permutation is the
@@ -134,12 +136,12 @@ class PartialPartition:
 
     def __post_init__(self):
         if not 0 <= self.k <= self.n:
-            raise ValueError(f"right block size {self.k} outside 0..{self.n}")
+            raise Refused(f"right block size {self.k} outside 0..{self.n}")
         ps = tuple(sorted(tuple(sorted(p)) for p in self.pairs))
         object.__setattr__(self, "pairs", ps)
         paired = [x for p in ps for x in p]
         if len(set(paired)) != len(paired) or any(not 1 <= x <= self.n for x in paired):
-            raise ValueError(f"overlapping or out-of-range pairs {ps}")
+            raise Refused(f"overlapping or out-of-range pairs {ps}")
 
     def respects_block(self) -> bool:
         split = self.n - self.k

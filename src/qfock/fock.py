@@ -46,26 +46,14 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
+from . import budget
+from .budget import Refused
 from .scalars import QPolynomial, ScalarMode
-
-DEFAULT_MAX_DIM = 5000
-EXACT_GRAM_BUDGET = 2 ** 28
-"""Bytes exact Gram assembly of one degree may hold at its peak.
-
-That is every content block of the degree below, the largest content
-block of the degree, and the references of the dense result
-(``_gram_bytes``); d = 2 is admitted up to degree 11.
-"""
-EXACT_GRAM_WORK = 2 ** 28
-"""Coefficient additions exact Gram assembly of one degree may make
-(``_gram_work``); d = 2 is admitted up to degree 11, one letter up to 108.
-"""
 
 
 @dataclass(frozen=True)
@@ -79,17 +67,12 @@ class SpaceConfig:
 
     def __post_init__(self):
         if self.d < 1:
-            raise ValueError("one-particle dimension must be at least 1")
+            raise Refused("one-particle dimension must be at least 1")
         if self.copies not in (1, 2):
             raise ValueError("copies must be 1 or 2")
         if self.max_degree < 0:
-            raise ValueError("max degree must be nonnegative")
-        cap = int(os.environ.get("QFOCK_MAX_DIM", DEFAULT_MAX_DIM))
-        if self.total_dim > cap:
-            raise ValueError(
-                f"truncated space needs {self.total_dim} basis words, "
-                f"over the QFOCK_MAX_DIM cap of {cap}"
-            )
+            raise Refused("max degree must be nonnegative")
+        budget.check("QFOCK_MAX_DIM", self.total_dim, "the truncated space needs")
 
     @property
     def letters(self) -> int:
@@ -129,10 +112,10 @@ def parse_word(text: str, d: int) -> tuple:
             copy, token = 2, token[:-1]
             copies = 2
         if not (token.isascii() and token.isdigit()):
-            raise ValueError(f"letter {token!r} is not an index written in digits 0-9")
+            raise Refused(f"letter {token!r} is not an index written in digits 0-9")
         index = int(token)
         if not 1 <= index <= d:
-            raise ValueError(f"letter index {index} outside 1..{d}")
+            raise Refused(f"letter index {index} outside 1..{d}")
         codes.append((copy - 1) * d + index - 1)
     return tuple(codes), copies
 
@@ -169,11 +152,8 @@ def copy_mixing(m, d: int) -> np.ndarray:
 
 
 def second_copy_vector(h, cfg: SpaceConfig) -> "FockVector":
-    """The degree-1 vector h~: the entries of h on the second-copy letters."""
-    if cfg.copies != 2:
-        raise ValueError("a second-copy vector needs the doubled space")
-    if len(h) != cfg.d:
-        raise ValueError(f"one-particle vector has {len(h)} entries, expected {cfg.d}")
+    """The degree-1 vector h~ of the doubled space: the d entries of h on
+    the second-copy letters."""
     return FockVector(cfg, {(cfg.d + i,): c for i, c in enumerate(h)})
 
 
@@ -251,7 +231,7 @@ class FockVector:
         if coeff is not None:
             return FockVector(cfg, {word: coeff})
         if len(word) > cfg.max_degree:
-            raise ValueError(f"word {word} above max degree {cfg.max_degree}")
+            raise Refused(f"word {word} above max degree {cfg.max_degree}")
         return FockVector._trusted(cfg, {word: cfg.scalar.one()})
 
     def is_zero(self) -> bool:
@@ -366,11 +346,11 @@ def _gram_work(degree: int, letters: int) -> int:
     the content with one letter a removed: (words * count of a / n)^2
     entries of (n-1)(n-2)/2 + 1 coefficients.  An addition of Python ints
     (the object blocks, degree 21 on) counts 16: it measured 45-70 ns, an
-    int64 one 3-5 ns.  Counting stops past ``EXACT_GRAM_WORK``.
+    int64 one 3-5 ns.  Counting stops past the ``EXACT_GRAM_WORK`` bound.
     """
-    work = 0
+    work, stop = 0, budget.bound("EXACT_GRAM_WORK")
     for n in range(1, degree + 1):
-        if work > EXACT_GRAM_WORK:
+        if work > stop:
             break
         per_pair = n * ((n - 1) * (n - 2) // 2 + 1) * (16 if _coeff_dtype(n) is object else 1)
         pairs = sum((words * m // n) ** 2 for words, counts in _content_sizes(n, letters) for m in counts)
@@ -457,8 +437,8 @@ def gram_matrix(degree: int, cfg: SpaceConfig) -> np.ndarray:
 
     Float mode gives a float array at the configured q; exact mode an
     object array of QPolynomial, zero entries sharing one zero polynomial.
-    Exact mode raises ValueError, before allocating anything, when its
-    assembly would hold more than ``EXACT_GRAM_BUDGET`` bytes.
+    Exact mode refuses, before allocating anything, an assembly over the
+    ``EXACT_GRAM_BUDGET`` or ``EXACT_GRAM_WORK`` bound.
 
     >>> g = gram_matrix(2, SpaceConfig(2, 1, 2, ScalarMode.exact()))
     >>> print(g[0, 0], "|", g[1, 2], "|", g[0, 1])
@@ -477,7 +457,7 @@ def gram_matrix(degree: int, cfg: SpaceConfig) -> np.ndarray:
 
 def _check_degree(degree: int, cfg: SpaceConfig) -> None:
     if not 0 <= degree <= cfg.max_degree:
-        raise ValueError(f"degree {degree} outside 0..{cfg.max_degree}")
+        raise Refused(f"degree {degree} outside 0..{cfg.max_degree}")
 
 
 def _exact_gram_blocks(degree: int, cfg: SpaceConfig, lift) -> list:
@@ -487,22 +467,14 @@ def _exact_gram_blocks(degree: int, cfg: SpaceConfig, lift) -> list:
     t> (powers of q ascending, trailing zeros kept); words of other
     contents are orthogonal.  Few distinct tuples fill many entries, so
     each is lifted once, and a block is read as lists one row at a time,
-    never whole.  Raises ValueError, before allocating anything, for a
-    degree outside 0..max_degree, over ``EXACT_GRAM_BUDGET`` or over
-    ``EXACT_GRAM_WORK``.
+    never whole.  Refuses, before allocating anything, a degree outside
+    0..max_degree and an assembly over ``EXACT_GRAM_BUDGET`` bytes
+    (``_gram_bytes``) or ``EXACT_GRAM_WORK`` additions (``_gram_work``).
     """
     _check_degree(degree, cfg)
-    need = _gram_bytes(degree, cfg.letters)
-    if need > EXACT_GRAM_BUDGET:
-        raise ValueError(
-            f"exact Gram block of degree {degree} over {cfg.letters} letters needs "
-            f"{need} bytes, over the exact Gram budget of {EXACT_GRAM_BUDGET}"
-        )
-    if _gram_work(degree, cfg.letters) > EXACT_GRAM_WORK:
-        raise ValueError(
-            f"exact Gram block of degree {degree} over {cfg.letters} letters takes more "
-            f"coefficient additions than the exact Gram work bound of {EXACT_GRAM_WORK}"
-        )
+    what = f"exact Gram block of degree {degree} over {cfg.letters} letters needs at least"
+    budget.check("EXACT_GRAM_BUDGET", _gram_bytes(degree, cfg.letters), what)
+    budget.check("EXACT_GRAM_WORK", _gram_work(degree, cfg.letters), what)
     blocks, lifted = [], {}
     for _, words, block in _content_blocks(degree, cfg.letters):
         rows = []
@@ -589,9 +561,7 @@ def second_quantize(u, cfg: SpaceConfig) -> BlockOperator:
 
 
 def coordinate_projection(cfg: SpaceConfig) -> np.ndarray:
-    """One-particle projection keeping the first-copy letters."""
-    if cfg.copies != 2:
-        raise ValueError("coordinate projection needs the doubled space")
+    """One-particle projection of the doubled space keeping the first-copy letters."""
     diag = [1 if code < cfg.d else 0 for code in range(cfg.letters)]
     return np.diag(np.array(diag, dtype=object if cfg.scalar.is_exact else float))
 
@@ -601,15 +571,12 @@ def second_copy_count(word: tuple, cfg: SpaceConfig) -> int:
 
 
 def copy_count_projection(v: FockVector, m: int, mode: str = "exact") -> FockVector:
-    """Restrict to words with exactly (or at least) m second-copy letters.
+    """Restrict a vector of the doubled space to words with exactly (mode
+    "exact") or at least ("at-least") m second-copy letters.
 
     The coordinate restriction agrees with the q-orthogonal projection
     because words with distinct second-copy counts are q-orthogonal.
     """
-    if v.cfg.copies != 2:
-        raise ValueError("copy-count projection needs the doubled space")
-    if mode not in ("exact", "at-least"):
-        raise ValueError(f"unknown mode {mode!r}")
     keep = {}
     for w, c in v.coeffs.items():
         count = second_copy_count(w, v.cfg)

@@ -34,6 +34,8 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from math import comb
 
+from . import budget
+from .budget import Refused
 from .combinatorics import (
     PartialPartition,
     _count_straddling,
@@ -49,10 +51,6 @@ from .combinatorics import (
 from .fock import word_basis, word_inner_poly, word_to_str
 from .scalars import QPolynomial
 from .wick import wick_word_action
-
-# Largest case count the claim, two-mode, inclusion-exclusion and iota scans
-# accept; see check_budget.
-SCAN_BUDGET = 50_000
 
 
 @dataclass
@@ -125,12 +123,12 @@ _CASE_COUNTS = {
 
 def check_budget(scan: str, n_max: int, size: int) -> int:
     """Cases a scan would check, counted by arithmetic; over ``SCAN_BUDGET``
-    raises ValueError before any work.
+    it is refused before any work.
 
     ``scan`` is "claim" (size = m_max), "two-mode" or "sweep" (size = d),
     or "iota" (size unused).
     The two-mode scan is also refused when its partition tables would hold
-    more than ``SCAN_BUDGET`` straddling partitions, whatever d is.  The
+    more than ``MAX_SPLIT_PARTITIONS`` straddling partitions, whatever d is.  The
     sums over n stop as soon as one passes the budget, so a huge n_max
     costs nothing.  A scan with 0 cases would pass without checking
     anything, so it is refused as well: a negative n_max, and a claim scan
@@ -142,20 +140,18 @@ def check_budget(scan: str, n_max: int, size: int) -> int:
     (2244, 1621, 321)
     """
     if n_max < 0:
-        raise ValueError(f"{scan} scan needs n_max >= 0, got {n_max}")
+        raise Refused(f"{scan} scan needs n_max >= 0, got {n_max}")
     if size < 1:
-        raise ValueError(f"{scan} scan needs a size of at least 1, got {size}")
+        raise Refused(f"{scan} scan needs a size of at least 1, got {size}")
     cases = partitions = 0
     for n in range(n_max + 1):
         cases += _CASE_COUNTS[scan](n, size)
+        budget.check("SCAN_BUDGET", cases, f"{scan} scan would check at least")
         if scan == "two-mode":
             partitions += _straddling_count(n, range(n // 2 + 1))
-        if cases > SCAN_BUDGET:
-            raise ValueError(f"{scan} scan would check more than {SCAN_BUDGET} cases, over the budget")
-        if partitions > SCAN_BUDGET:
-            raise ValueError(f"{scan} scan would tabulate more than {SCAN_BUDGET} partitions, over the budget")
+            budget.check("MAX_SPLIT_PARTITIONS", partitions, f"{scan} scan would tabulate at least")
     if not cases:
-        raise ValueError(f"{scan} scan would check 0 cases up to n_max = {n_max}")
+        raise Refused(f"{scan} scan would check 0 cases up to n_max = {n_max}")
     return cases
 
 
@@ -341,8 +337,6 @@ def _inclusion_exclusion_image(lw: tuple, rw: tuple) -> dict:
 def _inclusion_exclusion_results(n: int, k: int, d: int) -> tuple:
     """The ``_by_pattern`` block of the degree-n words split k letters from
     the right."""
-    if not 0 <= k <= n:
-        raise ValueError(f"split size {k} outside 0..{n}")
     one = QPolynomial.one()
     return _by_pattern(n, d, lambda w: _inclusion_exclusion_image(w[: n - k], w[n - k :]) == {w: one})
 

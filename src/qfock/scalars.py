@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from .budget import Refused
+
 Coefficient = Union[int, Fraction]
 
 
@@ -264,7 +266,7 @@ class ScalarMode:
             if self.q is None:
                 raise ValueError("float mode needs a q value")
             if not abs(self.q) < 1.0:
-                raise ValueError(f"float mode requires |q| < 1, got {self.q}")
+                raise Refused(f"float mode requires |q| < 1, got {self.q}")
         else:
             raise ValueError(f"unknown scalar mode {self.mode!r}")
 

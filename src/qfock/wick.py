@@ -35,6 +35,8 @@ from functools import lru_cache
 from math import comb, perm
 from typing import Iterator
 
+from . import budget
+from .budget import BOUNDS, Refused
 from .combinatorics import (
     _count_straddling,
     _picker,
@@ -60,19 +62,16 @@ def wick_word_action(xi_word: tuple, source: tuple, max_degree: int) -> tuple:
     the rest.  A target of degree past the truncation, or a word and a
     source too far apart in length to reach one, gives no terms.  Each
     prefix is read at the least truncation that keeps all it reaches, so
-    equal states share a memo entry.  Raises ValueError, before any work,
-    for a word longer than ``MAX_WICK_LETTERS`` or past ``MAX_WICK_WORK``.
+    equal states share a memo entry.  Refuses, before any work, a word
+    past the ``MAX_WICK_LETTERS`` or ``MAX_WICK_WORK`` bound.
     """
     n, m = len(xi_word) - 1, len(source)  # n letters before the last one
     if abs(n + 1 - m) > max_degree:
         return ()
     if n < 0:
         return ((source, QPolynomial.one()),)
-    if n >= MAX_WICK_LETTERS or _wick_work(n + 1, m) > MAX_WICK_WORK:
-        raise ValueError(
-            f"the Wick kernel of {n + 1} letters on {m} is past the work bound "
-            f"({MAX_WICK_LETTERS} letters, {MAX_WICK_WORK} coefficient updates)"
-        )
+    if n >= BOUNDS["MAX_WICK_LETTERS"].value or _wick_work(n + 1, m) > BOUNDS["MAX_WICK_WORK"].value:
+        _refuse_kernel(n + 1, m)
     prefix, x = xi_word[:-1], xi_word[-1]
     total: dict = {}
     for u, p in wick_word_action(prefix, source, min(max_degree - 1, n + m)):
@@ -86,15 +85,9 @@ def wick_word_action(xi_word: tuple, source: tuple, max_degree: int) -> tuple:
     return tuple(sorted(total.items()))
 
 
-MAX_WICK_LETTERS = 300
-"""Longest word the kernel takes.  It recurses once a letter, two frames
-deep: under Python's default recursion limit of 1000, ``wick --d 1`` runs
-480 letters and dies at 500.  Only one letter reaches words this long."""
-
-MAX_WICK_WORK = 300_000_000
-"""Most coefficient updates ``_wick_work`` may bound a kernel call by: 22
-equal letters on 23, 100 on 12 or one on 4,999 (0.5-1.6 s each as a whole
-``wick`` command on a 2-core host)."""
+def _refuse_kernel(n: int, m: int):
+    budget.check("MAX_WICK_LETTERS", n, f"the Wick kernel on {m} letters takes a word of")
+    budget.refuse("MAX_WICK_WORK", _wick_work(n, m), f"the Wick kernel of {n} letters on {m} may make")
 
 
 def _wick_work(n: int, m: int) -> int:
@@ -152,13 +145,6 @@ def reversed_vector(xi: FockVector) -> FockVector:
 
 # ---------------------------------------------------------------------------
 # moments
-
-
-MAX_MATCHINGS = 2_100_000
-"""Words of at most this many matchings are walked: 16 equal letters have 2,027,025."""
-
-MAX_MOMENT_WORK = 2_000_000
-"""Most histogram updates ``_walk_work`` may bound the walk of any other word by."""
 
 
 def _state_bounds(hs: list, codes: bool) -> Iterator[int]:
@@ -247,9 +233,9 @@ def moment_pair_partitions(hs, mode: ScalarMode = EXACT):
     (the q-annihilation operator on the word of open letters; for one letter,
     Flajolet's continued fraction for the Touchard-Riordan moments) ends with
     the empty state's crossing histogram, lifted to the scalar mode once.
-    A ValueError is raised before the walk starts when the word has more
-    than ``MAX_MATCHINGS`` matchings and ``_walk_work`` bounds the walk's
-    histogram updates by more than ``MAX_MOMENT_WORK``.
+    A word of more than ``MAX_MATCHINGS`` matchings is refused before the
+    walk starts when ``_walk_work`` bounds the walk's histogram updates past
+    ``MAX_MOMENT_WORK``.
 
     >>> print(moment_pair_partitions((0,) * 6))
     5 + 6q + 3q^2 + q^3
@@ -262,10 +248,11 @@ def moment_pair_partitions(hs, mode: ScalarMode = EXACT):
     if any(c % 2 for c in counts):
         return mode.zero()
     matchings = itertools.accumulate((f for c in counts for f in range(c - 1, 1, -2)), operator.mul)
-    if any(k > MAX_MATCHINGS for k in matchings) and any(
-        w > MAX_MOMENT_WORK for w in _walk_work(hs, codes)
-    ):
-        raise ValueError(f"more than {MAX_MOMENT_WORK} histogram updates to walk, over the cap")
+    if any(k > BOUNDS["MAX_MATCHINGS"].value for k in matchings):
+        cap = BOUNDS["MAX_MOMENT_WORK"].value
+        for work in _walk_work(hs, codes):
+            if work > cap:
+                budget.refuse("MAX_MOMENT_WORK", work, f"the moment walk of {len(hs)} letters may make")
     hist = deque(_open_arc_states(hs, codes), maxlen=1)[0].get((), {})
     plain = {k: w for k, w in hist.items() if not isinstance(w, QPolynomial)}
     exact = QPolynomial(tuple(plain.get(k, 0) for k in range(max(plain, default=-1) + 1)))
@@ -360,34 +347,23 @@ def _three_trace_words(wx: tuple, we: tuple, wt: tuple) -> QPolynomial:
     return total
 
 
-MAX_SPLIT_PARTITIONS = 50_000
-"""Most straddling partitions ``wick_split_product`` walks, summed over the
-words of its vector: one word of 13 letters at any split (37,633, about
-0.4 s as a whole ``split`` command on a 2-core host).  14 letters split
-7 | 7 walk 130,922 and are refused."""
-
-
 def wick_split_product(xi: FockVector, k: int) -> FockVector:
     """W(first n-k letters) W(last k letters) applied to the vacuum.
 
     Expands over the block partitions whose pairs straddle position n-k,
     walked as bare pair tuples: each partition removes its paired letters
     (which must match) and contributes q^crossings times the remaining word.
-    The walk is counted first, and past ``MAX_SPLIT_PARTITIONS`` it raises
-    ValueError before it starts.
+    The walk is counted first, over the words of the vector, and refused
+    past ``MAX_SPLIT_PARTITIONS`` before it starts.
     """
     degrees = xi.degrees()
     if len(degrees) != 1:
         raise ValueError("split product needs a homogeneous vector")
     n = degrees[0]
     if not 0 <= k <= n:
-        raise ValueError(f"split {k} outside 0..{n}")
+        raise Refused(f"split {k} outside 0..{n}")
     walk = len(xi.coeffs) * _count_straddling(n, k, range(max_pairs(n, k) + 1))
-    if walk > MAX_SPLIT_PARTITIONS:
-        raise ValueError(
-            f"the split of {n} letters at {k} walks {walk} straddling partitions, "
-            f"past the work bound of {MAX_SPLIT_PARTITIONS}"
-        )
+    budget.check("MAX_SPLIT_PARTITIONS", walk, f"the split of {n} letters at {k} walks")
     mode = xi.cfg.scalar
     out: dict = {}
     for word, c in xi.coeffs.items():
@@ -456,12 +432,10 @@ def offdiag_wick_coefficient(N: int, f_codes, h_codes, mode: ScalarMode = EXACT)
 
     The f letters are color-averaged with weight N^(-1/2) each; the h
     letters carry pairwise distinct colors, summed with total weight
-    N^(-m/2).  Both color sums run over ``_pattern_sums``.
+    N^(-m/2), for N >= 1.  Both color sums run over ``_pattern_sums``.
     """
     f_codes, h_codes = tuple(f_codes), tuple(h_codes)
     mp, m = len(f_codes), len(h_codes)
-    if N < 1:
-        raise ValueError("need at least one color")
     if (mp + m) % 2:
         return mode.zero()
     sequence = tuple(reversed(f_codes)) + h_codes

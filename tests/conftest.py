@@ -1,4 +1,20 @@
+import dataclasses
 import sys
+
+import pytest
+
+from qfock import budget
+
+
+@pytest.fixture
+def set_bound(monkeypatch):
+    """set_bound(name, value): one row of ``qfock.budget.BOUNDS`` at another
+    value for the test; guards read the table at call time."""
+
+    def set_(name: str, value: int) -> None:
+        monkeypatch.setitem(budget.BOUNDS, name, dataclasses.replace(budget.BOUNDS[name], value=value))
+
+    return set_
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -10,6 +10,7 @@ PUBLIC = [
     "FockVector",
     "PartialPartition",
     "QPolynomial",
+    "Refused",
     "ScalarMode",
     "SpaceConfig",
     "clt_moments",

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfock import cli, wick
+from qfock.budget import bound
 from qfock.cli import main, parse_pairs, parse_q
 from qfock.fock import FockVector, SpaceConfig, gram_matrix, parse_word, word_basis, word_to_str
 from qfock.scalars import EXACT
@@ -185,10 +186,10 @@ def test_moment_with_an_odd_letter_count_is_zero_at_once(capsys):
         assert capsys.readouterr().out in ("0\n", "0.0\n")
 
 
-def test_exact_gram_over_budget_is_a_usage_error(capsys, monkeypatch):
+def test_exact_gram_over_budget_is_a_usage_error(capsys, monkeypatch, set_bound):
     from qfock import fock
 
-    monkeypatch.setattr(fock, "EXACT_GRAM_BUDGET", fock._gram_bytes(3, 2) - 1)
+    set_bound("EXACT_GRAM_BUDGET", fock._gram_bytes(3, 2) - 1)
     monkeypatch.setattr(fock, "_content_blocks", _entered)
     assert main(["gram", "--d", "2", "--degree", "3", "--max-degree", "3"]) == 2
     captured = capsys.readouterr()
@@ -240,7 +241,7 @@ def test_schatten_past_the_float_gram_work_bound_is_a_usage_error(capsys, monkey
 def test_schatten_work_bound_admits_one_letter_to_degree_72(monkeypatch):
     from qfock import fock
 
-    assert 72 * 73 * 74 // 6 <= cli.SCHATTEN_TAKES < 73 * 74 * 75 // 6
+    assert 72 * 73 * 74 // 6 <= bound("SCHATTEN_TAKES") < 73 * 74 * 75 // 6
     assert 7 * 8 * 9 // 6 == 84  # the benchmark's schatten --d 2 --max-degree 7
     monkeypatch.setattr(fock, "_float_gram", _entered)
     with pytest.raises(AssertionError, match="started"):
@@ -259,14 +260,14 @@ def test_split_work_bound_admits_thirteen_letters_at_every_split():
     from qfock.combinatorics import _count_straddling
 
     for k in range(14):
-        assert _count_straddling(13, k, range(14)) <= wick.MAX_SPLIT_PARTITIONS
+        assert _count_straddling(13, k, range(14)) <= bound("MAX_SPLIT_PARTITIONS")
     for argv in LARGE_FLOAT_SPLITS:  # the largest splits the tests run
         n, k = len(argv[4].split(",")), int(argv[6])
-        assert _count_straddling(n, k, range(n + 1)) <= wick.MAX_SPLIT_PARTITIONS
+        assert _count_straddling(n, k, range(n + 1)) <= bound("MAX_SPLIT_PARTITIONS")
 
 
 def test_wick_of_the_longest_word_on_the_vacuum_is_the_word(capsys):
-    letters = ",".join(["1"] * wick.MAX_WICK_LETTERS)
+    letters = ",".join(["1"] * bound("MAX_WICK_LETTERS"))
     code, doc = run_json(capsys, "wick", "--d", "1", "--letters", letters)
     assert code == 0 and doc["results"] == [{"word": letters, "coeff": "1"}]
 
@@ -885,11 +886,17 @@ def test_clt_guard_refuses_before_any_work(capsys, monkeypatch, argv):
     assert out == "" and "too many" in err
 
 
-def test_clt_guard_admits_up_to_the_cap():
-    cli._guard_partitions(4, 12)  # 700,075 partitions
-    cli._guard_partitions(1_999_998, 2, rows=1_999_998)
-    with pytest.raises(ValueError, match="too many"):
-        cli._guard_partitions(1_999_999, 2, rows=1_999_999)
+def test_clt_guard_admits_up_to_the_cap(capsys, monkeypatch):
+    def walk(*args, **kwargs):
+        raise AssertionError("the partition walk started")
+
+    monkeypatch.setattr(wick, "patterns", walk)
+    # 700,075 partitions and 4 rows; 2 partitions and 1,999,998 rows
+    for argv in (["--letters", ",".join("1" * 12), "--N", "4"], ["--letters", "1,1", "--N", "1999998"]):
+        with pytest.raises(AssertionError, match="started"):
+            main(["clt", *argv])
+    assert main(["clt", "--letters", "1,1", "--N", "1999999"]) == 2
+    assert "too many" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -1034,9 +1041,9 @@ def test_deform_csv_header(capsys):
 
 
 def test_deform_steps_over_the_cap_are_a_usage_error(capsys, monkeypatch):
-    assert cli.MAX_DEFORM_STEPS >= 9  # the default, used by README and the benchmark
+    assert bound("MAX_DEFORM_STEPS") >= 9  # the default, used by README and the benchmark
     monkeypatch.setattr(cli, "deformation_scan", _entered)
-    for steps in (cli.MAX_DEFORM_STEPS + 1, 1_000_000_000):
+    for steps in (bound("MAX_DEFORM_STEPS") + 1, 1_000_000_000):
         assert main(["deform", "--kcut", "1", "--steps", str(steps)]) == 2
         assert "cap" in capsys.readouterr().err
 

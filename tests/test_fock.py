@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfock import fock
+from qfock.budget import bound
 from qfock.combinatorics import inversions
 from qfock.fock import (
     BlockOperator,
@@ -315,18 +316,18 @@ def _no_assembly(*args):
     raise AssertionError("assembly started before the budget check")
 
 
-def test_exact_gram_budget_is_checked_before_allocating(monkeypatch):
+def test_exact_gram_budget_is_checked_before_allocating(monkeypatch, set_bound):
     # arithmetic only.  d=2, n=11: the degree-10 content blocks (sum_k
     # C(10, k)^2 word pairs, 46 int32 coefficients each), the widest
     # degree-11 block (462 words, 56 coefficients) and 2048^2 references
     below = math.comb(20, 10) * 46 * 4
     assert fock._gram_bytes(11, 2) == below + 462 * 462 * 56 * 4 + 2048 * 2048 * 8
-    assert fock._gram_bytes(11, 2) < fock.EXACT_GRAM_BUDGET < fock._gram_bytes(12, 2)
+    assert fock._gram_bytes(11, 2) < bound("EXACT_GRAM_BUDGET") < fock._gram_bytes(12, 2)
     # d=3, n=5: 639 degree-4 word pairs of one content, 30 words, 243^2 references
     assert fock._gram_bytes(5, 3) == 639 * 7 * 4 + 30 * 30 * 11 * 4 + 243 * 243 * 8
-    assert fock._gram_bytes(5, 3) < fock.EXACT_GRAM_BUDGET // 100
+    assert fock._gram_bytes(5, 3) < bound("EXACT_GRAM_BUDGET") // 100
     # the refusal itself, on a small block under a lowered budget
-    monkeypatch.setattr(fock, "EXACT_GRAM_BUDGET", fock._gram_bytes(4, 2) - 1)
+    set_bound("EXACT_GRAM_BUDGET", fock._gram_bytes(4, 2) - 1)
     cfg = exact_cfg(d=2, n=4)
     assert gram_matrix(3, cfg).shape == (8, 8)
     monkeypatch.setattr(fock, "_content_blocks", _no_assembly)
@@ -355,10 +356,10 @@ def test_exact_gram_work_bound_admits_the_tested_sizes():
     # Python-int additions (degree 21 on) count 16 each; one letter at
     # degree n adds, in each of n slots, the (n-1)(n-2)/2 + 1 coefficients below
     assert fock._gram_work(22, 1) - fock._gram_work(20, 1) == 16 * (21 * 191 + 22 * 211)
-    assert fock._gram_work(11, 2) <= fock.EXACT_GRAM_WORK < fock._gram_work(12, 2)
-    assert fock._gram_work(108, 1) <= fock.EXACT_GRAM_WORK < fock._gram_work(109, 1)
-    assert fock._gram_work(65, 1) <= fock.EXACT_GRAM_WORK // 4
-    assert fock._gram_work(7, 3) <= fock.EXACT_GRAM_WORK // 10
+    assert fock._gram_work(11, 2) <= bound("EXACT_GRAM_WORK") < fock._gram_work(12, 2)
+    assert fock._gram_work(108, 1) <= bound("EXACT_GRAM_WORK") < fock._gram_work(109, 1)
+    assert fock._gram_work(65, 1) <= bound("EXACT_GRAM_WORK") // 4
+    assert fock._gram_work(7, 3) <= bound("EXACT_GRAM_WORK") // 10
 
 
 def test_exact_gram_assembly_peaks_small():
@@ -610,8 +611,6 @@ def test_copy_count_projection():
         (0, 1): QPolynomial.one(),
         (1, 1): QPolynomial.q(),
     }
-    with pytest.raises(ValueError):
-        copy_count_projection(FockVector.vacuum(exact_cfg()), 0)
 
 
 def test_rotation_column_projection():
@@ -639,8 +638,6 @@ def test_coordinate_projection_shape():
     cfg = SpaceConfig(2, 2, 2, EXACT)
     p = coordinate_projection(cfg)
     assert [p[i, i] for i in range(4)] == [1, 1, 0, 0]
-    with pytest.raises(ValueError):
-        coordinate_projection(exact_cfg())
 
 
 def test_doubled_layout_helpers():
@@ -652,11 +649,6 @@ def test_doubled_layout_helpers():
 
     assert second_copy_vector((0.5, -1.0), cfg).coeffs == {(code("1t"),): 0.5, (code("2t"),): -1.0}
     assert second_copy_vector((0.0, 2.0), cfg).coeffs == {(code("2t"),): 2.0}
-    for bad in ((1.0,), (1.0, 0.0, 0.0, 0.0)):
-        with pytest.raises(ValueError, match="entries"):
-            second_copy_vector(bad, cfg)
-    with pytest.raises(ValueError, match="doubled"):
-        second_copy_vector((1.0, 0.0), SpaceConfig(2, 1, 3, ScalarMode.at(0.5)))
     for degree in range(4):
         words = first_copy_words(degree, cfg)
         assert list(words) == [

@@ -6,6 +6,7 @@ from matchings import enumerate_partial_partitions
 from test_combinatorics import closed_form, oracle_crossings, oracle_iota_prime
 
 from qfock import combinatorics, identities
+from qfock.budget import bound
 from qfock.combinatorics import (
     PartialPartition,
     coset_data,
@@ -349,8 +350,6 @@ def test_inclusion_exclusion_sixteen_words():
 def test_inclusion_exclusion_sweep_and_fault():
     assert inclusion_exclusion_sweep(n_max=3, d=2).passed
     assert not inclusion_exclusion_sweep(n_max=3, d=2, fault=0).passed
-    with pytest.raises(ValueError):
-        identities._inclusion_exclusion_results(2, 3, 1)
 
 
 def test_claim_empty_partition_is_one():
@@ -932,16 +931,16 @@ def claim_cases(n_max, m_max):
     )
 
 
-def test_budget_counts_are_the_case_counts(monkeypatch):
+def test_budget_counts_are_the_case_counts(set_bound):
     scans = [
         (lambda: claim_scan(6, 2), claim_cases(6, 2)),
         (lambda: two_mode_scan(4, 2), 1 + 2 * 2 + 4 * 4 + 8 * 6 + 16 * 9),
         (lambda: inclusion_exclusion_sweep(3, 2), 1 + 2 * 2 + 3 * 4 + 4 * 8),
     ]
     for run, cases in scans:
-        monkeypatch.setattr(identities, "SCAN_BUDGET", cases)
+        set_bound("SCAN_BUDGET", cases)
         assert run().cases == cases
-        monkeypatch.setattr(identities, "SCAN_BUDGET", cases - 1)
+        set_bound("SCAN_BUDGET", cases - 1)
         with pytest.raises(ValueError, match="budget"):
             run()
 
@@ -954,7 +953,7 @@ def test_budget_admits_the_documented_inputs():
         ("sweep", 5, 2), ("sweep", 6, 3),
         ("iota", 8, 1), ("iota", 10, 1), ("iota", 11, 1),
     ]:
-        assert identities.check_budget(scan, n_max, size) <= identities.SCAN_BUDGET
+        assert identities.check_budget(scan, n_max, size) <= bound("SCAN_BUDGET")
 
 
 def _entered(*args, **kwargs):

@@ -10,6 +10,7 @@ from matchings import dfs_moment, enumerate_pair_partitions
 from test_fock import basis_one_particle, field_operator, one_particle_vectors
 
 from qfock import wick
+from qfock.budget import bound
 from qfock.combinatorics import crossings
 from qfock.fock import (
     FockVector,
@@ -247,13 +248,13 @@ def test_eighteen_equal_letters_reach_the_vacuum_with_the_q_factorial():
 
 
 def test_the_longest_word_on_the_vacuum_is_itself():
-    word = (0, 1) * (wick.MAX_WICK_LETTERS // 2)
+    word = (0, 1) * (bound("MAX_WICK_LETTERS") // 2)
     assert wick.wick_word_action(word, (), len(word)) == ((word, ONE),)
     assert wick.wick_word_action(word, (), len(word) - 1) == ()
 
 
 def test_a_word_past_the_longest_is_refused_before_any_work():
-    word = (0,) * (wick.MAX_WICK_LETTERS + 1)
+    word = (0,) * (bound("MAX_WICK_LETTERS") + 1)
     wick.wick_word_action.cache_clear()
     with pytest.raises(ValueError, match="work bound"):
         wick.wick_word_action(word, (), len(word))
@@ -496,7 +497,7 @@ def test_moment_guard_refuses_before_enumerating(monkeypatch):
     # the benchmark's largest moment words, twelve letters of two kinds, stay
     # far below the cap
     for word in ([0] * 12, [0, 1] * 6, [0, 1, 1, 0] * 3):
-        assert work_bound(word) * 100 < wick.MAX_MOMENT_WORK
+        assert work_bound(word) * 100 < bound("MAX_MOMENT_WORK")
 
 
 def test_moment_guard_stops_counting_once_over_the_cap(monkeypatch):
@@ -611,12 +612,12 @@ def test_split_product_examples():
         wick_split_product(xi, 4)
 
 
-def test_split_product_counts_every_word_against_its_bound(monkeypatch):
+def test_split_product_counts_every_word_against_its_bound(monkeypatch, set_bound):
     # a word of 4 letters split 2 | 2 walks 1 + 4 + 2 partitions; two words walk twice that
     cfg = cfg_for(4, d=2)
     one = word_vec(cfg, (0, 1, 1, 0))
     two = one + word_vec(cfg, (1, 1, 1, 1))
-    monkeypatch.setattr(wick, "MAX_SPLIT_PARTITIONS", 7)
+    set_bound("MAX_SPLIT_PARTITIONS", 7)
     assert len(wick_split_product(one, 2).coeffs) == 4  # the word, (0, 0), (1, 1) and the vacuum
     monkeypatch.setattr(wick, "_straddling_pairs", _refuse_walk)
     with pytest.raises(ValueError, match="walks 14 straddling partitions"):
