@@ -370,6 +370,10 @@ def deformation_scan(kcut: int, n_max: int, t_grid, cfg: SpaceConfig) -> Deforma
     limit = 2.0 ** (-kcut)
     if any(not 0.0 < t < limit for t in t_grid):
         raise Refused(f"grid must lie in (0, {limit})")
+    # the right side grows with n, so its degree-kcut value, (1 - e^(-2t))^kcut,
+    # is the least; where that rounds to 0 no ratio can be formed
+    if any(deformation_right_side(kcut, kcut, t, 1.0) == 0.0 for t in t_grid):
+        raise Refused(f"grid point too small: the degree-{kcut} tail rounds to 0")
     rows = []
     for n in range(kcut, n_max + 1):
         for t in t_grid:

@@ -227,7 +227,8 @@ def cmd_gram(args, mode: ScalarMode) -> tuple:
     lift and the zero text differ by mode: exact mode lifts each distinct
     coefficient tuple once, to its polynomial string and that string's
     printed text; float mode reads each block from the dense matrix
-    through the content's word indices and prints its entries by ``repr``.
+    through the content's word indices and prints each distinct entry
+    once, by ``repr``.
     """
     cfg = SpaceConfig(args.d, args.copies, args.max_degree, mode)
     # the printed rows outweigh the assembly; both routes refuse a degree above max_degree
@@ -246,10 +247,15 @@ def cmd_gram(args, mode: ScalarMode) -> tuple:
         # reaches a degree where that overflows, to inf, which json writes as null
         g = gram_matrix(args.degree, cfg)
         render = repr if not as_json or np.isfinite(g).all() else _json_float
-        contents = (words.tolist() for words in _content_words(args.degree, cfg.letters).values())
+        contents = [words.tolist() for words in _content_words(args.degree, cfg.letters).values()]
+        subs = [g[np.ix_(words, words)] for words in contents]
+        # each distinct entry is rendered once; the int64 view keeps -0.0 apart from 0.0
+        values, inverse = np.unique(np.concatenate([s.ravel() for s in subs]).view(np.int64), return_inverse=True)
+        texts = np.array(list(map(render, values.view(np.float64).tolist())), dtype=object)[inverse]
+        ends = np.cumsum([s.size for s in subs])
         blocks = (
-            (words, (zip(row, map(render, row)) for row in g[np.ix_(words, words)].tolist()))
-            for words in contents
+            (words, map(zip, s.tolist(), t.reshape(s.shape).tolist()))
+            for words, s, t in zip(contents, subs, np.split(texts, ends[:-1]))
         )
         zero = (0.0, "0.0")
     rows = _content_rows(cfg.dim(args.degree), blocks, zero, _GRAM_ROW_DEPTH if as_json else None)

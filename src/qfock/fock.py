@@ -227,12 +227,15 @@ class FockVector:
 
     @staticmethod
     def from_word(cfg: SpaceConfig, word: tuple, coeff=None) -> "FockVector":
-        word = tuple(word)
+        if type(word) is not tuple:
+            word = tuple(word)
         if coeff is not None:
             return FockVector(cfg, {word: coeff})
         if len(word) > cfg.max_degree:
             raise Refused(f"word {word} above max degree {cfg.max_degree}")
-        return FockVector._trusted(cfg, {word: cfg.scalar.one()})
+        v = object.__new__(FockVector)  # ``_trusted``, inlined: one call per word
+        v.cfg, v.coeffs = cfg, {word: cfg.scalar.one()}
+        return v
 
     def is_zero(self) -> bool:
         return not self.coeffs

@@ -316,13 +316,12 @@ def _inclusion_exclusion_image(lw: tuple, rw: tuple) -> dict:
     {power of q: integer} dict per target word, and each target word
     becomes one polynomial at the end.
     """
-    n = len(lw) + len(rw)
     total: dict = {}
     for j in range(min(len(lw), len(rw)) + 1):
         sign = -1 if j % 2 else 1
         for (lrem, rrem), hist in _subset_level(lw, rw, j).items():
-            # W(rrem) on the vacuum is the word rrem itself
-            for target, p in wick_word_action(lrem, rrem, n):
+            # W(rrem) on the vacuum is the word rrem itself; read at its reach
+            for target, p in wick_word_action(lrem, rrem, len(lrem) + len(rrem)):
                 acc = total.get(target)
                 if acc is None:
                     total[target] = acc = {}

@@ -122,16 +122,23 @@ class QPolynomial:
         return _poly(tuple(-c for c in self.coeffs))
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
+        if type(other) is not QPolynomial:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        a, b = self.coeffs, other.coeffs
+        if not b:
+            return self
+        cs = list(a) + [0] * (len(b) - len(a))  # one pass: no negated copy of other
+        for i, c in enumerate(b):
+            cs[i] -= c
+        return _poly(cs)
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
         if type(other) is not QPolynomial:
@@ -145,15 +152,15 @@ class QPolynomial:
             c = b[0]
             if c == 1:
                 return self if a is self.coeffs else other
-            return _poly([x * c for x in a])
+            return _wrap(tuple([x * c for x in a]))
         if not b:
-            return _poly(())
+            return _ZERO
         cs = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b, i):
                     cs[j] += ai * bj
-        return _poly(cs)
+        return _wrap(tuple(cs))
 
     __rmul__ = __mul__
 
@@ -161,7 +168,7 @@ class QPolynomial:
         """Multiply by q**k (cheaper than a full product)."""
         if not k or not self.coeffs:
             return self
-        return _poly((0,) * k + self.coeffs)
+        return _wrap((0,) * k + self.coeffs)
 
     def __call__(self, q0):
         return self.eval(q0)
@@ -223,6 +230,14 @@ def _poly(cs) -> QPolynomial:
         cs = cs[:n]
     p = _new(QPolynomial)
     _set(p, "coeffs", tuple(cs))
+    return p
+
+
+def _wrap(cs: tuple) -> QPolynomial:
+    """Wrap a coefficient tuple whose top entry is nonzero, such as a product
+    or a shift of normalized polynomials (Q has no zero divisors)."""
+    p = _new(QPolynomial)
+    _set(p, "coeffs", cs)
     return p
 
 

@@ -14,9 +14,12 @@ through its last letter, the recursion behind the Effros-Popa Wick formula:
 the letter is kept (a complement position above every annihilated one) or
 annihilates first, so each action is built from memoized actions of the
 word one letter shorter.  It also truncates the space, dropping each term
-whose creations would leave the top degree.  In exact mode ``wick_apply``
-reuses the kernel's polynomials wherever the weight is 1 and builds a
-polynomial only for a scaled term or a sum.
+whose creations would leave the top degree.  Every read of it, by a caller
+or by its own recursion, is keyed on the pair's reach, min(top degree,
+|word| + |source|): a truncation there drops nothing, so one word pair has
+one memo entry in every space.  In exact mode ``wick_apply`` reuses the
+kernel's polynomials wherever the weight is 1 and builds a polynomial
+only for a scaled term or a sum.
 
 Mixed vacuum moments of field operators sum q^crossings over pair
 partitions, read left to right over open arcs (with integer codes a letter
@@ -46,8 +49,8 @@ from .combinatorics import (
     max_pairs,
     patterns,
 )
-from .fock import FockVector, scalar_is_zero, word_inner_poly
-from .scalars import EXACT, QPolynomial, ScalarMode
+from .fock import FockVector, word_inner_poly
+from .scalars import _ONE, EXACT, QPolynomial, ScalarMode
 
 
 @lru_cache(maxsize=4096)
@@ -60,10 +63,12 @@ def wick_word_action(xi_word: tuple, source: tuple, max_degree: int) -> tuple:
     weight q^k for the k letters the prefix annihilates; or x annihilates
     the source's slot j first, with weight q^j, and the prefix acts on
     the rest.  A target of degree past the truncation, or a word and a
-    source too far apart in length to reach one, gives no terms.  Each
-    prefix is read at the least truncation that keeps all it reaches, so
-    equal states share a memo entry.  Refuses, before any work, a word
-    past the ``MAX_WICK_LETTERS`` or ``MAX_WICK_WORK`` bound.
+    source too far apart in length to reach one, gives no terms.  A
+    truncation at or past |word| + |source| drops nothing, so callers pass
+    min(top degree, |word| + |source|) and each prefix is read the same
+    way: one pair has one memo entry whatever the space.  Refuses, before
+    any work, a word past the ``MAX_WICK_LETTERS`` or ``MAX_WICK_WORK``
+    bound.
     """
     n, m = len(xi_word) - 1, len(source)  # n letters before the last one
     if abs(n + 1 - m) > max_degree:
@@ -104,27 +109,39 @@ def wick_apply(xi: FockVector, v: FockVector) -> FockVector:
     """Apply the Wick operator of xi (any degrees, linearly) to v.
 
     Each pair of words contributes the kernel's terms times the product of
-    their coefficients.  In exact mode a unit weight reuses the kernel's
-    polynomials as they are (a basis word on a basis word is the kernel's
-    output), a new polynomial is built only for a scaled term or a sum,
-    and only sums can cancel, so only they are checked for zero.  Float
-    mode lifts each kernel polynomial to the configured q and adds the
-    terms one by one.
+    their coefficients.  The kernel is read at the pair's reach, min(top
+    degree, |xi word| + |v word|): a truncation there drops nothing, so one
+    memo entry serves the pair in every space.  In exact mode a unit weight
+    reuses the kernel's polynomials as they are (a basis word on a basis
+    word is the kernel's output, and the first such pair fills the empty
+    output in one update), a new polynomial is built only for a scaled
+    term or a sum, and only sums can cancel, so only they are checked for
+    zero.  The unit is the shared exact one, ``scalars._ONE``, so float
+    mode never takes that path: it lifts each kernel polynomial to the
+    configured q and adds the terms one by one.
     """
-    if not xi.cfg.compatible(v.cfg):
-        raise ValueError("space mismatch")
     cfg = v.cfg
-    of = None if cfg.scalar.is_exact else cfg.scalar.of
+    if xi.cfg is not cfg and not xi.cfg.compatible(cfg):
+        raise ValueError("space mismatch")
+    top, of = cfg.max_degree, None if cfg.scalar.is_exact else cfg.scalar.of
     out: dict = {}
     summed = False
     for xw, xc in xi.coeffs.items():
+        n = len(xw)
         for sw, sc in v.coeffs.items():
-            weight = xc * sc
-            if scalar_is_zero(weight):
+            if xc is _ONE:  # the exact unit: sc is a stored coefficient, so nonzero
+                weight = sc
+            else:
+                weight = xc * sc
+                if not weight:
+                    continue
+            reach = n + len(sw)
+            terms = wick_word_action(xw, sw, reach if reach < top else top)
+            unit = weight is _ONE  # the kernel's polynomials are the terms
+            if unit and not out:
+                out.update(terms)
                 continue
-            # basis words have the unit weight: the kernel's polynomial is the term
-            unit = type(weight) is QPolynomial and weight.coeffs == (1,)
-            for tw, p in wick_word_action(xw, sw, cfg.max_degree):
+            for tw, p in terms:
                 term = p if unit else weight * (p if of is None else of(p))
                 prev = out.get(tw)
                 if prev is None:
@@ -280,8 +297,13 @@ def three_wick_trace(xi: FockVector, eta: FockVector, theta: FockVector):
     reversal turns back into a plain q-inner product.
     """
     for v in (eta, theta):
-        if not xi.cfg.compatible(v.cfg):
+        if v.cfg is not xi.cfg and not xi.cfg.compatible(v.cfg):
             raise ValueError("space mismatch")
+    if len(xi.coeffs) == len(eta.coeffs) == len(theta.coeffs) == 1:
+        # three basis words: the exact unit, so never in float mode
+        ((wx, cx),), ((we, ce),), ((wt, ct),) = xi.coeffs.items(), eta.coeffs.items(), theta.coeffs.items()
+        if cx is _ONE is ce is ct:
+            return _three_trace_words(wx, we, wt)
     mode = xi.cfg.scalar
     total = mode.zero()
     for wx, cx in xi.coeffs.items():

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qfock import cli, wick
+from qfock import analysis, cli, wick
 from qfock.budget import bound
 from qfock.cli import main, parse_pairs, parse_q
 from qfock.fock import FockVector, SpaceConfig, gram_matrix, parse_word, word_basis, word_to_str
@@ -720,6 +720,20 @@ def test_float_gram_printout_matches_the_dense_matrix_rows(capsys, d, copies, q)
         assert code == 0 and out == "\n".join("\t".join(map(str, row)) for row in rows) + "\n"
 
 
+def test_float_gram_entries_equal_as_floats_keep_their_own_text(capsys, monkeypatch):
+    # each distinct entry is rendered once: -0.0 and 0.0 compare equal but print apart
+    dense = gram_matrix(2, SpaceConfig(2, 1, 2, parse_q("0.5")))
+    dense[1, 2], dense[2, 1], dense[3, 3] = -0.0, 0.0, -dense[3, 3]  # words 1,2 and 2,1 share a content
+    monkeypatch.setattr(cli, "gram_matrix", lambda degree, cfg: dense)
+    argv = ["gram", "--d", "2", "--degree", "2", "--max-degree", "2", "--q", "0.5"]
+    code, out = run(capsys, *argv, "--format", "text")
+    assert code == 0 and out == "\n".join("\t".join(map(repr, row)) for row in dense.tolist()) + "\n"
+    assert out.splitlines()[1].split("\t")[1:3] == ["1.0", "-0.0"]
+    code, out = run(capsys, *argv, "--format", "json")
+    matrix = json.loads(out)["results"][0]["matrix"]
+    assert [list(map(repr, row)) for row in matrix] == [list(map(repr, row)) for row in dense.tolist()]
+
+
 @pytest.mark.parametrize("q", ["0.9999", "0.99999"])
 def test_float_gram_entries_that_overflow_print_as_the_dense_matrix(capsys, q):
     # [200]_q! overflows near q = 1: json writes null, text writes inf
@@ -1046,6 +1060,18 @@ def test_deform_steps_over_the_cap_are_a_usage_error(capsys, monkeypatch):
     for steps in (bound("MAX_DEFORM_STEPS") + 1, 1_000_000_000):
         assert main(["deform", "--kcut", "1", "--steps", str(steps)]) == 2
         assert "cap" in capsys.readouterr().err
+
+
+def test_deform_grid_point_whose_tail_rounds_to_zero_is_a_usage_error(capsys, monkeypatch):
+    # 1 - exp(-2t) rounds to 0 below about 2.8e-17, and with it the right-hand norm
+    monkeypatch.setattr(analysis, "dilation_operator", _entered)
+    for kcut, t in (("1", "1e-17"), ("2", "1e-17"), ("1", "2.7e-17")):
+        argv = ("deform", "--kcut", kcut, "--tmin", "1e-3", "--tmax", t, "--steps", "2")
+        assert run(capsys, *argv) == (2, "")
+    monkeypatch.undo()
+    code, out = run(capsys, "deform", "--kcut", "1", "--nmax", "1", "--tmin", "3e-17", "--tmax", "2e-3", "--steps", "3")
+    assert code == 0
+    assert out.splitlines()[1].startswith("1,3e-17,")
 
 
 def test_deform_json(capsys):

@@ -63,6 +63,24 @@ def test_multiplicative_identities_and_zero_shift(p):
     assert p.shift(0) == p
 
 
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=6)
+rational_polys = st.lists(st.one_of(st.integers(-9, 9), rationals), max_size=6).map(
+    lambda cs: QPolynomial(tuple(cs))
+)
+
+
+@given(st.one_of(polys, rational_polys), st.one_of(st.integers(-9, 9), rationals, polys, rational_polys))
+def test_subtraction_is_adding_the_negation(a, b):
+    for left, right in ((a, b), (b, a), (a, a), (a, QPolynomial(a.coeffs))):
+        got, expect = left - right, left + (-right)
+        assert got == expect and str(got) == str(expect)
+        assert [type(c) for c in got.coeffs] == [type(c) for c in expect.coeffs]
+        assert not got.coeffs or got.coeffs[-1] != 0
+    assert (a - a).coeffs == () and (a - QPolynomial(a.coeffs)).coeffs == ()
+    if not isinstance(b, QPolynomial):  # a constant cancels against itself as a polynomial
+        assert (QPolynomial.constant(b) - b).coeffs == () == (b - QPolynomial.constant(b)).coeffs
+
+
 def test_ring_results_never_keep_trailing_zeros():
     a, b = QPolynomial((1, 2, 3)), QPolynomial((0, 1, -3))
     assert (a + b).coeffs == (1, 3)

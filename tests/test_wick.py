@@ -180,6 +180,77 @@ def test_a_basis_word_on_a_basis_word_is_the_kernel_output():
     assert got.coeffs == termwise_wick_apply(word_vec(cfg, (0, 1, 0)), word_vec(cfg, (0, 0))).coeffs
 
 
+def unit_elsewhere(v):
+    """v with each exact unit coefficient rebuilt as an equal polynomial that
+    is not the shared one, so the product takes its general route."""
+    return FockVector(v.cfg, {w: QPolynomial(c.coeffs) if c is ONE else c for w, c in v.coeffs.items()})
+
+
+def test_a_word_pair_has_one_kernel_entry_in_every_space(set_bound):
+    set_bound("QFOCK_MAX_DIM", 2**13 - 1)  # two letters to degree 12
+    # every reach here is at most 7: a truncation at 7 or at 12 drops nothing
+    pairs = [((0, 1, 0), (1, 0)), ((1, 1), (0, 1, 1, 0)), ((0,), ()), ((1, 0, 0, 1), (0, 1, 0))]
+    wick.wick_word_action.cache_clear()
+    for xw, sw in pairs:
+        first = wick_apply(word_vec(cfg_for(7), xw), word_vec(cfg_for(7), sw))
+        built = wick.wick_word_action.cache_info().misses
+        again = wick_apply(word_vec(cfg_for(12), xw), word_vec(cfg_for(12), sw))
+        assert wick.wick_word_action.cache_info().misses == built
+        assert again.coeffs == first.coeffs
+    # the product of a product: its second factor meets the words the first made
+    xi, eta, theta = ((0, 1), (1, 0, 0), (0, 1))
+    direct = {}
+    for top in (7, 12):
+        cfg = cfg_for(top)
+        direct[top] = wick_apply(word_vec(cfg, xi), wick_apply(word_vec(cfg, eta), word_vec(cfg, theta)))
+        if top == 7:
+            built = wick.wick_word_action.cache_info().misses
+    assert wick.wick_word_action.cache_info().misses == built
+    assert direct[7].coeffs == direct[12].coeffs
+
+
+def test_the_unit_paths_of_wick_apply_are_the_general_route():
+    cfg = cfg_for(6)
+    words = [w for n in range(4) for w in word_basis(n, 2)]
+    v = wick_apply(word_vec(cfg, (1, 0)), word_vec(cfg, (0, 1, 1)))  # kernel polynomials as weights
+    mixed = FockVector(cfg, {(0,): ONE, (1, 1): Q, (0, 1, 0): QPolynomial((2, -1))})
+    for xw in words:
+        xi = word_vec(cfg, xw)
+        for other in [word_vec(cfg, w) for w in words] + [v, mixed]:
+            got = wick_apply(xi, other)
+            assert got.coeffs == termwise_wick_apply(xi, other).coeffs
+            assert got.coeffs == wick_apply(unit_elsewhere(xi), unit_elsewhere(other)).coeffs
+            # an equal space that is another object takes the compatibility check
+            assert got.coeffs == wick_apply(word_vec(cfg_for(6), xw), other).coeffs
+    with pytest.raises(ValueError, match="space mismatch"):
+        wick_apply(word_vec(cfg_for(5), (0,)), word_vec(cfg, (0,)))
+
+
+def test_three_basis_words_trace_as_the_triple_loop():
+    cfg = cfg_for(6)
+    words = [w for n in range(4) for w in word_basis(n, 2)]
+    for wx, we, wt in itertools.product(words, repeat=3):
+        xi, eta, theta = (word_vec(cfg, w) for w in (wx, we, wt))
+        got = three_wick_trace(xi, eta, theta)
+        expect = three_wick_trace(unit_elsewhere(xi), eta, theta)
+        assert got == expect and got.coeffs == expect.coeffs
+
+
+@pytest.mark.parametrize("q", [0.35, -0.8])
+def test_float_basis_words_are_the_exact_products_at_q(q):
+    exact, floats = cfg_for(5), SpaceConfig(2, 1, 5, ScalarMode.at(q))
+    words = [w for n in range(3) for w in word_basis(n, 2)]
+    for wx, we in itertools.product(words, repeat=2):
+        got = wick_apply(word_vec(floats, wx), word_vec(floats, we))
+        expect = wick_apply(word_vec(exact, wx), word_vec(exact, we))
+        assert got.coeffs == {w: p.eval(q) for w, p in expect.coeffs.items()}
+        assert all(type(c) is float for c in got.coeffs.values())
+        for wt in words:
+            trace = three_wick_trace(*(word_vec(floats, w) for w in (wx, we, wt)))
+            assert type(trace) is float
+            assert trace == three_wick_trace(*(word_vec(exact, w) for w in (wx, we, wt))).eval(q)
+
+
 def subset_walk_action(xi_word, source, max_degree):
     """The Wick kernel by its subsets: for each set A of the word's positions
     the letters at A are annihilated, largest position first, with weight
