@@ -62,9 +62,13 @@ def _require_doubled(cfg: SpaceConfig, what: str) -> None:
 
 
 def rotation_matrix(t: float, d: int) -> np.ndarray:
-    """Rotation mixing the two copies: first-copy column e^-t h + sqrt(1-e^-2t) h~."""
+    """Rotation mixing the two copies: first-copy column e^-t h + sqrt(1-e^-2t) h~.
+
+    1 - e^-2t is taken by ``expm1``: at a t where e^-t rounds to 1 it does
+    not round to 0.
+    """
     c = math.exp(-t)
-    s = math.sqrt(max(0.0, 1.0 - c * c))
+    s = math.sqrt(max(0.0, -math.expm1(-2.0 * t)))
     return copy_mixing([[c, -s], [s, c]], d)
 
 
@@ -325,9 +329,9 @@ class DeformationReport:
 
 
 def deformation_right_side(n: int, kcut: int, t: float, inner_xy: float) -> float:
-    decay = math.exp(-2.0 * t)
+    decay, tail = math.exp(-2.0 * t), -math.expm1(-2.0 * t)  # tail = 1 - decay, kept at tiny t
     return sum(
-        comb(n, m) * decay ** (n - m) * (1.0 - decay) ** m for m in range(kcut, n + 1)
+        comb(n, m) * decay ** (n - m) * tail ** m for m in range(kcut, n + 1)
     ) * inner_xy
 
 
@@ -377,7 +381,7 @@ def deformation_scan(kcut: int, n_max: int, t_grid, cfg: SpaceConfig) -> Deforma
     rows = []
     for n in range(kcut, n_max + 1):
         for t in t_grid:
-            left = math.sqrt(2.0 * (1.0 - math.exp(-n * t ** kcut)))
+            left = math.sqrt(-2.0 * math.expm1(-n * t ** kcut))
             right = math.sqrt(deformation_right_side(n, kcut, t, 1.0))
             rows.append((n, t, left, right, left / right))
     crosscheck = 0.0
@@ -389,7 +393,7 @@ def deformation_scan(kcut: int, n_max: int, t_grid, cfg: SpaceConfig) -> Deforma
         norm_sq = float(q_norm_squared(x))
         moved = alpha_small.apply(x) - x
         left_matrix = math.sqrt(max(float(q_norm_squared(moved)), 0.0) / norm_sq)
-        left_scalar = math.sqrt(2.0 * (1.0 - math.exp(-n * t_mid ** kcut)))
+        left_scalar = math.sqrt(-2.0 * math.expm1(-n * t_mid ** kcut))
         denom = copy_count_projection(alpha_mid.apply(x), kcut, "at-least")
         right_matrix = math.sqrt(max(float(q_norm_squared(denom)), 0.0) / norm_sq)
         right_scalar = math.sqrt(deformation_right_side(n, kcut, t_mid, 1.0))

@@ -39,8 +39,6 @@ import random
 import re
 import sys
 
-import numpy as np
-
 from . import budget
 from .analysis import (
     block_decay,
@@ -57,9 +55,7 @@ from .combinatorics import PartialPartition, count_patterns, crossings, iota_pri
 from .fock import (
     FockVector,
     SpaceConfig,
-    _content_words,
-    _exact_gram_blocks,
-    gram_matrix,
+    _lifted_blocks,
     parse_word,
     word_basis,
     word_to_str,
@@ -223,41 +219,29 @@ def cmd_gram(args, mode: ScalarMode) -> tuple:
 
     Words of different contents are orthogonal, so each row starts as a
     copy of one shared zero row, each content block is placed into its
-    rows once, and each row is rendered once (``_Row``).  Only the entry
-    lift and the zero text differ by mode: exact mode lifts each distinct
-    coefficient tuple once, to its polynomial string and that string's
-    printed text; float mode reads each block from the dense matrix
-    through the content's word indices and prints each distinct entry
-    once, by ``repr``.
+    rows once, and each row is rendered once (``_Row``).  Each distinct
+    entry is rendered once (``fock._lifted_blocks``); only that rendering
+    and the zero text differ by mode: exact mode renders a coefficient
+    tuple to its polynomial string and that string's printed text, float
+    mode a float by ``repr``.
     """
     cfg = SpaceConfig(args.d, args.copies, args.max_degree, mode)
-    # the printed rows outweigh the assembly; both routes refuse a degree above max_degree
+    # the printed rows outweigh the assembly; both modes refuse a degree above max_degree
     if args.degree <= cfg.max_degree:
         budget.check("MAX_GRAM_ENTRIES", cfg.dim(args.degree) ** 2, "gram would print")
-        if not mode.is_exact:  # degree n takes n(n + 1)/2 slot moves
+        if not mode.is_exact:  # degree n makes n(n + 1)/2 slot passes
             budget.check("FLOAT_GRAM_TAKES", args.degree * (args.degree + 1) // 2, "float gram makes")
     as_json = args.format == "json"
     if mode.is_exact:
         quote = json.encoder.encode_basestring_ascii if as_json else str
-        blocks = _exact_gram_blocks(args.degree, cfg, lambda coeffs: (p := str(QPolynomial(coeffs)), quote(p)))
-        zero = ("0", quote("0"))
+        render, zero = (lambda coeffs: (p := str(QPolynomial(coeffs)), quote(p))), ("0", quote("0"))
     else:
         # ScalarMode refuses |q| >= 1, so every entry between contents is +0.0
         # and |<u, v>| <= n!; under MAX_GRAM_ENTRIES only a space of one letter
         # reaches a degree where that overflows, to inf, which json writes as null
-        g = gram_matrix(args.degree, cfg)
-        render = repr if not as_json or np.isfinite(g).all() else _json_float
-        contents = [words.tolist() for words in _content_words(args.degree, cfg.letters).values()]
-        subs = [g[np.ix_(words, words)] for words in contents]
-        # each distinct entry is rendered once; the int64 view keeps -0.0 apart from 0.0
-        values, inverse = np.unique(np.concatenate([s.ravel() for s in subs]).view(np.int64), return_inverse=True)
-        texts = np.array(list(map(render, values.view(np.float64).tolist())), dtype=object)[inverse]
-        ends = np.cumsum([s.size for s in subs])
-        blocks = (
-            (words, map(zip, s.tolist(), t.reshape(s.shape).tolist()))
-            for words, s, t in zip(contents, subs, np.split(texts, ends[:-1]))
-        )
-        zero = (0.0, "0.0")
+        show = _json_float if as_json else repr
+        render, zero = (lambda value: (value, show(value))), (0.0, "0.0")
+    blocks = _lifted_blocks(args.degree, cfg, render)
     rows = _content_rows(cfg.dim(args.degree), blocks, zero, _GRAM_ROW_DEPTH if as_json else None)
     words = word_basis(args.degree, cfg.letters)
     results = [
@@ -408,7 +392,7 @@ def cmd_verify_claim(args, mode: ScalarMode) -> tuple:
 
 
 def cmd_schatten(args, mode: ScalarMode) -> tuple:
-    top = args.max_degree  # degrees 0..D make D(D + 1)(D + 2)/6 takes
+    top = args.max_degree  # degrees 0..D make D(D + 1)(D + 2)/6 slot passes
     budget.check("SCHATTEN_TAKES", top * (top + 1) * (top + 2) // 6, f"schatten to degree {top} makes")
     cfg = SpaceConfig(args.d, 1, top, mode)
     h = (1.0,) + (0.0,) * (args.d - 1)

@@ -20,20 +20,14 @@ recursion
     <h (x) w, w'> = sum_j q^(j-1) <h, w'_j> <w, w' with slot j removed>
 
 memoized per word pair for the sparse routes (``word_inner_poly``).  Words
-with different letter contents (multisets) are orthogonal, so exact Gram
-blocks are assembled per content: the same recursion fills each content's
-integer coefficient block from the blocks one letter smaller.  The blocks
-are then read row by row and each distinct coefficient tuple is lifted
-once: to a polynomial for ``gram_matrix``, straight to its text for the
-``gram`` command.  Float mode applies the recursion to whole blocks
-(Bozejko-Speicher):
-
-    G_0 = [1],  G_n = sum_j q^j (I_letters (x) G_(n-1))[:, P_j]
-
-with P_j[v] the index of word v with slot j moved to the front; at the
-sizes used, dense float arrays beat per-content blocks.  Both modes share
-one content layout (``_content_words``): the ``gram`` command prints the
-dense float matrix through it too.
+with different letter contents (multisets) are orthogonal, so Gram blocks
+are assembled per content, in both scalar modes by one recursion: all
+content blocks of a degree are packed into one array, and each slot j adds
+the packed entries of the degree below into it, times q^j in float mode,
+shifted j coefficients up in exact mode (integer coefficient blocks).  The
+blocks are then read row by row and each distinct entry is lifted once: to
+a polynomial for exact ``gram_matrix``, straight to its text for the
+``gram`` command; float ``gram_matrix`` places the blocks as they are.
 
 There is no ladder kernel here: a field s(h) is the degree-1 Wick product
 W(h), applied by ``qfock.wick.wick_apply``.  Its kernel
@@ -285,34 +279,6 @@ def q_norm_squared(v: FockVector):
     return q_inner(v, v)
 
 
-@lru_cache(maxsize=64)
-def _slot_moves(degree: int, letters: int) -> tuple:
-    """P_j for each slot j: P_j[v] indexes word v with its slot j moved to the
-    front, by arithmetic on indices as base-``letters`` numbers."""
-    v, top, moves = np.arange(letters ** degree), letters ** (degree - 1), []
-    for j in range(degree):
-        after = letters ** (degree - 1 - j)  # the slots behind j
-        moves.append(v // after % letters * top + v // (after * letters) * after + v % after)
-        moves[-1].flags.writeable = False
-    return tuple(moves)
-
-
-def _float_gram(degree: int, letters: int, q0: float) -> np.ndarray:
-    """G_n = sum_j q^j (I_letters (x) G_(n-1))[:, P_j] at the float q0."""
-    g = np.ones((1, 1))
-    for n in range(1, degree + 1):
-        m = g.shape[0]
-        lifted = np.zeros((m * letters, m * letters))
-        for a in range(letters):
-            lifted[a * m : (a + 1) * m, a * m : (a + 1) * m] = g
-        g, term = np.zeros_like(lifted), np.empty_like(lifted)
-        for j, move in enumerate(_slot_moves(n, letters)):
-            np.take(lifted, move, axis=1, out=term, mode="clip")
-            term *= q0 ** j
-            g += term
-    return g
-
-
 def _coeff_dtype(degree: int):
     # every coefficient of a degree-n entry counts permutations, so is <= n!
     bound = math.factorial(degree)
@@ -323,116 +289,145 @@ def _coeff_dtype(degree: int):
     return object
 
 
-def _content_sizes(degree: int, letters: int):
-    """Yield (words, letter multiplicities) per letter content of the degree."""
+def _packed_entries(degree: int, letters: int) -> int:
+    """Word pairs of one letter content at the degree: the entries of its packed blocks."""
+    total = 0
     for content in itertools.combinations_with_replacement(range(letters), degree):
         counts = [content.count(a) for a in dict.fromkeys(content)]
-        yield math.factorial(degree) // math.prod(map(math.factorial, counts)), counts
+        total += (math.factorial(degree) // math.prod(map(math.factorial, counts))) ** 2
+    return total
 
 
 def _gram_bytes(degree: int, letters: int) -> int:
-    """Bytes exact assembly holds at its peak, from shapes alone: every content
-    block of the degree below, the largest of this degree, and the result's references."""
+    """Bytes exact assembly holds at its peak, from shapes alone: the packed
+    blocks of the degree and of the degree below, the degree's int64 slot
+    tables (``_Packing.dst``) and the result's references.  A slot's
+    addition also copies the entries it writes, letters times the packed
+    blocks below, which is not counted, nor are the lifted entries."""
 
-    def block_bytes(n: int) -> list:  # per content: words^2 * coefficients * itemsize
-        size = (n * (n - 1) // 2 + 1) * np.dtype(_coeff_dtype(n)).itemsize
-        return [words ** 2 * size for words, _ in _content_sizes(n, letters)]
+    def packed(n: int) -> int:  # n(n - 1)/2 + 1 coefficients an entry
+        return _packed_entries(n, letters) * (n * (n - 1) // 2 + 1) * np.dtype(_coeff_dtype(n)).itemsize
 
-    below = sum(block_bytes(degree - 1)) if degree else 0
-    return below + max(block_bytes(degree)) + letters ** (2 * degree) * np.dtype(object).itemsize
+    below = packed(degree - 1) + degree * letters * _packed_entries(degree - 1, letters) * 8 if degree else 0
+    return below + packed(degree) + letters ** (2 * degree) * np.dtype(object).itemsize
 
 
 def _gram_work(degree: int, letters: int) -> int:
     """Coefficient additions exact assembly makes up to the degree, from shapes alone.
 
-    At degree n, each content's block adds, once per slot, the block of
-    the content with one letter a removed: (words * count of a / n)^2
-    entries of (n-1)(n-2)/2 + 1 coefficients.  An addition of Python ints
-    (the object blocks, degree 21 on) counts 16: it measured 45-70 ns, an
-    int64 one 3-5 ns.  Counting stops past the ``EXACT_GRAM_WORK`` bound.
+    At degree n, each of the n slots adds every packed entry of the degree
+    below once per letter, (n-1)(n-2)/2 + 1 coefficients an entry.  An
+    addition of Python ints (the object blocks, degree 21 on) counts 16: it
+    measured 45-70 ns, an int64 one 3-5 ns.  Counting stops past the
+    ``EXACT_GRAM_WORK`` bound.
     """
     work, stop = 0, budget.bound("EXACT_GRAM_WORK")
     for n in range(1, degree + 1):
         if work > stop:
             break
-        per_pair = n * ((n - 1) * (n - 2) // 2 + 1) * (16 if _coeff_dtype(n) is object else 1)
-        pairs = sum((words * m // n) ** 2 for words, counts in _content_sizes(n, letters) for m in counts)
-        work += per_pair * pairs
+        per_entry = n * ((n - 1) * (n - 2) // 2 + 1) * (16 if _coeff_dtype(n) is object else 1)
+        work += per_entry * letters * _packed_entries(n - 1, letters)
     return work
 
 
-def _content_words(degree: int, letters: int) -> dict:
-    """{content: word indices} per letter content of the degree.
+@dataclass(frozen=True)
+class _Packing:
+    """Where a degree's content blocks sit in one packed array, and how
+    they are filled from the degree below's (``_packing``); read-only."""
 
-    The content is the sorted letters of the words, in the order of
-    ``combinations_with_replacement``, and the indices ascend: the words
-    starting with each letter of the content in turn, each followed by a
-    word of the content with that letter removed.
+    contents: tuple  # in the order of combinations_with_replacement
+    words: np.ndarray  # word indices, content after content
+    starts: np.ndarray  # where each content's words start in ``words``, then the end
+    offsets: np.ndarray  # where each content's block starts in the packed array, then the end
+    dst: np.ndarray  # dst[j, a, e]: the entry that entry e below adds to through slot j and letter a
 
-    >>> {content: words.tolist() for content, words in _content_words(2, 2).items()}
-    {(0, 0): [0], (0, 1): [1, 2], (1, 1): [3]}
-    """
-    layout = {(): np.zeros(1, dtype=np.int64)}
-    for n in range(1, degree + 1):  # a loop, not recursion: one letter reaches degree 4999
-        layout = _grow_layout(layout, n, letters)
-    return layout
-
-
-def _grow_layout(below: dict, degree: int, letters: int) -> dict:
-    """The ``_content_words`` layout of the degree from that of the degree below."""
-    top = letters ** (degree - 1)
-    return {
-        content: np.concatenate([a * top + below[_without(content, a)] for a in dict.fromkeys(content)])
-        for content in itertools.combinations_with_replacement(range(letters), degree)
-    }
+    def __post_init__(self):
+        for array in (self.words, self.starts, self.offsets, self.dst):
+            array.flags.writeable = False
 
 
-def _without(content: tuple, a: int) -> tuple:
-    i = content.index(a)
-    return content[:i] + content[i + 1 :]
+@lru_cache(maxsize=64)
+def _packing(degree: int, letters: int) -> _Packing:
+    """The packed layout of the degree, built from that of the degree below.
 
-
-def _content_blocks(degree: int, letters: int):
-    """Yield (content, word indices, coefficient block) per letter content.
-
-    Contents and word indices are those of ``_content_words``, and
-    block[s, t, k] is the coefficient of q^k in <word s, word t>.
-    Words of other contents are orthogonal.  A word a u' pairs with v
+    A content's words are those starting with each of its letters a in
+    turn, a followed by a word of the content with a removed, so they
+    ascend; its block is packed row-major.  A word a u' pairs with v
     through the slots j where v_j = a (<a u', v> = sum_j q^j <u', v minus
-    slot j>), so each block is filled from the blocks one letter smaller,
-    degree by degree; the blocks of the degree below are held only while
-    this degree is yielded.
+    slot j>), so the entry (u', v') of the degree below adds, through slot j
+    and letter a, to the entry (a u', v' with a put in at slot j): every
+    entry below is read once per slot and letter, and no entry receives
+    twice in one slot.  Callers build the degrees in ascending order, so
+    the degree below is a memo hit and the recursion one level deep.
+    """
+    if not degree:
+        no_slots = np.zeros((0, letters, 1), dtype=np.intp)
+        return _Packing(((),), np.zeros(1, dtype=np.intp), np.arange(2), np.arange(2), no_slots)
+    below = _packing(degree - 1, letters)
+    index = {content: k for k, content in enumerate(below.contents)}
+    contents = tuple(itertools.combinations_with_replacement(range(letters), degree))
+    top, groups, widths = letters ** (degree - 1), [], []
+    for content in contents:
+        first = len(groups)
+        for a in dict.fromkeys(content):
+            i = content.index(a)
+            k = index[content[:i] + content[i + 1 :]]
+            groups.append(a * top + below.words[below.starts[k] : below.starts[k + 1]])
+        widths.append(sum(map(len, groups[first:])))
+    words, widths = np.concatenate(groups), np.array(widths)
+    starts, offsets = np.concatenate([[0], np.cumsum(widths)]), np.concatenate([[0], np.cumsum(widths ** 2)])
+    rank = np.empty_like(words)
+    rank[words] = np.arange(len(words))
+    # content c's entry in row p, column r is offsets[c] + (p - starts[c]) * widths[c] + r - starts[c]
+    row_entry = np.repeat(offsets[:-1] - (widths + 1) * starts[:-1], widths)
+    row_entry += np.arange(len(words)) * np.repeat(widths, widths)
+    a, w = np.arange(letters)[:, None], below.words
+    after = letters ** np.arange(degree - 1, -1, -1)[:, None, None]  # the slots behind slot j
+    rows = row_entry[rank[a * top + w]]  # the row of a w', per letter a and word w' below
+    cols = rank[(w // after * letters + a) * after + w % after]  # w' with a put in at slot j
+    # entry e below pairs rows[a, p] with cols[j, a, r] in its block's row p and column r
+    dst = [rows[:, lo:hi, None] + cols[:, :, None, lo:hi] for lo, hi in zip(below.starts[:-1], below.starts[1:])]
+    dst = np.concatenate([block.reshape(degree, letters, -1) for block in dst], axis=2)
+    return _Packing(contents, words, starts, offsets, dst)
 
-    >>> for content, words, block in _content_blocks(2, 2):
-    ...     print(content, words.tolist(), block.tolist())
+
+def _content_blocks(degree: int, letters: int, q=None):
+    """Yield (content, word indices, block) per letter content of the degree.
+
+    Contents and word indices are those of ``_packing``; block[s, t] is
+    <word s, word t>: its integer coefficients of q^0, q^1, ... along a
+    last axis when ``q`` is None, its value at the float ``q`` otherwise.
+    Words of other contents are orthogonal.  Every block of a degree is
+    filled at once, in one packed array, from the blocks of the degree
+    below: slot by slot, in slot order, each adds the entries below shifted
+    j coefficients up, or times q^j.
+
+    >>> for q in (None, 0.5):
+    ...     for content, words, block in _content_blocks(2, 2, q):
+    ...         print(content, words.tolist(), block.tolist())
     (0, 0) [0] [[[1, 1]]]
     (0, 1) [1, 2] [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]
     (1, 1) [3] [[[1, 1]]]
+    (0, 0) [0] [[1.5]]
+    (0, 1) [1, 2] [[1.0, 0.5], [0.5, 1.0]]
+    (1, 1) [3] [[1.5]]
     """
-    [(content, words)] = _content_words(0, letters).items()
-    layer = [(content, words, np.ones((1, 1, 1), dtype=_coeff_dtype(0)))]
-    for n in range(1, degree + 1):  # a loop, not recursion, as in _content_words
-        layer = _grow_blocks({content: (words, block) for content, words, block in layer}, n, letters)
-    yield from layer
-
-
-def _grow_blocks(below: dict, degree: int, letters: int):
-    """Yield the ``_content_blocks`` of the degree from those of the degree
-    below, given as {content: (word indices, block)}."""
-    layout = _grow_layout({content: words for content, (words, _) in below.items()}, degree, letters)
-    width = degree * (degree - 1) // 2 + 1
-    for content, words in layout.items():
-        block = np.zeros((len(words), len(words), width), dtype=_coeff_dtype(degree))
-        start = 0
-        for a in dict.fromkeys(content):  # the rows of the words starting with a
-            sub, sub_block = below[_without(content, a)]
-            rows = slice(start, start + len(sub))
-            start += len(sub)
-            for j in range(degree):
-                after = letters ** (degree - 1 - j)  # the slots behind j
-                cols = np.searchsorted(words, (sub // after * letters + a) * after + sub % after)
-                block[rows, cols, j : j + sub_block.shape[2]] += sub_block
-        yield content, words, block
+    exact, pack = q is None, _packing(0, letters)
+    values = np.ones((1, 1), dtype=_coeff_dtype(0)) if exact else np.ones(1)
+    for n in range(1, degree + 1):  # a loop, not recursion, so each _packing call is one level deep
+        pack = _packing(n, letters)
+        if exact:
+            out = np.zeros((pack.offsets[-1], n * (n - 1) // 2 + 1), dtype=_coeff_dtype(n))
+            for j, dst in enumerate(pack.dst):
+                out[dst, j : j + values.shape[1]] += values
+        else:  # bincount adds in input order, so each entry gets slot 0's term first, then slot 1's, ...
+            terms = np.broadcast_to(np.array([q ** j for j in range(n)])[:, None, None] * values, pack.dst.shape)
+            out = np.bincount(pack.dst.ravel(), terms.ravel(), pack.offsets[-1])
+        values = out
+    for k, content in enumerate(pack.contents):
+        words = pack.words[pack.starts[k] : pack.starts[k + 1]]
+        block = values[pack.offsets[k] : pack.offsets[k + 1]]
+        yield content, words, block.reshape(len(words), len(words), *values.shape[1:])
 
 
 def gram_matrix(degree: int, cfg: SpaceConfig) -> np.ndarray:
@@ -440,55 +435,64 @@ def gram_matrix(degree: int, cfg: SpaceConfig) -> np.ndarray:
 
     Float mode gives a float array at the configured q; exact mode an
     object array of QPolynomial, zero entries sharing one zero polynomial.
-    Exact mode refuses, before allocating anything, an assembly over the
-    ``EXACT_GRAM_BUDGET`` or ``EXACT_GRAM_WORK`` bound.
+    Both place the content blocks of ``_content_blocks`` and refuse what
+    ``_checked_blocks`` refuses, before allocating anything.
 
     >>> g = gram_matrix(2, SpaceConfig(2, 1, 2, ScalarMode.exact()))
     >>> print(g[0, 0], "|", g[1, 2], "|", g[0, 1])
     1 + q | q | 0
     """
-    if not cfg.scalar.is_exact:
-        _check_degree(degree, cfg)
-        return _float_gram(degree, cfg.letters, cfg.scalar.q)
-    blocks = _exact_gram_blocks(degree, cfg, QPolynomial)
+    if cfg.scalar.is_exact:  # each distinct coefficient tuple lifted once
+        blocks, zero, dtype = _lifted_blocks(degree, cfg, QPolynomial), QPolynomial.zero(), object
+    else:  # a float block is its own entries
+        blocks, zero, dtype = ((words, block) for _, words, block in _checked_blocks(degree, cfg)), 0.0, float
     dim = cfg.dim(degree)
-    out = np.full((dim, dim), QPolynomial.zero(), dtype=object)
+    out = np.full((dim, dim), zero, dtype=dtype)
     for words, rows in blocks:
-        out[np.ix_(words, words)] = rows
+        words = np.asarray(words)
+        out[words[:, None], words] = rows
     return out
 
 
-def _check_degree(degree: int, cfg: SpaceConfig) -> None:
+def _checked_blocks(degree: int, cfg: SpaceConfig):
+    """``_content_blocks`` of the degree in the space's scalar mode, after
+    the checks.  Refuses, before allocating anything, a degree outside
+    0..max_degree and, in exact mode, an assembly over ``EXACT_GRAM_BUDGET``
+    bytes (``_gram_bytes``) or ``EXACT_GRAM_WORK`` additions (``_gram_work``).
+    """
     if not 0 <= degree <= cfg.max_degree:
         raise Refused(f"degree {degree} outside 0..{cfg.max_degree}")
+    if cfg.scalar.is_exact:
+        what = f"exact Gram block of degree {degree} over {cfg.letters} letters needs at least"
+        budget.check("EXACT_GRAM_BUDGET", _gram_bytes(degree, cfg.letters), what)
+        budget.check("EXACT_GRAM_WORK", _gram_work(degree, cfg.letters), what)
+    return _content_blocks(degree, cfg.letters, cfg.scalar.q)
 
 
-def _exact_gram_blocks(degree: int, cfg: SpaceConfig, lift) -> list:
-    """(word indices, rows) per content block of the exact Gram block.
+def _lifted_blocks(degree: int, cfg: SpaceConfig, lift) -> list:
+    """(word indices, rows) per content block of the Gram block, after the
+    checks of ``_checked_blocks``.
 
-    Entry t of row s is ``lift`` of the coefficient tuple of <word s, word
-    t> (powers of q ascending, trailing zeros kept); words of other
-    contents are orthogonal.  Few distinct tuples fill many entries, so
-    each is lifted once, and a block is read as lists one row at a time,
-    never whole.  Refuses, before allocating anything, a degree outside
-    0..max_degree and an assembly over ``EXACT_GRAM_BUDGET`` bytes
-    (``_gram_bytes``) or ``EXACT_GRAM_WORK`` additions (``_gram_work``).
+    Entry t of row s is ``lift`` of <word s, word t>: of its coefficient
+    tuple (powers of q ascending, trailing zeros kept) in exact mode, of its
+    float otherwise; words of other contents are orthogonal.  Few distinct
+    entries fill many places, so each is lifted once, floats told apart by
+    their bits (-0.0 is not 0.0), and a block is read as lists one row at a
+    time, never whole.
     """
-    _check_degree(degree, cfg)
-    what = f"exact Gram block of degree {degree} over {cfg.letters} letters needs at least"
-    budget.check("EXACT_GRAM_BUDGET", _gram_bytes(degree, cfg.letters), what)
-    budget.check("EXACT_GRAM_WORK", _gram_work(degree, cfg.letters), what)
-    blocks, lifted = [], {}
-    for _, words, block in _content_blocks(degree, cfg.letters):
+    exact, blocks, lifted = cfg.scalar.is_exact, [], {}
+    for _, words, block in _checked_blocks(degree, cfg):
         rows = []
-        for coeffs in block:
-            row = []
-            for key in map(tuple, coeffs.tolist()):
+        for row in block:
+            entries = list(map(tuple, row.tolist())) if exact else row.tolist()
+            keys = entries if exact else row.view(np.int64).tolist()
+            out = []
+            for key, entry in zip(keys, entries):
                 value = lifted.get(key)
                 if value is None:
-                    value = lifted[key] = lift(key)
-                row.append(value)
-            rows.append(row)
+                    value = lifted[key] = lift(entry)
+                out.append(value)
+            rows.append(out)
         blocks.append((words.tolist(), rows))
     return blocks
 

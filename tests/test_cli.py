@@ -209,10 +209,10 @@ def test_exact_one_letter_gram_past_the_work_bound_is_a_usage_error(capsys, monk
 
 @pytest.mark.parametrize("degree", ["256", "400", "4999"])
 def test_float_one_letter_gram_past_the_work_bound_is_a_usage_error(capsys, monkeypatch, degree):
-    # degree n needs n(n + 1)/2 slot-move takes on 1 x 1 blocks; none is made
+    # degree n makes n(n + 1)/2 slot passes on 1 x 1 blocks; none is made
     from qfock import fock
 
-    monkeypatch.setattr(fock, "_float_gram", _entered)
+    monkeypatch.setattr(fock, "_content_blocks", _entered)
     assert main(["gram", "--d", "1", "--degree", degree, "--max-degree", degree, "--q", "0.5"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "work bound" in captured.err
@@ -221,17 +221,17 @@ def test_float_one_letter_gram_past_the_work_bound_is_a_usage_error(capsys, monk
 def test_float_gram_work_bound_admits_one_letter_to_degree_255(monkeypatch):
     from qfock import fock
 
-    monkeypatch.setattr(fock, "_float_gram", _entered)
+    monkeypatch.setattr(fock, "_content_blocks", _entered)
     with pytest.raises(AssertionError, match="started"):
         main(["gram", "--d", "1", "--degree", "255", "--max-degree", "255", "--q", "0.5"])
 
 
 @pytest.mark.parametrize("max_degree", ["73", "120", "4999"])
 def test_schatten_past_the_float_gram_work_bound_is_a_usage_error(capsys, monkeypatch, max_degree):
-    # degrees 0..D make D(D + 1)(D + 2)/6 takes in all; none is made
+    # degrees 0..D make D(D + 1)(D + 2)/6 slot passes in all; none is made
     from qfock import analysis, fock
 
-    monkeypatch.setattr(fock, "_float_gram", _entered)
+    monkeypatch.setattr(fock, "_content_blocks", _entered)
     monkeypatch.setattr(analysis, "phi_hk_operator", _entered)
     assert main(["schatten", "--d", "1", "--p", "2", "--max-degree", max_degree]) == 2
     captured = capsys.readouterr()
@@ -243,7 +243,7 @@ def test_schatten_work_bound_admits_one_letter_to_degree_72(monkeypatch):
 
     assert 72 * 73 * 74 // 6 <= bound("SCHATTEN_TAKES") < 73 * 74 * 75 // 6
     assert 7 * 8 * 9 // 6 == 84  # the benchmark's schatten --d 2 --max-degree 7
-    monkeypatch.setattr(fock, "_float_gram", _entered)
+    monkeypatch.setattr(fock, "_content_blocks", _entered)
     with pytest.raises(AssertionError, match="started"):
         main(["schatten", "--d", "1", "--p", "2", "--max-degree", "72"])
 
@@ -295,7 +295,6 @@ def test_gram_over_the_printed_entry_cap_is_a_usage_error(capsys, monkeypatch, a
     from qfock import fock
 
     monkeypatch.setattr(fock, "_content_blocks", _entered)
-    monkeypatch.setattr(fock, "_float_gram", _entered)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "cap" in captured.err
@@ -722,9 +721,17 @@ def test_float_gram_printout_matches_the_dense_matrix_rows(capsys, d, copies, q)
 
 def test_float_gram_entries_equal_as_floats_keep_their_own_text(capsys, monkeypatch):
     # each distinct entry is rendered once: -0.0 and 0.0 compare equal but print apart
+    from qfock import fock
+
     dense = gram_matrix(2, SpaceConfig(2, 1, 2, parse_q("0.5")))
     dense[1, 2], dense[2, 1], dense[3, 3] = -0.0, 0.0, -dense[3, 3]  # words 1,2 and 2,1 share a content
-    monkeypatch.setattr(cli, "gram_matrix", lambda degree, cfg: dense)
+    blocks = fock._content_blocks
+
+    def altered(degree, letters, q=None):  # the content blocks of ``dense``
+        for content, words, block in blocks(degree, letters, q):
+            yield content, words, dense[words][:, words]
+
+    monkeypatch.setattr(fock, "_content_blocks", altered)
     argv = ["gram", "--d", "2", "--degree", "2", "--max-degree", "2", "--q", "0.5"]
     code, out = run(capsys, *argv, "--format", "text")
     assert code == 0 and out == "\n".join("\t".join(map(repr, row)) for row in dense.tolist()) + "\n"
@@ -1063,15 +1070,25 @@ def test_deform_steps_over_the_cap_are_a_usage_error(capsys, monkeypatch):
 
 
 def test_deform_grid_point_whose_tail_rounds_to_zero_is_a_usage_error(capsys, monkeypatch):
-    # 1 - exp(-2t) rounds to 0 below about 2.8e-17, and with it the right-hand norm
+    # the degree-kcut right side, (1 - exp(-2t))^kcut, about (2t)^kcut, underflows to 0
     monkeypatch.setattr(analysis, "dilation_operator", _entered)
-    for kcut, t in (("1", "1e-17"), ("2", "1e-17"), ("1", "2.7e-17")):
-        argv = ("deform", "--kcut", kcut, "--tmin", "1e-3", "--tmax", t, "--steps", "2")
-        assert run(capsys, *argv) == (2, "")
+    for kcut, nmax, tmin, tmax in (("11", "11", "1e-30", "1e-30"), ("2", "3", "1e-170", "1e-3")):
+        assert main(["deform", "--kcut", kcut, "--nmax", nmax, "--tmin", tmin, "--tmax", tmax, "--steps", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "tail rounds to 0" in captured.err
     monkeypatch.undo()
     code, out = run(capsys, "deform", "--kcut", "1", "--nmax", "1", "--tmin", "3e-17", "--tmax", "2e-3", "--steps", "3")
     assert code == 0
     assert out.splitlines()[1].startswith("1,3e-17,")
+
+
+def test_deform_at_a_t_where_exp_rounds_to_one(capsys):
+    # e^(-t) is 1.0 at t = 3e-17, but 1 - e^(-2t) and 1 - e^(-nt) are not 0
+    argv = ("deform", "--kcut", "1", "--nmax", "2", "--tmin", "3e-17", "--tmax", "3e-17", "--steps", "1")
+    code, doc = run_json(capsys, *argv)
+    assert code == 0 and doc["verified"]
+    [(n, t, left, right, ratio), _] = doc["results"][0]["rows"]
+    assert n == 1 and math.isclose(left, math.sqrt(2 * 3e-17), rel_tol=1e-12, abs_tol=0)
 
 
 def test_deform_json(capsys):

@@ -268,6 +268,88 @@ def test_gram_float_matches_word_pairs(d, copies, top):
             np.testing.assert_allclose(g, expect, rtol=1e-12, atol=0)
 
 
+# oracle: the dense Bozejko-Speicher recursion over the whole degree block,
+#     G_0 = [1],  G_n = sum_j q^j (I_letters (x) G_(n-1))[:, P_j],
+# with P_j[v] the index of word v with slot j moved to the front.  Each
+# entry gets the same nonzero additions in the same order as in the packed
+# route, so the two agree bit for bit.
+
+
+@functools.lru_cache(maxsize=64)
+def _slot_moves(degree, letters):
+    """P_j for each slot j, by arithmetic on indices as base-``letters`` numbers."""
+    v, top, moves = np.arange(letters**degree), letters ** (degree - 1), []
+    for j in range(degree):
+        after = letters ** (degree - 1 - j)  # the slots behind j
+        moves.append(v // after % letters * top + v // (after * letters) * after + v % after)
+        moves[-1].flags.writeable = False
+    return tuple(moves)
+
+
+def _float_gram(degree, letters, q0):
+    """G_n = sum_j q^j (I_letters (x) G_(n-1))[:, P_j] at the float q0."""
+    g = np.ones((1, 1))
+    for n in range(1, degree + 1):
+        m = g.shape[0]
+        lifted = np.zeros((m * letters, m * letters))
+        for a in range(letters):
+            lifted[a * m : (a + 1) * m, a * m : (a + 1) * m] = g
+        g, term = np.zeros_like(lifted), np.empty_like(lifted)
+        for j, move in enumerate(_slot_moves(n, letters)):
+            np.take(lifted, move, axis=1, out=term, mode="clip")
+            term *= q0**j
+            g += term
+    return g
+
+
+@pytest.mark.parametrize("d,copies,top", GRAM_ORACLE_SPACES)
+@pytest.mark.parametrize("q", [-0.9, -0.4, -0.0, 0.0, 0.5, 0.95])
+def test_float_gram_is_the_dense_recursion_bit_for_bit(d, copies, top, q):
+    cfg = SpaceConfig(d, copies, top, ScalarMode.at(q))
+    for degree in range(top + 1):
+        assert gram_matrix(degree, cfg).tobytes() == _float_gram(degree, d * copies, q).tobytes()
+
+
+def test_float_gram_overflow_is_the_dense_recursion_bit_for_bit():
+    cfg = SpaceConfig(1, 1, 200, ScalarMode.at(0.9999))
+    with np.errstate(over="ignore"):
+        g = gram_matrix(200, cfg)
+        assert g.tobytes() == _float_gram(200, 1, 0.9999).tobytes()
+    assert g.tolist() == [[math.inf]]
+
+
+def q_factorial(n):
+    """Coefficients of [n]_q! = prod_(k <= n) (1 + q + ... + q^(k-1)), lowest power first."""
+    coeffs = [1]
+    for k in range(1, n + 1):
+        out = [0] * (len(coeffs) + k - 1)
+        for i, c in enumerate(coeffs):
+            for shift in range(k):
+                out[i + shift] += c
+        coeffs = out
+    return coeffs
+
+
+@pytest.mark.parametrize("d,n", [(2, 10), (3, 7), (4, 5)])
+def test_content_block_rows_sum_to_the_q_factorial(d, n):
+    # each permutation of the n slots carries a word to exactly one word of
+    # its content, so a row of a content block sums over all of S_n
+    expect = q_factorial(n)
+    rows = 0
+    for _, words, block in fock._content_blocks(n, d):
+        sums = block.sum(axis=1, dtype=object)
+        assert all(row == expect for row in sums.tolist())
+        rows += len(words)
+    assert rows == d**n
+
+
+@pytest.mark.parametrize("q", [0.5, 0.3, -0.4, 0.7])
+def test_float_content_block_rows_sum_to_the_q_factorial(q):
+    expect = sum(c * q**k for k, c in enumerate(q_factorial(5)))
+    for _, _, block in fock._content_blocks(5, 3, q):
+        np.testing.assert_allclose(block.sum(axis=1), expect, rtol=1e-12, atol=0)
+
+
 @functools.lru_cache(maxsize=None)
 def exact_gram(degree, d):
     return gram_matrix(degree, SpaceConfig(d, 1, degree, EXACT))
@@ -317,23 +399,26 @@ def _no_assembly(*args):
 
 
 def test_exact_gram_budget_is_checked_before_allocating(monkeypatch, set_bound):
-    # arithmetic only.  d=2, n=11: the degree-10 content blocks (sum_k
-    # C(10, k)^2 word pairs, 46 int32 coefficients each), the widest
-    # degree-11 block (462 words, 56 coefficients) and 2048^2 references
-    below = math.comb(20, 10) * 46 * 4
-    assert fock._gram_bytes(11, 2) == below + 462 * 462 * 56 * 4 + 2048 * 2048 * 8
+    # arithmetic only.  d=2, n=11: the packed degree-10 blocks (sum_k
+    # C(10, k)^2 = C(20, 10) word pairs of one content, 46 int32
+    # coefficients each), the 11 slot tables of 2 letters reading them (int64),
+    # the packed degree-11 blocks (C(22, 11) pairs, 56 coefficients) and
+    # 2048^2 references
+    below = math.comb(20, 10) * 46 * 4 + 11 * 2 * math.comb(20, 10) * 8
+    assert fock._gram_bytes(11, 2) == below + math.comb(22, 11) * 56 * 4 + 2048 * 2048 * 8
     assert fock._gram_bytes(11, 2) < bound("EXACT_GRAM_BUDGET") < fock._gram_bytes(12, 2)
-    # d=3, n=5: 639 degree-4 word pairs of one content, 30 words, 243^2 references
-    assert fock._gram_bytes(5, 3) == 639 * 7 * 4 + 30 * 30 * 11 * 4 + 243 * 243 * 8
+    # d=3, n=5: 639 degree-4 word pairs of one content and their 5 x 3 slot tables,
+    # 4,653 degree-5 pairs, 243^2 references
+    assert fock._gram_bytes(5, 3) == 639 * 7 * 4 + 5 * 3 * 639 * 8 + 4653 * 11 * 4 + 243 * 243 * 8
     assert fock._gram_bytes(5, 3) < bound("EXACT_GRAM_BUDGET") // 100
     # the refusal itself, on a small block under a lowered budget
     set_bound("EXACT_GRAM_BUDGET", fock._gram_bytes(4, 2) - 1)
     cfg = exact_cfg(d=2, n=4)
     assert gram_matrix(3, cfg).shape == (8, 8)
+    assert gram_matrix(4, SpaceConfig(2, 1, 4, ScalarMode.at(0.5))).shape == (16, 16)
     monkeypatch.setattr(fock, "_content_blocks", _no_assembly)
     with pytest.raises(ValueError, match="budget"):
         gram_matrix(4, cfg)
-    assert gram_matrix(4, SpaceConfig(2, 1, 4, ScalarMode.at(0.5))).shape == (16, 16)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
