@@ -208,14 +208,19 @@ def iota_prime(rho: PartialPartition) -> int:
 
 
 def _iota_prime_pairs(pairs: tuple) -> int:
-    # iota_prime's sum on a pair tuple already known to respect one split,
-    # walked from the last pair: pair i of j has j - 1 - i pairs behind it,
-    # whose right endpoints ``later`` holds ascending
-    total = 0
+    # iota_prime's sum on a pair tuple already known to respect one split
+    return _iota_walk([l for l, _ in pairs], [r for _, r in pairs])
+
+
+def _iota_walk(lefts: Sequence[int], rights: Sequence[int]) -> int:
+    # the same sum on pairs (lefts[s], rights[s]) walked from the last one:
+    # pair i of j has j - 1 - i pairs behind it, whose right endpoints
+    # ``later`` holds ascending; the r - l of every pair come in as two sums
+    total = sum(rights) - sum(lefts)
     later = []
-    for l, r in reversed(pairs):
+    for r in reversed(rights):
         below = bisect_left(later, r)
-        total += r - l - 1 - len(later) + below
+        total += below - len(later) - 1
         later.insert(below, r)
     return total
 

@@ -19,9 +19,9 @@ pass certifies all q in (-1, 1).
 The level maps are {power of q: count} histograms per remainder pair and
 are compared as such; the sweep lifts one polynomial per target word.
 The iota' scan builds each block of straddling partitions from the
-triples (A, B, sigma) of the closed form, so iota(A) is read once per A
-and iota(B) once per B, and the insertion statistic still runs on every
-pair tuple.  The claim scan walks bare pair tuples.  Every scan streams
+triples (A, B, sigma) of the closed form, each A against one table of
+(B, sigma) entries, and runs the insertion walk on every case's bare
+endpoints.  The claim scan walks bare pair tuples.  Every scan streams
 its cases a block at a time, the verdicts of one level or one pattern
 list with a way to name each case, and keeps the violations only.
 """
@@ -40,6 +40,7 @@ from .combinatorics import (
     PartialPartition,
     _count_straddling,
     _iota_prime_pairs,
+    _iota_walk,
     _picker,
     _straddling_pairs,
     coset_inversions,
@@ -223,11 +224,9 @@ def _rho_shapes(n: int, k: int, j: int) -> tuple:
     iota'(rho)) per partition of {1..n} with j pairs straddling n-k, each
     position set as a ``_picker``, endpoints listed pair by pair.
     """
-    if j > max_pairs(n, k):
-        return ()
     split = n - k
     shapes = []
-    for pairs in _straddling_pairs(n, k, j):
+    for pairs in _straddling_pairs(n, k, j):  # none for j > max_pairs(n, k)
         paired = {x - 1 for pair in pairs for x in pair}
         shapes.append((
             _picker(tuple(l - 1 for l, _ in pairs)),
@@ -457,43 +456,34 @@ def _sigma_table(j: int) -> tuple:
     return tuple((_picker(sigma), inversions(sigma) + shift) for sigma in itertools.permutations(range(j)))
 
 
-def _iota_block(n: int, k: int, j: int) -> list:
-    """(pairs, closed form) per partition of {1..n} with j pairs straddling
-    n - k, built from its triple (A, B, sigma), in construction order: A,
-    then B, then sigma.
+def _iota_right_table(n: int, k: int, j: int) -> list:
+    """(right endpoints in pairing order, iota(B) + inversions(sigma) + C(j,2))
+    per j-subset B of the right block {n-k+1..n}, then per sigma in S_j.
 
-    The s-th smallest left endpoint A_s is paired with the sigma(s)-th
-    smallest right endpoint, and the closed form
-    iota(A) + iota(B) + inversions(sigma) + C(j,2) is read per A, per B
-    and per sigma from the coset-inversion memo and ``_sigma_table``.
-    Sorted by pair tuple, the block is in the order of
-    ``_straddling_pairs``.
+    A j-subset A_1 < ... < A_j of {1..n-k} pairs with an entry's endpoints
+    in order into a straddling partition with closed form iota(A) + number.
+
+    >>> _iota_right_table(4, 2, 2)
+    [((3, 4), 1), ((4, 3), 2)]
     """
-    split = n - k
-    sigmas = _sigma_table(j)
-    block = []
-    for a in itertools.combinations(range(1, split + 1), j):
-        ia = coset_inversions(split, a, False)
-        for b in itertools.combinations(range(1, k + 1), j):
-            iab = ia + coset_inversions(k, b, True)
-            rights = tuple(r + split for r in b)
-            for pick, inv in sigmas:
-                block.append((tuple(zip(a, pick(rights))), iab + inv))
-    return block
+    table = []
+    for b in itertools.combinations(range(1, k + 1), j):
+        ib, rights = coset_inversions(k, b, True), tuple(r + n - k for r in b)
+        table.extend((pick(rights), ib + inv) for pick, inv in _sigma_table(j))
+    return table
 
 
 def iota_prime_identity_scan(n_max: int = 8, fault=None) -> ScanReport:
     """Insertion statistic == coset/permutation closed form, exhaustively.
 
-    Each (n, k, j) block of straddling partitions is built from the
-    triples (A, B, sigma), so the closed form is read once per A, once per
-    B and once per sigma, while the insertion statistic runs on every pair
-    tuple; the pairs are block-respecting by construction, so neither side
-    re-checks them.  Each block's verdicts are one comprehension, and the
-    blocks stream in construction order.  Case indices and labels follow
-    the enumerator's order all the same: the one block that holds the
-    fault's case is sorted by pair tuple before it streams, and the
-    violations are sorted at the end.
+    Each (n, k, j) block pairs every j-subset A of the left block with
+    every entry of ``_iota_right_table``: the closed form is read once per
+    A, B and sigma, and the insertion walk runs on each case's endpoints
+    without building its pairs, which respect the split by construction.
+    Blocks stream in construction order, one comprehension of verdicts
+    each.  Labels are rebuilt from case indices, only the block that holds
+    the fault's case is sorted by pair tuple, and the violations are sorted
+    at the end, so cases and labels keep the enumerator's order.
     """
     cases = check_budget("iota", n_max, 1)
     flip = _flip_index(fault, cases)
@@ -503,12 +493,16 @@ def iota_prime_identity_scan(n_max: int = 8, fault=None) -> ScanReport:
         for n in range(n_max + 1):
             for k in range(n + 1):
                 for j in range(max_pairs(n, k) + 1):
-                    block = _iota_block(n, k, j)
-                    if 0 <= flip - start < len(block):
-                        block.sort()
-                    start += len(block)
-                    oks = [_iota_prime_pairs(pairs) == closed for pairs, closed in block]
-                    yield oks, partial(_iota_label, n, k, block)
+                    table = _iota_right_table(n, k, j)
+                    subsets = itertools.combinations(range(1, n - k + 1), j)
+                    lefts = [(a, coset_inversions(n - k, a, False)) for a in subsets]
+                    oks = [_iota_walk(a, rights) == ia + c for a, ia in lefts for rights, c in table]
+                    label = partial(_iota_label, n, k, lefts, table)
+                    if 0 <= flip - start < len(oks):  # the enumerator's order, by pair tuple
+                        labels, oks = zip(*sorted(zip(map(label, range(len(oks))), oks)))
+                        label = labels.__getitem__
+                    start += len(oks)
+                    yield oks, label
 
     report = _finalize(f"iota-prime closed form (n <= {n_max})", blocks(), cases, fault)
     # a label (n, k, pairs) sorts by its block (n, k, j = len(pairs)), then by pair tuple
@@ -516,5 +510,6 @@ def iota_prime_identity_scan(n_max: int = 8, fault=None) -> ScanReport:
     return report
 
 
-def _iota_label(n: int, k: int, block: list, t: int) -> tuple:
-    return n, k, block[t][0]
+def _iota_label(n: int, k: int, lefts: list, table: list, t: int) -> tuple:
+    # case t pairs left subset t // len(table) with entry t % len(table)
+    return n, k, tuple(zip(lefts[t // len(table)][0], table[t % len(table)][0]))

@@ -314,7 +314,7 @@ def _entered(*args, **kwargs):
 
 
 # the identities functions that start a scan's work
-SCAN_WORK = ("_straddling_pairs", "_iota_block", "word_basis", "_alternating_sum")
+SCAN_WORK = ("_straddling_pairs", "_iota_right_table", "word_basis", "_alternating_sum")
 
 
 @pytest.mark.parametrize(

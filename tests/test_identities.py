@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from math import comb, factorial
 
 import pytest
@@ -407,16 +408,35 @@ def test_iota_scan():
         iota_prime_identity_scan(12)
 
 
+def iota_block(n, k, j):
+    """(pairs, closed form) per partition of {1..n} with j pairs straddling
+    n - k, built from its triple (A, B, sigma) in construction order: A,
+    then B, then sigma.  The s-th smallest left endpoint A_s is paired with
+    the sigma(s)-th smallest right endpoint; sorted by pair tuple, the
+    block is in the order of the enumerator."""
+    split = n - k
+    block = []
+    for a in itertools.combinations(range(1, split + 1), j):
+        ia = combinatorics.coset_inversions(split, a, False)
+        for b in itertools.combinations(range(1, k + 1), j):
+            iab = ia + combinatorics.coset_inversions(k, b, True)
+            rights = tuple(r + split for r in b)
+            for pick, inv in identities._sigma_table(j):
+                block.append((tuple(zip(a, pick(rights))), iab + inv))
+    return block
+
+
 def test_iota_blocks_are_the_enumerated_partitions_in_order():
     """Built from triples, each (n, k, j) block lists every straddling
     partition once: sorted, it is the enumerator's list.  Each pair
     tuple's triple is the one it was built from, and its closed form is
-    that triple's statistic."""
+    that triple's statistic.  The scan's cases, the left subsets in order
+    times the right table, are the block in its construction order."""
     for n in range(10):
         for k in range(n + 1):
             split = n - k
             for j in range(max_pairs(n, k) + 1):
-                block = identities._iota_block(n, k, j)
+                block = iota_block(n, k, j)
                 assert [pairs for pairs, _ in sorted(block)] == [
                     rho.pairs for rho in enumerate_partial_partitions(n, k, j)
                 ]
@@ -425,6 +445,12 @@ def test_iota_blocks_are_the_enumerated_partitions_in_order():
                     (_, a), (_, b), sigma = partition_triple(rho)
                     assert pairs == tuple(zip(a, (b[s - 1] + split for s in sigma)))
                     assert closed == closed_form(rho)
+                table = identities._iota_right_table(n, k, j)
+                assert block == [
+                    (tuple(zip(a, rights)), combinatorics.coset_inversions(split, a, False) + c)
+                    for a in itertools.combinations(range(1, split + 1), j)
+                    for rights, c in table
+                ]
 
 
 def enumerated_iota_labels(n_max):
@@ -442,14 +468,14 @@ def enumerated_iota_labels(n_max):
 def test_iota_violations_come_in_enumerator_order(monkeypatch):
     """Blocks stream in construction order, yet violations and the flipped
     case are those of the enumerator's order."""
-    statistic = identities._iota_prime_pairs
+    statistic = identities._iota_walk
 
-    def off_by_one(pairs):  # wrong on every tuple whose first right endpoint is even
-        return statistic(pairs) + (bool(pairs) and pairs[0][1] % 2 == 0)
+    def off_by_one(lefts, rights):  # wrong on every case whose first right endpoint is even
+        return statistic(lefts, rights) + (bool(rights) and rights[0] % 2 == 0)
 
     labels, starts = enumerated_iota_labels(8)
     failing = [i for i, (_, _, pairs) in enumerate(labels) if pairs and pairs[0][1] % 2 == 0]
-    monkeypatch.setattr(identities, "_iota_prime_pairs", off_by_one)
+    monkeypatch.setattr(identities, "_iota_walk", off_by_one)
     report = iota_prime_identity_scan(8)
     assert report.cases == len(labels)
     assert len({(n, k, len(pairs)) for n, k, pairs in report.violations}) > 30  # many blocks
@@ -466,6 +492,45 @@ def test_iota_violations_come_in_enumerator_order(monkeypatch):
     for fault in sorted({0, len(labels) - 1, *starts, *ends}):
         assert iota_prime_identity_scan(8, fault=fault).violations == [labels[fault]]
         assert iota_prime_identity_scan(8, fault=fault + 5 * len(labels)).violations == [labels[fault]]
+
+
+def test_a_wrong_sigma_entry_fails_exactly_its_cases(monkeypatch):
+    """A mutant on the closed-form side: one entry of ``_sigma_table(3)``
+    off by one fails exactly the cases built with that sigma."""
+    table = identities._sigma_table
+
+    def perturbed(j):
+        entries = table(j)
+        if j != 3:
+            return entries
+        pick, inv = entries[3]
+        return entries[:3] + ((pick, inv + 1),) + entries[4:]
+
+    sigma = tuple(s + 1 for s in list(itertools.permutations(range(3)))[3])
+    labels, _ = enumerated_iota_labels(8)
+    built_with_sigma = [
+        (n, k, pairs) for n, k, pairs in labels
+        if len(pairs) == 3 and partition_triple(PartialPartition(n, k, pairs))[2] == sigma
+    ]
+    monkeypatch.setattr(identities, "_sigma_table", perturbed)
+    report = iota_prime_identity_scan(8)
+    assert report.cases == len(labels)
+    assert 6 * len(built_with_sigma) == sum(len(pairs) == 3 for _, _, pairs in labels) > 200
+    assert report.violations == built_with_sigma
+
+
+def test_iota_scan_holds_a_block_as_verdicts():
+    """A block is held as booleans beside one right table, not as a tuple
+    per case: at n = 11 a tuple per case peaked at about 1.1 MB."""
+    iota_prime_identity_scan(11)  # the memos the scan reads are warm
+    tracemalloc.start()
+    try:
+        report = iota_prime_identity_scan(11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.passed and report.cases == 20_371
+    assert peak < 250_000
 
 
 def test_scans_stream_every_counted_case():
@@ -518,12 +583,13 @@ def per_case_iota_scan(n_max, fault=None):
         for n in range(n_max + 1):
             for k in range(n + 1):
                 for j in range(max_pairs(n, k) + 1):
-                    block = identities._iota_block(n, k, j)
+                    block = iota_block(n, k, j)
                     if start <= flip < start + len(block):
                         block.sort()
                     start += len(block)
                     for pairs, closed in block:
-                        yield identities._iota_prime_pairs(pairs) == closed, (n, k, pairs)
+                        lefts, rights = [l for l, _ in pairs], [r for _, r in pairs]
+                        yield identities._iota_walk(lefts, rights) == closed, (n, k, pairs)
 
     report = oracle_finalize(f"iota-prime closed form (n <= {n_max})", verdicts(), cases, fault)
     report.violations.sort(key=lambda label: (label[0], label[1], len(label[2]), label[2]))
@@ -595,12 +661,12 @@ def test_iota_blocks_match_the_per_case_stream():
 
 
 def test_iota_blocks_match_the_per_case_stream_with_many_violations(monkeypatch):
-    statistic = identities._iota_prime_pairs
+    statistic = identities._iota_walk
 
-    def off_by_one(pairs):  # wrong on every tuple whose last left endpoint is odd
-        return statistic(pairs) + (bool(pairs) and pairs[-1][0] % 2 == 1)
+    def off_by_one(lefts, rights):  # wrong on every case whose last left endpoint is odd
+        return statistic(lefts, rights) + (bool(lefts) and lefts[-1] % 2 == 1)
 
-    monkeypatch.setattr(identities, "_iota_prime_pairs", off_by_one)
+    monkeypatch.setattr(identities, "_iota_walk", off_by_one)
     ends = block_ends(BLOCK_SIZES["iota"](7, 1))
     for fault in [None, *ends[::7], ends[-1]]:
         got, expected = iota_prime_identity_scan(7, fault=fault), per_case_iota_scan(7, fault)
@@ -962,7 +1028,7 @@ def _entered(*args, **kwargs):
 
 def test_oversized_scans_are_refused_before_work(monkeypatch):
     monkeypatch.setattr(identities, "_straddling_pairs", _entered)
-    monkeypatch.setattr(identities, "_iota_block", _entered)
+    monkeypatch.setattr(identities, "_iota_right_table", _entered)
     monkeypatch.setattr(identities, "word_basis", _entered)
     monkeypatch.setattr(identities, "patterns", _entered)
     monkeypatch.setattr(identities, "_finalize", _entered)
