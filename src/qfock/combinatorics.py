@@ -15,12 +15,8 @@ statistics appear:
   inside twice.
 
 Both reduce to integer arithmetic on the pair tuple, O(j^2) for j pairs and
-independent of the ground set: every point strictly inside a pair that is
-not a singleton is an endpoint of another pair, so a pair's singletons
-follow from its length and its neighbours.  For block-respecting pairs
-sorted by left endpoint, every later left endpoint lies inside the earlier
-pair, so pair i of j adds (r - l - 1) - (j - 1 - i) plus the number of
-later pairs nested inside it.
+independent of the ground set, as ``crossings`` and ``iota_prime`` show; the
+left endpoints enter ``iota_prime`` only through their sum.
 
 ``iota_prime`` decomposes through ``partition_triple`` as
 iota(A) + iota(B) + inversions(sigma) + C(j,2) where A collects left
@@ -213,10 +209,19 @@ def _iota_prime_pairs(pairs: tuple) -> int:
 
 
 def _iota_walk(lefts: Sequence[int], rights: Sequence[int]) -> int:
-    # the same sum on pairs (lefts[s], rights[s]) walked from the last one:
-    # pair i of j has j - 1 - i pairs behind it, whose right endpoints
-    # ``later`` holds ascending; the r - l of every pair come in as two sums
-    total = sum(rights) - sum(lefts)
+    # the same sum on pairs (lefts[s], rights[s]); each r - l enters as two sums
+    return _iota_rights(rights) - sum(lefts)
+
+
+def _iota_rights(rights: Sequence[int]) -> int:
+    """``_iota_walk`` plus the sum of the left endpoints, which it never reads.
+
+    >>> _iota_walk((1, 2), (6, 5)) == _iota_rights((6, 5)) - sum((1, 2)) == 6
+    True
+    """
+    # walked from the last pair: pair i of j has j - 1 - i pairs behind it,
+    # whose right endpoints ``later`` holds ascending
+    total = sum(rights)
     later = []
     for r in reversed(rights):
         below = bisect_left(later, r)

@@ -11,19 +11,19 @@ the letters, so each is built once per size as a table of shapes and the
 per-word work only reads letters at the tabled positions.  Nor does any
 verdict change when the letters are relabeled, so each identity is checked
 once per pattern (the set partition of positions by equal letter) and
-every word of that orbit reports its verdict.  The
-inclusion-exclusion sweep works on word dictionaries through the Wick
-kernel ``wick_word_action``.  Scans run with polynomial scalars, so one
-pass certifies all q in (-1, 1).
+every word of that orbit reports its verdict.  The inclusion-exclusion
+sweep works on word dictionaries through the Wick kernel
+``wick_word_action``.  Scans run with polynomial scalars, so one pass
+certifies all q in (-1, 1).
 
 The level maps are {power of q: count} histograms per remainder pair and
 are compared as such; the sweep lifts one polynomial per target word.
 The iota' scan builds each block of straddling partitions from the
 triples (A, B, sigma) of the closed form, each A against one table of
-(B, sigma) entries, and runs the insertion walk on every case's bare
-endpoints.  The claim scan walks bare pair tuples.  Every scan streams
-its cases a block at a time, the verdicts of one level or one pattern
-list with a way to name each case, and keeps the violations only.
+(B, sigma) entries; the insertion walk reads right endpoints only, so it
+runs once per entry.  The claim scan walks bare pair tuples.  Every scan
+streams its cases a block at a time, the verdicts of one level or one
+pattern list with a way to name each case, and keeps the violations only.
 """
 
 from __future__ import annotations
@@ -40,14 +40,13 @@ from .combinatorics import (
     PartialPartition,
     _count_straddling,
     _iota_prime_pairs,
-    _iota_walk,
+    _iota_rights,
     _picker,
     _straddling_pairs,
     coset_inversions,
     inversions,
     max_pairs,
     pattern,
-    patterns,
 )
 from .fock import word_basis, word_inner_poly, word_to_str
 from .scalars import QPolynomial
@@ -85,7 +84,7 @@ def _finalize(name: str, blocks, cases: int, fault, notes=None) -> ScanReport:
     streams.  A scan that streams another number of cases than it counted
     is a bug.
     """
-    flip = _flip_index(fault, cases)
+    flip = -1 if fault is None else fault % cases
     violations = []
     start = 0
     for verdicts, label in blocks:
@@ -100,11 +99,6 @@ def _finalize(name: str, blocks, cases: int, fault, notes=None) -> ScanReport:
     if start != cases:
         raise RuntimeError(f"{name}: streamed {start} cases, counted {cases}")
     return ScanReport(name, cases, violations, dict(notes or {}))
-
-
-def _flip_index(fault, cases: int) -> int:
-    # the case the fault hook flips, -1 for none
-    return -1 if fault is None else fault % cases
 
 
 def _straddling_count(n: int, js: range) -> int:
@@ -165,9 +159,9 @@ def merge_reports(name: str, reports) -> ScanReport:
     return merged
 
 
-# The scans use a shape table only while they walk the words of one (n, k),
-# so a few dozen tables cover every level in use.
-@lru_cache(maxsize=32)
+# One table per level (n, k, j): verify-ie at its default --split-nmax 6 reads
+# 50, in the two-mode scan and again in the sweep, so 64 hold a whole run.
+@lru_cache(maxsize=64)
 def _subset_shapes(nl: int, nr: int, j: int) -> tuple:
     """Word-independent half of the level-j subset map of a split nl|nr.
 
@@ -216,7 +210,7 @@ def _subset_level(lw: tuple, rw: tuple, j: int) -> dict:
     return hists
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=64)
 def _rho_shapes(n: int, k: int, j: int) -> tuple:
     """Word-independent half of the level-j map over straddling partitions.
 
@@ -259,21 +253,18 @@ def _rho_level(lw: tuple, rw: tuple, j: int) -> dict:
 def _by_pattern(n: int, d: int, check) -> tuple:
     """The block of every degree-n word over d letters, in word order:
     (check(word) per word, label).  Relabeling letters keeps every verdict,
-    so ``check`` runs once per pattern.  A label is the word's text form,
-    "vac" for the vacuum."""
-    table = _pattern_labels(n, d)
-    verdicts = {p: check(p) for p in patterns(n, d)}
-    return [verdicts[p] for p, _ in table], partial(_word_label, table)
+    so ``check`` runs once per distinct pattern in the table of patterns.
+    A label is the word's text form, "vac" for the vacuum."""
+    pats, labels = _pattern_labels(n, d)
+    verdicts = {p: check(p) for p in dict.fromkeys(pats)}
+    return [verdicts[p] for p in pats], labels.__getitem__
 
 
 @lru_cache(maxsize=16)
 def _pattern_labels(n: int, d: int) -> tuple:
-    # (pattern, label) per word of _by_pattern; a scan asks once per split k
-    return tuple((pattern(word), word_to_str(word, d) or "vac") for word in word_basis(n, d))
-
-
-def _word_label(table: tuple, t: int) -> str:
-    return table[t][1]
+    # (patterns, labels) of the words of _by_pattern; a scan asks once per split k
+    words = word_basis(n, d)
+    return tuple(map(pattern, words)), tuple(word_to_str(word, d) or "vac" for word in words)
 
 
 def _two_mode_verdicts(n: int, k: int, word: tuple) -> tuple:
@@ -456,48 +447,52 @@ def _sigma_table(j: int) -> tuple:
     return tuple((_picker(sigma), inversions(sigma) + shift) for sigma in itertools.permutations(range(j)))
 
 
-def _iota_right_table(n: int, k: int, j: int) -> list:
+def _iota_right_table(n: int, k: int, j: int):
     """(right endpoints in pairing order, iota(B) + inversions(sigma) + C(j,2))
     per j-subset B of the right block {n-k+1..n}, then per sigma in S_j.
 
     A j-subset A_1 < ... < A_j of {1..n-k} pairs with an entry's endpoints
     in order into a straddling partition with closed form iota(A) + number.
 
-    >>> _iota_right_table(4, 2, 2)
+    >>> list(_iota_right_table(4, 2, 2))
     [((3, 4), 1), ((4, 3), 2)]
     """
-    table = []
     for b in itertools.combinations(range(1, k + 1), j):
         ib, rights = coset_inversions(k, b, True), tuple(r + n - k for r in b)
-        table.extend((pick(rights), ib + inv) for pick, inv in _sigma_table(j))
-    return table
+        for pick, inv in _sigma_table(j):
+            yield pick(rights), ib + inv
 
 
 def iota_prime_identity_scan(n_max: int = 8, fault=None) -> ScanReport:
     """Insertion statistic == coset/permutation closed form, exhaustively.
 
     Each (n, k, j) block pairs every j-subset A of the left block with
-    every entry of ``_iota_right_table``: the closed form is read once per
-    A, B and sigma, and the insertion walk runs on each case's endpoints
-    without building its pairs, which respect the split by construction.
-    Blocks stream in construction order, one comprehension of verdicts
-    each.  Labels are rebuilt from case indices, only the block that holds
-    the fault's case is sorted by pair tuple, and the violations are sorted
-    at the end, so cases and labels keep the enumerator's order.
+    every entry (rights, c) of ``_iota_right_table``: closed form iota(A) + c.
+    The insertion walk of the case, ``_iota_rights(rights)`` - sum(A), runs
+    once per entry and is kept as the int walk - c, so the case holds when
+    that is sum(A) + iota(A); its pairs respect the split by construction
+    and are never built.  Blocks stream in construction order, one
+    comprehension of verdicts each.  Labels are rebuilt from case indices,
+    only the block that holds the fault's case is sorted by pair tuple, and
+    the violations are sorted at the end, so cases and labels keep the
+    enumerator's order.
     """
     cases = check_budget("iota", n_max, 1)
-    flip = _flip_index(fault, cases)
+    flip = -1 if fault is None else fault % cases  # the case _finalize flips
 
     def blocks():
         start = 0
         for n in range(n_max + 1):
             for k in range(n + 1):
                 for j in range(max_pairs(n, k) + 1):
-                    table = _iota_right_table(n, k, j)
-                    subsets = itertools.combinations(range(1, n - k + 1), j)
-                    lefts = [(a, coset_inversions(n - k, a, False)) for a in subsets]
-                    oks = [_iota_walk(a, rights) == ia + c for a, ia in lefts for rights, c in table]
-                    label = partial(_iota_label, n, k, lefts, table)
+                    rights, walks = [], []  # per entry: its endpoints, and walk - c
+                    for ends, c in _iota_right_table(n, k, j):
+                        rights.append(ends)
+                        walks.append(_iota_rights(ends) - c)
+                    lefts = list(itertools.combinations(range(1, n - k + 1), j))
+                    sums = [sum(a) + coset_inversions(n - k, a, False) for a in lefts]
+                    oks = [walk == s for s in sums for walk in walks]
+                    label = partial(_iota_label, n, k, lefts, rights)
                     if 0 <= flip - start < len(oks):  # the enumerator's order, by pair tuple
                         labels, oks = zip(*sorted(zip(map(label, range(len(oks))), oks)))
                         label = labels.__getitem__
@@ -510,6 +505,6 @@ def iota_prime_identity_scan(n_max: int = 8, fault=None) -> ScanReport:
     return report
 
 
-def _iota_label(n: int, k: int, lefts: list, table: list, t: int) -> tuple:
-    # case t pairs left subset t // len(table) with entry t % len(table)
-    return n, k, tuple(zip(lefts[t // len(table)][0], table[t % len(table)][0]))
+def _iota_label(n: int, k: int, lefts: list, rights: list, t: int) -> tuple:
+    # case t pairs left subset t // len(rights) with entry t % len(rights)
+    return n, k, tuple(zip(lefts[t // len(rights)], rights[t % len(rights)]))

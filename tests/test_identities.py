@@ -128,8 +128,18 @@ def test_pattern_labels_are_built_once_per_degree():
     two_mode_scan(4, 2)
     info = identities._pattern_labels.cache_info()
     assert (info.misses, info.currsize) == (5, 5)  # n = 0..4, every split k reusing its table
-    assert identities._pattern_labels(2, 2) == (((0, 0), "1,1"), ((0, 1), "1,2"), ((0, 1), "2,1"), ((0, 0), "2,2"))
-    assert identities._pattern_labels(0, 3) == (((), "vac"),)
+    assert identities._pattern_labels(2, 2) == (((0, 0), (0, 1), (0, 1), (0, 0)), ("1,1", "1,2", "2,1", "2,2"))
+    assert identities._pattern_labels(0, 3) == (((),), ("vac",))
+
+
+def test_shape_tables_are_built_once_per_verify_ie_run():
+    # the default verify-ie run: the sweep reads the 50 subset tables of the two-mode scan again
+    identities._subset_shapes.cache_clear()
+    identities._rho_shapes.cache_clear()
+    two_mode_scan(6, 2)
+    inclusion_exclusion_sweep(5, 2)
+    assert identities._subset_shapes.cache_info().misses == 50
+    assert identities._rho_shapes.cache_info().misses == 50
 
 
 @pytest.mark.parametrize("d, n_max", [(1, 5), (2, 5), (3, 4)])
@@ -445,7 +455,7 @@ def test_iota_blocks_are_the_enumerated_partitions_in_order():
                     (_, a), (_, b), sigma = partition_triple(rho)
                     assert pairs == tuple(zip(a, (b[s - 1] + split for s in sigma)))
                     assert closed == closed_form(rho)
-                table = identities._iota_right_table(n, k, j)
+                table = list(identities._iota_right_table(n, k, j))
                 assert block == [
                     (tuple(zip(a, rights)), combinatorics.coset_inversions(split, a, False) + c)
                     for a in itertools.combinations(range(1, split + 1), j)
@@ -465,17 +475,38 @@ def enumerated_iota_labels(n_max):
     return labels, starts
 
 
+def first_right_even(monkeypatch):
+    """A mutant of the rights-only walk, wrong on every case whose first
+    right endpoint in pairing order is even, in the scan and in the
+    per-case walk of the oracle."""
+    walk = combinatorics._iota_rights
+
+    def off_by_one(rights):
+        return walk(rights) + (bool(rights) and rights[0] % 2 == 0)
+
+    for module in (identities, combinatorics):
+        monkeypatch.setattr(module, "_iota_rights", off_by_one)
+
+
+def last_left_odd(monkeypatch):
+    """A mutant of iota(A), which the scan reads once per left subset A,
+    wrong on every case whose last left endpoint is odd, in the scan and
+    in the closed form of the oracle."""
+    counted = combinatorics.coset_inversions
+
+    def off_by_one(n, chosen, chosen_first):
+        return counted(n, chosen, chosen_first) + (not chosen_first and bool(chosen) and chosen[-1] % 2 == 1)
+
+    for module in (identities, combinatorics):
+        monkeypatch.setattr(module, "coset_inversions", off_by_one)
+
+
 def test_iota_violations_come_in_enumerator_order(monkeypatch):
     """Blocks stream in construction order, yet violations and the flipped
     case are those of the enumerator's order."""
-    statistic = identities._iota_walk
-
-    def off_by_one(lefts, rights):  # wrong on every case whose first right endpoint is even
-        return statistic(lefts, rights) + (bool(rights) and rights[0] % 2 == 0)
-
     labels, starts = enumerated_iota_labels(8)
     failing = [i for i, (_, _, pairs) in enumerate(labels) if pairs and pairs[0][1] % 2 == 0]
-    monkeypatch.setattr(identities, "_iota_walk", off_by_one)
+    first_right_even(monkeypatch)
     report = iota_prime_identity_scan(8)
     assert report.cases == len(labels)
     assert len({(n, k, len(pairs)) for n, k, pairs in report.violations}) > 30  # many blocks
@@ -517,6 +548,19 @@ def test_a_wrong_sigma_entry_fails_exactly_its_cases(monkeypatch):
     assert report.cases == len(labels)
     assert 6 * len(built_with_sigma) == sum(len(pairs) == 3 for _, _, pairs in labels) > 200
     assert report.violations == built_with_sigma
+
+
+def test_the_walk_runs_once_per_right_table_entry(monkeypatch):
+    """The rights-only walk runs once per entry of each block's right
+    table, not once per case."""
+    walk, walked = identities._iota_rights, []
+    monkeypatch.setattr(identities, "_iota_rights", lambda rights: walked.append(rights) or walk(rights))
+    report = iota_prime_identity_scan(10)
+    entries = sum(
+        len(list(identities._iota_right_table(n, k, j)))
+        for n in range(11) for k in range(n + 1) for j in range(max_pairs(n, k) + 1)
+    )
+    assert report.passed and (report.cases, len(walked)) == (7_083, 2_199) == (report.cases, entries)
 
 
 def test_iota_scan_holds_a_block_as_verdicts():
@@ -589,7 +633,7 @@ def per_case_iota_scan(n_max, fault=None):
                     start += len(block)
                     for pairs, closed in block:
                         lefts, rights = [l for l, _ in pairs], [r for _, r in pairs]
-                        yield identities._iota_walk(lefts, rights) == closed, (n, k, pairs)
+                        yield combinatorics._iota_walk(lefts, rights) == closed, (n, k, pairs)
 
     report = oracle_finalize(f"iota-prime closed form (n <= {n_max})", verdicts(), cases, fault)
     report.violations.sort(key=lambda label: (label[0], label[1], len(label[2]), label[2]))
@@ -660,18 +704,24 @@ def test_iota_blocks_match_the_per_case_stream():
         assert len(got.violations) == (fault is not None)
 
 
-def test_iota_blocks_match_the_per_case_stream_with_many_violations(monkeypatch):
-    statistic = identities._iota_walk
-
-    def off_by_one(lefts, rights):  # wrong on every case whose last left endpoint is odd
-        return statistic(lefts, rights) + (bool(lefts) and lefts[-1] % 2 == 1)
-
-    monkeypatch.setattr(identities, "_iota_walk", off_by_one)
-    ends = block_ends(BLOCK_SIZES["iota"](7, 1))
+def test_iota_blocks_match_the_per_case_stream_at_the_admitted_edge():
+    # n = 11 is the largest n_max that SCAN_BUDGET admits
+    ends = block_ends(BLOCK_SIZES["iota"](11, 1))
     for fault in [None, *ends[::7], ends[-1]]:
-        got, expected = iota_prime_identity_scan(7, fault=fault), per_case_iota_scan(7, fault)
-        assert got == expected
-        assert len(got.violations) > 100
+        got, expected = iota_prime_identity_scan(11, fault=fault), per_case_iota_scan(11, fault)
+        assert got == expected and got.cases == 20_371
+        assert len(got.violations) == (fault is not None)
+
+
+def test_iota_blocks_match_the_per_case_stream_with_many_violations():
+    ends = block_ends(BLOCK_SIZES["iota"](7, 1))
+    for mutant in (first_right_even, last_left_odd):
+        with pytest.MonkeyPatch.context() as patch:
+            mutant(patch)
+            for fault in [None, *ends[::7], ends[-1]]:
+                got, expected = iota_prime_identity_scan(7, fault=fault), per_case_iota_scan(7, fault)
+                assert got == expected
+                assert len(got.violations) > 100
 
 
 @pytest.mark.parametrize("reading", ["prime-plain", "prime-prime"])
@@ -1030,7 +1080,7 @@ def test_oversized_scans_are_refused_before_work(monkeypatch):
     monkeypatch.setattr(identities, "_straddling_pairs", _entered)
     monkeypatch.setattr(identities, "_iota_right_table", _entered)
     monkeypatch.setattr(identities, "word_basis", _entered)
-    monkeypatch.setattr(identities, "patterns", _entered)
+    monkeypatch.setattr(identities, "_pattern_labels", _entered)
     monkeypatch.setattr(identities, "_finalize", _entered)
     for run in (
         lambda: claim_scan(40, 10),
