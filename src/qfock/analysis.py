@@ -3,10 +3,11 @@
 Covers the two-sided multipliers x -> E(W(xi)* x W(eta)), whose degree
 blocks on first-copy words are assembled in one place: the rank-one
 x -> E(s(h~) x s(k~)) against its diagonal form q^n <h,k>, and the band
-structure and decay of Wick-pair multipliers.  Schatten and block norms
-are taken in the q-geometry, every block conjugated by the same Gram
-square roots.  Also the rotation dilation of the Ornstein-Uhlenbeck
-semigroup and the deformation inner-product identity with its ratio scan.
+structure and decay of Wick-pair multipliers.  Assembled blocks have
+Schatten and block norms in the q-geometry, conjugated by the same Gram
+square roots; the diagonal form's Schatten norms sum its closed spectrum.
+Also the rotation dilation of the Ornstein-Uhlenbeck semigroup and the
+deformation inner-product identity with its ratio scan.
 
 Operators from the ambient doubled algebra act on vectors through the
 word calculus: x W(eta) applied to the vacuum is W(x-word) eta, and the
@@ -20,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
 
 import numpy as np
@@ -121,22 +123,22 @@ def _first_copy_blocks(xi: FockVector, eta: FockVector, cfg: SpaceConfig, top: i
 
 
 def phi_hk_check(h, k, cfg: SpaceConfig) -> float:
-    """Largest entry distance between the two routes of phi_hk_operator on
-    the single-copy space of degree max_degree - 2 (one creation on each
-    side of x); off-diagonal entries count in full.  A non-finite distance
-    (h or k large enough to overflow) is returned at once, since ``max``
-    would drop a NaN."""
+    """Largest entry distance between phi_hk_operator and its diagonal form
+    q^n <h,k> on the single-copy space of degree max_degree - 2 (one
+    creation on each side of x); off-diagonal entries count in full.  A
+    non-finite distance (h or k large enough to overflow) is returned at
+    once, since ``max`` would drop a NaN."""
     _require_doubled(cfg, "the multiplier check")
-    _require_float(cfg, "the multiplier check")
+    q = _require_float(cfg, "the multiplier check")
     if cfg.max_degree < 2:
         return 0.0
     single = SpaceConfig(cfg.d, 1, cfg.max_degree - 2, cfg.scalar)
-    vector = phi_hk_operator(h, k, single, route="vector")
-    diagonal = phi_hk_operator(h, k, single, route="diagonal")
     dev = 0.0
     with np.errstate(all="ignore"):  # an overflowing <h,k> is reported as the deviation
-        for key, mat in vector.blocks.items():
-            diff = np.abs(mat - diagonal.blocks.get(key, 0.0)).T  # column by column
+        hk = float(np.dot(np.asarray(h, dtype=float), np.asarray(k, dtype=float)))
+        for (i, j), mat in phi_hk_operator(h, k, single).blocks.items():
+            diagonal = q ** i * hk * np.eye(single.dim(i)) if i == j else 0.0
+            diff = np.abs(mat - diagonal).T  # column by column
             bad = diff[~np.isfinite(diff)]
             if bad.size:
                 return float(bad[0])
@@ -144,24 +146,14 @@ def phi_hk_check(h, k, cfg: SpaceConfig) -> float:
     return dev
 
 
-def phi_hk_operator(h, k, cfg: SpaceConfig, route: str = "vector") -> BlockOperator:
-    """The multiplier as a degree-block operator on the single-copy space.
-
-    route "vector" assembles the blocks through the doubled space with a +2
-    degree budget (needs the dimension cap to accommodate it); route
-    "diagonal" writes down q^n <h,k> directly, as certified by
-    phi_hk_check.
-    """
-    q = _require_float(cfg, "the multiplier")
-    if route == "vector":
-        doubled = SpaceConfig(cfg.d, 2, cfg.max_degree + 2, cfg.scalar)
-        h_t, k_t = second_copy_vector(h, doubled), second_copy_vector(k, doubled)
-        zero = {(n, n): np.zeros((cfg.dim(n),) * 2) for n in range(cfg.max_degree + 1)}
-        return BlockOperator(cfg, zero | _first_copy_blocks(h_t, k_t, doubled, cfg.max_degree))
-    with np.errstate(all="ignore"):  # an overflowing <h,k> gives non-finite blocks
-        hk = float(np.dot(np.asarray(h, dtype=float), np.asarray(k, dtype=float)))
-        blocks = {(n, n): q ** n * hk * np.eye(cfg.dim(n)) for n in range(cfg.max_degree + 1)}
-    return BlockOperator(cfg, blocks)
+def phi_hk_operator(h, k, cfg: SpaceConfig) -> BlockOperator:
+    """The multiplier on the single-copy space, in degree blocks assembled
+    through the doubled space with a +2 degree budget (under the size cap)."""
+    _require_float(cfg, "the multiplier")
+    doubled = SpaceConfig(cfg.d, 2, cfg.max_degree + 2, cfg.scalar)
+    h_t, k_t = second_copy_vector(h, doubled), second_copy_vector(k, doubled)
+    zero = {(n, n): np.zeros((cfg.dim(n),) * 2) for n in range(cfg.max_degree + 1)}
+    return BlockOperator(cfg, zero | _first_copy_blocks(h_t, k_t, doubled, cfg.max_degree))
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +164,6 @@ def phi_hk_operator(h, k, cfg: SpaceConfig, route: str = "vector") -> BlockOpera
 class SchattenReport:
     p: float
     norm: float
-    degree_singular_values: list  # one ascending array per degree
     threshold: float
     partial_norms: list  # truncated norm at top degree N = 0..max_degree
 
@@ -185,7 +176,7 @@ def gram_factors(degree: int, cfg: SpaceConfig) -> tuple:
     """(G^1/2, G^-1/2) of the degree block, with a loud degeneracy floor.
 
     Keyed by degree and space, q included; the benchmark's float stages
-    use 15 entries, so 128 keeps every factorization a run reuses.
+    use 7 entries, so 128 keeps every factorization a run reuses.
     """
     _require_float(cfg, "Gram factorization")
     vals, vecs = np.linalg.eigh(gram_matrix(degree, cfg))
@@ -219,6 +210,14 @@ def schatten_term_ratio(q: float, d: int, p: float) -> float:
     return abs(q) ** p * d
 
 
+def _schatten_report(power_sums, p: float, q: float, cfg: SpaceConfig) -> SchattenReport:
+    """The report from each degree's sum of s^p over its singular values s."""
+    if p < 1:
+        raise Refused("Schatten norms need p >= 1")
+    partial_norms = [total ** (1.0 / p) for total in accumulate(map(float, power_sums))]
+    return SchattenReport(p, partial_norms[-1], schatten_threshold(q, cfg.letters), partial_norms)
+
+
 def schatten_norm(op: BlockOperator, p: float, cfg: SpaceConfig) -> SchattenReport:
     """Truncated Schatten p-norm with singular values taken per degree.
 
@@ -226,34 +225,35 @@ def schatten_norm(op: BlockOperator, p: float, cfg: SpaceConfig) -> SchattenRepo
     the q-inner geometry; a Euclidean SVD would be wrong for q != 0.  The
     operator keeps degrees (its blocks off the diagonal are not read).
     """
-    if p < 1:
-        raise Refused("Schatten norms need p >= 1")
     q = _require_float(cfg, "Schatten norms")
-    degree_svals = []
-    partial_norms = []
-    total = 0.0
-    for n in range(cfg.max_degree + 1):
+
+    def power_sum(n: int) -> float:
         block = op.block(n, n)
         if block is None:
-            svals = np.zeros(0)
-        else:
-            svals = np.linalg.svd(_gram_conjugate(block, n, n, cfg), compute_uv=False)
-        degree_svals.append(np.sort(svals))
+            return 0.0
+        svals = np.linalg.svd(_gram_conjugate(block, n, n, cfg), compute_uv=False)
         with np.errstate(all="ignore"):  # an overflowing norm is reported as null
-            total += float(np.sum(svals ** p))
-        partial_norms.append(total ** (1.0 / p))
-    return SchattenReport(
-        p=p,
-        norm=partial_norms[-1],
-        degree_singular_values=degree_svals,
-        threshold=schatten_threshold(q, cfg.letters),
-        partial_norms=partial_norms,
-    )
+            return np.sum(svals ** p)
+
+    return _schatten_report(map(power_sum, range(cfg.max_degree + 1)), p, q, cfg)
+
+
+def phi_schatten_norm(hk: float, p: float, cfg: SpaceConfig) -> SchattenReport:
+    """schatten_norm of the diagonal form q^n <h,k>, with no Gram block: degree n
+    adds d^n |q^n <h,k>|^p as |<h,k>|^p (|q|^p d)^n, or 0 where (|q|^p d)^n is 0."""
+    q = _require_float(cfg, "the multiplier")
+    ratio = np.float64(schatten_term_ratio(q, cfg.letters, p))
+    with np.errstate(all="ignore"):  # an overflowing norm is reported as null
+        scale, powers = np.float64(abs(hk)) ** p, [ratio ** n for n in range(cfg.max_degree + 1)]
+        return _schatten_report([scale * power if power else 0.0 for power in powers], p, q, cfg)
 
 
 def phi_schatten_closed_form(q: float, d: int, p: float, hk: float, top_degree: int) -> float:
-    """(sum_{n<=N} |q|^pn d^n)^(1/p) |<h,k>|, the diagonal multiplier's norm."""
-    return sum(abs(q) ** (p * n) * d ** n for n in range(top_degree + 1)) ** (1.0 / p) * abs(hk)
+    """(sum_{n<=N} (|q|^p d)^n)^(1/p) |<h,k>|, the diagonal multiplier's
+    norm; no d^n is taken as a float, and a sum past the float range is inf."""
+    ratio = np.float64(schatten_term_ratio(q, d, p))
+    with np.errstate(all="ignore"):
+        return float(sum(ratio ** n for n in range(top_degree + 1)) ** (1.0 / p) * abs(hk))
 
 
 # ---------------------------------------------------------------------------

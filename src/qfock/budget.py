@@ -44,7 +44,6 @@ BOUNDS = {
     "EXACT_GRAM_WORK": Bound(2 ** 28, "coefficient additions", "exact Gram assembly up to the degree"),
     "MAX_GRAM_ENTRIES": Bound(2 ** 20, "entries", "the cap on what gram prints, 74 MB of JSON at 2^20"),
     "FLOAT_GRAM_TAKES": Bound(2 ** 15, "slot passes", "float gram; one letter reaches degree 255"),
-    "SCHATTEN_TAKES": Bound(2 ** 16, "slot passes", "schatten's degrees 0..D; one letter reaches 72"),
     "QFOCK_MAX_DIM": Bound(5000, "basis words", "a truncated space; the environment can set another cap"),
     "MAX_WICK_LETTERS": Bound(300, "letters", "the Wick kernel recurses two frames a letter"),
     "MAX_WICK_WORK": Bound(300_000_000, "coefficient updates", "one Wick kernel call"),

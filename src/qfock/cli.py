@@ -47,6 +47,7 @@ from .analysis import (
     phi_hk_check,
     phi_hk_operator,
     phi_schatten_closed_form,
+    phi_schatten_norm,
     schatten_norm,
     schatten_term_ratio,
 )
@@ -392,13 +393,12 @@ def cmd_verify_claim(args, mode: ScalarMode) -> tuple:
 
 
 def cmd_schatten(args, mode: ScalarMode) -> tuple:
-    top = args.max_degree  # degrees 0..D make D(D + 1)(D + 2)/6 slot passes
-    budget.check("SCHATTEN_TAKES", top * (top + 1) * (top + 2) // 6, f"schatten to degree {top} makes")
-    cfg = SpaceConfig(args.d, 1, top, mode)
-    h = (1.0,) + (0.0,) * (args.d - 1)
-    k = (args.hk,) + (0.0,) * (args.d - 1)
-    op = phi_hk_operator(h, k, cfg, route=args.route)
-    report = schatten_norm(op, args.p, cfg)
+    cfg = SpaceConfig(args.d, 1, args.max_degree, mode)
+    if args.route == "diagonal":
+        report = phi_schatten_norm(args.hk, args.p, cfg)
+    else:
+        e1 = (1.0,) + (0.0,) * (args.d - 1)
+        report = schatten_norm(phi_hk_operator(e1, (args.hk,) + e1[1:], cfg), args.p, cfg)
     closed = phi_schatten_closed_form(mode.q, args.d, args.p, args.hk, args.max_degree)
     violations = []
     # written so that a NaN or infinite norm is a violation

@@ -6,11 +6,13 @@ pytest's capture.
 """
 
 import itertools
+import json
 import math
 import sys
 import time
 
 import numpy as np
+from test_analysis import diagonal_phi_operator
 from test_fock import basis_one_particle, field_operator
 
 from qfock.analysis import (
@@ -24,6 +26,7 @@ from qfock.analysis import (
     schatten_term_ratio,
     schatten_threshold,
 )
+from qfock.cli import main
 from qfock.combinatorics import (
     PartialPartition,
     coset_data,
@@ -229,7 +232,7 @@ def test_c09_dilation_identity():
              failures, f"worst deviation {worst:.2e}")
 
 
-def test_c10_diagonal_form_and_schatten(monkeypatch):
+def test_c10_diagonal_form_and_schatten(monkeypatch, capsys):
     failures = []
     monkeypatch.setenv("QFOCK_MAX_DIM", "6000")
     cfg = SpaceConfig(2, 2, 6, ScalarMode.at(0.5))
@@ -240,20 +243,25 @@ def test_c10_diagonal_form_and_schatten(monkeypatch):
     for q, d in ((0.5, 2), (0.8, 3)):
         single = SpaceConfig(d, 1, 6, ScalarMode.at(q))
         e1 = (1.0,) + (0.0,) * (d - 1)
-        op = phi_hk_operator(e1, e1, single, route="diagonal")
+        op = diagonal_phi_operator(e1, e1, single)
         for p in (1.0, 2.0, 5.0):
             norm = schatten_norm(op, p, single).norm
             closed = phi_schatten_closed_form(q, d, p, 1.0, 6)
             if abs(norm - closed) > 1e-10 * closed:
                 failures.append(f"(q,d)=({q},{d}) p={p}: {norm} vs {closed}")
+            argv = ["schatten", "--d", str(d), "--q", str(q), "--p", str(p), "--max-degree", "6"]
+            code = main(argv + ["--format", "json"])
+            cli_norm = json.loads(capsys.readouterr().out)["results"][0]["norm"]
+            if code != 0 or abs(cli_norm - closed) > 1e-10 * closed:
+                failures.append(f"(q,d)=({q},{d}) p={p}: diagonal route {cli_norm} vs {closed}")
         star = schatten_threshold(q, d)
         if abs(star - (-math.log(d) / math.log(q))) > 1e-12:
             failures.append(f"threshold {star} wrong for (q,d)=({q},{d})")
         if not schatten_term_ratio(q, d, 1.1 * star) < 1.0 < schatten_term_ratio(q, d, 0.9 * star):
             failures.append(f"term ratio does not bracket p* for (q,d)=({q},{d})")
     small = SpaceConfig(2, 1, 3, ScalarMode.at(0.5))
-    via_vec = phi_hk_operator((1.0, 0.0), (1.0, 0.0), small, route="vector")
-    via_diag = phi_hk_operator((1.0, 0.0), (1.0, 0.0), small, route="diagonal")
+    via_vec = phi_hk_operator((1.0, 0.0), (1.0, 0.0), small)
+    via_diag = diagonal_phi_operator((1.0, 0.0), (1.0, 0.0), small)
     for n in range(4):
         if np.abs(via_vec.block(n, n) - via_diag.block(n, n)).max() >= 1e-12:
             failures.append(f"vector and diagonal routes differ at degree {n}")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from qfock.analysis import (
     phi_hk_check,
     phi_hk_operator,
     phi_schatten_closed_form,
+    phi_schatten_norm,
     rotation_matrix,
     schatten_norm,
     schatten_term_ratio,
@@ -78,7 +80,7 @@ def test_phi_check_small_deviation():
 
 def test_phi_orthogonal_arguments_kill_the_map():
     cfg = single(2, 3)
-    op = phi_hk_operator((1.0, 0.0), (0.0, 1.0), cfg, route="vector")
+    op = phi_hk_operator((1.0, 0.0), (0.0, 1.0), cfg)
     assert set(op.blocks) == {(n, n) for n in range(4)}
     assert not any(mat.any() for mat in op.blocks.values())
 
@@ -91,10 +93,18 @@ def test_phi_input_validation():
         phi_hk_check((1.0, 0.0), (1.0, 0.0), exact_doubled)
 
 
+def diagonal_phi_operator(h, k, cfg):
+    """The diagonal form q^n <h,k> of the multiplier, written down degree by
+    degree: the oracle of the operator and of its closed-spectrum norm."""
+    hk = float(np.dot(np.asarray(h, dtype=float), np.asarray(k, dtype=float)))
+    q = cfg.scalar.q
+    return BlockOperator(cfg, {(n, n): q ** n * hk * np.eye(cfg.dim(n)) for n in range(cfg.max_degree + 1)})
+
+
 def test_phi_operator_routes_agree():
     cfg = single(2, 3)
-    vec = phi_hk_operator((1.0, 0.0), (0.7, 0.3), cfg, route="vector")
-    diag = phi_hk_operator((1.0, 0.0), (0.7, 0.3), cfg, route="diagonal")
+    vec = phi_hk_operator((1.0, 0.0), (0.7, 0.3), cfg)
+    diag = diagonal_phi_operator((1.0, 0.0), (0.7, 0.3), cfg)
     for n in range(4):
         assert np.abs(vec.block(n, n) - diag.block(n, n)).max() < 1e-12
 
@@ -147,7 +157,7 @@ def test_phi_vector_route_is_the_per_word_images(d, q, h, k):
                 for w, c in phi_hk_apply(h, k, FockVector.from_word(big, word)).coeffs.items():
                     block = expected.setdefault((len(w), n), np.zeros((d ** len(w), d ** n)))
                     block[word_index(len(w), d)[w], col] = c
-        op = phi_hk_operator(h, k, cfg, route="vector")
+        op = phi_hk_operator(h, k, cfg)
         assert set(op.blocks) == set(expected)
         for key, block in expected.items():
             assert np.array_equal(op.block(*key), block)
@@ -174,7 +184,7 @@ def test_schatten_identity_block():
 def test_schatten_matches_closed_form():
     cfg = single(2, 6)
     hk = 0.8
-    op = phi_hk_operator((1.0, 0.0), (hk, 0.0), cfg, route="diagonal")
+    op = diagonal_phi_operator((1.0, 0.0), (hk, 0.0), cfg)
     for p in (1.0, 2.0, 3.5):
         report = schatten_norm(op, p, cfg)
         closed = phi_schatten_closed_form(0.5, 2, p, hk, 6)
@@ -185,10 +195,44 @@ def test_schatten_matches_closed_form():
 def test_schatten_partial_sums_approach_geometric_limit():
     # q = 1/2, d = 2, p = 2: sum (1/2)^n -> 2, so the norm tends to sqrt(2)
     cfg = single(2, 6)
-    op = phi_hk_operator((1.0, 0.0), (1.0, 0.0), cfg, route="diagonal")
+    op = diagonal_phi_operator((1.0, 0.0), (1.0, 0.0), cfg)
     report = schatten_norm(op, 2.0, cfg)
     assert report.norm < math.sqrt(2.0)
     assert math.sqrt(2.0) - report.norm < 0.01
+
+
+@pytest.mark.parametrize("q", [0.5, -0.4, 0.8, 0.0])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_closed_spectrum_norm_is_the_svd_norm_of_the_diagonal_form(q, d):
+    # phi_schatten_norm builds no Gram block; the oracle conjugates q^n <h,k> I
+    # by the Gram square roots and takes its singular values
+    top = 5 if d == 3 else 6
+    cfg = single(d, top, q)
+    e1 = (1.0,) + (0.0,) * (d - 1)
+    hk = -0.8
+    op = diagonal_phi_operator(e1, (hk,) + e1[1:], cfg)
+    for p in (1.0, 2.0, 3.5, 5.0):
+        closed, svd = phi_schatten_norm(hk, p, cfg), schatten_norm(op, p, cfg)
+        assert closed.threshold == svd.threshold
+        assert len(closed.partial_norms) == len(svd.partial_norms) == top + 1
+        for a, b in zip(closed.partial_norms, svd.partial_norms):
+            assert abs(a - b) <= 1e-10 * b
+        assert abs(closed.norm - phi_schatten_closed_form(q, d, p, hk, top)) <= 1e-10 * closed.norm
+
+
+def test_closed_forms_sum_past_the_float_range_of_d_to_the_n(monkeypatch):
+    # 2**1100 is no float, but the sum converges: the term ratio is 0.5
+    monkeypatch.setenv("QFOCK_MAX_DIM", str(10 ** 400))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        closed = phi_schatten_closed_form(0.5, 2, 2.0, 1.0, 1100)
+        assert abs(closed - math.sqrt(2.0)) <= 1e-12
+        assert abs(phi_schatten_norm(1.0, 2.0, single(2, 1100)).norm - closed) <= 1e-10 * closed
+        # a divergent sum and an overflowing |<h,k>|^p are inf, also beside
+        # degrees that vanish at q = 0
+        assert phi_schatten_closed_form(0.9, 3, 1.0, 1.0, 1100) == math.inf
+        assert phi_schatten_norm(1e308, 2.0, single(2, 1100)).norm == math.inf
+        assert phi_schatten_norm(1e308, 2.0, single(2, 3, 0.0)).partial_norms == [math.inf] * 4
 
 
 def test_schatten_rejects_bad_input():

@@ -37,7 +37,7 @@ def _fault(exc):
     [
         (wick, "wick_word_action", ["wick", "--d", "1", "--letters", "1"]),
         (fock, "_content_blocks", ["gram", "--d", "2", "--degree", "2", "--max-degree", "2"]),
-        (np.linalg, "eigh", ["schatten", "--d", "2", "--p", "2", "--max-degree", "2"]),
+        (np.linalg, "eigh", ["schatten", "--route", "vector", "--d", "2", "--p", "2", "--max-degree", "2"]),
     ],
 )
 def test_a_fault_inside_a_kernel_propagates(capsys, monkeypatch, exc, module, name, argv):

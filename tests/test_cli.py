@@ -226,26 +226,28 @@ def test_float_gram_work_bound_admits_one_letter_to_degree_255(monkeypatch):
         main(["gram", "--d", "1", "--degree", "255", "--max-degree", "255", "--q", "0.5"])
 
 
-@pytest.mark.parametrize("max_degree", ["73", "120", "4999"])
-def test_schatten_past_the_float_gram_work_bound_is_a_usage_error(capsys, monkeypatch, max_degree):
-    # degrees 0..D make D(D + 1)(D + 2)/6 slot passes in all; none is made
-    from qfock import analysis, fock
-
-    monkeypatch.setattr(fock, "_content_blocks", _entered)
-    monkeypatch.setattr(analysis, "phi_hk_operator", _entered)
-    assert main(["schatten", "--d", "1", "--p", "2", "--max-degree", max_degree]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and "work bound" in captured.err
-
-
-def test_schatten_work_bound_admits_one_letter_to_degree_72(monkeypatch):
+def test_diagonal_schatten_of_one_letter_runs_to_the_dimension_cap(capsys, monkeypatch):
+    # the closed spectrum needs no Gram block, so QFOCK_MAX_DIM alone bounds it
     from qfock import fock
 
-    assert 72 * 73 * 74 // 6 <= bound("SCHATTEN_TAKES") < 73 * 74 * 75 // 6
-    assert 7 * 8 * 9 // 6 == 84  # the benchmark's schatten --d 2 --max-degree 7
     monkeypatch.setattr(fock, "_content_blocks", _entered)
-    with pytest.raises(AssertionError, match="started"):
-        main(["schatten", "--d", "1", "--p", "2", "--max-degree", "72"])
+    code, doc = run_json(capsys, "schatten", "--d", "1", "--p", "2", "--max-degree", "4999")
+    assert code == 0 and doc["verified"]
+    assert len(doc["results"][0]["partial_norms"]) == 5000
+    assert main(["schatten", "--d", "1", "--p", "2", "--max-degree", "5000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "QFOCK_MAX_DIM" in captured.err
+
+
+def test_vector_schatten_is_refused_on_the_doubled_space_before_any_work(capsys, monkeypatch):
+    # degree 10 on one letter assembles through 2 letters to degree 12: 8,191 words
+    from qfock import fock
+
+    for module, name in ((analysis, "wick_apply"), (analysis, "_first_copy_blocks"), (fock, "_content_blocks")):
+        monkeypatch.setattr(module, name, _entered)
+    assert main(["schatten", "--route", "vector", "--d", "1", "--p", "2", "--max-degree", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "8191 basis words" in captured.err and "QFOCK_MAX_DIM" in captured.err
 
 
 @pytest.mark.parametrize("n, k", [(14, 7), (15, 5), (16, 8), (40, 20)])
@@ -1014,6 +1016,56 @@ def test_schatten_overflowing_norm_is_a_violation(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, doc = run_json(capsys, "schatten", "--d", "2", "--p", "2", "--hk", "1e308")
+    assert code == 1
+    check_envelope(doc)
+    assert doc["results"][0]["norm"] is None
+
+
+def test_diagonal_schatten_does_no_linear_algebra(capsys, monkeypatch):
+    from qfock import fock
+
+    for module, name in ((analysis, "gram_factors"), (fock, "_content_blocks"),
+                         (analysis.np.linalg, "eigh"), (analysis.np.linalg, "svd")):
+        monkeypatch.setattr(module, name, _entered)
+    code, doc = run_json(capsys, "schatten", "--d", "2", "--p", "2", "--max-degree", "7")
+    assert code == 0 and doc["verified"]
+    with pytest.raises(AssertionError, match="started"):
+        main(["schatten", "--route", "vector", "--d", "2", "--p", "2", "--max-degree", "3"])
+
+
+def test_vector_schatten_agrees_with_the_closed_form_and_the_diagonal_route(capsys):
+    argv = ["schatten", "--d", "2", "--p", "2", "--max-degree", "3"]
+    code, vector = run_json(capsys, *argv, "--route", "vector")
+    assert code == 0
+    check_envelope(vector)
+    _, diagonal = run_json(capsys, *argv)
+    row = vector["results"][0]
+    assert abs(row["norm"] - row["closed_form"]) <= 1e-10 * row["closed_form"]
+    assert abs(row["norm"] - diagonal["results"][0]["norm"]) <= 1e-10 * row["norm"]
+
+
+def test_diagonal_schatten_admits_q_near_one(capsys):
+    # the Gram block of degree 2 has eigenvalue 1 - q, under the 1e-12 floor
+    argv = ["schatten", "--d", "2", "--p", "2", "--q", "0.9999999999999", "--max-degree", "2"]
+    code, doc = run_json(capsys, *argv)
+    assert code == 0 and doc["verified"]
+    assert main(argv + ["--route", "vector"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "floor" in captured.err
+
+
+def test_schatten_sums_past_the_float_range_of_d_to_the_n(capsys, monkeypatch):
+    # 2**1100 is no float; the sum converges, its term ratio being 0.5
+    monkeypatch.setenv("QFOCK_MAX_DIM", str(10 ** 400))
+    argv = ["schatten", "--d", "2", "--p", "2", "--max-degree", "1100"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, doc = run_json(capsys, *argv)
+        assert code == 0 and doc["verified"]
+        row = doc["results"][0]
+        assert abs(row["norm"] - math.sqrt(2.0)) <= 1e-10
+        assert abs(row["norm"] - row["closed_form"]) <= 1e-10
+        code, doc = run_json(capsys, *argv, "--hk", "1e308")
     assert code == 1
     check_envelope(doc)
     assert doc["results"][0]["norm"] is None

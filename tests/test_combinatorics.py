@@ -8,6 +8,7 @@ from matchings import enumerate_pair_partitions, enumerate_partial_partitions, s
 
 from qfock.combinatorics import (
     PartialPartition,
+    _iota_rights,
     _straddling_pairs,
     coset_data,
     coset_inversions,
@@ -20,6 +21,7 @@ from qfock.combinatorics import (
     pattern,
     patterns,
 )
+from qfock.identities import _iota_right_table
 
 FIG_A = PartialPartition(8, 4, ((2, 5), (4, 7)))
 FIG_B = PartialPartition(8, 4, ((1, 6), (2, 5)))
@@ -89,6 +91,44 @@ def test_coset_inversions_count_the_representative_by_brute_force():
                         rep[i] > rep[j] for i in range(n) for j in range(i + 1, n)
                     )
                     assert coset_inversions(n, chosen, chosen_first) == brute
+
+
+# the three lemmas behind the ι′ scan's closed form, one test each
+
+
+def _brute_inversions(word):
+    return sum(a > b for a, b in itertools.combinations(word, 2))
+
+
+def test_left_coset_lemma_sum_plus_iota_is_fixed_by_the_size():
+    # sum(A) + ι(A) = j·m − C(j,2) for every j-subset A of {1..m}
+    for m in range(11):
+        for j in range(m + 1):
+            for a in itertools.combinations(range(1, m + 1), j):
+                assert sum(a) + coset_inversions(m, a, False) == j * m - comb(j, 2)
+
+
+def test_right_coset_lemma_iota_is_the_sum_less_the_least():
+    # ι(B) = sum(B) − C(j+1,2), the least sum of a j-subset, chosen-first
+    for k in range(10):
+        for j in range(k + 1):
+            for b in itertools.combinations(range(1, k + 1), j):
+                assert coset_inversions(k, b, True) == sum(b) - comb(j + 1, 2)
+
+
+def test_insertion_walk_lemma_reads_the_sum_and_the_inversions():
+    # _iota_rights(t) = sum(t) + inv(t) − C(j+1,2) for distinct values t_1..t_j
+    for j in range(8):
+        for sigma in itertools.permutations(range(1, j + 1)):
+            assert _iota_rights(sigma) == sum(sigma) + _brute_inversions(sigma) - comb(j + 1, 2)
+    entries = 0
+    for n in range(11):
+        for k in range(n + 1):
+            for j in range(min(k, n - k) + 1):
+                for rights, _ in _iota_right_table(n, k, j):
+                    assert _iota_rights(rights) == sum(rights) + _brute_inversions(rights) - comb(j + 1, 2)
+                    entries += 1
+    assert entries == 2199  # the walks of the ι′ scan to n = 10
 
 
 def test_crossings_on_figures():

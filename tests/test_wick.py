@@ -332,6 +332,50 @@ def test_a_word_past_the_longest_is_refused_before_any_work():
     assert wick.wick_word_action.cache_info()[1:] == (1, 4096, 0)  # one miss, nothing stored
 
 
+def _poly_times(a: list, b: list) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _q_binomials(n: int) -> list:
+    """[n k]_q for k = 0..n as integer coefficient lists, by q-Pascal:
+    [n k] = [n−1 k−1] + q^k [n−1 k]."""
+    row = [[1]]
+    for top in range(1, n + 1):
+        inner = [
+            [a + b for a, b in itertools.zip_longest(row[k - 1], [0] * k + row[k], fillvalue=0)]
+            for k in range(1, top)
+        ]
+        row = [[1]] + inner + [[1]]
+    return row
+
+
+def hermite_linearization(n: int, m: int) -> dict:
+    """W(e^n) e^m = Σ_k [n k]_q [m k]_q [k]_q! e^(n+m−2k), the product formula
+    of the continuous q-Hermite polynomials, as {k: coefficient list}."""
+    left, right = _q_binomials(n), _q_binomials(m)
+    out, factorial = {}, [1]
+    for k in range(min(n, m) + 1):
+        if k:
+            factorial = _poly_times(factorial, [1] * k)
+        out[k] = _poly_times(_poly_times(left[k], right[k]), factorial)
+    return out
+
+
+@pytest.mark.parametrize(
+    "pairs", [[(n, m) for n in range(13) for m in range(13)], [(22, 23)]], ids=["to-12", "22-on-23"]
+)
+def test_one_letter_kernel_is_the_q_hermite_linearization(pairs):
+    # 22 letters on 23 is at the edge MAX_WICK_WORK admits (23 on 23 is refused)
+    for n, m in pairs:
+        terms = wick.wick_word_action((0,) * n, (0,) * m, n + m)
+        expected = {(0,) * (n + m - 2 * k): c for k, c in hermite_linearization(n, m).items()}
+        assert {word: list(p.coeffs) for word, p in terms} == expected, (n, m)
+
+
 def test_moment_examples():
     assert moment_pair_partitions([0, 0, 0]) == QPolynomial.zero()
     assert moment_pair_partitions([0, 1]) == QPolynomial.zero()
