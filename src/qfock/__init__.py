@@ -9,8 +9,8 @@ The package is organised bottom-up:
   statistic with its (A, B, sigma) triple; subsets and permutations are
   plain tuples.
 * :mod:`qfock.fock` -- truncated Fock spaces, the word codec and the
-  doubled-space layout, the deformed inner product and Gram blocks, block
-  operators and second quantization.
+  doubled-space layout, the deformed inner product and Gram blocks, and
+  second quantization acting on words.
 * :mod:`qfock.wick` -- Wick products acting on vectors (fields are the
   degree-1 ones, and the Wick kernel drops creation out of the top
   degree), mixed moments, splitting products, and finite-size central
@@ -35,7 +35,6 @@ from .combinatorics import (
     partition_triple,
 )
 from .fock import (
-    BlockOperator,
     FockVector,
     SpaceConfig,
     gram_matrix,
@@ -55,7 +54,6 @@ from .wick import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockOperator",
     "EXACT",
     "FockVector",
     "PartialPartition",

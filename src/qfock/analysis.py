@@ -10,9 +10,12 @@ Also the rotation dilation of the Ornstein-Uhlenbeck semigroup and the
 deformation inner-product identity with its ratio scan.
 
 Operators from the ambient doubled algebra act on vectors through the
-word calculus: x W(eta) applied to the vacuum is W(x-word) eta, and the
-conditional expectation onto the single-copy algebra is the restriction
-to words without second-copy letters.  Identities are exact only on a
+word calculus: x W(eta) applied to the vacuum is W(x-word) eta, the
+second quantization of the rotation sends each word to a tensor product
+of columns (``fock.second_quantize``), and the conditional expectation
+onto the single-copy algebra is the restriction to words without
+second-copy letters.  No operator is held as Kronecker powers; multiplier
+blocks are plain {(i, j): matrix} dicts.  Identities are exact only on a
 truncation budget; every entry point states the degrees it certifies.
 """
 
@@ -28,10 +31,8 @@ import numpy as np
 
 from .budget import Refused
 from .fock import (
-    BlockOperator,
     FockVector,
     SpaceConfig,
-    coordinate_projection,
     copy_count_projection,
     copy_mixing,
     first_copy_words,
@@ -40,7 +41,6 @@ from .fock import (
     second_copy_count,
     second_copy_vector,
     second_quantize,
-    word_basis,
     word_index,
 )
 from .wick import reversed_vector, wick_apply
@@ -69,35 +69,26 @@ def rotation_matrix(t: float, d: int) -> np.ndarray:
     1 - e^-2t is taken by ``expm1``: at a t where e^-t rounds to 1 it does
     not round to 0.
     """
+    if not t >= 0:
+        raise ValueError("time must be nonnegative")
     c = math.exp(-t)
     s = math.sqrt(max(0.0, -math.expm1(-2.0 * t)))
     return copy_mixing([[c, -s], [s, c]], d)
 
 
-def dilation_operator(t: float, cfg: SpaceConfig) -> BlockOperator:
-    _require_doubled(cfg, "the dilation")
-    if not t >= 0:
-        raise ValueError("time must be nonnegative")
-    return second_quantize(rotation_matrix(t, cfg.d), cfg)
-
-
 def dilation_check(t: float, cfg: SpaceConfig) -> float:
     """Compress the dilation to the first copy and compare with the semigroup.
 
-    Returns the largest entry deviation over columns indexed by first-copy
-    words: the compressed operator must act as e^-nt on them and send
-    nothing outside the first-copy span.
+    Returns the largest coefficient deviation over first-copy words x: the
+    first-copy part of the rotated x must be e^-nt x, with no other word.
     """
     _require_doubled(cfg, "the dilation check")
     _require_float(cfg, "the dilation check")
-    projection = second_quantize(coordinate_projection(cfg), cfg)
-    dilation = dilation_operator(t, cfg)
-    dev = 0.0
+    u, dev = rotation_matrix(t, cfg.d), 0.0
     for n in range(cfg.max_degree + 1):
-        first_copy = [word_index(n, cfg.letters)[w] for w in first_copy_words(n, cfg)]
-        expected = math.exp(-n * t) * np.eye(cfg.dim(n))[:, first_copy]
-        compressed = projection.block(n, n) @ dilation.block(n, n)[:, first_copy]
-        dev = max(dev, float(np.abs(compressed - expected).max()))
+        for word in first_copy_words(n, cfg):
+            image = copy_count_projection(second_quantize(u, FockVector.from_word(cfg, word)), 0, "exact").coeffs
+            dev = max(dev, abs(image.pop(word, 0.0) - math.exp(-n * t)), *map(abs, image.values()))
     return dev
 
 
@@ -136,7 +127,7 @@ def phi_hk_check(h, k, cfg: SpaceConfig) -> float:
     dev = 0.0
     with np.errstate(all="ignore"):  # an overflowing <h,k> is reported as the deviation
         hk = float(np.dot(np.asarray(h, dtype=float), np.asarray(k, dtype=float)))
-        for (i, j), mat in phi_hk_operator(h, k, single).blocks.items():
+        for (i, j), mat in phi_hk_operator(h, k, single).items():
             diagonal = q ** i * hk * np.eye(single.dim(i)) if i == j else 0.0
             diff = np.abs(mat - diagonal).T  # column by column
             bad = diff[~np.isfinite(diff)]
@@ -146,14 +137,15 @@ def phi_hk_check(h, k, cfg: SpaceConfig) -> float:
     return dev
 
 
-def phi_hk_operator(h, k, cfg: SpaceConfig) -> BlockOperator:
-    """The multiplier on the single-copy space, in degree blocks assembled
-    through the doubled space with a +2 degree budget (under the size cap)."""
+def phi_hk_operator(h, k, cfg: SpaceConfig) -> dict:
+    """The multiplier on the single-copy space, as degree blocks {(i, j):
+    matrix} assembled through the doubled space with a +2 degree budget
+    (under the size cap); every diagonal block is present."""
     _require_float(cfg, "the multiplier")
     doubled = SpaceConfig(cfg.d, 2, cfg.max_degree + 2, cfg.scalar)
     h_t, k_t = second_copy_vector(h, doubled), second_copy_vector(k, doubled)
     zero = {(n, n): np.zeros((cfg.dim(n),) * 2) for n in range(cfg.max_degree + 1)}
-    return BlockOperator(cfg, zero | _first_copy_blocks(h_t, k_t, doubled, cfg.max_degree))
+    return zero | _first_copy_blocks(h_t, k_t, doubled, cfg.max_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +210,10 @@ def _schatten_report(power_sums, p: float, q: float, cfg: SpaceConfig) -> Schatt
     return SchattenReport(p, partial_norms[-1], schatten_threshold(q, cfg.letters), partial_norms)
 
 
-def schatten_norm(op: BlockOperator, p: float, cfg: SpaceConfig) -> SchattenReport:
+def schatten_norm(op: dict, p: float, cfg: SpaceConfig) -> SchattenReport:
     """Truncated Schatten p-norm with singular values taken per degree.
 
+    ``op`` holds degree blocks {(i, j): matrix}, a missing block being 0.
     Blocks are conjugated by the Gram square roots so the SVD happens in
     the q-inner geometry; a Euclidean SVD would be wrong for q != 0.  The
     operator keeps degrees (its blocks off the diagonal are not read).
@@ -228,11 +221,11 @@ def schatten_norm(op: BlockOperator, p: float, cfg: SpaceConfig) -> SchattenRepo
     q = _require_float(cfg, "Schatten norms")
 
     def power_sum(n: int) -> float:
-        block = op.block(n, n)
+        block = op.get((n, n))
         if block is None:
             return 0.0
-        svals = np.linalg.svd(_gram_conjugate(block, n, n, cfg), compute_uv=False)
         with np.errstate(all="ignore"):  # an overflowing norm is reported as null
+            svals = np.linalg.svd(_gram_conjugate(block, n, n, cfg), compute_uv=False)
             return np.sum(svals ** p)
 
     return _schatten_report(map(power_sum, range(cfg.max_degree + 1)), p, q, cfg)
@@ -338,8 +331,8 @@ def deformation_right_side(n: int, kcut: int, t: float, inner_xy: float) -> floa
 def deformation_block_check(n: int, kcut: int, t: float, cfg: SpaceConfig) -> float:
     """Deviation of the identity over every pair of degree-n first-copy words.
 
-    One matrix comparison covers all pairs at once: with M the dilation
-    block restricted to first-copy columns and rows masked to second-copy
+    One matrix comparison covers all pairs at once: with M the matrix whose
+    column x is the rotated first-copy word x restricted to second-copy
     count >= kcut, the identity reads M^T G M = (binomial factor) G
     restricted, G the degree-n Gram.  Bilinearity extends the pass to all
     degree-n vectors.
@@ -348,11 +341,13 @@ def deformation_block_check(n: int, kcut: int, t: float, cfg: SpaceConfig) -> fl
     _require_float(cfg, "the deformation identity")
     if kcut > n:
         raise ValueError("cut above the degree: the right side is an empty sum")
-    basis = word_basis(n, cfg.letters)
-    first = [word_index(n, cfg.letters)[w] for w in first_copy_words(n, cfg)]
-    mask = np.array([second_copy_count(w, cfg) >= kcut for w in basis], dtype=float)
-    g = gram_matrix(n, cfg)
-    m = dilation_operator(t, cfg).block(n, n)[:, first] * mask[:, None]
+    u, index, words = rotation_matrix(t, cfg.d), word_index(n, cfg.letters), first_copy_words(n, cfg)
+    m = np.zeros((cfg.dim(n), len(words)))
+    for col, word in enumerate(words):
+        image = copy_count_projection(second_quantize(u, FockVector.from_word(cfg, word)), kcut, "at-least")
+        for w, c in image.coeffs.items():
+            m[index[w], col] = c
+    g, first = gram_matrix(n, cfg), [index[w] for w in words]
     left = m.T @ g @ m
     right = deformation_right_side(n, kcut, t, 1.0) * g[np.ix_(first, first)]
     return float(np.abs(left - right).max())
@@ -362,8 +357,8 @@ def deformation_scan(kcut: int, n_max: int, t_grid, cfg: SpaceConfig) -> Deforma
     """Ratio ||(alpha_(t^kcut) - id) x|| / ||E-perp_(kcut-1) alpha_t x|| per (n, t).
 
     Both norms depend on a degree-n vector only through its norm, so the
-    rows use the scalar closed forms; one matrix evaluation per degree
-    cross-checks them.  The grid must sit inside (0, 2^-kcut), the cut at
+    rows use the scalar closed forms; per degree, the rotations of e_1^n
+    cross-check them.  The grid must sit inside (0, 2^-kcut), the cut at
     kcut >= 1 and the degrees within the truncation.
     """
     _require_doubled(cfg, "the deformation scan")
@@ -386,16 +381,15 @@ def deformation_scan(kcut: int, n_max: int, t_grid, cfg: SpaceConfig) -> Deforma
             rows.append((n, t, left, right, left / right))
     crosscheck = 0.0
     t_mid = t_grid[len(t_grid) // 2]
-    alpha_small = dilation_operator(t_mid ** kcut, cfg)
-    alpha_mid = dilation_operator(t_mid, cfg)
+    u_small, u_mid = rotation_matrix(t_mid ** kcut, cfg.d), rotation_matrix(t_mid, cfg.d)
     for n in range(kcut, n_max + 1):
         x = FockVector.from_word(cfg, (0,) * n)
-        norm_sq = float(q_norm_squared(x))
-        moved = alpha_small.apply(x) - x
-        left_matrix = math.sqrt(max(float(q_norm_squared(moved)), 0.0) / norm_sq)
+        moved = second_quantize(u_small, x) - x
+        denom = copy_count_projection(second_quantize(u_mid, x), kcut, "at-least")
+        norm_sq, moved_sq, denom_sq = _e1_norms_squared((x, moved, denom), n, cfg)
+        left_matrix = math.sqrt(max(moved_sq, 0.0) / norm_sq)
         left_scalar = math.sqrt(-2.0 * math.expm1(-n * t_mid ** kcut))
-        denom = copy_count_projection(alpha_mid.apply(x), kcut, "at-least")
-        right_matrix = math.sqrt(max(float(q_norm_squared(denom)), 0.0) / norm_sq)
+        right_matrix = math.sqrt(max(denom_sq, 0.0) / norm_sq)
         right_scalar = math.sqrt(deformation_right_side(n, kcut, t_mid, 1.0))
         crosscheck = max(crosscheck, abs(left_matrix - left_scalar), abs(right_matrix - right_scalar))
     return DeformationReport(
@@ -404,6 +398,19 @@ def deformation_scan(kcut: int, n_max: int, t_grid, cfg: SpaceConfig) -> Deforma
         max_ratio=max(r for *_rest, r in rows),
         crosscheck_dev=crosscheck,
     )
+
+
+def _e1_norms_squared(vectors, n: int, cfg: SpaceConfig) -> list:
+    """q-norms squared of degree-n vectors on the letters e_1 and e~_1 (codes
+    0 and d), as vec G vec with G the Gram block of the two letters' space."""
+    g, index = gram_matrix(n, SpaceConfig(1, 2, n, cfg.scalar)), word_index(n, 2)
+    norms = []
+    for v in vectors:
+        vec = np.zeros(len(g))
+        for w, c in v.coeffs.items():
+            vec[index[tuple(code // cfg.d for code in w)]] = c
+        norms.append(float(vec @ g @ vec))
+    return norms
 
 
 def ou_tail(x: FockVector, t: float, top: int) -> float:

@@ -33,7 +33,9 @@ There is no ladder kernel here: a field s(h) is the degree-1 Wick product
 W(h), applied by ``qfock.wick.wick_apply``.  Its kernel
 ``wick_word_action`` is where creation out of the top degree is dropped,
 so callers must keep a truncation budget (entries of degree <= N -
-creations applied) when asserting exact identities.
+creations applied) when asserting exact identities.  Nor is any operator
+held as a matrix: second quantization Gamma(u) maps each word of a vector
+to the tensor product of u's columns at its letters (``second_quantize``).
 """
 
 from __future__ import annotations
@@ -498,79 +500,39 @@ def _lifted_blocks(degree: int, cfg: SpaceConfig, lift) -> list:
 
 
 # ---------------------------------------------------------------------------
-# block matrices
-
-
-@dataclass(eq=False)
-class BlockOperator:
-    """Degree-block matrix; key (target degree, source degree), missing = 0."""
-
-    cfg: SpaceConfig
-    blocks: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        for (ti, si), mat in self.blocks.items():
-            expect = (self.cfg.dim(ti), self.cfg.dim(si))
-            if mat.shape != expect:
-                raise ValueError(f"block {(ti, si)} has shape {mat.shape}, expected {expect}")
-
-    def block(self, target: int, source: int):
-        return self.blocks.get((target, source))
-
-    def apply(self, v: FockVector) -> FockVector:
-        if not self.cfg.compatible(v.cfg):
-            raise ValueError("space mismatch")
-        letters = self.cfg.letters
-        out: dict = {}
-        for word, c in v.coeffs.items():
-            si = len(word)
-            j = word_index(si, letters)[word]
-            for (ti, s2), mat in self.blocks.items():
-                if s2 != si:
-                    continue
-                basis = word_basis(ti, letters)
-                for i, entry in enumerate(mat[:, j]):
-                    if not scalar_is_zero(entry):
-                        target = basis[i]
-                        out[target] = out.get(target, 0) + entry * c
-        return FockVector(v.cfg, out)
-
-
-# ---------------------------------------------------------------------------
 # second quantization and projections
 
 
-def operator_norm(u: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(u, dtype=float), 2)) if u.size else 0.0
-
-
-def second_quantize(u, cfg: SpaceConfig) -> BlockOperator:
-    """Degree-n block u tensored with itself n times; vacuum block is 1.
+def second_quantize(u, v: FockVector) -> FockVector:
+    """Gamma(u) v: each word goes to the tensor product of u's columns at
+    its letters, the vacuum to itself.
 
     Requires a contraction; an orthogonal u preserves the q-inner product,
     and a coordinate projection gives the conditional expectation onto the
-    sub-Fock space it selects.
+    sub-Fock space it selects.  Each image coefficient is the product of
+    its column entries taken left to right from 1, and a product that
+    vanishes is skipped.
+
+    >>> v = FockVector(SpaceConfig(1, 2, 2, ScalarMode.at(0.5)), {(0, 0): 1.0})
+    >>> second_quantize([[0.5, 0.0], [0.5, 0.5]], v).coeffs
+    {(0, 0): 0.25, (0, 1): 0.25, (1, 0): 0.25, (1, 1): 0.25}
     """
-    u = np.asarray(u)
-    if u.shape != (cfg.letters, cfg.letters):
-        raise ValueError(f"one-particle matrix must be {cfg.letters}x{cfg.letters}")
-    if operator_norm(u) > 1.0 + 1e-9:
+    u, letters = np.asarray(u), v.cfg.letters
+    if u.shape != (letters, letters):
+        raise ValueError(f"one-particle matrix must be {letters}x{letters}")
+    if np.linalg.norm(u.astype(float), 2) > 1.0 + 1e-9:
         raise ValueError("second quantization needs a contraction")
-    dtype = object if cfg.scalar.is_exact else float
-    u = u.astype(dtype)
-    start = np.ones((1, 1), dtype=dtype)  # an int 1 in exact mode
-    blocks = {(0, 0): start}
-    power = start
-    for n in range(1, cfg.max_degree + 1):
-        power = np.kron(power, u)
-        blocks[(n, n)] = power
-    return BlockOperator(cfg, blocks)
-
-
-def coordinate_projection(cfg: SpaceConfig) -> np.ndarray:
-    """One-particle projection of the doubled space keeping the first-copy letters."""
-    diag = [1 if code < cfg.d else 0 for code in range(cfg.letters)]
-    return np.diag(np.array(diag, dtype=object if cfg.scalar.is_exact else float))
+    columns = u.astype(object if v.cfg.scalar.is_exact else float).T.tolist()
+    columns = [[(row, x) for row, x in enumerate(column) if x != 0] for column in columns]
+    out: dict = {}
+    for word, c in v.coeffs.items():
+        images = [((), 1)]  # prefixes ascend, so a word's targets are added in basis order
+        for a in word:
+            images = [(target + (row,), entry * x) for target, entry in images for row, x in columns[a]]
+        for target, entry in images:
+            if entry != 0:
+                out[target] = out.get(target, 0) + entry * c
+    return FockVector(v.cfg, out)
 
 
 def second_copy_count(word: tuple, cfg: SpaceConfig) -> int:

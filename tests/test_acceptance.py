@@ -263,7 +263,7 @@ def test_c10_diagonal_form_and_schatten(monkeypatch, capsys):
     via_vec = phi_hk_operator((1.0, 0.0), (1.0, 0.0), small)
     via_diag = diagonal_phi_operator((1.0, 0.0), (1.0, 0.0), small)
     for n in range(4):
-        if np.abs(via_vec.block(n, n) - via_diag.block(n, n)).max() >= 1e-12:
+        if np.abs(via_vec[(n, n)] - via_diag[(n, n)]).max() >= 1e-12:
             failures.append(f"vector and diagonal routes differ at degree {n}")
     _verdict(10, "rank-one compression is diagonal; Schatten norms and threshold",
              failures)

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from dense import coordinate_projection, kron_second_quantize
 
 from qfock.analysis import (
     DecayReport,
@@ -11,7 +12,6 @@ from qfock.analysis import (
     deformation_right_side,
     deformation_scan,
     dilation_check,
-    dilation_operator,
     gram_factors,
     ou_tail,
     phi_hk_check,
@@ -24,11 +24,11 @@ from qfock.analysis import (
     schatten_threshold,
 )
 from qfock.fock import (
-    BlockOperator,
     FockVector,
     SpaceConfig,
     copy_count_projection,
     first_copy_words,
+    gram_matrix,
     q_inner,
     second_copy_vector,
     second_quantize,
@@ -63,12 +63,36 @@ def test_dilation_compresses_to_semigroup():
             assert dilation_check(t, cfg) < 1e-12
 
 
+def dense_dilation_check(t, cfg):
+    """The dilation check as whole matrices: the Kronecker power of the
+    first-copy projection times that of the rotation, on first-copy columns,
+    against e^-nt times the identity's columns."""
+    projection = kron_second_quantize(coordinate_projection(cfg), cfg)
+    dilation = kron_second_quantize(rotation_matrix(t, cfg.d), cfg)
+    dev = 0.0
+    for n in range(cfg.max_degree + 1):
+        first_copy = [word_index(n, cfg.letters)[w] for w in first_copy_words(n, cfg)]
+        expected = math.exp(-n * t) * np.eye(cfg.dim(n))[:, first_copy]
+        compressed = projection.block(n, n) @ dilation.block(n, n)[:, first_copy]
+        dev = max(dev, float(np.abs(compressed - expected).max()))
+    return dev
+
+
+@pytest.mark.parametrize("q", [0.5, -0.7])
+def test_dilation_check_is_the_dense_deviation(q):
+    for d in (1, 2):
+        for t in (0.0, 3e-17, 0.1, 0.5, 2.0):
+            cfg = doubled(d, 4 if d == 1 else 3, q)
+            assert dilation_check(t, cfg) == dense_dilation_check(t, cfg)
+
+
 def test_semigroup_eigenvalues():
     # the Ornstein-Uhlenbeck semigroup is the second quantization of e^-t I
     cfg = single(2, 3)
-    op = second_quantize(math.exp(-0.4) * np.eye(cfg.letters), cfg)
     for n in range(4):
-        assert np.allclose(op.block(n, n), math.exp(-0.4 * n) * np.eye(cfg.dim(n)))
+        for word in word_basis(n, cfg.d):
+            image = second_quantize(math.exp(-0.4) * np.eye(cfg.letters), FockVector.from_word(cfg, word))
+            assert image.coeffs == {word: pytest.approx(math.exp(-0.4 * n))}
 
 
 def test_phi_check_small_deviation():
@@ -81,8 +105,8 @@ def test_phi_check_small_deviation():
 def test_phi_orthogonal_arguments_kill_the_map():
     cfg = single(2, 3)
     op = phi_hk_operator((1.0, 0.0), (0.0, 1.0), cfg)
-    assert set(op.blocks) == {(n, n) for n in range(4)}
-    assert not any(mat.any() for mat in op.blocks.values())
+    assert set(op) == {(n, n) for n in range(4)}
+    assert not any(mat.any() for mat in op.values())
 
 
 def test_phi_input_validation():
@@ -98,7 +122,7 @@ def diagonal_phi_operator(h, k, cfg):
     degree: the oracle of the operator and of its closed-spectrum norm."""
     hk = float(np.dot(np.asarray(h, dtype=float), np.asarray(k, dtype=float)))
     q = cfg.scalar.q
-    return BlockOperator(cfg, {(n, n): q ** n * hk * np.eye(cfg.dim(n)) for n in range(cfg.max_degree + 1)})
+    return {(n, n): q ** n * hk * np.eye(cfg.dim(n)) for n in range(cfg.max_degree + 1)}
 
 
 def test_phi_operator_routes_agree():
@@ -106,7 +130,7 @@ def test_phi_operator_routes_agree():
     vec = phi_hk_operator((1.0, 0.0), (0.7, 0.3), cfg)
     diag = diagonal_phi_operator((1.0, 0.0), (0.7, 0.3), cfg)
     for n in range(4):
-        assert np.abs(vec.block(n, n) - diag.block(n, n)).max() < 1e-12
+        assert np.abs(vec[(n, n)] - diag[(n, n)]).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +182,9 @@ def test_phi_vector_route_is_the_per_word_images(d, q, h, k):
                     block = expected.setdefault((len(w), n), np.zeros((d ** len(w), d ** n)))
                     block[word_index(len(w), d)[w], col] = c
         op = phi_hk_operator(h, k, cfg)
-        assert set(op.blocks) == set(expected)
+        assert set(op) == set(expected)
         for key, block in expected.items():
-            assert np.array_equal(op.block(*key), block)
+            assert np.array_equal(op[key], block)
 
 
 @pytest.mark.parametrize("d, q, h, k", PHI_GRID + [
@@ -176,7 +200,7 @@ def test_phi_check_is_the_per_word_deviation(d, q, h, k):
 
 def test_schatten_identity_block():
     cfg = single(2, 3)
-    op = BlockOperator(cfg, {(2, 2): np.eye(4)})
+    op = {(2, 2): np.eye(4)}
     report = schatten_norm(op, 2.0, cfg)
     assert report.norm == pytest.approx(2.0)
 
@@ -238,7 +262,7 @@ def test_closed_forms_sum_past_the_float_range_of_d_to_the_n(monkeypatch):
 def test_schatten_rejects_bad_input():
     cfg = single(2, 2)
     with pytest.raises(ValueError):
-        schatten_norm(BlockOperator(cfg, {(0, 0): np.ones((1, 1))}), 0.5, cfg)
+        schatten_norm({(0, 0): np.ones((1, 1))}, 0.5, cfg)
 
 
 def test_gram_factor_floor_fails_loudly():
@@ -301,9 +325,10 @@ def test_block_decay_validation():
 
 def deformation_identity(n, kcut, t, x, y):
     """Both sides of <E-perp_(kcut-1) alpha_t x, E-perp_(kcut-1) alpha_t y> for
-    degree-n first-copy vectors: through the dilation matrix and the copy-count
-    projection, and as the binomial closed form times the q-inner product."""
-    alpha = dilation_operator(t, x.cfg)
+    degree-n first-copy vectors: through the dense dilation matrix and the
+    copy-count projection, and as the binomial closed form times the q-inner
+    product."""
+    alpha = kron_second_quantize(rotation_matrix(t, x.cfg.d), x.cfg)
     px = copy_count_projection(alpha.apply(x), kcut, "at-least")
     py = copy_count_projection(alpha.apply(y), kcut, "at-least")
     return float(q_inner(px, py)), deformation_right_side(n, kcut, t, float(q_inner(x, y)))
@@ -367,6 +392,31 @@ def test_deformation_block_check_all_pairs():
                         assert abs(left - right) < 1e-12
 
 
+def dense_deformation_block_check(n, kcut, t, cfg):
+    """deformation_block_check with M read off the dense dilation block:
+    its first-copy columns, rows masked to second-copy count >= kcut."""
+    basis = word_basis(n, cfg.letters)
+    first = [word_index(n, cfg.letters)[w] for w in first_copy_words(n, cfg)]
+    mask = np.array([sum(code >= cfg.d for code in w) >= kcut for w in basis], dtype=float)
+    g = gram_matrix(n, cfg)
+    m = kron_second_quantize(rotation_matrix(t, cfg.d), cfg).block(n, n)[:, first] * mask[:, None]
+    right = deformation_right_side(n, kcut, t, 1.0) * g[np.ix_(first, first)]
+    return float(np.abs(m.T @ g @ m - right).max())
+
+
+@pytest.mark.parametrize("q", [0.5, -0.6])
+def test_deformation_block_check_is_the_dense_deviation(q):
+    # the same M; the products M^T G M may round apart in their last bits,
+    # since BLAS sums in an order that depends on the memory layout
+    for d, top in ((1, 5), (2, 3)):
+        cfg = doubled(d, top, q)
+        for n in range(1, top + 1):
+            for kcut in range(1, n + 1):
+                for t in (1e-3, 0.05, 0.2, 1.5):
+                    got, want = deformation_block_check(n, kcut, t, cfg), dense_deformation_block_check(n, kcut, t, cfg)
+                    assert want < 1e-12 and abs(got - want) <= 1e-15
+
+
 def test_deformation_scan_first_degree_ratio():
     cfg = doubled(1, 3)
     grid = [0.05, 0.25, 0.45]
@@ -406,7 +456,7 @@ def test_ou_tail_values():
         with pytest.raises(ValueError, match="nonnegative"):
             ou_tail(x, bad, 1)
         with pytest.raises(ValueError, match="nonnegative"):
-            dilation_operator(bad, cfg)
+            dilation_check(bad, cfg)
     exact_cfg = SpaceConfig(1, 2, 2, EXACT)
     with pytest.raises(ValueError):
         ou_tail(FockVector.from_word(exact_cfg, (0,)), 0.1, 0)

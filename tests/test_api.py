@@ -5,7 +5,6 @@ import qfock.cli
 from qfock import fock, wick
 
 PUBLIC = [
-    "BlockOperator",
     "EXACT",
     "FockVector",
     "PartialPartition",

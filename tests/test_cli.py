@@ -1123,7 +1123,7 @@ def test_deform_steps_over_the_cap_are_a_usage_error(capsys, monkeypatch):
 
 def test_deform_grid_point_whose_tail_rounds_to_zero_is_a_usage_error(capsys, monkeypatch):
     # the degree-kcut right side, (1 - exp(-2t))^kcut, about (2t)^kcut, underflows to 0
-    monkeypatch.setattr(analysis, "dilation_operator", _entered)
+    monkeypatch.setattr(analysis, "second_quantize", _entered)
     for kcut, nmax, tmin, tmax in (("11", "11", "1e-30", "1e-30"), ("2", "3", "1e-170", "1e-3")):
         assert main(["deform", "--kcut", kcut, "--nmax", nmax, "--tmin", tmin, "--tmax", tmax, "--steps", "2"]) == 2
         captured = capsys.readouterr()
@@ -1148,6 +1148,18 @@ def test_deform_json(capsys):
     assert code == 0
     check_envelope(doc)
     assert doc["results"][0]["crosscheck_dev"] < 1e-10
+
+
+def test_deform_runs_at_the_largest_admitted_degree(capsys):
+    # QFOCK_MAX_DIM admits the doubled one-letter space to degree 11 (4,095
+    # words) and refuses 12; the cross-check's norms at degree 11 go through
+    # one 2,048-wide Gram block, not word pair by word pair
+    code, doc = run_json(capsys, "deform", "--d", "1", "--kcut", "1", "--nmax", "11", "--steps", "9")
+    assert code == 0 and doc["verified"]
+    assert doc["results"][0]["crosscheck_dev"] < 1e-12
+    assert len(doc["results"][0]["rows"]) == 11 * 9
+    assert main(["deform", "--d", "1", "--kcut", "1", "--nmax", "12"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_tail(capsys):
@@ -1288,6 +1300,7 @@ def test_emit_writes_non_finite_keys_as_json_does():
 @pytest.mark.parametrize("argv", [
     ["phi-check", "--d", "2", "--max-degree", "3", "--h", "1e308,1e308"],
     ["schatten", "--d", "2", "--p", "2", "--hk", "1e308"],
+    ["schatten", "--route", "vector", "--d", "1", "--max-degree", "5", "--q", "0.8", "--p", "1", "--hk", "1e308"],
 ])
 def test_overflowing_envelopes_are_strict_json(capsys, argv):
     # both keep numpy's floating-point warnings to themselves

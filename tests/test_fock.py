@@ -3,19 +3,19 @@ import functools
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from dense import BlockOperator, coordinate_projection, kron_second_quantize
 from hypothesis import given, settings, strategies as st
 
 from qfock import fock
 from qfock.budget import bound
 from qfock.combinatorics import inversions
 from qfock.fock import (
-    BlockOperator,
     FockVector,
     SpaceConfig,
-    coordinate_projection,
     copy_count_projection,
     copy_mixing,
     first_copy_words,
@@ -629,47 +629,88 @@ def test_compose_matches_sequential_apply():
 
 def test_second_quantize_identity_and_functoriality():
     cfg = SpaceConfig(2, 1, 3, ScalarMode.at(0.5))
-    ident = second_quantize(np.eye(2), cfg)
     v = FockVector(cfg, {(0, 1): 1.0, (1, 1, 0): -2.0})
-    assert ident.apply(v).coeffs == v.coeffs
+    assert second_quantize(np.eye(2), v).coeffs == v.coeffs
 
     rng = np.random.default_rng(7)
+    vectors = [v] + [FockVector.from_word(cfg, w, 1.0) for n in range(4) for w in word_basis(n, 2)]
     for _ in range(3):
         u = rng.normal(size=(2, 2))
         u /= np.linalg.norm(u, 2) * 1.01
         w = rng.normal(size=(2, 2))
         w /= np.linalg.norm(w, 2) * 1.01
-        left, right = second_quantize(u, cfg), second_quantize(w, cfg)
-        for (n, _), mat in second_quantize(u @ w, cfg).blocks.items():
-            assert np.max(np.abs(left.block(n, n) @ right.block(n, n) - mat)) < 1e-12
+        for x in vectors:
+            left, right = second_quantize(u, second_quantize(w, x)), second_quantize(u @ w, x)
+            assert left.coeffs.keys() == right.coeffs.keys()
+            assert all(abs(c - right.coeffs[word]) < 1e-12 for word, c in left.coeffs.items())
 
 
 def test_second_quantize_rejects_expansion():
     cfg = SpaceConfig(2, 1, 2, ScalarMode.at(0.5))
-    with pytest.raises(ValueError):
-        second_quantize(1.5 * np.eye(2), cfg)
-    with pytest.raises(ValueError):
-        second_quantize(np.eye(3), cfg)
+    v = FockVector.from_word(cfg, (0, 1))
+    with pytest.raises(ValueError, match="contraction"):
+        second_quantize(1.5 * np.eye(2), v)
+    with pytest.raises(ValueError, match="2x2"):
+        second_quantize(np.eye(3), v)
 
 
 def test_second_quantize_orthogonal_preserves_inner():
     cfg = SpaceConfig(2, 1, 3, ScalarMode.at(-0.4))
     theta = 0.7
     u = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
-    g = second_quantize(u, cfg)
     v = FockVector(cfg, {(0, 1): 1.0, (1, 1): 0.5})
     w = FockVector(cfg, {(0, 1): -1.0, (0, 0): 2.0})
-    assert q_inner(g.apply(v), g.apply(w)) == pytest.approx(q_inner(v, w), abs=1e-12)
+    assert q_inner(second_quantize(u, v), second_quantize(u, w)) == pytest.approx(q_inner(v, w), abs=1e-12)
 
 
 def test_semigroup_scaling_per_degree():
     cfg = SpaceConfig(2, 1, 3, ScalarMode.at(0.3))
     t = 0.4
-    semi = second_quantize(math.exp(-t) * np.eye(2), cfg)
     for degree in range(4):
         for word in word_basis(degree, cfg.letters):
-            got = semi.apply(FockVector.from_word(cfg, word, 1.0))
-            assert got.coeffs[word] == pytest.approx(math.exp(-degree * t))
+            got = second_quantize(math.exp(-t) * np.eye(2), FockVector.from_word(cfg, word, 1.0))
+            assert got.coeffs == {word: pytest.approx(math.exp(-degree * t))}
+
+
+def random_contraction(rng, letters, exact):
+    """A random letters x letters contraction with a few zero entries: with
+    Fraction entries of absolute sum at most 1 in exact mode, else a normal
+    matrix scaled below norm 1."""
+    if exact:
+        u = rng.integers(-3, 4, size=(letters, letters))
+        scale = int(np.abs(u).sum()) + 1
+        return np.array([[Fraction(int(x), scale) for x in row] for row in u], dtype=object)
+    u = rng.normal(size=(letters, letters)) * (rng.random((letters, letters)) < 0.8)
+    return u / (np.linalg.norm(u, 2) * 1.01 or 1.0)
+
+
+def random_vector(rng, cfg):
+    """Up to six words of degree <= max_degree, with random QPolynomial or float coefficients."""
+    words = [w for n in range(cfg.max_degree + 1) for w in word_basis(n, cfg.letters)]
+    coeffs = {}
+    for i in rng.choice(len(words), size=min(6, len(words)), replace=False):
+        exact = QPolynomial(tuple(int(c) for c in rng.integers(-2, 3, size=3)))
+        coeffs[words[i]] = exact if cfg.scalar.is_exact else float(rng.normal())
+    return FockVector(cfg, coeffs)
+
+
+@pytest.mark.parametrize("mode", [EXACT, ScalarMode.at(0.5)], ids=["exact", "float"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_second_quantize_is_the_kron_power_bit_for_bit(mode, d):
+    # the word map against the dense Kronecker route, read back column by
+    # column: the same images, coefficients and float bits
+    rng = np.random.default_rng(11 + d)
+    for top in range(5):
+        cfg = SpaceConfig(d, 2, top, mode)
+        for _ in range(4):
+            u = random_contraction(rng, cfg.letters, mode.is_exact)
+            v = random_vector(rng, cfg)
+            got, want = second_quantize(u, v).coeffs, kron_second_quantize(u, cfg).apply(v).coeffs
+            assert list(got) == list(want)
+            if mode.is_exact:
+                assert got == want
+            else:
+                assert [float(c).hex() for c in got.values()] == [float(c).hex() for c in want.values()]
 
 
 def test_degree_projection():
@@ -752,7 +793,6 @@ def test_doubled_layout_helpers():
 def test_identity_operator():
     """Second quantization of the identity, in exact mode, is the identity."""
     cfg = exact_cfg(d=2, copies=1, n=2)
-    ident = second_quantize(np.eye(2, dtype=int), cfg)
-    assert ident.block(0, 0)[0, 0] == 1
+    assert kron_second_quantize(np.eye(2, dtype=int), cfg).block(0, 0)[0, 0] == 1
     v = FockVector(cfg, {(): QPolynomial.q(), (0, 1): QPolynomial((1, 2)), (1,): QPolynomial.one()})
-    assert ident.apply(v).coeffs == v.coeffs
+    assert second_quantize(np.eye(2, dtype=int), v).coeffs == v.coeffs

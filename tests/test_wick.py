@@ -366,10 +366,13 @@ def hermite_linearization(n: int, m: int) -> dict:
 
 
 @pytest.mark.parametrize(
-    "pairs", [[(n, m) for n in range(13) for m in range(13)], [(22, 23)]], ids=["to-12", "22-on-23"]
+    "pairs",
+    [[(n, m) for n in range(13) for m in range(13)], [(22, 23)], [(100, 12)], [(12, 100)]],
+    ids=["to-12", "22-on-23", "100-on-12", "12-on-100"],
 )
 def test_one_letter_kernel_is_the_q_hermite_linearization(pairs):
-    # 22 letters on 23 is at the edge MAX_WICK_WORK admits (23 on 23 is refused)
+    # 22 letters on 23 is at the edge MAX_WICK_WORK admits (23 on 23 is
+    # refused); 100 on 12 and 12 on 100 are admitted too
     for n, m in pairs:
         terms = wick.wick_word_action((0,) * n, (0,) * m, n + m)
         expected = {(0,) * (n + m - 2 * k): c for k, c in hermite_linearization(n, m).items()}
